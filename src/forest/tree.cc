@@ -1,14 +1,70 @@
 #include "forest/tree.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 
 namespace sparktune {
 
+SortedColumns::SortedColumns(size_t num_rows, size_t num_features)
+    : num_rows_(num_rows),
+      num_features_(num_features),
+      values_(num_rows * num_features),
+      rows_(num_rows * num_features) {}
+
+Result<SortedColumns> SortedColumns::Build(
+    const std::vector<std::vector<double>>& x) {
+  if (x.empty()) return Status::InvalidArgument("tree needs at least one row");
+  const size_t n = x.size();
+  const size_t nf = x[0].size();
+  for (size_t i = 1; i < n; ++i) {
+    if (x[i].size() != nf) {
+      return Status::InvalidArgument(
+          "tree rows differ in width: row " + std::to_string(i) + " has " +
+          std::to_string(x[i].size()) + " features, row 0 has " +
+          std::to_string(nf));
+    }
+  }
+  SortedColumns columns(n, nf);
+  std::vector<int> order(n);
+  for (size_t f = 0; f < nf; ++f) {
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      const double va = x[static_cast<size_t>(a)][f];
+      const double vb = x[static_cast<size_t>(b)][f];
+      return va < vb || (va == vb && a < b);
+    });
+    for (size_t r = 0; r < n; ++r) {
+      columns.rows_[f * n + r] = order[r];
+      columns.values_[f * n + r] = x[static_cast<size_t>(order[r])][f];
+    }
+  }
+  return columns;
+}
+
 RegressionTree::RegressionTree(TreeOptions options) : options_(options) {}
+
+// Per-fit state. A node at depth d owns the slots [lo, hi) of generation
+// d % 2: `sample` holds its rows in the caller's sample order (node means
+// are summed in that order), and `ranks` holds, per feature, the ranks of
+// its rows in ascending order, one entry per draw of a row. A split stably
+// partitions both into the other generation over the same slots, so a
+// subtree writes only inside its own slots.
+struct RegressionTree::Workspace {
+  const SortedColumns& columns;
+  const std::vector<double>& y;
+  size_t m = 0;  // sample size, repeated rows counted per draw
+  std::array<std::vector<int>, 2> sample = {};
+  std::array<std::vector<int>, 2> ranks = {};  // feature-major, features × m
+  std::vector<char> goes_left = {};            // per row, current split
+  std::vector<int> cut_slot = {};  // split scan scratch, m entries each
+  std::vector<double> cut_sum = {};
+  std::vector<double> cut_sum_sq = {};
+};
 
 namespace {
 
@@ -19,40 +75,51 @@ struct SplitResult {
   double score = std::numeric_limits<double>::infinity();  // weighted SSE
 };
 
-// Best split for one feature by exhaustive scan of sorted unique midpoints.
-void BestSplitForFeature(const std::vector<std::vector<double>>& x,
-                         const std::vector<double>& y,
-                         const std::vector<int>& indices, int feature,
-                         int min_leaf, SplitResult* best) {
-  size_t n = indices.size();
-  // Sort index order by (feature value, row): a total order, so rows with
-  // equal values are summed in a defined order.
-  std::vector<int> order(indices);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double va = x[static_cast<size_t>(a)][static_cast<size_t>(feature)];
-    const double vb = x[static_cast<size_t>(b)][static_cast<size_t>(feature)];
-    return va < vb || (va == vb && a < b);
-  });
-  // Prefix sums of y and y^2 in sorted order.
-  double total_sum = 0.0, total_sq = 0.0;
-  for (int i : order) {
-    total_sum += y[static_cast<size_t>(i)];
-    total_sq += y[static_cast<size_t>(i)] * y[static_cast<size_t>(i)];
-  }
-  double left_sum = 0.0, left_sq = 0.0;
+// Scratch of BestSplitForFeature: one entry per slot of the node.
+struct CutBuffers {
+  int* slot;       // cut k puts the node's positions 0..k left
+  double* sum;     // sum of y over positions 0..k
+  double* sum_sq;  // sum of y^2 over positions 0..k
+};
+
+// Best split for one feature by exhaustive scan of the unique midpoints of
+// a node's ranks (ascending, so rows come in (value, row) order). The
+// serial pass adds y and y^2 in that order and records the prefix sums at
+// each cut between distinct values that leaves `min_leaf` rows on both
+// sides. Its final sums are the node totals, bit for bit, since a separate
+// total pass would add the same terms in the same order. The recorded
+// cuts are then scored in order with no serial chain between them, so
+// their divisions overlap.
+void BestSplitForFeature(const SortedColumns& columns,
+                         const std::vector<double>& y, const int* ranks,
+                         size_t n, int feature, int min_leaf,
+                         const CutBuffers& cuts, SplitResult* best) {
+  const size_t f = static_cast<size_t>(feature);
+  const size_t leaf = static_cast<size_t>(std::max(min_leaf, 0));
+  double sum = 0.0, sq = 0.0;
+  size_t num_cuts = 0;
+  double xn = columns.value(f, static_cast<size_t>(ranks[0]));
   for (size_t k = 0; k + 1 < n; ++k) {
-    double yi = y[static_cast<size_t>(order[k])];
-    left_sum += yi;
-    left_sq += yi * yi;
-    double xv = x[static_cast<size_t>(order[k])][static_cast<size_t>(feature)];
-    double xn =
-        x[static_cast<size_t>(order[k + 1])][static_cast<size_t>(feature)];
+    const double yi = y[static_cast<size_t>(columns.row(f, ranks[k]))];
+    sum += yi;
+    sq += yi * yi;
+    const double xv = xn;
+    xn = columns.value(f, static_cast<size_t>(ranks[k + 1]));
     if (xn <= xv) continue;  // same value, no valid threshold
+    if (k + 1 < leaf || n - k - 1 < leaf) continue;
+    cuts.slot[num_cuts] = static_cast<int>(k);
+    cuts.sum[num_cuts] = sum;
+    cuts.sum_sq[num_cuts] = sq;
+    ++num_cuts;
+  }
+  const double y_last =
+      y[static_cast<size_t>(columns.row(f, ranks[n - 1]))];
+  const double total_sum = sum + y_last;
+  const double total_sq = sq + y_last * y_last;
+  for (size_t c = 0; c < num_cuts; ++c) {
+    const size_t k = static_cast<size_t>(cuts.slot[c]);
     size_t nl = k + 1, nr = n - nl;
-    if (nl < static_cast<size_t>(min_leaf) ||
-        nr < static_cast<size_t>(min_leaf)) {
-      continue;
-    }
+    const double left_sum = cuts.sum[c], left_sq = cuts.sum_sq[c];
     double right_sum = total_sum - left_sum;
     double right_sq = total_sq - left_sq;
     double sse_left = left_sq - left_sum * left_sum / static_cast<double>(nl);
@@ -62,7 +129,9 @@ void BestSplitForFeature(const std::vector<std::vector<double>>& x,
     if (score < best->score - 1e-15) {
       best->found = true;
       best->feature = feature;
-      best->threshold = 0.5 * (xv + xn);
+      best->threshold =
+          0.5 * (columns.value(f, static_cast<size_t>(ranks[k])) +
+                 columns.value(f, static_cast<size_t>(ranks[k + 1])));
       best->score = score;
     }
   }
@@ -76,42 +145,83 @@ Status RegressionTree::Fit(const std::vector<std::vector<double>>& x,
   if (x.empty() || x.size() != y.size()) {
     return Status::InvalidArgument("tree needs matching non-empty X and y");
   }
-  num_features_ = x[0].size();
-  nodes_.clear();
-  std::vector<int> indices;
-  if (sample_indices.empty()) {
-    indices.resize(x.size());
-    std::iota(indices.begin(), indices.end(), 0);
-  } else {
-    indices = sample_indices;
+  SPARKTUNE_ASSIGN_OR_RETURN(columns, SortedColumns::Build(x));
+  return Fit(columns, y, sample_indices, rng);
+}
+
+Status RegressionTree::Fit(const SortedColumns& columns,
+                           const std::vector<double>& y,
+                           const std::vector<int>& sample_indices, Rng* rng) {
+  const size_t n = columns.num_rows();
+  if (y.size() != n) {
+    return Status::InvalidArgument("tree needs one target per row");
   }
+  num_features_ = columns.num_features();
+  nodes_.clear();
   if (options_.max_features > 0 && rng == nullptr) {
     return Status::InvalidArgument("feature subsampling requires an Rng");
   }
-  Build(x, y, indices, 0, rng);
+  Workspace ws{columns, y};
+  std::vector<int> draws(n, 0);  // times each row is in the sample
+  if (sample_indices.empty()) {
+    ws.sample[0].resize(n);
+    std::iota(ws.sample[0].begin(), ws.sample[0].end(), 0);
+    std::fill(draws.begin(), draws.end(), 1);
+  } else {
+    for (int i : sample_indices) {
+      if (i < 0 || static_cast<size_t>(i) >= n) {
+        return Status::InvalidArgument(
+            "sample index " + std::to_string(i) + " outside [0, " +
+            std::to_string(n) + ")");
+      }
+      ++draws[static_cast<size_t>(i)];
+    }
+    ws.sample[0] = sample_indices;
+  }
+  ws.m = ws.sample[0].size();
+  ws.sample[1].resize(ws.m);
+  // Expand the sample from the sorted columns: each rank once per draw.
+  for (auto& ranks : ws.ranks) ranks.resize(num_features_ * ws.m);
+  for (size_t f = 0; f < num_features_; ++f) {
+    size_t slot = f * ws.m;
+    for (size_t r = 0; r < n; ++r) {
+      for (int d = draws[static_cast<size_t>(columns.row(f, r))]; d > 0; --d) {
+        ws.ranks[0][slot++] = static_cast<int>(r);
+      }
+    }
+  }
+  ws.goes_left.resize(n);
+  ws.cut_slot.resize(ws.m);
+  ws.cut_sum.resize(ws.m);
+  ws.cut_sum_sq.resize(ws.m);
+  Build(ws, 0, ws.m, 0, rng);
   return Status::OK();
 }
 
-int RegressionTree::Build(const std::vector<std::vector<double>>& x,
-                          const std::vector<double>& y,
-                          std::vector<int>& indices, int depth, Rng* rng) {
+int RegressionTree::Build(Workspace& ws, size_t lo, size_t hi, int depth,
+                          Rng* rng) {
+  const std::vector<int>& sample = ws.sample[static_cast<size_t>(depth % 2)];
+  const std::vector<int>& ranks = ws.ranks[static_cast<size_t>(depth % 2)];
   int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   double sum = 0.0, sq = 0.0;
-  for (int i : indices) {
-    sum += y[static_cast<size_t>(i)];
-    sq += y[static_cast<size_t>(i)] * y[static_cast<size_t>(i)];
+  for (size_t s = lo; s < hi; ++s) {
+    const double yi = ws.y[static_cast<size_t>(sample[s])];
+    sum += yi;
+    sq += yi * yi;
   }
-  double mean = sum / static_cast<double>(indices.size());
+  const size_t count = hi - lo;
+  double mean = sum / static_cast<double>(count);
   double node_sse = sq - sum * mean;
   nodes_[static_cast<size_t>(node_id)].value = mean;
-  nodes_[static_cast<size_t>(node_id)].num_samples =
-      static_cast<int>(indices.size());
+  nodes_[static_cast<size_t>(node_id)].num_samples = static_cast<int>(count);
 
-  if (depth >= options_.max_depth ||
-      static_cast<int>(indices.size()) < options_.min_samples_split) {
-    return node_id;
-  }
+  // A node splits only below the depth limit and with enough samples.
+  auto can_split = [&](int node_depth, size_t node_count) {
+    return node_depth < options_.max_depth &&
+           static_cast<int>(node_count) >= options_.min_samples_split;
+  };
+  if (!can_split(depth, count)) return node_id;
 
   // Candidate features.
   std::vector<int> features;
@@ -124,28 +234,56 @@ int RegressionTree::Build(const std::vector<std::vector<double>>& x,
   }
 
   SplitResult best;
+  const CutBuffers cuts = {ws.cut_slot.data(), ws.cut_sum.data(),
+                           ws.cut_sum_sq.data()};
   for (int f : features) {
-    BestSplitForFeature(x, y, indices, f, options_.min_samples_leaf, &best);
+    BestSplitForFeature(ws.columns, ws.y,
+                        ranks.data() + static_cast<size_t>(f) * ws.m + lo,
+                        count, f, options_.min_samples_leaf, cuts, &best);
   }
   if (!best.found) return node_id;
 
-  std::vector<int> left_idx, right_idx;
-  for (int i : indices) {
-    if (x[static_cast<size_t>(i)][static_cast<size_t>(best.feature)] <=
-        best.threshold) {
-      left_idx.push_back(i);
-    } else {
-      right_idx.push_back(i);
+  // Route rows by x[feature] <= threshold, as prediction does.
+  const size_t bf = static_cast<size_t>(best.feature);
+  for (size_t s = bf * ws.m + lo; s < bf * ws.m + hi; ++s) {
+    const size_t rank = static_cast<size_t>(ranks[s]);
+    ws.goes_left[static_cast<size_t>(ws.columns.row(bf, rank))] =
+        ws.columns.value(bf, rank) <= best.threshold;
+  }
+  size_t nl = 0;
+  for (size_t s = lo; s < hi; ++s) {
+    nl += ws.goes_left[static_cast<size_t>(sample[s])] ? 1 : 0;
+  }
+  if (nl == 0 || nl == count) return node_id;
+
+  // Stable partition into the next generation: left rows to [lo, lo + nl),
+  // right rows to [lo + nl, hi), without a branch on the side. Ranks only
+  // matter to children that split.
+  const size_t next = static_cast<size_t>((depth + 1) % 2);
+  auto partition = [&](const std::vector<int>& src, std::vector<int>& dst,
+                       size_t base, auto row_of) {
+    size_t left = base + lo, right = base + lo + nl;
+    for (size_t s = base + lo; s < base + hi; ++s) {
+      const int v = src[s];
+      const size_t to_left = ws.goes_left[row_of(v)] != 0 ? 1 : 0;
+      dst[to_left != 0 ? left : right] = v;
+      left += to_left;
+      right += 1 - to_left;
+    }
+  };
+  partition(sample, ws.sample[next], 0,
+            [](int row) { return static_cast<size_t>(row); });
+  if (can_split(depth + 1, nl) || can_split(depth + 1, count - nl)) {
+    for (size_t f = 0; f < num_features_; ++f) {
+      partition(ranks, ws.ranks[next], f * ws.m, [&](int rank) {
+        return static_cast<size_t>(
+            ws.columns.row(f, static_cast<size_t>(rank)));
+      });
     }
   }
-  if (left_idx.empty() || right_idx.empty()) return node_id;
 
-  // Free the parent index list before recursing (keeps peak memory linear).
-  indices.clear();
-  indices.shrink_to_fit();
-
-  int left = Build(x, y, left_idx, depth + 1, rng);
-  int right = Build(x, y, right_idx, depth + 1, rng);
+  int left = Build(ws, lo, lo + nl, depth + 1, rng);
+  int right = Build(ws, lo + nl, hi, depth + 1, rng);
   Node& node = nodes_[static_cast<size_t>(node_id)];
   node.is_leaf = false;
   node.feature = best.feature;

@@ -18,6 +18,30 @@ struct TreeOptions {
   int max_features = -1;
 };
 
+// A training matrix sorted once, feature by feature: rank r of feature f
+// is the r-th row in (value, row) order. The trees of one forest or
+// boosting fit share it, so no node sorts.
+class SortedColumns {
+ public:
+  // InvalidArgument when `x` is empty or its rows differ in width.
+  static Result<SortedColumns> Build(const std::vector<std::vector<double>>& x);
+
+  size_t num_rows() const { return num_rows_; }
+  size_t num_features() const { return num_features_; }
+  double value(size_t f, size_t rank) const {
+    return values_[f * num_rows_ + rank];
+  }
+  int row(size_t f, size_t rank) const { return rows_[f * num_rows_ + rank]; }
+
+ private:
+  SortedColumns(size_t num_rows, size_t num_features);
+
+  size_t num_rows_;
+  size_t num_features_;
+  std::vector<double> values_;  // feature-major, num_features × num_rows
+  std::vector<int> rows_;       // same layout
+};
+
 class RegressionTree {
  public:
   struct Node {
@@ -36,10 +60,14 @@ class RegressionTree {
   explicit RegressionTree(TreeOptions options = {});
 
   // Fit on rows `x` (all the same width) and targets `y`. `sample_indices`
-  // selects a bootstrap subset (empty = all rows). `rng` drives feature
-  // subsampling; required when options.max_features != -1.
+  // selects a bootstrap subset (empty = all rows; repeats allowed). `rng`
+  // drives feature subsampling; required when options.max_features != -1.
   Status Fit(const std::vector<std::vector<double>>& x,
              const std::vector<double>& y,
+             const std::vector<int>& sample_indices = {},
+             Rng* rng = nullptr);
+  // The same fit on columns sorted by SortedColumns::Build(x).
+  Status Fit(const SortedColumns& columns, const std::vector<double>& y,
              const std::vector<int>& sample_indices = {},
              Rng* rng = nullptr);
 
@@ -54,9 +82,8 @@ class RegressionTree {
   size_t num_features() const { return num_features_; }
 
  private:
-  int Build(const std::vector<std::vector<double>>& x,
-            const std::vector<double>& y, std::vector<int>& indices, int depth,
-            Rng* rng);
+  struct Workspace;
+  int Build(Workspace& ws, size_t lo, size_t hi, int depth, Rng* rng);
 
   TreeOptions options_;
   std::vector<Node> nodes_;

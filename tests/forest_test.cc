@@ -36,6 +36,16 @@ TEST(TreeTest, RejectsBadInputs) {
   RegressionTree tree;
   EXPECT_FALSE(tree.Fit({}, {}).ok());
   EXPECT_FALSE(tree.Fit({{1.0}}, {1.0, 2.0}).ok());
+  // A row narrower than the first, and sample indices outside [0, n).
+  const std::vector<std::vector<double>> x = {{0.1, 0.2}, {0.3}, {0.5, 0.6}};
+  const std::vector<double> y = {1.0, 2.0, 3.0};
+  EXPECT_EQ(tree.Fit(x, y).code(), Status::Code::kInvalidArgument);
+  const std::vector<std::vector<double>> square = {{0.1}, {0.3}, {0.5}};
+  EXPECT_EQ(tree.Fit(square, y, {0, 3}).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(tree.Fit(square, y, {-1, 1}).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_TRUE(tree.Fit(square, y, {0, 2, 2}).ok());
 }
 
 TEST(TreeTest, DepthLimitProducesStumpAtZeroDepth) {
