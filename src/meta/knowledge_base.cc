@@ -63,6 +63,9 @@ Status KnowledgeBase::AddTask(const std::string& id,
   auto schema = BuildFeatureSchema(*space_, 0);
   auto gp = std::make_shared<GaussianProcess>(schema, options_.gp);
   SPARKTUNE_RETURN_IF_ERROR(gp->Fit(rec.x, rec.y));
+  for (const Prediction& p : gp->PredictBatch(probes_)) {
+    rec.probe_means.push_back(p.mean);
+  }
   rec.surrogate = std::move(gp);
 
   records_.push_back(std::move(rec));
@@ -94,8 +97,8 @@ Status KnowledgeBase::TrainSimilarityModel() {
       SimilarityModel::LabelledPair p;
       p.meta_a = records_[i].meta_features;
       p.meta_b = records_[j].meta_features;
-      p.distance = SurrogateDistance(*records_[i].surrogate,
-                                     *records_[j].surrogate, probes_);
+      p.distance =
+          RankingDistance(records_[i].probe_means, records_[j].probe_means);
       pairs.push_back(std::move(p));
     }
   }

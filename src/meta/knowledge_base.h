@@ -35,6 +35,9 @@ struct TaskRecord {
   // Best configurations, best first (up to 3 kept).
   std::vector<Configuration> top_configs;
   std::shared_ptr<Surrogate> surrogate;  // GP fit on (x, y)
+  // The surrogate's predicted means over the knowledge base's probe set:
+  // the similarity labels need nothing else from it.
+  std::vector<double> probe_means;
   std::vector<double> importance;        // optional, space-indexed
   double y_mean = 0.0;
   double y_scale = 1.0;
@@ -62,6 +65,8 @@ class KnowledgeBase {
 
   size_t size() const { return records_.size(); }
   const std::vector<TaskRecord>& records() const { return records_; }
+  // Shared probe configurations (unit cube) behind the similarity labels.
+  const std::vector<std::vector<double>>& probes() const { return probes_; }
 
   // Train M_reg from pairwise surrogate distances over a shared probe set.
   // Needs >= 2 tasks.

@@ -21,7 +21,12 @@ double SurrogateDistance(const Surrogate& a, const Surrogate& b,
     ya.push_back(pa[i].mean);
     yb.push_back(pb[i].mean);
   }
-  double tau = KendallTau(ya, yb);
+  return RankingDistance(ya, yb);
+}
+
+double RankingDistance(const std::vector<double>& means_a,
+                       const std::vector<double>& means_b) {
+  double tau = KendallTau(means_a, means_b);
   return std::clamp((1.0 - tau) / 2.0, 0.0, 1.0);
 }
 

@@ -21,6 +21,11 @@ namespace sparktune {
 double SurrogateDistance(const Surrogate& a, const Surrogate& b,
                          const std::vector<std::vector<double>>& probes);
 
+// The same distance from the two surrogates' predicted means over the
+// probe set, so callers that keep those means skip the predictions.
+double RankingDistance(const std::vector<double>& means_a,
+                       const std::vector<double>& means_b);
+
 struct SimilarityModelOptions {
   // Leaf minimums are small so the model stays usable when the knowledge
   // base holds only a few tasks (few labelled pairs).

@@ -1,21 +1,28 @@
-// Equivalence suite for the presorted tree core (forest/tree.h). Every fit
-// must reproduce the per-node-sort reference of tests/tree_reference.h node
-// for node: feature, threshold, children, value, sample count and impurity
-// decrease, compared as bits. Covers ragged shapes, heavy ties, bootstrap
-// repeats, feature bagging, GBDT row subsampling, the depth and leaf-size
-// edges, and forest and GBDT fits at 1, 2 and 4 threads.
+// Equivalence suite for the fast paths of the knowledge-base harvest.
+// Every fit of the presorted tree core (forest/tree.h) must reproduce the
+// per-node-sort reference of tests/tree_reference.h node for node:
+// feature, threshold, children, value, sample count and impurity decrease,
+// compared as bits. Covers ragged shapes, heavy ties, bootstrap repeats,
+// feature bagging, GBDT row subsampling, the depth and leaf-size edges, and
+// forest and GBDT fits at 1, 2 and 4 threads. The similarity labels the
+// knowledge base computes from cached probe means must equal
+// SurrogateDistance bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <string>
 
+#include "bo/history.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "forest/gbdt.h"
 #include "forest/random_forest.h"
 #include "forest/tree.h"
+#include "meta/knowledge_base.h"
+#include "meta/similarity.h"
+#include "space/config_space.h"
 #include "tree_reference.h"
 
 namespace sparktune {
@@ -277,6 +284,42 @@ TEST(TreeEquivalenceTest, GbdtMatchesReferenceAtAnyThreadCount) {
               << " round " << t;
         }
       }
+    }
+  }
+}
+
+TEST(LabelCacheEquivalenceTest, CachedProbeMeansGiveSurrogateDistance) {
+  ConfigSpace space;
+  ASSERT_TRUE(space.Add(Parameter::Float("a", 0.0, 1.0, 0.5)).ok());
+  ASSERT_TRUE(space.Add(Parameter::Float("b", 0.0, 1.0, 0.5)).ok());
+  ASSERT_TRUE(space.Add(Parameter::Int("c", 1, 8, 4)).ok());
+  KnowledgeBase kb(&space);
+  Rng rng(61);
+  for (int t = 0; t < 6; ++t) {
+    const double shift = 0.15 * t;
+    RunHistory history;
+    for (int i = 0; i < 10; ++i) {
+      Observation o;
+      o.config = space.Sample(&rng);
+      const std::vector<double> u = space.ToUnit(o.config);
+      o.objective = 2.0 + std::pow(u[0] - shift, 2) +
+                    (t % 2 == 0 ? u[1] : -u[1]) + 0.1 * u[2];
+      o.feasible = true;
+      history.Add(o);
+    }
+    ASSERT_TRUE(kb.AddTask("task" + std::to_string(t), {shift, 1.0 - shift},
+                           history)
+                    .ok());
+  }
+  const std::vector<TaskRecord>& records = kb.records();
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(records[i].probe_means.size(), kb.probes().size());
+    for (size_t j = i + 1; j < records.size(); ++j) {
+      EXPECT_EQ(Bits(RankingDistance(records[i].probe_means,
+                                     records[j].probe_means)),
+                Bits(SurrogateDistance(*records[i].surrogate,
+                                       *records[j].surrogate, kb.probes())))
+          << "pair " << i << "," << j;
     }
   }
 }
