@@ -4,12 +4,47 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <set>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "model/features.h"
 
 namespace sparktune {
+
+SimilarityPairPlan PlanSimilarityPairs(size_t num_tasks, uint64_t seed) {
+  SimilarityPairPlan plan;
+  const size_t n = num_tasks;
+  for (size_t s = 0; s < std::min(n, kMaxSelfPairs); ++s) {
+    plan.self.push_back(n <= kMaxSelfPairs ? s : s * n / kMaxSelfPairs);
+  }
+  const uint64_t total = n < 2 ? 0 : static_cast<uint64_t>(n) * (n - 1) / 2;
+  if (total <= kMaxCrossPairs) {
+    for (size_t i = 0; i + 1 < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) plan.cross.emplace_back(i, j);
+    }
+    return plan;
+  }
+  // Floyd's sampling: kMaxCrossPairs distinct indices into the pairs
+  // (i, j), i < j, numbered in row order, one draw each.
+  Rng rng(seed);
+  std::set<uint64_t> picked;
+  for (uint64_t j = total - kMaxCrossPairs; j < total; ++j) {
+    const uint64_t t =
+        static_cast<uint64_t>(rng.UniformInt(0, static_cast<int64_t>(j)));
+    picked.insert(picked.count(t) > 0 ? j : t);
+  }
+  size_t i = 0;
+  uint64_t row_start = 0;  // index of the pair (i, i + 1)
+  for (uint64_t index : picked) {
+    while (index >= row_start + (n - 1 - i)) {
+      row_start += n - 1 - i;
+      ++i;
+    }
+    plan.cross.emplace_back(i, i + 1 + static_cast<size_t>(index - row_start));
+  }
+  return plan;
+}
 
 KnowledgeBase::KnowledgeBase(const ConfigSpace* space,
                              KnowledgeBaseOptions options)
@@ -77,30 +112,22 @@ Status KnowledgeBase::TrainSimilarityModel() {
     return Status::FailedPrecondition(
         "similarity training needs at least 2 tasks");
   }
-  std::vector<SimilarityModel::LabelledPair> pairs;
   // Self-pairs anchor the model at distance 0 for identical meta-features;
-  // essential when only a handful of tasks exist.
-  for (const auto& rec : records_) {
-    pairs.push_back({rec.meta_features, rec.meta_features, 0.0});
+  // essential when only a handful of tasks exist. Cross-pairs are sampled
+  // at fleet scale: labelling is quadratic in the number of tasks and the
+  // GBDT needs only a few thousand examples.
+  const SimilarityPairPlan plan =
+      PlanSimilarityPairs(records_.size(), options_.seed ^ 0x9a1b);
+  std::vector<SimilarityModel::LabelledPair> pairs;
+  pairs.reserve(plan.self.size() + plan.cross.size());
+  for (size_t i : plan.self) {
+    pairs.push_back(
+        {records_[i].meta_features, records_[i].meta_features, 0.0});
   }
-  // Cross-pairs, subsampled at fleet scale: labelling is quadratic in the
-  // number of tasks and the GBDT needs only a few thousand examples.
-  const size_t kMaxCrossPairs = 2000;
-  size_t total_cross = records_.size() * (records_.size() - 1) / 2;
-  Rng rng(options_.seed ^ 0x9a1b);
-  double keep = total_cross <= kMaxCrossPairs
-                    ? 1.0
-                    : static_cast<double>(kMaxCrossPairs) / total_cross;
-  for (size_t i = 0; i + 1 < records_.size(); ++i) {
-    for (size_t j = i + 1; j < records_.size(); ++j) {
-      if (keep < 1.0 && !rng.Bernoulli(keep)) continue;
-      SimilarityModel::LabelledPair p;
-      p.meta_a = records_[i].meta_features;
-      p.meta_b = records_[j].meta_features;
-      p.distance =
-          RankingDistance(records_[i].probe_means, records_[j].probe_means);
-      pairs.push_back(std::move(p));
-    }
+  for (const auto& [i, j] : plan.cross) {
+    pairs.push_back(
+        {records_[i].meta_features, records_[j].meta_features,
+         RankingDistance(records_[i].probe_means, records_[j].probe_means)});
   }
   return similarity_.Train(pairs);
 }

@@ -12,8 +12,11 @@
 // clusters of the same parameter set remain commensurable.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bo/advisor.h"
@@ -42,6 +45,22 @@ struct TaskRecord {
   double y_mean = 0.0;
   double y_scale = 1.0;
 };
+
+// The labelled pairs behind one similarity fit. Up to 63 tasks that is
+// every task with itself and every cross pair (C(63, 2) = 1953). Beyond
+// that, kMaxSelfPairs evenly spaced self-pairs and kMaxCrossPairs cross
+// pairs drawn without replacement, so a fit stays bounded at any fleet
+// size.
+inline constexpr size_t kMaxSelfPairs = 64;
+inline constexpr size_t kMaxCrossPairs = 2000;
+
+struct SimilarityPairPlan {
+  std::vector<size_t> self;                      // record indices, ascending
+  std::vector<std::pair<size_t, size_t>> cross;  // i < j, ascending
+};
+
+// Pairs for `num_tasks` records; `seed` drives the cross-pair draw.
+SimilarityPairPlan PlanSimilarityPairs(size_t num_tasks, uint64_t seed);
 
 struct KnowledgeBaseOptions {
   GpOptions gp;

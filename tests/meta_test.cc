@@ -262,6 +262,61 @@ TEST(KnowledgeBaseTest, RejectsTinyHistories) {
   EXPECT_FALSE(kb.AddTask("empty", {0.5}, RunHistory{}).ok());
 }
 
+TEST(KnowledgeBaseTest, SimilarityPairsStayBoundedAtFleetScale) {
+  // Up to 63 tasks: every self-pair and every cross pair, in loop order.
+  const SimilarityPairPlan small = PlanSimilarityPairs(63, 5);
+  EXPECT_EQ(small.self.size(), 63u);
+  ASSERT_EQ(small.cross.size(), 63u * 62u / 2);
+  EXPECT_EQ(small.cross.front(), (std::pair<size_t, size_t>{0, 1}));
+  EXPECT_EQ(small.cross[62], (std::pair<size_t, size_t>{1, 2}));
+  EXPECT_EQ(small.cross.back(), (std::pair<size_t, size_t>{61, 62}));
+  // 200 tasks: both caps hold, the pairs are distinct and ordered, and the
+  // draw is a function of the seed.
+  const SimilarityPairPlan big = PlanSimilarityPairs(200, 5);
+  ASSERT_EQ(big.self.size(), kMaxSelfPairs);
+  EXPECT_EQ(big.self.front(), 0u);
+  EXPECT_LT(big.self.back(), 200u);
+  ASSERT_EQ(big.cross.size(), kMaxCrossPairs);
+  for (size_t c = 0; c < big.cross.size(); ++c) {
+    EXPECT_LT(big.cross[c].first, big.cross[c].second);
+    EXPECT_LT(big.cross[c].second, 200u);
+    if (c > 0) {
+      EXPECT_LT(big.cross[c - 1], big.cross[c]);
+    }
+  }
+  EXPECT_EQ(PlanSimilarityPairs(200, 5).cross, big.cross);
+  EXPECT_NE(PlanSimilarityPairs(200, 6).cross, big.cross);
+}
+
+TEST(KnowledgeBaseTest, TrainsOnTwoHundredRecordsDeterministically) {
+  ConfigSpace space;
+  ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0, 0.5)).ok());
+  auto fill = [&](KnowledgeBase* kb) {
+    Rng rng(41);
+    for (int t = 0; t < 200; ++t) {
+      const double meta = rng.Uniform();
+      RunHistory h;
+      for (int i = 0; i < 4; ++i) {
+        Observation o;
+        o.config = Configuration({rng.Uniform()});
+        o.objective = 1.0 + std::pow(o.config[0] - meta, 2);
+        o.feasible = true;
+        h.Add(o);
+      }
+      ASSERT_TRUE(kb->AddTask("t" + std::to_string(t), {meta, 1.0 - meta}, h)
+                      .ok());
+    }
+    ASSERT_TRUE(kb->TrainSimilarityModel().ok());
+  };
+  KnowledgeBase a(&space), b(&space);
+  fill(&a);
+  fill(&b);
+  const std::vector<double> da = a.DistancesTo({0.3, 0.7});
+  const std::vector<double> db = b.DistancesTo({0.3, 0.7});
+  ASSERT_EQ(da.size(), 200u);
+  for (size_t i = 0; i < da.size(); ++i) EXPECT_EQ(da[i], db[i]) << i;
+}
+
 TEST(KnowledgeBaseTest, ImportanceTransferWeightsBySimilarity) {
   ConfigSpace space;
   ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0, 0.5)).ok());
