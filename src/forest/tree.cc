@@ -95,10 +95,12 @@ void BestSplitForFeature(const SortedColumns& columns,
                          size_t n, int feature, int min_leaf,
                          const CutBuffers& cuts, SplitResult* best) {
   const size_t f = static_cast<size_t>(feature);
+  double xn = columns.value(f, static_cast<size_t>(ranks[0]));
+  // Ranks ascend, so equal ends mean one value and no cut.
+  if (columns.value(f, static_cast<size_t>(ranks[n - 1])) == xn) return;
   const size_t leaf = static_cast<size_t>(std::max(min_leaf, 0));
   double sum = 0.0, sq = 0.0;
   size_t num_cuts = 0;
-  double xn = columns.value(f, static_cast<size_t>(ranks[0]));
   for (size_t k = 0; k + 1 < n; ++k) {
     const double yi = y[static_cast<size_t>(columns.row(f, ranks[k]))];
     sum += yi;
@@ -183,6 +185,11 @@ Status RegressionTree::Fit(const SortedColumns& columns,
   // Expand the sample from the sorted columns: each rank once per draw.
   for (auto& ranks : ws.ranks) ranks.resize(num_features_ * ws.m);
   for (size_t f = 0; f < num_features_; ++f) {
+    const auto first = ws.ranks[0].begin() + static_cast<ptrdiff_t>(f * ws.m);
+    if (sample_indices.empty()) {
+      std::iota(first, first + static_cast<ptrdiff_t>(n), 0);
+      continue;
+    }
     size_t slot = f * ws.m;
     for (size_t r = 0; r < n; ++r) {
       for (int d = draws[static_cast<size_t>(columns.row(f, r))]; d > 0; --d) {
@@ -266,7 +273,8 @@ int RegressionTree::Build(Workspace& ws, size_t lo, size_t hi, int depth,
     for (size_t s = base + lo; s < base + hi; ++s) {
       const int v = src[s];
       const size_t to_left = ws.goes_left[row_of(v)] != 0 ? 1 : 0;
-      dst[to_left != 0 ? left : right] = v;
+      const size_t mask = 0 - to_left;  // all ones for a left row
+      dst[(left & mask) | (right & ~mask)] = v;
       left += to_left;
       right += 1 - to_left;
     }
