@@ -164,12 +164,12 @@ Status RegressionTree::Fit(const SortedColumns& columns,
     return Status::InvalidArgument("feature subsampling requires an Rng");
   }
   Workspace ws{columns, y};
-  std::vector<int> draws(n, 0);  // times each row is in the sample
+  std::vector<int> draws;  // times each row is drawn; empty = once each
   if (sample_indices.empty()) {
     ws.sample[0].resize(n);
     std::iota(ws.sample[0].begin(), ws.sample[0].end(), 0);
-    std::fill(draws.begin(), draws.end(), 1);
   } else {
+    draws.assign(n, 0);
     for (int i : sample_indices) {
       if (i < 0 || static_cast<size_t>(i) >= n) {
         return Status::InvalidArgument(
@@ -185,8 +185,9 @@ Status RegressionTree::Fit(const SortedColumns& columns,
   // Expand the sample from the sorted columns: each rank once per draw.
   for (auto& ranks : ws.ranks) ranks.resize(num_features_ * ws.m);
   for (size_t f = 0; f < num_features_; ++f) {
-    const auto first = ws.ranks[0].begin() + static_cast<ptrdiff_t>(f * ws.m);
-    if (sample_indices.empty()) {
+    if (draws.empty()) {
+      const auto first =
+          ws.ranks[0].begin() + static_cast<ptrdiff_t>(f * ws.m);
       std::iota(first, first + static_cast<ptrdiff_t>(n), 0);
       continue;
     }
