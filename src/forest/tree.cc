@@ -1,7 +1,6 @@
 #include "forest/tree.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -48,20 +47,22 @@ Result<SortedColumns> SortedColumns::Build(
 
 RegressionTree::RegressionTree(TreeOptions options) : options_(options) {}
 
-// Per-fit state. A node at depth d owns the slots [lo, hi) of generation
-// d % 2: `sample` holds its rows in the caller's sample order (node means
-// are summed in that order), and `ranks` holds, per feature, the ranks of
-// its rows in ascending order, one entry per draw of a row. A split stably
-// partitions both into the other generation over the same slots, so a
-// subtree writes only inside its own slots.
+// Per-fit state. A node owns the slots [lo, hi): of `sample`, its rows in
+// the caller's sample order (node means are summed in that order), and,
+// per feature, of `ranks`, the ranks of its rows in ascending order, one
+// entry per draw of a row. A split stably partitions both in place, left
+// rows first, so a subtree writes only inside its own slots.
 struct RegressionTree::Workspace {
   const SortedColumns& columns;
   const std::vector<double>& y;
   size_t m = 0;  // sample size, repeated rows counted per draw
-  std::array<std::vector<int>, 2> sample = {};
-  std::array<std::vector<int>, 2> ranks = {};  // feature-major, features × m
-  std::vector<char> goes_left = {};            // per row, current split
-  std::vector<int> cut_slot = {};  // split scan scratch, m entries each
+  std::vector<int> sample = {};
+  std::vector<int> ranks = {};      // feature-major, features × m
+  std::vector<char> goes_left = {};  // per row, current split
+  // Scratch, m entries each: the right rows of a partition, and the cuts
+  // of a split scan.
+  std::vector<int> right = {};
+  std::vector<int> cut_slot = {};
   std::vector<double> cut_sum = {};
   std::vector<double> cut_sum_sq = {};
 };
@@ -166,8 +167,8 @@ Status RegressionTree::Fit(const SortedColumns& columns,
   Workspace ws{columns, y};
   std::vector<int> draws;  // times each row is drawn; empty = once each
   if (sample_indices.empty()) {
-    ws.sample[0].resize(n);
-    std::iota(ws.sample[0].begin(), ws.sample[0].end(), 0);
+    ws.sample.resize(n);
+    std::iota(ws.sample.begin(), ws.sample.end(), 0);
   } else {
     draws.assign(n, 0);
     for (int i : sample_indices) {
@@ -178,27 +179,26 @@ Status RegressionTree::Fit(const SortedColumns& columns,
       }
       ++draws[static_cast<size_t>(i)];
     }
-    ws.sample[0] = sample_indices;
+    ws.sample = sample_indices;
   }
-  ws.m = ws.sample[0].size();
-  ws.sample[1].resize(ws.m);
+  ws.m = ws.sample.size();
   // Expand the sample from the sorted columns: each rank once per draw.
-  for (auto& ranks : ws.ranks) ranks.resize(num_features_ * ws.m);
+  ws.ranks.resize(num_features_ * ws.m);
   for (size_t f = 0; f < num_features_; ++f) {
     if (draws.empty()) {
-      const auto first =
-          ws.ranks[0].begin() + static_cast<ptrdiff_t>(f * ws.m);
+      const auto first = ws.ranks.begin() + static_cast<ptrdiff_t>(f * ws.m);
       std::iota(first, first + static_cast<ptrdiff_t>(n), 0);
       continue;
     }
     size_t slot = f * ws.m;
     for (size_t r = 0; r < n; ++r) {
       for (int d = draws[static_cast<size_t>(columns.row(f, r))]; d > 0; --d) {
-        ws.ranks[0][slot++] = static_cast<int>(r);
+        ws.ranks[slot++] = static_cast<int>(r);
       }
     }
   }
   ws.goes_left.resize(n);
+  ws.right.resize(ws.m);
   ws.cut_slot.resize(ws.m);
   ws.cut_sum.resize(ws.m);
   ws.cut_sum_sq.resize(ws.m);
@@ -208,8 +208,8 @@ Status RegressionTree::Fit(const SortedColumns& columns,
 
 int RegressionTree::Build(Workspace& ws, size_t lo, size_t hi, int depth,
                           Rng* rng) {
-  const std::vector<int>& sample = ws.sample[static_cast<size_t>(depth % 2)];
-  const std::vector<int>& ranks = ws.ranks[static_cast<size_t>(depth % 2)];
+  std::vector<int>& sample = ws.sample;
+  std::vector<int>& ranks = ws.ranks;
   int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   double sum = 0.0, sq = 0.0;
@@ -264,27 +264,28 @@ int RegressionTree::Build(Workspace& ws, size_t lo, size_t hi, int depth,
   }
   if (nl == 0 || nl == count) return node_id;
 
-  // Stable partition into the next generation: left rows to [lo, lo + nl),
-  // right rows to [lo + nl, hi), without a branch on the side. Ranks only
-  // matter to children that split.
-  const size_t next = static_cast<size_t>((depth + 1) % 2);
-  auto partition = [&](const std::vector<int>& src, std::vector<int>& dst,
-                       size_t base, auto row_of) {
-    size_t left = base + lo, right = base + lo + nl;
-    for (size_t s = base + lo; s < base + hi; ++s) {
-      const int v = src[s];
+  // Stable partition in place: left rows to [lo, lo + nl), right rows to
+  // [lo + nl, hi) by way of `ws.right`, without a branch on the side. The
+  // left write never passes the read. Ranks only matter to children that
+  // split.
+  auto partition = [&](int* slots, auto row_of) {
+    size_t left = 0, right = 0;
+    for (size_t s = 0; s < count; ++s) {
+      const int v = slots[s];
       const size_t to_left = ws.goes_left[row_of(v)] != 0 ? 1 : 0;
-      const size_t mask = 0 - to_left;  // all ones for a left row
-      dst[(left & mask) | (right & ~mask)] = v;
+      slots[left] = v;
+      ws.right[right] = v;
       left += to_left;
       right += 1 - to_left;
     }
+    std::copy(ws.right.begin(),
+              ws.right.begin() + static_cast<ptrdiff_t>(right), slots + left);
   };
-  partition(sample, ws.sample[next], 0,
+  partition(sample.data() + lo,
             [](int row) { return static_cast<size_t>(row); });
   if (can_split(depth + 1, nl) || can_split(depth + 1, count - nl)) {
     for (size_t f = 0; f < num_features_; ++f) {
-      partition(ranks, ws.ranks[next], f * ws.m, [&](int rank) {
+      partition(ranks.data() + f * ws.m + lo, [&](int rank) {
         return static_cast<size_t>(
             ws.columns.row(f, static_cast<size_t>(rank)));
       });
