@@ -208,13 +208,11 @@ Status RegressionTree::Fit(const SortedColumns& columns,
 
 int RegressionTree::Build(Workspace& ws, size_t lo, size_t hi, int depth,
                           Rng* rng) {
-  std::vector<int>& sample = ws.sample;
-  std::vector<int>& ranks = ws.ranks;
   int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   double sum = 0.0, sq = 0.0;
   for (size_t s = lo; s < hi; ++s) {
-    const double yi = ws.y[static_cast<size_t>(sample[s])];
+    const double yi = ws.y[static_cast<size_t>(ws.sample[s])];
     sum += yi;
     sq += yi * yi;
   }
@@ -246,7 +244,7 @@ int RegressionTree::Build(Workspace& ws, size_t lo, size_t hi, int depth,
                            ws.cut_sum_sq.data()};
   for (int f : features) {
     BestSplitForFeature(ws.columns, ws.y,
-                        ranks.data() + static_cast<size_t>(f) * ws.m + lo,
+                        ws.ranks.data() + static_cast<size_t>(f) * ws.m + lo,
                         count, f, options_.min_samples_leaf, cuts, &best);
   }
   if (!best.found) return node_id;
@@ -254,13 +252,13 @@ int RegressionTree::Build(Workspace& ws, size_t lo, size_t hi, int depth,
   // Route rows by x[feature] <= threshold, as prediction does.
   const size_t bf = static_cast<size_t>(best.feature);
   for (size_t s = bf * ws.m + lo; s < bf * ws.m + hi; ++s) {
-    const size_t rank = static_cast<size_t>(ranks[s]);
+    const size_t rank = static_cast<size_t>(ws.ranks[s]);
     ws.goes_left[static_cast<size_t>(ws.columns.row(bf, rank))] =
         ws.columns.value(bf, rank) <= best.threshold;
   }
   size_t nl = 0;
   for (size_t s = lo; s < hi; ++s) {
-    nl += ws.goes_left[static_cast<size_t>(sample[s])] ? 1 : 0;
+    nl += ws.goes_left[static_cast<size_t>(ws.sample[s])] ? 1 : 0;
   }
   if (nl == 0 || nl == count) return node_id;
 
@@ -281,11 +279,11 @@ int RegressionTree::Build(Workspace& ws, size_t lo, size_t hi, int depth,
     std::copy(ws.right.begin(),
               ws.right.begin() + static_cast<ptrdiff_t>(right), slots + left);
   };
-  partition(sample.data() + lo,
+  partition(ws.sample.data() + lo,
             [](int row) { return static_cast<size_t>(row); });
   if (can_split(depth + 1, nl) || can_split(depth + 1, count - nl)) {
     for (size_t f = 0; f < num_features_; ++f) {
-      partition(ranks.data() + f * ws.m + lo, [&](int rank) {
+      partition(ws.ranks.data() + f * ws.m + lo, [&](int rank) {
         return static_cast<size_t>(
             ws.columns.row(f, static_cast<size_t>(rank)));
       });
