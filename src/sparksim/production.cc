@@ -181,6 +181,10 @@ std::vector<ProductionTask> GenerateProductionFleet(
   Rng rng(seed);
   std::vector<ProductionTask> tasks;
   tasks.reserve(static_cast<size_t>(options.num_tasks));
+  // Two clusters, so two spaces serve every task's manual config.
+  const ConfigSpace sql_space = BuildSparkSpace(ClusterSpec::SmallSqlGroup());
+  const ConfigSpace etl_space =
+      BuildSparkSpace(ClusterSpec::ProductionGroup());
   for (int i = 0; i < options.num_tasks; ++i) {
     Rng task_rng = rng.Fork();
     bool is_sql = task_rng.Bernoulli(options.sql_fraction);
@@ -194,8 +198,8 @@ std::vector<ProductionTask> GenerateProductionFleet(
     t.drift = DriftModel::Diurnal(task_rng.Uniform(0.05, 0.35),
                                   task_rng.Uniform(0.03, 0.12));
     t.drift.phase_hours = task_rng.Uniform(0.0, 24.0);
-    ConfigSpace space = BuildSparkSpace(t.cluster);
-    t.manual_config = ManualConfig(space, is_sql, &task_rng);
+    t.manual_config =
+        ManualConfig(is_sql ? sql_space : etl_space, is_sql, &task_rng);
     tasks.push_back(std::move(t));
   }
   return tasks;

@@ -14,8 +14,8 @@
 
 namespace sparktune {
 
-// Canonical Spark parameter names (indices into the space built by
-// BuildSparkSpace, in this order).
+// Canonical Spark parameter names. spark_slot below gives each one's index
+// in the space BuildSparkSpace builds.
 namespace spark_param {
 inline constexpr const char* kExecutorInstances = "spark.executor.instances";
 inline constexpr const char* kExecutorCores = "spark.executor.cores";
@@ -63,7 +63,46 @@ inline constexpr const char* kStorageMemoryMapThreshold =
 inline constexpr const char* kNetworkTimeout = "spark.network.timeout";  // s
 }  // namespace spark_param
 
+// Slot order of the Spark space, defined once: BuildSparkSpace lays the
+// parameters out in this order and DecodeSparkConf reads each one at its
+// slot, c[slot], with no name lookup.
+namespace spark_slot {
+enum Slot : int {
+  kExecutorInstances,
+  kExecutorCores,
+  kExecutorMemory,
+  kExecutorMemoryOverhead,
+  kDriverCores,
+  kDriverMemory,
+  kDefaultParallelism,
+  kSqlShufflePartitions,
+  kMemoryFraction,
+  kMemoryStorageFraction,
+  kShuffleCompress,
+  kShuffleSpillCompress,
+  kBroadcastCompress,
+  kRddCompress,
+  kIoCompressionCodec,
+  kSerializer,
+  kKryoBufferKb,
+  kKryoBufferMaxMb,
+  kReducerMaxSizeInFlight,
+  kShuffleFileBuffer,
+  kShuffleSortBypassMergeThreshold,
+  kShuffleIoNumConnectionsPerPeer,
+  kSpeculation,
+  kSpeculationMultiplier,
+  kLocalityWait,
+  kSchedulerReviveInterval,
+  kTaskMaxFailures,
+  kBroadcastBlockSize,
+  kStorageMemoryMapThreshold,
+  kNetworkTimeout,
+};
+}  // namespace spark_slot
+
 inline constexpr int kNumSparkParams = 30;
+static_assert(spark_slot::kNetworkTimeout + 1 == kNumSparkParams);
 
 // Build the 30-parameter space sized for `cluster`.
 ConfigSpace BuildSparkSpace(const ClusterSpec& cluster);
@@ -112,7 +151,9 @@ struct SparkConf {
 };
 
 // Decode a configuration from `space` (must have been built by
-// BuildSparkSpace) into the typed view.
+// BuildSparkSpace) into the typed view, reading each parameter at its
+// spark_slot. Throws std::invalid_argument, in every build, when the space
+// or the configuration does not hold kNumSparkParams values.
 SparkConf DecodeSparkConf(const ConfigSpace& space, const Configuration& c);
 
 // Resource function R(x) (paper §3.2/§4.3): amount of resource per unit
