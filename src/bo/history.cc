@@ -112,18 +112,18 @@ double RunHistory::BestObjective() const {
 }
 
 uint64_t RunHistory::ConfigKey(const Configuration& config) {
-  // FNV-1a over the value bit patterns.
-  uint64_t h = 0xcbf29ce484222325ULL;
+  // One multiply-xorshift round per value, a whole 64-bit word at a time.
+  // Each round is a bijection of the running state for a fixed value and
+  // injective in the value for a fixed state, so two configurations that
+  // differ in a single coordinate never share a key.
+  uint64_t h = 0x9E3779B97F4A7C15ULL ^ config.size();
   for (double v : config.values()) {
     if (v == 0.0) v = 0.0;  // -0.0 == 0.0 must hash identically
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (bits >> shift) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
+    h = (h ^ bits) * 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 32;
   }
-  h ^= config.size();
   return h;
 }
 

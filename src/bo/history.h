@@ -133,9 +133,10 @@ class RunHistory {
   static constexpr uint8_t kFeasible = 1;
   static constexpr uint8_t kDegraded = 2;
 
-  // Hash of the configuration values' bit patterns (-0.0 canonicalized to
-  // +0.0 so hashing agrees with operator==). Collisions are resolved by
-  // exact comparison, so semantics match the old linear scan.
+  // Hash of the configuration values' bit patterns, mixed one 64-bit word
+  // per value (-0.0 canonicalized to +0.0 so hashing agrees with
+  // operator==). Collisions are resolved by exact comparison, so semantics
+  // match the old linear scan.
   static uint64_t ConfigKey(const Configuration& config);
   // Exact element-wise comparison of stored config `i` against `config`
   // (same semantics as Configuration::operator==: NaN never matches,

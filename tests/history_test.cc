@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "bo/history.h"
 
@@ -134,6 +135,35 @@ TEST(RunHistoryTest, LargeHistoryLookupsStayExact) {
   missing[0] = 0.025;  // between grid points
   missing[1] = 0.025;
   EXPECT_FALSE(h.Contains(missing));
+}
+
+TEST(RunHistoryTest, OneUlpWalkKeepsDistinctKeys) {
+  // 4,096 configurations of 30 coordinates, each one ULP away from the
+  // previous in a single coordinate, taking the coordinates in turn. Every
+  // one must get its own index entry (no key collision with any other) and
+  // lookups must stay exact. A weak word mix such as a plain XOR fold maps
+  // many of these walks onto the same key.
+  constexpr size_t kDim = 30;
+  constexpr size_t kSteps = 4096;
+  std::vector<double> values(kDim);
+  for (size_t k = 0; k < kDim; ++k) values[k] = 0.5 + 0.25 * k;
+  std::vector<Configuration> walk;
+  for (size_t i = 0; i < 2 * kSteps; ++i) {
+    double& v = values[i % kDim];
+    v = std::nextafter(v, std::numeric_limits<double>::infinity());
+    walk.emplace_back(values);
+  }
+  // The first half is evaluated; the second half continues the walk.
+  RunHistory h;
+  for (size_t i = 0; i < kSteps; ++i) h.Add(Obs(walk[i]));
+  for (size_t i = 0; i < kSteps; ++i) {
+    EXPECT_TRUE(h.Contains(walk[i])) << i;
+    EXPECT_EQ(h.IndexEntries(walk[i]), 1u) << i;
+  }
+  for (size_t i = kSteps; i < 2 * kSteps; ++i) {
+    EXPECT_FALSE(h.Contains(walk[i])) << i;
+    EXPECT_EQ(h.IndexEntries(walk[i]), 0u) << i;
+  }
 }
 
 }  // namespace
