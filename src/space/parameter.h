@@ -36,7 +36,8 @@ class Parameter {
   // category index for categorical, 0/1 for bool).
   double default_value() const { return default_value_; }
 
-  // Map an internal value to [0,1]. Ints/floats respect log scaling;
+  // Map an internal value to [0,1]. Ints/floats respect log scaling
+  // (through log bounds computed once, when the parameter is built);
   // categorical index i maps to the bucket center (i + 0.5) / k.
   double ToUnit(double value) const;
   // Inverse of ToUnit: produces a legal internal value (ints rounded,
@@ -51,12 +52,17 @@ class Parameter {
 
  private:
   Parameter() = default;
+  // Sets log_lo_/log_hi_ for a log-scale parameter.
+  void CacheLogBounds();
 
   std::string name_;
   ParamType type_ = ParamType::kFloat;
   double lo_ = 0.0;
   double hi_ = 1.0;
   bool log_scale_ = false;
+  // std::log(lo_) and std::log(hi_), set only when log_scale_.
+  double log_lo_ = 0.0;
+  double log_hi_ = 0.0;
   double default_value_ = 0.0;
   std::vector<std::string> categories_;
 };

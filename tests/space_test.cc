@@ -1,11 +1,15 @@
 // Tests for parameters, ConfigSpace codec and Subspace projection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "space/config_space.h"
 #include "space/subspace.h"
+#include "sparksim/spark_conf.h"
 
 namespace sparktune {
 namespace {
@@ -66,6 +70,69 @@ TEST(ParameterTest, LegalizeClampsAndRounds) {
   EXPECT_DOUBLE_EQ(p.Legalize(99.0), 10.0);
   Parameter f = Parameter::Float("y", 0.0, 1.0, 0.5);
   EXPECT_DOUBLE_EQ(f.Legalize(0.33), 0.33);
+}
+
+// The log-scale codec as it read before the log bounds were cached: every
+// call takes std::log of the bounds inline.
+double InlineLogToUnit(const Parameter& p, double value) {
+  double lv = std::log(std::max(value, p.lo()));
+  return std::clamp(
+      (lv - std::log(p.lo())) / (std::log(p.hi()) - std::log(p.lo())), 0.0,
+      1.0);
+}
+
+double InlineLogFromUnit(const Parameter& p, double unit) {
+  unit = std::clamp(unit, 0.0, 1.0);
+  double v = std::exp(std::log(p.lo()) +
+                      unit * (std::log(p.hi()) - std::log(p.lo())));
+  return p.type() == ParamType::kInt ? p.Legalize(v) : v;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(ParameterTest, CachedLogBoundsMatchInlineLogFormula) {
+  // Every log-scale parameter of the three Spark spaces, plus log-scale
+  // floats, over 10,000 values each way, the bounds and their neighbours
+  // included.
+  std::vector<Parameter> params;
+  for (const ClusterSpec& cluster :
+       {ClusterSpec::HiBenchCluster(), ClusterSpec::ProductionGroup(),
+        ClusterSpec::SmallSqlGroup()}) {
+    ConfigSpace space = BuildSparkSpace(cluster);
+    for (const Parameter& p : space.params()) {
+      if (p.log_scale()) params.push_back(p);
+    }
+  }
+  ASSERT_EQ(params.size(), 33u);  // 11 per space
+  params.push_back(Parameter::Float("f", 1e-3, 10.0, 0.1, /*log_scale=*/true));
+  params.push_back(Parameter::Float("g", 0.5, 0.75, 0.6, /*log_scale=*/true));
+  Rng rng(0x10c);
+  for (const Parameter& p : params) {
+    SCOPED_TRACE(p.name());
+    std::vector<double> values = {p.lo(), p.hi(),
+                                  std::nextafter(p.lo(), 0.0),
+                                  std::nextafter(p.lo(), p.hi()),
+                                  std::nextafter(p.hi(), 0.0),
+                                  std::nextafter(p.hi(), 2.0 * p.hi())};
+    std::vector<double> units = {0.0, 1.0, -0.25, 1.25,
+                                 std::nextafter(0.0, 1.0),
+                                 std::nextafter(1.0, 0.0)};
+    while (values.size() < 10000) {
+      values.push_back(
+          std::exp(rng.Uniform(std::log(p.lo() / 2), std::log(p.hi() * 2))));
+      units.push_back(rng.Uniform(-0.1, 1.1));
+    }
+    for (double v : values) {
+      ASSERT_EQ(Bits(p.ToUnit(v)), Bits(InlineLogToUnit(p, v))) << v;
+    }
+    for (double u : units) {
+      ASSERT_EQ(Bits(p.FromUnit(u)), Bits(InlineLogFromUnit(p, u))) << u;
+    }
+  }
 }
 
 TEST(ConfigSpaceTest, RejectsDuplicateNames) {
