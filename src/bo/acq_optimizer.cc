@@ -1,7 +1,6 @@
 #include "bo/acq_optimizer.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/thread_pool.h"
 
@@ -51,7 +50,6 @@ AcqOptResult AcquisitionOptimizer::Maximize(
   struct CandEval {
     bool dup = false;
     bool is_safe = true;
-    double unsafety_value = 0.0;
     double acq_value = 0.0;
   };
   std::vector<CandEval> evals(cands.size());
@@ -63,21 +61,10 @@ AcqOptResult AcquisitionOptimizer::Maximize(
   for (size_t i = 0; i < cands.size(); ++i) {
     if (!evals[i].dup) live.push_back(i);
   }
+  std::vector<Configuration> live_cfg;
+  live_cfg.reserve(live.size());
+  for (size_t i : live) live_cfg.push_back(cands[i]);
   if (!live.empty()) {
-    std::vector<Configuration> live_cfg;
-    live_cfg.reserve(live.size());
-    for (size_t i : live) live_cfg.push_back(cands[i]);
-    // Unsafety for every non-duplicate candidate (ranks the fallback).
-    if (unsafety_batch) {
-      std::vector<double> u = unsafety_batch(live_cfg);
-      for (size_t t = 0; t < live.size(); ++t) {
-        evals[live[t]].unsafety_value = u[t];
-      }
-    } else if (unsafety) {
-      ParallelFor(options_.num_threads, live.size(), [&](size_t t) {
-        evals[live[t]].unsafety_value = unsafety(live_cfg[t]);
-      });
-    }
     // Safe-region screen.
     if (safe_batch) {
       std::vector<char> s = safe_batch(live_cfg);
@@ -109,23 +96,9 @@ AcqOptResult AcquisitionOptimizer::Maximize(
   // ---- Serial fold in candidate order (same tie-breaking as serial) ----
   std::vector<Scored> pool;
   pool.reserve(cands.size());
-  Configuration least_unsafe;
-  double least_unsafety = std::numeric_limits<double>::infinity();
-  bool have_any = false;
   for (size_t i = 0; i < cands.size(); ++i) {
     const CandEval& e = evals[i];
-    if (e.dup) continue;
-    if (unsafety) {
-      if (!have_any || e.unsafety_value < least_unsafety) {
-        least_unsafety = e.unsafety_value;
-        least_unsafe = cands[i];
-        have_any = true;
-      }
-    } else if (!have_any) {
-      least_unsafe = cands[i];
-      have_any = true;
-    }
-    if (!e.is_safe) continue;
+    if (e.dup || !e.is_safe) continue;
     pool.push_back({std::move(cands[i]), e.acq_value});
   }
 
@@ -133,9 +106,29 @@ AcqOptResult AcquisitionOptimizer::Maximize(
   if (pool.empty()) {
     // Safe set empty: suggest the configuration whose worst-case constraint
     // violation is smallest — the point most likely to extend the safe
-    // region (SafeOpt-style expansion).
+    // region (SafeOpt-style expansion). Unsafety is scored only here, over
+    // the same non-duplicate candidates; ties go to the first in candidate
+    // order, and without an unsafety score the first candidate wins.
     result.safe_fallback_used = true;
-    result.config = have_any ? least_unsafe : subspace.Sample(rng);
+    if (live_cfg.empty()) {
+      result.config = subspace.Sample(rng);
+    } else {
+      size_t least = 0;
+      if (unsafety) {
+        std::vector<double> u;
+        if (unsafety_batch) {
+          u = unsafety_batch(live_cfg);
+        } else {
+          u.resize(live_cfg.size());
+          ParallelFor(options_.num_threads, live_cfg.size(),
+                      [&](size_t t) { u[t] = unsafety(live_cfg[t]); });
+        }
+        for (size_t t = 1; t < u.size(); ++t) {
+          if (u[t] < u[least]) least = t;
+        }
+      }
+      result.config = std::move(live_cfg[least]);
+    }
     result.acq_value = 0.0;
     result.raw_ei = acq.RawEi(encode(result.config));
     return result;

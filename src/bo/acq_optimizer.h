@@ -46,12 +46,14 @@ class AcquisitionOptimizer {
   using EncodeFn = std::function<std::vector<double>(const Configuration&)>;
   // Safe-region membership; null = no safety filtering.
   using SafeFn = std::function<bool(const Configuration&)>;
-  // Degree of safe-region violation (<= 0 means safe); used to rank
-  // fallback candidates.
+  // Degree of safe-region violation (<= 0 means safe); used only to rank
+  // fallback candidates, so Maximize calls it only when no candidate of
+  // the pool is safe. Null = the fallback takes the first candidate.
   using UnsafetyFn = std::function<double(const Configuration&)>;
   // Optional batched counterparts used for the scattered candidate pool
   // (the sequential hill climbs still use the per-point forms). When
-  // supplied they must agree bit-for-bit with safe/unsafety per element.
+  // supplied they must agree bit-for-bit with safe/unsafety per element;
+  // unsafety_batch, like unsafety, runs only for the fallback.
   using SafeBatchFn =
       std::function<std::vector<char>(const std::vector<Configuration>&)>;
   using UnsafetyBatchFn =
@@ -60,8 +62,12 @@ class AcquisitionOptimizer {
   explicit AcquisitionOptimizer(AcqOptOptions options = {});
 
   // Scores the scattered pool with batched surrogate inference (one
-  // EicAcquisition::EvalBatch pass, plus one batched safety screen when the
-  // batch hooks are given) — identical selection to per-point scoring.
+  // batched safety screen when the batch hooks are given, then one
+  // EicAcquisition::EvalBatch pass over the safe candidates) — identical
+  // selection to per-point scoring. Unsafety is scored lazily: only when
+  // the safe screen leaves no candidate, once per non-duplicate candidate,
+  // and the least-unsafe one (first in candidate order on ties) is the
+  // fallback, the same choice an eager scorer makes.
   AcqOptResult Maximize(const Subspace& subspace, const EncodeFn& encode,
                         const EicAcquisition& acq, const SafeFn& safe,
                         const UnsafetyFn& unsafety, const RunHistory* history,

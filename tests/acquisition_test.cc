@@ -1,7 +1,10 @@
 // Tests for EI, EIC, safe-region math and the acquisition optimizer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "bo/acq_optimizer.h"
 #include "bo/acquisition.h"
@@ -204,8 +207,10 @@ TEST(AcqOptimizerTest, SkipsAlreadyEvaluatedConfigs) {
 TEST(AcqOptimizerTest, SmallPoolsStillGetIncumbentNeighbors) {
   // Regression: num_candidates < 8 used to truncate num_candidates / 8 to
   // zero incumbent neighbors, silently disabling local exploitation. Count
-  // candidate evaluations via the unsafety callback: 4 scattered + 1
-  // incumbent neighbor + 1 recent neighbor = 6 (the pre-fix code saw 5).
+  // candidate evaluations via the safe callback, which the pool screen
+  // calls once per non-duplicate candidate (no hill climbs here): 4
+  // scattered + 1 incumbent neighbor + 1 recent neighbor = 6 (the pre-fix
+  // code saw 5).
   ConfigSpace space = TwoDSpace();
   FakeSurrogate objective([](const std::vector<double>&) {
     return Prediction{0.0, 1.0};
@@ -221,16 +226,166 @@ TEST(AcqOptimizerTest, SmallPoolsStillGetIncumbentNeighbors) {
   o.config = space.Default();
   o.feasible = true;
   history.Add(o);
-  int unsafety_calls = 0;
-  auto unsafety = [&](const Configuration&) {
-    ++unsafety_calls;
-    return -1.0;  // everything safe
+  int safe_calls = 0;
+  auto safe = [&](const Configuration&) {
+    ++safe_calls;
+    return true;  // everything safe
   };
-  auto safe = [](const Configuration&) { return true; };
   Rng rng(9);
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
-  opt.Maximize(full, encode, acq, safe, unsafety, &history, &rng);
-  EXPECT_EQ(unsafety_calls, 6);
+  opt.Maximize(full, encode, acq, safe, nullptr, &history, &rng);
+  EXPECT_EQ(safe_calls, 6);
+}
+
+// Counts the unsafety hooks' work: per-point calls and batch calls plus the
+// candidates the batch calls saw. Thread-safe, since the per-point hook
+// runs inside ParallelFor.
+struct UnsafetyCounter {
+  std::atomic<int> calls{0};
+  std::atomic<int> batch_calls{0};
+  std::atomic<int> batch_elements{0};
+};
+
+// Unsafety in a few coarse levels, so many candidates tie.
+double CoarseUnsafety(const Configuration& c) {
+  return std::floor(4.0 * (1.0 - c[0])) - 2.0;
+}
+
+TEST(AcqOptimizerTest, UnsafetyIsNotScoredWhenACandidateIsSafe) {
+  ConfigSpace space = TwoDSpace();
+  FakeSurrogate objective([](const std::vector<double>& x) {
+    return Prediction{x[0], 1.0};
+  });
+  EicAcquisition acq(&objective, 1.0);
+  Subspace full = Subspace::Full(&space);
+  auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
+  auto safe = [](const Configuration& c) { return c[0] <= 0.5; };
+  auto safe_batch = [&](const std::vector<Configuration>& cs) {
+    std::vector<char> out;
+    for (const Configuration& c : cs) out.push_back(safe(c) ? 1 : 0);
+    return out;
+  };
+  for (int threads : {1, 4}) {
+    for (bool batched : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (batched ? " batched" : " per-point"));
+      AcqOptOptions opts;
+      opts.num_candidates = 64;
+      opts.num_threads = threads;
+      AcquisitionOptimizer opt(opts);
+      UnsafetyCounter count;
+      auto unsafety = [&](const Configuration& c) {
+        ++count.calls;
+        return CoarseUnsafety(c);
+      };
+      auto unsafety_batch = [&](const std::vector<Configuration>& cs) {
+        ++count.batch_calls;
+        count.batch_elements += static_cast<int>(cs.size());
+        std::vector<double> out;
+        for (const Configuration& c : cs) out.push_back(CoarseUnsafety(c));
+        return out;
+      };
+      Rng rng(31);
+      AcqOptResult res = opt.Maximize(
+          full, encode, acq, safe, unsafety, nullptr, &rng,
+          batched ? AcquisitionOptimizer::SafeBatchFn(safe_batch) : nullptr,
+          batched ? AcquisitionOptimizer::UnsafetyBatchFn(unsafety_batch)
+                  : nullptr);
+      EXPECT_FALSE(res.safe_fallback_used);
+      EXPECT_LE(res.config[0], 0.5);
+      EXPECT_EQ(count.calls.load(), 0);
+      EXPECT_EQ(count.batch_calls.load(), 0);
+    }
+  }
+}
+
+TEST(AcqOptimizerTest, NoSafeCandidateScoresUnsafetyOncePerCandidate) {
+  // Nothing is safe: unsafety is scored once per non-duplicate candidate,
+  // and the fallback is the eager scorer's pick — minimum unsafety, first
+  // in candidate order on ties — with per-point or batched hooks at 1 and
+  // 4 threads.
+  ConfigSpace space = TwoDSpace();
+  FakeSurrogate objective([](const std::vector<double>&) {
+    return Prediction{0.0, 1.0};
+  });
+  EicAcquisition acq(&objective, 1.0);
+  Subspace full = Subspace::Full(&space);
+  auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
+  // The history holds the first 5 scattered candidates of Rng(21), so
+  // those 5 are duplicates. Candidates: 64 scattered + 8 incumbent
+  // neighbors + 3 recent neighbors = 75, of which 70 are new.
+  RunHistory history;
+  Rng probe(21);
+  for (int i = 0; i < 5; ++i) {
+    Observation o;
+    o.config = full.Sample(&probe);
+    o.feasible = true;
+    history.Add(o);
+  }
+  constexpr int kLive = 70;
+  // The batched screen sees the non-duplicate candidates in candidate
+  // order; every run draws the same candidates from Rng(21).
+  std::vector<Configuration> screened;
+  std::vector<Configuration> picks;
+  for (bool batched : {true, false}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (batched ? " batched" : " per-point"));
+      AcqOptOptions opts;
+      opts.num_candidates = 64;
+      opts.num_threads = threads;
+      AcquisitionOptimizer opt(opts);
+      std::atomic<int> safe_calls{0};
+      auto safe = [&](const Configuration&) {
+        ++safe_calls;
+        return false;
+      };
+      auto safe_batch = [&](const std::vector<Configuration>& cs) {
+        screened = cs;
+        return std::vector<char>(cs.size(), 0);
+      };
+      UnsafetyCounter count;
+      auto unsafety = [&](const Configuration& c) {
+        ++count.calls;
+        return CoarseUnsafety(c);
+      };
+      auto unsafety_batch = [&](const std::vector<Configuration>& cs) {
+        ++count.batch_calls;
+        count.batch_elements += static_cast<int>(cs.size());
+        std::vector<double> out;
+        for (const Configuration& c : cs) out.push_back(CoarseUnsafety(c));
+        return out;
+      };
+      Rng rng(21);
+      AcqOptResult res = opt.Maximize(
+          full, encode, acq, safe, unsafety, &history, &rng,
+          batched ? AcquisitionOptimizer::SafeBatchFn(safe_batch) : nullptr,
+          batched ? AcquisitionOptimizer::UnsafetyBatchFn(unsafety_batch)
+                  : nullptr);
+      EXPECT_TRUE(res.safe_fallback_used);
+      if (batched) {
+        EXPECT_EQ(count.calls.load(), 0);
+        EXPECT_EQ(count.batch_calls.load(), 1);
+        EXPECT_EQ(count.batch_elements.load(), kLive);
+        EXPECT_EQ(screened.size(), static_cast<size_t>(kLive));
+      } else {
+        EXPECT_EQ(safe_calls.load(), kLive);
+        EXPECT_EQ(count.calls.load(), kLive);
+        EXPECT_EQ(count.batch_calls.load(), 0);
+      }
+      picks.push_back(res.config);
+    }
+  }
+  ASSERT_EQ(screened.size(), static_cast<size_t>(kLive));
+  size_t eager = 0;
+  for (size_t i = 1; i < screened.size(); ++i) {
+    if (CoarseUnsafety(screened[i]) < CoarseUnsafety(screened[eager])) {
+      eager = i;
+    }
+  }
+  for (const Configuration& pick : picks) {
+    EXPECT_TRUE(pick == screened[eager]);
+  }
 }
 
 TEST(AcqOptimizerTest, RejectedClimbStepsRetryWithAnnealedSigma) {
