@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -454,6 +456,12 @@ Result<Observation> DataRepository::ObservationFromJson(
     return Status::InvalidArgument("observation config size mismatch");
   }
   obs.config = Configuration(VectorFromJson(*config));
+  // An out-of-domain value (say 1e300, or 1e400 parsed as infinity) could
+  // become the incumbent after a restore and reach the int casts of the
+  // Spark decode; reject it here, with the size check's code.
+  if (Status valid = space.Validate(obs.config); !valid.ok()) {
+    return Status::InvalidArgument("observation config: " + valid.message());
+  }
   obs.objective = j.GetNumberOr("objective", 0.0);
   obs.runtime_sec = j.GetNumberOr("runtime_sec", 0.0);
   obs.resource_rate = j.GetNumberOr("resource_rate", 0.0);
@@ -470,7 +478,15 @@ Result<Observation> DataRepository::ObservationFromJson(
     obs.failure = FailureKind::kOom;
   }
   obs.degraded = j.GetBoolOr("degraded", false);
-  obs.iteration = static_cast<int>(j.GetNumberOr("iteration", 0.0));
+  // Casting a double outside int range (or infinity) to int is undefined.
+  const double iteration = j.GetNumberOr("iteration", 0.0);
+  if (!(iteration == std::floor(iteration) &&
+        iteration >= std::numeric_limits<int>::min() &&
+        iteration <= std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument(
+        "observation iteration is not an integer in int range");
+  }
+  obs.iteration = static_cast<int>(iteration);
   return obs;
 }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/strings.h"
 #include "service/data_repository.h"
 #include "service/tuning_service.h"
 #include "sparksim/hibench.h"
@@ -116,6 +117,59 @@ TEST(DataRepositoryTest, RejectsConfigSizeMismatch) {
   auto j = Json::Parse("{\"config\":[1,2,3]}");
   ASSERT_TRUE(j.ok());
   EXPECT_FALSE(DataRepository::ObservationFromJson(*j, space).ok());
+}
+
+// Decodes {"config": <the default config with slot `slot` written as
+// `value`>, "iteration": <iteration>} through the JSON parser, so literals
+// like 1e400 arrive as the parser reads them.
+Result<Observation> DecodeObservation(const ConfigSpace& space, int slot,
+                                      const std::string& value,
+                                      const std::string& iteration = "0") {
+  const Configuration c = space.Default();
+  std::vector<std::string> parts;
+  for (size_t i = 0; i < space.size(); ++i) {
+    parts.push_back(static_cast<int>(i) == slot
+                        ? value
+                        : Json::Number(c[i]).Dump());
+  }
+  auto j = Json::Parse("{\"config\":[" + StrJoin(parts, ",") +
+                       "],\"iteration\":" + iteration + "}");
+  EXPECT_TRUE(j.ok()) << j.status().ToString();
+  if (!j.ok()) return j.status();
+  return DataRepository::ObservationFromJson(*j, space);
+}
+
+TEST(DataRepositoryTest, RejectsOutOfDomainConfigValues) {
+  ConfigSpace space = BuildSparkSpace(ClusterSpec::SmallSqlGroup());
+  const int instances = spark_slot::kExecutorInstances;
+  ASSERT_TRUE(DecodeObservation(space, instances, "4").ok());
+  for (const char* value : {"1e300", "1e400", "-1e400", "0", "100000"}) {
+    auto r = DecodeObservation(space, instances, value);
+    ASSERT_FALSE(r.ok()) << value;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument) << value;
+  }
+  // Fractional values of an int or categorical parameter are out of domain.
+  for (int slot : {spark_slot::kExecutorCores, spark_slot::kSerializer}) {
+    auto r = DecodeObservation(space, slot, "1.5");
+    ASSERT_FALSE(r.ok()) << slot;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument) << slot;
+  }
+}
+
+TEST(DataRepositoryTest, RejectsIterationOutsideIntRange) {
+  ConfigSpace space = BuildSparkSpace(ClusterSpec::SmallSqlGroup());
+  auto max = DecodeObservation(space, -1, "", "2147483647");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->iteration, 2147483647);
+  auto min = DecodeObservation(space, -1, "", "-2147483648");
+  ASSERT_TRUE(min.ok());
+  EXPECT_EQ(min->iteration, -2147483647 - 1);
+  for (const char* value :
+       {"1e300", "1e400", "-1e400", "2147483648", "-2147483649", "2.5"}) {
+    auto r = DecodeObservation(space, -1, "", value);
+    ASSERT_FALSE(r.ok()) << value;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument) << value;
+  }
 }
 
 struct ServiceFixture {
