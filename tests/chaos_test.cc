@@ -334,58 +334,5 @@ TEST(SupervisorChaosTest, CheckpointAllAggregatesAndSkipsUnchanged) {
   EXPECT_EQ(second.skipped, static_cast<int>(kIds.size()));
 }
 
-TEST(AutoCheckpointTest, PeriodCadenceWritesCheckpoints) {
-  Fixture f;
-  const std::string dir = TempDir("cadence");
-  TuningServiceOptions opts;
-  opts.tuner.budget = 10;
-  opts.tuner.ei_stop_threshold = 0.0;
-  opts.tuner.advisor.expert_ranking = ExpertParameterRanking();
-  opts.repository_dir = dir;
-  opts.auto_checkpoint_periods = 3;
-  TuningService service(&f.space, opts);
-  auto w = HiBenchTask("WordCount");
-  ASSERT_TRUE(w.ok());
-  SimulatorEvaluatorOptions eopts;
-  eopts.seed = 3;
-  SimulatorEvaluator eval(&f.space, *w, f.cluster, DriftModel::Diurnal(),
-                          eopts);
-  ASSERT_TRUE(service.RegisterTask("wc", &eval).ok());
-
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(service.ExecutePeriodic("wc").ok());
-  }
-  // Cadence 3 over 10 periods: checkpoints at periods 3, 6, 9.
-  EXPECT_EQ(service.auto_checkpoints(), 3);
-  DataRepository repo(dir);
-  EXPECT_TRUE(repo.HasCheckpoint("wc"));
-}
-
-TEST(AutoCheckpointTest, PhaseTransitionTriggersCheckpoint) {
-  Fixture f;
-  TuningServiceOptions opts;
-  opts.tuner.budget = 10;
-  opts.tuner.ei_stop_threshold = 0.0;
-  opts.tuner.advisor.expert_ranking = ExpertParameterRanking();
-  opts.repository_dir = TempDir("phase");
-  opts.auto_checkpoint_periods = 0;  // only phase transitions trigger
-  opts.checkpoint_on_phase_change = true;
-  TuningService service(&f.space, opts);
-  auto w = HiBenchTask("WordCount");
-  ASSERT_TRUE(w.ok());
-  SimulatorEvaluatorOptions eopts;
-  eopts.seed = 3;
-  SimulatorEvaluator eval(&f.space, *w, f.cluster, DriftModel::Diurnal(),
-                          eopts);
-  ASSERT_TRUE(service.RegisterTask("wc", &eval).ok());
-
-  // Budget 10: baseline -> tuning after period 1, tuning -> applying after
-  // period 11. Both transitions snapshot the phase machine.
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(service.ExecutePeriodic("wc").ok());
-  }
-  EXPECT_GE(service.auto_checkpoints(), 2);
-}
-
 }  // namespace
 }  // namespace sparktune

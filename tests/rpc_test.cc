@@ -5,7 +5,8 @@
 // behavior, the ShardServer dispatcher, and the headline property — a
 // fleet driven over real sockets through real SIGKILLed-and-respawned
 // worker processes delivers a per-task trajectory bit-identical to an
-// undisturbed in-process TuningService run, at nt=1 and nt=4.
+// undisturbed in-process TuningService run, at nt=1 and nt=4, with and
+// without injected evaluator faults.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -622,41 +623,68 @@ struct FleetSpec {
   std::vector<SimTaskSpec> specs;
 };
 
-FleetSpec MakeFleet(int tasks) {
+// Evaluator faults of every kind the watchdog handles: crashes, transient
+// errors, hangs and corrupt event logs, drawn from the task's own seed.
+FaultInjectionOptions EvalFaults(uint64_t seed) {
+  FaultInjectionOptions fopts;
+  fopts.seed = seed;
+  fopts.crash_prob = 0.12;
+  fopts.transient_error_prob = 0.08;
+  fopts.hang_prob = 0.06;
+  fopts.corrupt_log_prob = 0.06;
+  return fopts;
+}
+
+FleetSpec MakeFleet(int tasks, bool with_faults = false) {
   const char* kWorkloads[] = {"WordCount", "Sort", "TeraSort", "Join"};
   FleetSpec fleet;
   for (int i = 0; i < tasks; ++i) {
     SimTaskSpec spec;
     spec.workload = kWorkloads[i % 4];
     spec.seed = 500 + static_cast<uint64_t>(i);
+    if (with_faults) spec.faults = EvalFaults(101 + static_cast<uint64_t>(i));
     fleet.ids.push_back("rpc-task-" + std::to_string(i));
     fleet.specs.push_back(spec);
   }
   return fleet;
 }
 
-// Drives a real multi-process fleet for `ticks` ticks (optionally
-// SIGKILLing the busiest shard at kill_tick and restarting it at
-// restart_tick) and asserts every delivered observation equals the
-// undisturbed in-process oracle's observation for the same period index.
-void RunProcessEquivalence(const std::string& tag, int threads,
-                           bool with_repo, int kill_tick, int restart_tick) {
-  const int kShards = 2, kTasks = 4, kTicks = 7;
+ProcessSupervisorOptions FleetOptions(const std::string& tag, int shards) {
   ProcessSupervisorOptions options;
   options.shardd_path = SPARKTUNE_SHARDD_PATH;
   options.socket_dir = TempDir("sock-" + tag);
-  options.num_shards = kShards;
+  options.num_shards = shards;
   options.service = TestConfig();
-  options.service.num_threads = threads;
-  if (with_repo) {
-    options.service.repository_dir = TempDir("repo-" + tag);
+  return options;
+}
+
+struct EquivalenceRun {
+  std::string tag;
+  int threads = 1;
+  bool with_repo = false;
+  int kill_tick = 0;  // 0 = undisturbed
+  int restart_tick = 0;
+  int ticks = 7;
+  bool with_faults = false;
+};
+
+// Drives a real multi-process fleet for `run.ticks` ticks (optionally
+// SIGKILLing the busiest shard at kill_tick and restarting it at
+// restart_tick) and asserts every delivered observation equals the
+// undisturbed in-process oracle's observation for the same period index.
+void RunProcessEquivalence(const EquivalenceRun& run) {
+  const int kShards = 2, kTasks = 4;
+  ProcessSupervisorOptions options = FleetOptions(run.tag, kShards);
+  options.service.num_threads = run.threads;
+  if (run.with_repo) {
+    options.service.repository_dir = TempDir("repo-" + run.tag);
     options.service.auto_checkpoint_periods = 2;
     options.service.checkpoint_on_phase_change = true;
   }
 
   ProcessSupervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
-  FleetSpec fleet = MakeFleet(kTasks);
+  FleetSpec fleet = MakeFleet(kTasks, run.with_faults);
   for (int i = 0; i < kTasks; ++i) {
     ASSERT_TRUE(
         supervisor.RegisterTask(fleet.ids[i], fleet.specs[i]).ok())
@@ -676,8 +704,9 @@ void RunProcessEquivalence(const std::string& tag, int threads,
 
   int killed = -1;
   long long compared = 0;
-  for (int t = 1; t <= kTicks; ++t) {
-    if (t == kill_tick) {
+  long long faulted = 0;  // compared slots an injected fault shaped
+  for (int t = 1; t <= run.ticks; ++t) {
+    if (t == run.kill_tick) {
       std::vector<int> load(kShards, 0);
       for (const std::string& id : fleet.ids) {
         ++load[supervisor.shard_of(id)];
@@ -685,7 +714,7 @@ void RunProcessEquivalence(const std::string& tag, int threads,
       killed = load[1] > load[0] ? 1 : 0;
       ASSERT_TRUE(supervisor.KillShard(killed).ok());
     }
-    if (t == restart_tick && killed >= 0) {
+    if (t == run.restart_tick && killed >= 0) {
       ASSERT_TRUE(supervisor.RestartShard(killed).ok());
     }
     std::vector<long long> before(fleet.ids.size());
@@ -710,51 +739,145 @@ void RunProcessEquivalence(const std::string& tag, int threads,
       }
       Result<Observation> want = oracle.ExecutePeriodic(fleet.ids[i]);
       ++compared;
+      if (!want.ok() || want->failure == FailureKind::kInfra ||
+          want->degraded) {
+        ++faulted;
+      }
       ExpectSameSlot(slots[i], want, fleet.ids[i], before[i]);
     }
   }
   EXPECT_GT(compared, 0);
-  if (kill_tick > 0) {
-    EXPECT_EQ(supervisor.stats().kills, 1);
-    EXPECT_EQ(supervisor.stats().restarts, 1);
-    EXPECT_GT(supervisor.stats().parked_slots, 0);
-    if (with_repo) {
-      // At least one task resumed from its on-disk checkpoint generation.
-      EXPECT_GT(supervisor.stats().restored_tasks, 0);
+  // Only injected faults cause infra failures, watchdog errors and
+  // degraded runs, so they show up exactly when the fleet has faults.
+  if (run.with_faults) {
+    EXPECT_GT(faulted, 0);
+  } else {
+    EXPECT_EQ(faulted, 0);
+  }
+  const ProcessSupervisorStats& st = supervisor.stats();
+  if (run.kill_tick > 0) {
+    EXPECT_EQ(st.kills, 1);
+    EXPECT_EQ(st.restarts, 1);
+    EXPECT_GT(st.parked_slots, 0);
+    if (run.with_repo) {
+      // Every recovered task resumed from its on-disk checkpoint
+      // generation, none from period zero, and the kill landed between
+      // checkpoints, so recovery replayed a gap.
+      EXPECT_GT(st.restored_tasks, 0);
+      EXPECT_EQ(st.fresh_replays, 0);
+      EXPECT_GT(st.replayed_periods, 0);
     } else {
-      EXPECT_GT(supervisor.stats().fresh_replays, 0);
+      // Without a repository each recovered task replays every period
+      // acked before the kill.
+      EXPECT_EQ(st.restored_tasks, 0);
+      EXPECT_GT(st.fresh_replays, 0);
+      EXPECT_EQ(st.replayed_periods, (run.kill_tick - 1) * st.fresh_replays);
     }
   }
   EXPECT_TRUE(supervisor.Shutdown().ok());
 }
 
 TEST(ProcessService, UndisturbedRunMatchesOracleSingleThread) {
-  RunProcessEquivalence("plain-nt1", 1, false, 0, 0);
+  RunProcessEquivalence({.tag = "plain-nt1", .threads = 1});
 }
 
 TEST(ProcessService, UndisturbedRunMatchesOracleFourThreads) {
-  RunProcessEquivalence("plain-nt4", 4, false, 0, 0);
+  RunProcessEquivalence({.tag = "plain-nt4", .threads = 4});
 }
 
 TEST(ProcessService, SigkillRecoveryIsBitIdenticalSingleThread) {
-  RunProcessEquivalence("chaos-nt1", 1, true, 3, 5);
+  RunProcessEquivalence({.tag = "chaos-nt1", .threads = 1, .with_repo = true,
+                         .kill_tick = 3, .restart_tick = 5});
 }
 
 TEST(ProcessService, SigkillRecoveryIsBitIdenticalFourThreads) {
-  RunProcessEquivalence("chaos-nt4", 4, true, 3, 5);
+  RunProcessEquivalence({.tag = "chaos-nt4", .threads = 4, .with_repo = true,
+                         .kill_tick = 3, .restart_tick = 5});
 }
 
 TEST(ProcessService, SigkillWithoutRepositoryReplaysFromScratch) {
-  RunProcessEquivalence("chaos-norepo", 1, false, 3, 5);
+  RunProcessEquivalence({.tag = "chaos-norepo", .threads = 1,
+                         .kill_tick = 3, .restart_tick = 5});
+}
+
+// Injected evaluator faults survive a SIGKILL: watchdog-backoff slots,
+// failed and degraded runs all come back bit-identical after checkpoint
+// restore and replay.
+TEST(ProcessService, EvaluatorFaultsSurviveSigkillSingleThread) {
+  RunProcessEquivalence({.tag = "faults-nt1", .threads = 1, .with_repo = true,
+                         .kill_tick = 12, .restart_tick = 16, .ticks = 30,
+                         .with_faults = true});
+}
+
+TEST(ProcessService, EvaluatorFaultsSurviveSigkillFourThreads) {
+  RunProcessEquivalence({.tag = "faults-nt4", .threads = 4, .with_repo = true,
+                         .kill_tick = 12, .restart_tick = 16, .ticks = 30,
+                         .with_faults = true});
+}
+
+TEST(ProcessService, EvaluatorFaultsWithoutRepositoryReplayFromScratch) {
+  RunProcessEquivalence({.tag = "faults-norepo", .threads = 1,
+                         .kill_tick = 8, .restart_tick = 12, .ticks = 30,
+                         .with_faults = true});
+}
+
+TEST(ProcessService, CheckpointAllAggregatesAndSkipsUnchanged) {
+  ProcessSupervisorOptions options = FleetOptions("ckpt-all", 2);
+  options.service.repository_dir = TempDir("repo-ckpt-all");
+  ProcessSupervisor supervisor(options);  // manual checkpoints only
+  ASSERT_TRUE(supervisor.Start().ok());
+  FleetSpec fleet = MakeFleet(4);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(supervisor.RegisterTask(fleet.ids[i], fleet.specs[i]).ok());
+  }
+  for (int t = 0; t < 5; ++t) (void)supervisor.Tick();
+
+  CheckpointReport first = supervisor.CheckpointAll();
+  EXPECT_TRUE(first.ok());
+  EXPECT_EQ(first.written, 4);
+  EXPECT_EQ(first.skipped, 0);
+  // No periods elapsed since: the second pass skips every task.
+  CheckpointReport second = supervisor.CheckpointAll();
+  EXPECT_TRUE(second.ok());
+  EXPECT_EQ(second.written, 0);
+  EXPECT_EQ(second.skipped, 4);
+  EXPECT_TRUE(supervisor.Shutdown().ok());
+}
+
+TEST(ProcessService, PlacementIsPinnedAndShardErrorsAreTyped) {
+  ProcessSupervisor supervisor(FleetOptions("errors", 2));
+  ASSERT_TRUE(supervisor.Start().ok());
+  FleetSpec fleet = MakeFleet(4);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(supervisor.RegisterTask(fleet.ids[i], fleet.specs[i]).ok());
+  }
+  // Rendezvous placement is a pure function of (id, shard count): these
+  // homes were recorded once and must never drift.
+  const int kHomes[] = {1, 1, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(supervisor.shard_of(fleet.ids[i]), kHomes[i]) << fleet.ids[i];
+  }
+  EXPECT_EQ(supervisor.shard_of("unknown"), -1);
+
+  EXPECT_EQ(supervisor.RegisterTask(fleet.ids[0], fleet.specs[0]).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(supervisor.KillShard(2).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(supervisor.KillShard(-1).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(supervisor.RestartShard(2).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(supervisor.RestartShard(1).code(),
+            Status::Code::kFailedPrecondition);
+  ASSERT_TRUE(supervisor.KillShard(0).ok());
+  EXPECT_EQ(supervisor.KillShard(0).code(), Status::Code::kFailedPrecondition);
+  ASSERT_TRUE(supervisor.RestartShard(0).ok());
+  EXPECT_EQ(supervisor.num_live_shards(), 2);
+  EXPECT_EQ(supervisor.stats().kills, 1);
+  EXPECT_EQ(supervisor.stats().restarts, 1);
+  EXPECT_TRUE(supervisor.Shutdown().ok());
 }
 
 TEST(ProcessService, DownedShardDegradesToTypedUnavailableWithinDeadline) {
-  ProcessSupervisorOptions options;
-  options.shardd_path = SPARKTUNE_SHARDD_PATH;
-  options.socket_dir = TempDir("sock-degrade");
-  options.num_shards = 2;
-  options.service = TestConfig();
-  ProcessSupervisor supervisor(options);
+  ProcessSupervisor supervisor(FleetOptions("degrade", 2));
   ASSERT_TRUE(supervisor.Start().ok());
   FleetSpec fleet = MakeFleet(4);
   for (int i = 0; i < 4; ++i) {
@@ -795,12 +918,7 @@ TEST(ProcessService, DownedShardDegradesToTypedUnavailableWithinDeadline) {
 }
 
 TEST(ProcessService, FetchSuggestionTravelsTheWire) {
-  ProcessSupervisorOptions options;
-  options.shardd_path = SPARKTUNE_SHARDD_PATH;
-  options.socket_dir = TempDir("sock-suggest");
-  options.num_shards = 1;
-  options.service = TestConfig();
-  ProcessSupervisor supervisor(options);
+  ProcessSupervisor supervisor(FleetOptions("suggest", 1));
   ASSERT_TRUE(supervisor.Start().ok());
   SimTaskSpec spec;
   spec.workload = "WordCount";
