@@ -26,8 +26,8 @@ struct TaskCheckpoint {
   uint64_t harvested_size = 0;
   RetryState retry;
   // Periods (DecidePeriod calls, including backoff skips) the task had
-  // consumed when the checkpoint was taken. The supervisor uses this to
-  // replay post-checkpoint periods deterministically after a handoff.
+  // consumed when the checkpoint was taken. A restarted shard uses this to
+  // replay post-checkpoint periods deterministically after a kill.
   long long periods = 0;
 };
 

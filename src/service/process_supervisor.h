@@ -1,9 +1,8 @@
-// ProcessSupervisor (DESIGN.md §9): the control plane of the multi-process
-// tuning service. Where ServiceSupervisor shards across in-process
-// TuningService instances, this supervisor fork/execs one sparktune_shardd
-// worker per shard, speaks the framed protocol (net/) to each over a
-// Unix-domain socket, and drives the global periodic tick over the wire —
-// pipelined, one kExecute per live shard per tick.
+// ProcessSupervisor (DESIGN.md §7, §9): the control plane of the sharded
+// tuning service. It fork/execs one sparktune_shardd worker per shard,
+// speaks the framed protocol (net/) to each over a Unix-domain socket, and
+// drives the global periodic tick over the wire — pipelined, one kExecute
+// per live shard per tick.
 //
 // Placement is *static* rendezvous over all shard indices (dead or alive):
 // a task's home shard never moves. When its shard is down the task parks —

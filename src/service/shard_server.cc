@@ -287,8 +287,8 @@ Result<Json> ShardServer::HandleRestore(const Json& body) {
 
 Result<Json> ShardServer::HandleLoadRepository() {
   SPARKTUNE_RETURN_IF_ERROR(RequireConfigured());
-  // Best-effort, mirroring ServiceSupervisor::MaybeLoadShard: an empty
-  // repository is normal on first boot and must not fail recovery.
+  // Best-effort: an empty repository is normal on first boot and must not
+  // fail recovery.
   Status st = config_.repository_dir.empty()
                   ? Status::FailedPrecondition("no repository configured")
                   : service_->LoadRepository();

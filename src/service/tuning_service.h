@@ -172,8 +172,8 @@ class TuningService {
   const KnowledgeBase& knowledge_base() const { return knowledge_; }
   size_t num_tasks() const { return tasks_.size(); }
   // Periods (DecidePeriod calls, incl. backoff skips) the task has
-  // consumed; -1 if unknown. The supervisor replays the gap between a
-  // restored checkpoint's period clock and this value after a handoff.
+  // consumed; -1 if unknown. A restarted shard replays the gap between a
+  // restored checkpoint's period clock and this value after a kill.
   long long periods(const std::string& id) const;
   // Checkpoints written by the automatic cadence (diagnostics).
   long long auto_checkpoints() const { return auto_checkpoints_; }

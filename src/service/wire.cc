@@ -219,10 +219,10 @@ Result<SimTaskSpec> SimTaskSpecFromJson(const Json& j) {
 
 namespace {
 
-// Owning simulator + fault-injector composite (the same stack the chaos
-// tests wrap by hand). Faults are injected even when all probabilities are
-// zero: a zero-prob injector is a pass-through whose schedule cursor still
-// advances deterministically, keeping the composition uniform.
+// Owning simulator + fault-injector composite. Faults are injected even
+// when all probabilities are zero: a zero-prob injector is a pass-through
+// whose schedule cursor still advances deterministically, keeping the
+// composition uniform.
 class SimTaskEvaluator final : public JobEvaluator {
  public:
   SimTaskEvaluator(const ConfigSpace* space, WorkloadSpec workload,

@@ -5,11 +5,11 @@
 // Everything a worker needs is described *by value* so a fork/exec'd
 // process — or a SIGKILLed one's replacement — can rebuild identical
 // state from the bytes alone: ServiceConfig rebuilds the shard's
-// TuningService, SimTaskSpec rebuilds a task's evaluator stack (the same
-// simulator + fault-injector composition the chaos tests use), and
-// response envelopes carry typed Status codes so client-side errors stay
-// distinguishable from transport failures. Seeds ride as hex strings
-// (JSON numbers are doubles and would drop low bits of a 64-bit word).
+// TuningService, SimTaskSpec rebuilds a task's evaluator stack (simulator
+// plus fault injector), and response envelopes carry typed Status codes
+// so client-side errors stay distinguishable from transport failures.
+// Seeds ride as hex strings (JSON numbers are doubles and would drop low
+// bits of a 64-bit word).
 #pragma once
 
 #include <memory>

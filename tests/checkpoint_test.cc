@@ -569,7 +569,7 @@ TEST(CheckpointRecoveryTest, RestoreAfterMetaWindowWraparound) {
   ASSERT_TRUE(ckpt.ok());
   ASSERT_EQ(ckpt->meta_samples.size(), 8u);  // full window, wrapped
 
-  // Revive from a copy of the repository (a handed-off shard directory).
+  // Revive from a copy of the repository (a moved shard directory).
   const std::string dir2 = TempDir("diet-wrap-revived");
   fs::copy(dir, dir2, fs::copy_options::recursive);
   TuningService revived(&f.space, f.ServiceOpts(dir2));
@@ -598,7 +598,7 @@ TEST(CheckpointRecoveryTest, RestoreAfterMetaWindowWraparound) {
   }
 }
 
-// Restore after a handoff re-attaches the meta-surrogate against the same
+// Restore after a kill re-attaches the meta-surrogate against the same
 // knowledge base: with harvested tasks reloaded from the repository, the
 // revived trajectory stays bit-identical to the undisturbed one.
 TEST(CheckpointRecoveryTest, RestoreReattachesMetaSurrogates) {
