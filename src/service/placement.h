@@ -1,6 +1,5 @@
-// Rendezvous (highest-random-weight) task placement, shared by the
-// in-process ServiceSupervisor and the multi-process ProcessSupervisor so
-// both planes place any given task identically (DESIGN.md §7, §9).
+// Rendezvous (highest-random-weight) task placement: ProcessSupervisor's
+// static home shard for every task (DESIGN.md §7, §9).
 //
 // Hashing is self-contained (FNV-1a + splitmix64 finalizer): shard
 // assignment must be identical across platforms and standard libraries,
@@ -28,21 +27,19 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// The task's score for shard `s`; the winner is the eligible shard with
-// the highest score. Each task ranks every shard independently, so
-// removing one shard from the eligible set moves only that shard's tasks.
+// The task's score for shard `s`; the winner is the shard with the
+// highest score. Each task ranks every shard independently, so adding or
+// removing a shard moves only the tasks that shard wins or loses.
 inline uint64_t RendezvousScore(uint64_t task_hash, int s) {
   return Mix64(task_hash ^ Mix64(static_cast<uint64_t>(s) + 1));
 }
 
-// Winner among shards [0, n) for which eligible(s) is true; -1 if none.
-template <typename EligibleFn>
-int Rendezvous(const std::string& id, int n, EligibleFn eligible) {
+// Winner among shards [0, n); -1 if n < 1.
+inline int Rendezvous(const std::string& id, int n) {
   const uint64_t task_hash = Fnv1a(id);
   int best = -1;
   uint64_t best_score = 0;
   for (int s = 0; s < n; ++s) {
-    if (!eligible(s)) continue;
     const uint64_t score = RendezvousScore(task_hash, s);
     if (best < 0 || score > best_score) {
       best = s;

@@ -50,7 +50,7 @@ int ProcessSupervisor::PreferredShard(const std::string& id) const {
   // never moves, so a downed shard parks its tasks instead of migrating
   // them (migration would need the evaluator state the dead process took
   // with it; parking + checkpoint recovery keeps trajectories exact).
-  return placement::Rendezvous(id, num_shards(), [](int) { return true; });
+  return placement::Rendezvous(id, num_shards());
 }
 
 Status ProcessSupervisor::InitSpace() {
