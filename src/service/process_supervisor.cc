@@ -90,8 +90,7 @@ Status ProcessSupervisor::SpawnWorker(int shard) {
   args.push_back(options_.shardd_path);
   args.push_back("--socket");
   args.push_back(path);
-  if (options_.chaos_workers && options_.chaos_seed != 0 &&
-      options_.chaos_prob > 0) {
+  if (options_.chaos_seed != 0 && options_.chaos_prob > 0) {
     args.push_back(StrFormat("--shard=%d", shard));
     args.push_back(StrFormat("--chaos_seed=%llu",
                              static_cast<unsigned long long>(

@@ -59,8 +59,8 @@ struct ProcessSupervisorOptions {
                         /*max_backoff_periods=*/64,
                         /*circuit_break_failures=*/4, /*park_periods=*/6};
   int backoff_unit_ms = 20;
-  // Deterministic wire chaos (net/chaos.h): seed 0 disables. When enabled
-  // every request write (supervisor side) and — with chaos_workers — every
+  // Deterministic wire chaos (net/chaos.h): on when chaos_seed != 0 and
+  // chaos_prob > 0. Then every request write (supervisor side) and every
   // response write (worker side, via --chaos_seed) draws faults from the
   // (seed, shard, direction, exchange index) schedule. Each freshly
   // spawned channel gets chaos_arm_exchanges exempt exchanges so
@@ -68,7 +68,6 @@ struct ProcessSupervisorOptions {
   uint64_t chaos_seed = 0;
   double chaos_prob = 0.0;
   int chaos_arm_exchanges = 16;
-  bool chaos_workers = true;
   // Heartbeat liveness + auto-restart policy (service/health.h).
   // health.auto_restart=false preserves manual-restart-only semantics.
   HealthPolicy health;
