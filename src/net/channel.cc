@@ -1,6 +1,5 @@
 #include "net/channel.h"
 
-#include "common/checksum.h"
 #include "net/io.h"
 
 namespace sparktune::net {
@@ -35,11 +34,8 @@ Result<Frame> ReadFrame(int fd, int deadline_ms) {
     }
     return read;
   }
-  const uint32_t got =
-      Crc32(frame.payload, Crc32(std::string_view(header, 12)));
-  if (got != crc) {
-    return Status::DataLoss("frame CRC mismatch on wire");
-  }
+  SPARKTUNE_RETURN_IF_ERROR(CheckFrameCrc(
+      std::string_view(header, sizeof(header)), frame.payload, crc));
   return frame;
 }
 

@@ -132,8 +132,4 @@ Status ChaosChannel::WriteFrame(int fd, MsgKind kind,
   }
 }
 
-Result<Frame> ChaosChannel::ReadFrame(int fd, int deadline_ms) {
-  return net::ReadFrame(fd, deadline_ms);
-}
-
 }  // namespace sparktune::net

@@ -76,11 +76,10 @@ class ChaosChannel {
   // WriteFrame with injection. Consumes one exchange index per call. A
   // clean exchange forwards to net::WriteFrame verbatim; an injected fault
   // damages or suppresses the bytes and returns kDataLoss/kUnavailable.
+  // Reads are never injected: both directions of the wire are covered by
+  // the writer on each side.
   Status WriteFrame(int fd, MsgKind kind, std::string_view payload,
                     int deadline_ms);
-  // Reads are never injected (both directions of the wire are covered by
-  // the writer on each side); passthrough kept for API symmetry.
-  Result<Frame> ReadFrame(int fd, int deadline_ms);
 
   const ChaosOptions& options() const { return options_; }
   const ChaosStats& stats() const { return stats_; }

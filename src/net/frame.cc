@@ -16,6 +16,14 @@ void PutU32(std::string* out, uint32_t v) {
   out->push_back(static_cast<char>((v >> 24) & 0xff));
 }
 
+// The CRC covers header bytes 0..11 then the payload. Covering the header
+// prefix means a bit flip in the kind (or any other header byte that
+// still passes field validation) fails the checksum instead of decoding
+// as a well-formed frame of another kind.
+uint32_t FrameCrc(std::string_view header, std::string_view payload) {
+  return Crc32(payload, Crc32(header.substr(0, 12)));
+}
+
 uint32_t GetU32(std::string_view buf, size_t off) {
   return static_cast<uint32_t>(static_cast<unsigned char>(buf[off])) |
          (static_cast<uint32_t>(static_cast<unsigned char>(buf[off + 1]))
@@ -62,10 +70,7 @@ std::string EncodeFrame(MsgKind kind, std::string_view payload) {
   out.push_back(0);  // reserved
   out.push_back(0);
   PutU32(&out, static_cast<uint32_t>(payload.size()));
-  // The CRC covers the header prefix too: a bit flip in the kind (or any
-  // other header byte that still passes field validation) must fail the
-  // checksum instead of decoding as a well-formed frame of another kind.
-  PutU32(&out, Crc32(payload, Crc32(std::string_view(out.data(), 12))));
+  PutU32(&out, FrameCrc(out, payload));
   out.append(payload.data(), payload.size());
   return out;
 }
@@ -107,6 +112,16 @@ Result<uint32_t> DecodeFrameHeader(std::string_view header, MsgKind* kind,
   return len;
 }
 
+Status CheckFrameCrc(std::string_view header, std::string_view payload,
+                     uint32_t crc) {
+  const uint32_t got = FrameCrc(header, payload);
+  if (got != crc) {
+    return Status::DataLoss(StrFormat(
+        "frame CRC mismatch: header 0x%08x payload 0x%08x", crc, got));
+  }
+  return Status::OK();
+}
+
 Result<Frame> DecodeFrame(std::string_view buf, size_t* consumed) {
   if (buf.size() < kFrameHeaderBytes) {
     return Status::DataLoss(StrFormat(
@@ -123,11 +138,7 @@ Result<Frame> DecodeFrame(std::string_view buf, size_t* consumed) {
         "truncated frame: %zu of %zu bytes", buf.size(), total));
   }
   std::string_view payload = buf.substr(kFrameHeaderBytes, len);
-  const uint32_t got = Crc32(payload, Crc32(buf.substr(0, 12)));
-  if (got != crc) {
-    return Status::DataLoss(StrFormat(
-        "frame CRC mismatch: header 0x%08x payload 0x%08x", crc, got));
-  }
+  SPARKTUNE_RETURN_IF_ERROR(CheckFrameCrc(buf, payload, crc));
   Frame frame;
   frame.kind = kind;
   frame.payload.assign(payload.data(), payload.size());

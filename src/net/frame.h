@@ -76,6 +76,13 @@ std::string EncodeFrame(MsgKind kind, std::string_view payload);
 Result<uint32_t> DecodeFrameHeader(std::string_view header, MsgKind* kind,
                                    uint32_t* crc);
 
+// kDataLoss unless `crc` is the CRC-32 of header bytes 0..11 then
+// `payload`, the rule EncodeFrame writes. `header` is the frame's header
+// (at least its first 12 bytes). Both decoders, DecodeFrame and
+// net::ReadFrame, check their frames through this one function.
+Status CheckFrameCrc(std::string_view header, std::string_view payload,
+                     uint32_t crc);
+
 // Decode exactly one frame from the front of `buf`.
 //   * buf shorter than one header, or than header+declared length: kDataLoss
 //   * header validation failure: kInvalidArgument
