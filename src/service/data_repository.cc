@@ -169,10 +169,6 @@ std::string DataRepository::ManifestPath(const std::string& id) const {
   return (fs::path(root_dir_) / (CheckpointStem(id) + ".manifest")).string();
 }
 
-std::string DataRepository::LegacyCheckpointPath(const std::string& id) const {
-  return (fs::path(root_dir_) / (CheckpointStem(id) + ".ckpt")).string();
-}
-
 std::vector<long long> DataRepository::ScanGenerations(
     const std::string& id) const {
   std::vector<long long> gens;
@@ -289,20 +285,6 @@ Result<Json> DataRepository::LoadCheckpoint(const std::string& id) const {
     return *std::move(doc);
   }
 
-  // Pre-generation layout: a single unsuffixed .ckpt file.
-  auto legacy = ReadFramedFile(LegacyCheckpointPath(id), kCheckpointMagic,
-                           "checkpoint for " + id);
-  if (legacy.ok()) {
-    auto doc = Json::Parse(*legacy);
-    if (doc.ok()) return *std::move(doc);
-    any_file = true;
-    last_error = Status::DataLoss("checkpoint for " + id + ": " +
-                                  doc.status().message());
-  } else if (legacy.status().code() != Status::Code::kNotFound) {
-    any_file = true;
-    last_error = legacy.status();
-  }
-
   if (!any_file) return Status::NotFound("no checkpoint for task: " + id);
   if (last_error.ok()) {
     last_error = Status::DataLoss("checkpoint for " + id +
@@ -312,9 +294,7 @@ Result<Json> DataRepository::LoadCheckpoint(const std::string& id) const {
 }
 
 bool DataRepository::HasCheckpoint(const std::string& id) const {
-  return !ScanGenerations(id).empty() ||
-         fs::exists(ManifestPath(id)) ||
-         fs::exists(LegacyCheckpointPath(id));
+  return !ScanGenerations(id).empty() || fs::exists(ManifestPath(id));
 }
 
 Status DataRepository::DeleteCheckpoint(const std::string& id) const {
@@ -324,8 +304,6 @@ Status DataRepository::DeleteCheckpoint(const std::string& id) const {
     if (ec) return Status::Unavailable("remove failed: " + ec.message());
   }
   fs::remove(ManifestPath(id), ec);
-  if (ec) return Status::Unavailable("remove failed: " + ec.message());
-  fs::remove(LegacyCheckpointPath(id), ec);
   if (ec) return Status::Unavailable("remove failed: " + ec.message());
   return Status::OK();
 }
@@ -341,8 +319,8 @@ long long DataRepository::LatestCheckpointGeneration(
 }
 
 std::vector<std::string> DataRepository::ListCheckpointIds() const {
-  // Ids come from the payloads themselves (generation files and legacy
-  // unsuffixed files share the frame), deduplicated across generations.
+  // Ids come from the payloads themselves, deduplicated across
+  // generations.
   std::set<std::string> ids;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(root_dir_, ec)) {
@@ -368,10 +346,11 @@ int DataRepository::SweepOrphanCheckpoints() const {
   int removed = 0;
   std::error_code ec;
   // One classifying pass over the directory. Sweep-eligible names are
-  // exactly what this repository's checkpoint writers produce:
+  // what this repository's checkpoint writers produce:
   //   <stem>.g<digits>.ckpt        generation file (retention window)
-  //   <stem>.g<digits>.ckpt.tmp    interrupted generation write
-  //   <stem>.ckpt.tmp              interrupted legacy-layout write
+  //   *.ckpt.tmp                   interrupted generation write
+  //                                (<stem>.g<digits>.ckpt.tmp); the
+  //                                suffix rule matches any such temp
   //   <stem>.manifest.tmp          interrupted manifest write
   // Anything else — task JSON documents, their .json.tmp temps, unrelated
   // files a caller parked in the directory — is preserved: the sweep used
@@ -472,11 +451,6 @@ Result<Observation> DataRepository::ObservationFromJson(
   obs.feasible = j.GetBoolOr("feasible", true);
   obs.failure =
       FailureKindFromName(j.GetStringOr("failure", "").c_str());
-  // Legacy records carried only a bare bool; read it as a generic
-  // config-induced failure so safety labels survive the format upgrade.
-  if (obs.failure == FailureKind::kNone && j.GetBoolOr("failed", false)) {
-    obs.failure = FailureKind::kOom;
-  }
   obs.degraded = j.GetBoolOr("degraded", false);
   // Casting a double outside int range (or infinity) to int is undefined.
   const double iteration = j.GetNumberOr("iteration", 0.0);

@@ -101,7 +101,6 @@ class DataRepository {
   std::string CheckpointStem(const std::string& id) const;
   std::string GenerationPath(const std::string& id, long long gen) const;
   std::string ManifestPath(const std::string& id) const;
-  std::string LegacyCheckpointPath(const std::string& id) const;
   // Generation numbers present on disk for `id`, ascending.
   std::vector<long long> ScanGenerations(const std::string& id) const;
   // Generations listed by an intact manifest, ascending (empty if the
