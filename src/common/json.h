@@ -4,9 +4,12 @@
 // null. Object key order is preserved for stable round-trips.
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -56,6 +59,12 @@ class Json {
   std::string GetStringOr(const std::string& key,
                           const std::string& fallback) const;
   bool GetBoolOr(const std::string& key, bool fallback) const;
+  // Checked integer read: the number at `key` as T, or `fallback` when the
+  // key is missing. kInvalidArgument when the value is not a number, or
+  // not an integer within T's range; a plain cast of 1e300, or of 1e400
+  // parsed as infinity, would be undefined.
+  template <typename T>
+  Result<T> GetIntOr(const std::string& key, T fallback) const;
 
   // Compact single-line serialization.
   std::string Dump() const;
@@ -70,5 +79,23 @@ class Json {
   std::vector<Json> array_;
   std::vector<std::pair<std::string, Json>> object_;
 };
+
+template <typename T>
+Result<T> Json::GetIntOr(const std::string& key, T fallback) const {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+  const Json* v = Get(key);
+  if (v == nullptr) return fallback;
+  // T's range is [min, 2^digits), and both bounds are exact doubles. NaN
+  // and the infinities fail the comparisons.
+  constexpr double kLo = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double kHi =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  if (v->is_number()) {
+    const double d = v->AsNumber();
+    if (d >= kLo && d < kHi && d == std::floor(d)) return static_cast<T>(d);
+  }
+  return Status::InvalidArgument("JSON field \"" + key +
+                                 "\" is not an integer in range");
+}
 
 }  // namespace sparktune

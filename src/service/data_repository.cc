@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -452,15 +450,8 @@ Result<Observation> DataRepository::ObservationFromJson(
   obs.failure =
       FailureKindFromName(j.GetStringOr("failure", "").c_str());
   obs.degraded = j.GetBoolOr("degraded", false);
-  // Casting a double outside int range (or infinity) to int is undefined.
-  const double iteration = j.GetNumberOr("iteration", 0.0);
-  if (!(iteration == std::floor(iteration) &&
-        iteration >= std::numeric_limits<int>::min() &&
-        iteration <= std::numeric_limits<int>::max())) {
-    return Status::InvalidArgument(
-        "observation iteration is not an integer in int range");
-  }
-  obs.iteration = static_cast<int>(iteration);
+  SPARKTUNE_ASSIGN_OR_RETURN(iteration, j.GetIntOr<int>("iteration", 0));
+  obs.iteration = iteration;
   return obs;
 }
 

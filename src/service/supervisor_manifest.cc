@@ -1,5 +1,7 @@
 #include "service/supervisor_manifest.h"
 
+#include <sys/types.h>
+
 #include "common/strings.h"
 #include "service/data_repository.h"
 
@@ -8,6 +10,17 @@ namespace {
 
 constexpr char kSupervisorManifestMagic[] = "SPARKTUNE-SUPV1";
 constexpr int kManifestVersion = 1;
+
+// A checked integer field; a malformed one is kDataLoss, like every other
+// malformed part of the manifest.
+template <typename T>
+Result<T> ManifestInt(const Json& j, const std::string& key, T fallback) {
+  Result<T> v = j.GetIntOr<T>(key, fallback);
+  if (!v.ok()) {
+    return Status::DataLoss("supervisor manifest: " + v.status().message());
+  }
+  return v;
+}
 
 }  // namespace
 
@@ -42,13 +55,15 @@ Result<SupervisorManifest> SupervisorManifestFromJson(const Json& j) {
   if (!j.is_object()) {
     return Status::DataLoss("supervisor manifest is not a JSON object");
   }
-  const int version = static_cast<int>(j.GetNumberOr("version", 0));
+  SPARKTUNE_ASSIGN_OR_RETURN(version, ManifestInt<int>(j, "version", 0));
   if (version != kManifestVersion) {
     return Status::DataLoss(StrFormat(
         "unsupported supervisor manifest version %d", version));
   }
   SupervisorManifest manifest;
-  manifest.num_shards = static_cast<int>(j.GetNumberOr("num_shards", 0));
+  SPARKTUNE_ASSIGN_OR_RETURN(num_shards,
+                             ManifestInt<int>(j, "num_shards", 0));
+  manifest.num_shards = num_shards;
   if (manifest.num_shards < 1) {
     return Status::DataLoss("supervisor manifest has no shards");
   }
@@ -64,21 +79,30 @@ Result<SupervisorManifest> SupervisorManifestFromJson(const Json& j) {
     return Status::DataLoss("supervisor manifest shard table is malformed");
   }
   for (const Json& e : jshards->elements()) {
-    ShardManifestEntry s;
-    s.epoch = static_cast<long long>(e.GetNumberOr("epoch", 1));
-    s.pid = static_cast<long long>(e.GetNumberOr("pid", -1));
-    if (s.epoch < 1) {
+    SPARKTUNE_ASSIGN_OR_RETURN(epoch, ManifestInt<long long>(e, "epoch", 1));
+    // Recover() signals the pid, so it must fit pid_t: 4294967295 would
+    // wrap to -1, and kill(-1, ...) reaches every process the user may
+    // signal.
+    SPARKTUNE_ASSIGN_OR_RETURN(pid, ManifestInt<pid_t>(e, "pid", -1));
+    if (epoch < 1) {
       return Status::DataLoss("supervisor manifest epoch below 1");
     }
-    manifest.shards.push_back(s);
+    if (pid != -1 && pid <= 0) {
+      return Status::DataLoss(
+          "supervisor manifest pid is neither -1 nor positive");
+    }
+    manifest.shards.push_back({epoch, pid});
   }
   if (const Json* jtasks = j.Get("tasks");
       jtasks != nullptr && jtasks->is_array()) {
     for (const Json& e : jtasks->elements()) {
       TaskManifestEntry t;
       t.id = e.GetStringOr("id", "");
-      t.shard = static_cast<int>(e.GetNumberOr("shard", -1));
-      t.periods = static_cast<long long>(e.GetNumberOr("periods", 0));
+      SPARKTUNE_ASSIGN_OR_RETURN(shard, ManifestInt<int>(e, "shard", -1));
+      SPARKTUNE_ASSIGN_OR_RETURN(periods,
+                                 ManifestInt<long long>(e, "periods", 0));
+      t.shard = shard;
+      t.periods = periods;
       if (t.id.empty() || t.shard < 0 || t.shard >= manifest.num_shards ||
           t.periods < 0) {
         return Status::DataLoss("supervisor manifest task entry malformed");

@@ -401,6 +401,49 @@ TEST(SupervisorManifestFile, RoundTripsAndRejectsTornCopies) {
   }
 }
 
+// Integer fields decode checked: a value outside its field's range is
+// kDataLoss, never a wrapped or undefined cast. Pid 4294967295 used to
+// decode as pid_t -1, which Recover() would have passed to kill().
+TEST(SupervisorManifestFile, RejectsIntegersOutsideTheirFieldRange) {
+  SupervisorManifest manifest;
+  manifest.num_shards = 2;
+  manifest.service = TestConfig();
+  manifest.shards = {{/*epoch=*/3, /*pid=*/1234}, {/*epoch=*/1, /*pid=*/-1}};
+  TaskManifestEntry task;
+  task.id = "svc-task-0";
+  task.shard = 1;
+  task.periods = 9;
+  task.spec.workload = "TeraSort";
+  manifest.tasks.push_back(task);
+  const std::string good = SupervisorManifestToJson(manifest).Dump();
+  auto doc = Json::Parse(good);
+  ASSERT_TRUE(doc.ok());
+  ASSERT_TRUE(SupervisorManifestFromJson(*doc).ok());
+
+  // Each case rewrites one field of the dumped text, so literals like
+  // 1e400 arrive as the parser reads them.
+  const std::pair<std::string, std::string> kCases[] = {
+      {"\"pid\":1234", "\"pid\":4294967295"},
+      {"\"pid\":1234", "\"pid\":0"},
+      {"\"pid\":1234", "\"pid\":-2"},
+      {"\"periods\":9", "\"periods\":1e300"},
+      {"\"epoch\":3", "\"epoch\":1e400"},
+      {"\"shard\":1", "\"shard\":2.5"},
+      {"\"num_shards\":2", "\"num_shards\":1e10"},
+  };
+  for (const auto& [from, to] : kCases) {
+    std::string text = good;
+    const size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    auto bad = Json::Parse(text);
+    ASSERT_TRUE(bad.ok()) << to;
+    auto decoded = SupervisorManifestFromJson(*bad);
+    ASSERT_FALSE(decoded.ok()) << to;
+    EXPECT_EQ(decoded.status().code(), Status::Code::kDataLoss) << to;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Self-healing supervisor, end to end over real processes.
 // ---------------------------------------------------------------------------

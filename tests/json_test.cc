@@ -95,6 +95,26 @@ TEST(JsonTest, TypedGettersWithFallbacks) {
   EXPECT_TRUE(r->GetBoolOr("b", false));
 }
 
+TEST(JsonTest, CheckedIntegerGetter) {
+  auto r = Json::Parse(
+      "{\"i\":-7,\"max\":2147483647,\"over\":2147483648,\"frac\":2.5,"
+      "\"big\":1e300,\"inf\":1e400,\"s\":\"3\",\"u\":9007199254740992,"
+      "\"neg\":-1}");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r->GetIntOr<int>("i", 0), -7);
+  EXPECT_EQ(*r->GetIntOr<int>("max", 0), 2147483647);
+  EXPECT_EQ(*r->GetIntOr<int>("missing", 42), 42);
+  EXPECT_EQ(*r->GetIntOr<long long>("over", 0), 2147483648LL);
+  EXPECT_EQ(*r->GetIntOr<uint64_t>("u", 0), 9007199254740992ULL);
+  for (const char* key : {"over", "frac", "big", "inf", "s"}) {
+    auto v = r->GetIntOr<int>(key, 0);
+    ASSERT_FALSE(v.ok()) << key;
+    EXPECT_EQ(v.status().code(), Status::Code::kInvalidArgument) << key;
+  }
+  EXPECT_FALSE(r->GetIntOr<long long>("big", 0).ok());
+  EXPECT_FALSE(r->GetIntOr<uint64_t>("neg", 0).ok());
+}
+
 TEST(JsonTest, NonFiniteNumbersSerializeAsNull) {
   EXPECT_EQ(Json::Number(std::numeric_limits<double>::infinity()).Dump(),
             "null");
