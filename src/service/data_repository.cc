@@ -317,8 +317,7 @@ long long DataRepository::LatestCheckpointGeneration(
 }
 
 std::vector<std::string> DataRepository::ListCheckpointIds() const {
-  // Ids come from the payloads themselves, deduplicated across
-  // generations.
+  // Ids come from the payloads themselves, deduplicated across generations.
   std::set<std::string> ids;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(root_dir_, ec)) {

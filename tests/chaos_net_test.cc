@@ -402,8 +402,8 @@ TEST(SupervisorManifestFile, RoundTripsAndRejectsTornCopies) {
 }
 
 // Integer fields decode checked: a value outside its field's range is
-// kDataLoss, never a wrapped or undefined cast. Pid 4294967295 used to
-// decode as pid_t -1, which Recover() would have passed to kill().
+// kDataLoss, never a wrapped or undefined cast. A wrapped pid would reach
+// kill() in Recover(): 4294967295 as pid_t is -1.
 TEST(SupervisorManifestFile, RejectsIntegersOutsideTheirFieldRange) {
   SupervisorManifest manifest;
   manifest.num_shards = 2;
