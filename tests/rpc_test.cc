@@ -822,9 +822,10 @@ TEST(ProcessService, EvaluatorFaultsWithoutRepositoryReplayFromScratch) {
 }
 
 TEST(ProcessService, CheckpointAllAggregatesAndSkipsUnchanged) {
+  // TestConfig leaves auto-checkpoints off: only CheckpointAll writes.
   ProcessSupervisorOptions options = FleetOptions("ckpt-all", 2);
   options.service.repository_dir = TempDir("repo-ckpt-all");
-  ProcessSupervisor supervisor(options);  // manual checkpoints only
+  ProcessSupervisor supervisor(options);
   ASSERT_TRUE(supervisor.Start().ok());
   FleetSpec fleet = MakeFleet(4);
   for (int i = 0; i < 4; ++i) {
