@@ -81,8 +81,10 @@ rpc_smoke_chaos build
 if [[ "$ALL" -eq 1 ]]; then
   run_config build-tsan thread "$@"
   run_config build-asan-ubsan address,undefined "$@"
-  # Isolated stress pass: the fault-injected batch and supervisor chaos
-  # schedules again, by label, under the full sanitizer matrix.
+  # Isolated stress pass: the fault-injected batch, checkpoint recovery,
+  # and the SIGKILL and self-healing runs over real worker processes
+  # (rpc_test, chaos_net_test) again, by label, under the full sanitizer
+  # matrix.
   for dir in build build-ubsan build-tsan build-asan-ubsan; do
     echo "==> [$dir] ctest -L stress (chaos/fault stress label)"
     ctest --test-dir "$dir" --output-on-failure -L stress
