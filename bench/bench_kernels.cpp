@@ -1,35 +1,59 @@
-// Hot-kernel microbenchmarks with built-in bit-equality self-checks: each
-// kernel the single-node speed push optimized (panelled upper solve,
-// register-tiled SYRK factorization, columnar MixedKernel batch rows,
-// parallel meta-feature extraction) is timed against its naive reference
-// loop and verified bit-for-bit against it — the determinism invariant is
-// part of the benchmark contract, not a separate test.
+// The micro-benchmark harness: every row times an optimized path against
+// its reference and verifies the two outputs bit for bit — the
+// determinism invariant is part of the benchmark contract, not a separate
+// test. Three groups of rows:
+//
+//   * linalg: the panelled upper solve and the register-tiled SYRK
+//     factorization against their naive loops (upper_solve, syrk_factor);
+//   * batched inference at --n training rows and --m probes: the columnar
+//     MixedKernel row against per-row EvalRow (kernel_batch), and one
+//     PredictBatch call against a per-point Predict loop for the GP, the
+//     meta ensemble and the random forest, with fixed GP hyperparameters
+//     (gp_predict, meta_predict, forest_predict);
+//   * parallel paths at num_threads 1 against max(--threads, 2): meta-
+//     feature extraction over --logs event logs (meta_extract), and on
+//     Spark-shaped data the GP hyper-sweep fit on 60 rows, a 64-tree
+//     forest fit on 200 rows, fANOVA on 120 rows, and acquisition
+//     maximization (gp_fit, forest_fit, fanova, acq_maximize).
+//
+// Per-layer time on the real workloads comes from perfbench's traced run;
+// this harness does the one job that cannot: fast path against reference,
+// outputs compared bit for bit.
 //
 // Outputs a table and BENCH_kernels.json (schema self-checked before the
-// write, like BENCH_fleet.json).
+// write, like BENCH_fleet.json). Any bit mismatch exits 1.
 //
 // Flags: --n=N (matrix order / training rows, default 512), --m=N
 // (right-hand-side columns / probe count, default 256), --logs=N (event
-// logs for the meta-extraction kernel, default 256), --reps=N (timing
-// repetitions, best-of, default 3), --threads=N (parallel kernels'
-// width, default 4), --out=PATH, --min_speedup=X.Y (exit 1 if any
-// kernel's speedup lands below X.Y; 0 disables), --self_check=1 (tiny
-// ragged sizes, one rep, no speedup gate — the CI mode: only the
-// bit-equality verdict matters).
+// logs for meta extraction, default 256), --reps=N (timing repetitions,
+// best-of, default 3), --threads=N (parallel width, default 4),
+// --out=PATH, --min_speedup=X.Y (exit 1 if any kernel's speedup lands
+// below X.Y; 0 disables), --self_check=1 (ragged sizes n=101, m=53, 17
+// logs, one rep, no speedup gate — the CI mode: only the bit-equality
+// verdict matters). --n=512 --m=500 is the acquisition-pool shape of the
+// batched-inference headline.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "bo/acq_optimizer.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "fanova/fanova.h"
+#include "forest/random_forest.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "meta/meta_features.h"
+#include "meta/meta_surrogate.h"
+#include "model/gp.h"
 #include "model/kernel.h"
 #include "sparksim/event_log.h"
 
@@ -65,6 +89,15 @@ struct KernelRow {
     return fast_ms > 0.0 ? naive_ms / fast_ms : 0.0;
   }
 };
+
+// The rows' fits run on synthetic data and cannot fail; if one does, the
+// harness itself is broken.
+void MustOk(const Status& s, const char* what) {
+  if (s.ok()) return;
+  std::fprintf(stderr, "bench_kernels: %s: %s\n", what,
+               s.ToString().c_str());
+  std::exit(1);
+}
 
 Matrix RandomSpd(size_t n, Rng* rng) {
   Matrix a(n, n);
@@ -168,6 +201,16 @@ KernelRow BenchSyrkFactor(size_t n, int threads, int reps) {
   return row;
 }
 
+// `numeric` numeric features, then `categorical` binary ones, then one
+// data-size feature.
+std::vector<FeatureKind> MixedSchema(size_t numeric, size_t categorical) {
+  std::vector<FeatureKind> schema(numeric, FeatureKind::kNumeric);
+  schema.insert(schema.end(), categorical, FeatureKind::kCategorical);
+  schema.push_back(FeatureKind::kDataSize);
+  return schema;
+}
+
+// Random rows for `schema`: categorical features 0/1, the rest uniform.
 std::vector<std::vector<double>> MakeMixedRows(
     const std::vector<FeatureKind>& schema, size_t count, Rng* rng) {
   std::vector<std::vector<double>> rows;
@@ -184,18 +227,33 @@ std::vector<std::vector<double>> MakeMixedRows(
   return rows;
 }
 
-KernelRow BenchKernelBatch(size_t n, size_t m, int reps) {
+struct Dataset {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+};
+
+// MakeMixedRows plus a smooth noisy target over the first six features
+// and the data size, so the fits have structure to find.
+Dataset MakeDataset(const std::vector<FeatureKind>& schema, size_t count,
+                    Rng* rng) {
+  Dataset d;
+  d.x = MakeMixedRows(schema, count, rng);
+  for (const auto& row : d.x) {
+    double y = row.back();
+    for (size_t f = 0; f < 6; ++f) y += std::sin(3.0 * row[f]);
+    d.y.push_back(y + 0.05 * rng->Normal());
+  }
+  return d;
+}
+
+KernelRow BenchKernelBatch(const std::vector<FeatureKind>& schema,
+                           const std::vector<std::vector<double>>& train,
+                           const std::vector<std::vector<double>>& probes,
+                           int reps) {
   KernelRow row{"kernel_batch"};
-  const std::vector<FeatureKind> schema = {
-      FeatureKind::kNumeric,     FeatureKind::kNumeric,
-      FeatureKind::kNumeric,     FeatureKind::kNumeric,
-      FeatureKind::kNumeric,     FeatureKind::kNumeric,
-      FeatureKind::kCategorical, FeatureKind::kCategorical,
-      FeatureKind::kCategorical, FeatureKind::kDataSize};
   MixedKernel kernel(schema);
-  Rng rng(4242);
-  auto train = MakeMixedRows(schema, n, &rng);
-  auto probes = MakeMixedRows(schema, m, &rng);
+  const size_t n = train.size();
+  const size_t m = probes.size();
   std::vector<double> by_row(n * m), columnar(n * m);
   row.naive_ms = TimeMs(reps, [&] {
     for (size_t i = 0; i < n; ++i) {
@@ -213,6 +271,82 @@ KernelRow BenchKernelBatch(size_t n, size_t m, int reps) {
     g_sink += columnar[0];
   });
   row.bit_identical = by_row == columnar;
+  return row;
+}
+
+// A per-point Predict loop (the reference) against one PredictBatch call.
+KernelRow BenchPredictBatch(const char* name, const Surrogate& s,
+                            const std::vector<std::vector<double>>& probes,
+                            int reps) {
+  KernelRow row{name};
+  std::vector<Prediction> loop(probes.size()), batch;
+  row.naive_ms = TimeMs(reps, [&] {
+    for (size_t j = 0; j < probes.size(); ++j) loop[j] = s.Predict(probes[j]);
+    g_sink += loop[0].mean;
+  });
+  row.fast_ms = TimeMs(reps, [&] {
+    batch = s.PredictBatch(probes);
+    g_sink += batch[0].mean;
+  });
+  row.bit_identical = batch.size() == loop.size();
+  for (size_t j = 0; row.bit_identical && j < loop.size(); ++j) {
+    row.bit_identical = batch[j].mean == loop[j].mean &&
+                        batch[j].variance == loop[j].variance;
+  }
+  return row;
+}
+
+void AddInferenceRows(size_t n, size_t m, int reps,
+                      std::vector<KernelRow>* rows) {
+  const std::vector<FeatureKind> schema = MixedSchema(6, 3);
+  Rng rng(4242);
+  const Dataset train = MakeDataset(schema, n, &rng);
+  const auto probes = MakeMixedRows(schema, m, &rng);
+  rows->push_back(BenchKernelBatch(schema, train.x, probes, reps));
+
+  // Fixed hyperparameters: the rows isolate inference cost.
+  GpOptions gp_opts;
+  gp_opts.optimize_hypers = false;
+  GaussianProcess gp(schema, gp_opts);
+  MustOk(gp.Fit(train.x, train.y), "gp fit");
+  rows->push_back(BenchPredictBatch("gp_predict", gp, probes, reps));
+
+  std::vector<BaseSurrogate> bases;
+  for (double similarity : {0.7, 0.4}) {
+    const Dataset base_data =
+        MakeDataset(schema, std::min<size_t>(n, 64), &rng);
+    auto base_gp = std::make_shared<GaussianProcess>(schema, gp_opts);
+    MustOk(base_gp->Fit(base_data.x, base_data.y), "base gp fit");
+    BaseSurrogate base;
+    base.model = base_gp;
+    base.similarity = similarity;
+    base.input_dims = schema.size();
+    base.y_mean = 0.3;
+    base.y_scale = 1.2;
+    bases.push_back(std::move(base));
+  }
+  MetaEnsembleOptions meta_opts;
+  meta_opts.gp = gp_opts;
+  MetaEnsembleSurrogate meta(schema, std::move(bases), meta_opts);
+  MustOk(meta.Fit(train.x, train.y), "meta fit");
+  rows->push_back(BenchPredictBatch("meta_predict", meta, probes, reps));
+
+  ForestOptions forest_opts;
+  forest_opts.num_trees = 32;
+  RandomForest forest(forest_opts);
+  MustOk(forest.Fit(train.x, train.y), "forest fit");
+  rows->push_back(BenchPredictBatch("forest_predict", forest, probes, reps));
+}
+
+// Times run(1) (the reference) against run(threads); the two must return
+// bit-identical outputs.
+template <typename F>
+KernelRow BenchThreads(const char* name, int threads, int reps, F&& run) {
+  KernelRow row{name};
+  decltype(run(1)) serial, parallel;
+  row.naive_ms = TimeMs(reps, [&] { serial = run(1); });
+  row.fast_ms = TimeMs(reps, [&] { parallel = run(threads); });
+  row.bit_identical = serial == parallel;
   return row;
 }
 
@@ -259,27 +393,92 @@ EventLog MakeLog(Rng* rng) {
   return log;
 }
 
-KernelRow BenchMetaExtract(size_t num_logs, int threads, int reps) {
-  KernelRow row{"meta_extract"};
-  Rng rng(9009);
+void AddParallelRows(size_t num_logs, int threads, int reps,
+                     std::vector<KernelRow>* rows) {
+  Rng log_rng(9009);
   std::vector<EventLog> logs;
   logs.reserve(num_logs);
-  for (size_t i = 0; i < num_logs; ++i) logs.push_back(MakeLog(&rng));
-  std::vector<std::vector<double>> serial(num_logs), parallel(num_logs);
-  row.naive_ms = TimeMs(reps, [&] {
-    for (size_t i = 0; i < num_logs; ++i) {
-      serial[i] = ExtractMetaFeatures(logs[i]);
-    }
-    g_sink += serial[0][0];
-  });
-  row.fast_ms = TimeMs(reps, [&] {
-    ParallelFor(threads, num_logs, [&](size_t i) {
-      parallel[i] = ExtractMetaFeatures(logs[i]);
+  for (size_t i = 0; i < num_logs; ++i) logs.push_back(MakeLog(&log_rng));
+  rows->push_back(BenchThreads("meta_extract", threads, reps, [&](int nt) {
+    std::vector<std::vector<double>> features(num_logs);
+    ParallelFor(nt, num_logs, [&](size_t i) {
+      features[i] = ExtractMetaFeatures(logs[i]);
     });
-    g_sink += parallel[0][0];
-  });
-  row.bit_identical = serial == parallel;
-  return row;
+    return features;
+  }));
+
+  const std::vector<FeatureKind> spark = MixedSchema(28, 2);
+  Rng rng(11);
+  const Dataset gp_data = MakeDataset(spark, 60, &rng);
+  const Dataset forest_data = MakeDataset(spark, 200, &rng);
+  const Dataset fanova_data = MakeDataset(spark, 120, &rng);
+
+  rows->push_back(BenchThreads("gp_fit", threads, reps, [&](int nt) {
+    GpOptions opts;
+    opts.num_threads = nt;
+    GaussianProcess gp(spark, opts);
+    MustOk(gp.Fit(gp_data.x, gp_data.y), "gp_fit");
+    return std::vector<double>{gp.kernel_params().length_numeric,
+                               gp.kernel_params().noise_variance,
+                               gp.log_marginal_likelihood(),
+                               gp.Predict(gp_data.x[0]).mean};
+  }));
+
+  rows->push_back(BenchThreads("forest_fit", threads, reps, [&](int nt) {
+    ForestOptions opts;
+    opts.num_trees = 64;
+    opts.num_threads = nt;
+    RandomForest rf(opts);
+    MustOk(rf.Fit(forest_data.x, forest_data.y), "forest_fit");
+    std::vector<double> out = rf.FeatureImportance();
+    out.push_back(rf.Predict(forest_data.x[0]).mean);
+    return out;
+  }));
+
+  rows->push_back(BenchThreads("fanova", threads, reps, [&](int nt) {
+    FanovaOptions opts;
+    opts.forest.num_threads = nt;
+    auto r = Fanova::Analyze(fanova_data.x, fanova_data.y, opts);
+    MustOk(r.status(), "fanova");
+    std::vector<double> out = r->CombinedImportance();
+    out.push_back(r->total_variance);
+    return out;
+  }));
+
+  // Acquisition over the 60-row GP with a 10-observation history.
+  ConfigSpace space;
+  for (size_t k = 0; k < spark.size(); ++k) {
+    MustOk(space.Add(Parameter::Float("p" + std::to_string(k), 0.0, 1.0,
+                                      0.5)),
+           "config space");
+  }
+  GaussianProcess gp(spark, {});
+  MustOk(gp.Fit(gp_data.x, gp_data.y), "acquisition gp fit");
+  EicAcquisition acq(&gp, gp_data.y[0]);
+  const Subspace full = Subspace::Full(&space);
+  auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
+  RunHistory history;
+  Rng history_rng(7);
+  for (int i = 0; i < 10; ++i) {
+    Observation o;
+    o.config = full.Sample(&history_rng);
+    o.feasible = true;
+    history.Add(o);
+  }
+  rows->push_back(BenchThreads("acq_maximize", threads, reps, [&](int nt) {
+    AcqOptOptions opts;
+    opts.num_candidates = 1024;
+    opts.num_local_starts = 8;
+    opts.local_steps = 32;
+    opts.num_threads = nt;
+    Rng acq_rng(42);
+    AcqOptResult r = AcquisitionOptimizer(opts).Maximize(
+        full, encode, acq, nullptr, nullptr, &history, &acq_rng);
+    std::vector<double> out(r.config.values().begin(),
+                            r.config.values().end());
+    out.push_back(r.acq_value);
+    return out;
+  }));
 }
 
 }  // namespace
@@ -305,8 +504,8 @@ int main(int argc, char** argv) {
   std::vector<KernelRow> rows;
   rows.push_back(BenchUpperSolve(n, m, threads, reps));
   rows.push_back(BenchSyrkFactor(n, threads, reps));
-  rows.push_back(BenchKernelBatch(n, m, reps));
-  rows.push_back(BenchMetaExtract(num_logs, threads, reps));
+  AddInferenceRows(n, m, reps, &rows);
+  AddParallelRows(num_logs, std::max(threads, 2), reps, &rows);
 
   std::printf("bench_kernels: n=%zu m=%zu logs=%zu threads=%d reps=%d\n\n",
               n, m, num_logs, threads, reps);
@@ -368,7 +567,7 @@ int main(int argc, char** argv) {
 
   if (!all_identical) {
     std::fprintf(stderr,
-                 "bench_kernels: BIT MISMATCH against naive reference\n");
+                 "bench_kernels: BIT MISMATCH against the reference\n");
     return 1;
   }
   if (min_speedup > 0.0) {
