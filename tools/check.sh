@@ -51,9 +51,12 @@ run_config build-ubsan undefined "$@"
 # real sockets, SIGKILL one mid-run, and verify every delivered slot
 # against an undisturbed in-process oracle (--verify=1 is the default).
 # Runs on the default build and, with --all, again under ASan+UBSan so
-# the fork/exec + recovery path is sanitizer-clean.
+# the fork/exec + recovery path is sanitizer-clean. Each smoke starts
+# from an empty repository: the oracle runs with none, and a previous
+# run's harvested records would steer the restarted shard off it.
 rpc_smoke() {
   local dir="$1"
+  rm -rf "$dir/rpc-smoke-repo"
   echo "==> [$dir] sparktune_service multi-process smoke (kill + recover + verify)"
   "./$dir/tools/sparktune_service" \
     --shardd="./$dir/tools/sparktune_shardd" \
@@ -67,6 +70,7 @@ rpc_smoke() {
 # the manifest — still verified slot-for-slot against the oracle.
 rpc_smoke_chaos() {
   local dir="$1"
+  rm -rf "$dir/rpc-chaos-repo"
   echo "==> [$dir] sparktune_service self-healing smoke (chaos + crash + autoheal + verify)"
   "./$dir/tools/sparktune_service" \
     --shardd="./$dir/tools/sparktune_shardd" \
