@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cinttypes>
 #include <cmath>
 #include <cstdlib>
 
@@ -326,6 +327,31 @@ std::string Json::Dump() const {
 
 Result<Json> Json::Parse(const std::string& text) {
   return Parser(text).Parse();
+}
+
+Json U64ToJson(uint64_t v) {
+  return Json::Str(StrFormat("%016" PRIx64, v));
+}
+
+uint64_t U64FromJson(const Json* j, uint64_t fallback) {
+  if (j == nullptr || !j->is_string()) return fallback;
+  return std::strtoull(j->AsString().c_str(), nullptr, 16);
+}
+
+Json VectorToJson(const std::vector<double>& v) {
+  Json arr = Json::Array();
+  for (double x : v) arr.Append(Json::Number(x));
+  return arr;
+}
+
+std::vector<double> VectorFromJson(const Json& j) {
+  std::vector<double> v;
+  if (!j.is_array()) return v;
+  v.reserve(j.size());
+  for (const auto& e : j.elements()) {
+    v.push_back(e.is_number() ? e.AsNumber() : 0.0);
+  }
+  return v;
 }
 
 }  // namespace sparktune

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -97,5 +98,18 @@ Result<T> Json::GetIntOr(const std::string& key, T fallback) const {
   return Status::InvalidArgument("JSON field \"" + key +
                                  "\" is not an integer in range");
 }
+
+// Value codecs shared by the service's JSON documents (checkpoints, the
+// data repository, the wire protocol).
+//
+// A 64-bit word as a fixed-width hex string: JSON numbers are doubles and
+// would silently drop its low bits.
+Json U64ToJson(uint64_t v);
+// The hex word in `j`, or `fallback` when `j` is null or not a string.
+uint64_t U64FromJson(const Json* j, uint64_t fallback);
+// A vector of doubles as a JSON array. The reader maps a non-number
+// element to 0.0 and anything but an array to an empty vector.
+Json VectorToJson(const std::vector<double>& v);
+std::vector<double> VectorFromJson(const Json& j);
 
 }  // namespace sparktune

@@ -1,42 +1,13 @@
 #include "service/checkpoint.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
-#include "common/strings.h"
 #include "service/data_repository.h"
 
 namespace sparktune {
 
 namespace {
-
-// uint64 <-> hex string: JSON numbers are doubles and cannot carry a full
-// 64-bit RNG word.
-Json U64ToJson(uint64_t v) {
-  return Json::Str(StrFormat("%016llx", static_cast<unsigned long long>(v)));
-}
-
-uint64_t U64FromJson(const Json& j, const char* key) {
-  std::string s = j.GetStringOr(key, "0");
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
-Json VectorToJson(const std::vector<double>& v) {
-  Json arr = Json::Array();
-  for (double x : v) arr.Append(Json::Number(x));
-  return arr;
-}
-
-std::vector<double> VectorFromJson(const Json& j) {
-  std::vector<double> v;
-  if (!j.is_array()) return v;
-  v.reserve(j.size());
-  for (const auto& e : j.elements()) {
-    v.push_back(e.is_number() ? e.AsNumber() : 0.0);
-  }
-  return v;
-}
 
 // Infinity is a legal constraint value but not a legal JSON number: encode
 // it by omission and default back to infinity on read.
@@ -63,7 +34,7 @@ Result<RngState> RngStateFromJson(const Json& j) {
   size_t i = 0;
   for (const auto& w : words->elements()) {
     if (!w.is_string()) return Status::DataLoss("rng state: non-string word");
-    s.state[i++] = std::strtoull(w.AsString().c_str(), nullptr, 16);
+    s.state[i++] = U64FromJson(&w, 0);
   }
   s.has_cached_normal = j.GetBoolOr("has_cached_normal", false);
   s.cached_normal = j.GetNumberOr("cached_normal", 0.0);
@@ -92,7 +63,7 @@ SubspaceState SubspaceStateFromJson(const Json& j) {
   }
   s.importance_weight = j.GetNumberOr("importance_weight", 0.0);
   s.num_updates = static_cast<int>(j.GetNumberOr("num_updates", 0.0));
-  s.last_fanova_size = U64FromJson(j, "last_fanova_size");
+  s.last_fanova_size = U64FromJson(j.Get("last_fanova_size"), 0);
   return s;
 }
 
@@ -150,7 +121,7 @@ Result<AdvisorState> AdvisorStateFromJson(const Json& j,
   }
   SPARKTUNE_ASSIGN_OR_RETURN(rng_state, RngStateFromJson(*rng));
   s.rng = rng_state;
-  s.init_sampler_generated = U64FromJson(j, "init_sampler_generated");
+  s.init_sampler_generated = U64FromJson(j.Get("init_sampler_generated"), 0);
   if (const Json* sub = j.Get("subspace"); sub && sub->is_object()) {
     s.subspace = SubspaceStateFromJson(*sub);
   }
@@ -170,7 +141,7 @@ Result<AdvisorState> AdvisorStateFromJson(const Json& j,
     }
   }
   s.suggestions = static_cast<int>(j.GetNumberOr("suggestions", 0.0));
-  s.init_served = U64FromJson(j, "init_served");
+  s.init_served = U64FromJson(j.Get("init_served"), 0);
   s.use_time_context = j.GetBoolOr("use_time_context", false);
   if (const Json* deg = j.Get("degradation"); deg && deg->is_object()) {
     s.degradation = DegradationFromJson(*deg);

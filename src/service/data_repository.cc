@@ -102,22 +102,6 @@ Result<std::string> ReadFramedFile(const std::string& path,
 
 namespace {
 
-Json VectorToJson(const std::vector<double>& v) {
-  Json arr = Json::Array();
-  for (double x : v) arr.Append(Json::Number(x));
-  return arr;
-}
-
-std::vector<double> VectorFromJson(const Json& j) {
-  std::vector<double> v;
-  if (!j.is_array()) return v;
-  v.reserve(j.size());
-  for (const auto& e : j.elements()) {
-    v.push_back(e.is_number() ? e.AsNumber() : 0.0);
-  }
-  return v;
-}
-
 // Parses "<stem>.g<digits>.ckpt" file names; returns -1 when `name` is not
 // a generation file of `stem`.
 long long GenerationOf(const std::string& name, const std::string& stem) {

@@ -1,27 +1,11 @@
 #include "service/wire.h"
 
-#include <cinttypes>
-#include <cstdlib>
-
-#include "common/strings.h"
 #include "sparksim/hibench.h"
 #include "sparksim/spark_conf.h"
 #include "tuner/evaluator.h"
 
 namespace sparktune {
 namespace {
-
-// 64-bit words travel as fixed-width hex strings: JSON numbers are doubles
-// and would silently drop the low bits of a seed.
-Json U64ToJson(uint64_t v) {
-  return Json::Str(StrFormat("%016" PRIx64, v));
-}
-
-uint64_t U64FromJson(const Json* j, uint64_t fallback) {
-  if (j == nullptr || !j->is_string()) return fallback;
-  return static_cast<uint64_t>(
-      std::strtoull(j->AsString().c_str(), nullptr, 16));
-}
 
 int GetIntOr(const Json& j, const std::string& key, int fallback) {
   return static_cast<int>(j.GetNumberOr(key, fallback));

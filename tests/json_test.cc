@@ -115,6 +115,22 @@ TEST(JsonTest, CheckedIntegerGetter) {
   EXPECT_FALSE(r->GetIntOr<uint64_t>("neg", 0).ok());
 }
 
+TEST(JsonTest, ValueCodecs) {
+  EXPECT_EQ(U64ToJson(0xdeadbeefULL).Dump(), "\"00000000deadbeef\"");
+  const Json max = U64ToJson(~0ULL);
+  EXPECT_EQ(U64FromJson(&max, 0), ~0ULL);
+  const Json number = Json::Number(3.0);
+  EXPECT_EQ(U64FromJson(&number, 7), 7u);
+  EXPECT_EQ(U64FromJson(nullptr, 7), 7u);
+
+  Json arr = Json::Array();
+  arr.Append(Json::Number(1.5));
+  arr.Append(Json::Str("x"));
+  EXPECT_EQ(VectorFromJson(arr), (std::vector<double>{1.5, 0.0}));
+  EXPECT_EQ(VectorToJson({1.5, -2.0}).Dump(), "[1.5,-2]");
+  EXPECT_TRUE(VectorFromJson(Json::Object()).empty());
+}
+
 TEST(JsonTest, NonFiniteNumbersSerializeAsNull) {
   EXPECT_EQ(Json::Number(std::numeric_limits<double>::infinity()).Dump(),
             "null");
