@@ -15,6 +15,19 @@ void SetFiniteNumber(Json* j, const char* key, double v) {
   if (std::isfinite(v)) j->Set(key, Json::Number(v));
 }
 
+// Reads the integer at `key` into *out, 0 when the key is missing. A value
+// that is not an integer in T's range is kDataLoss, like every other
+// malformed part of a checkpoint.
+template <typename T>
+Status ReadInt(const Json& j, const char* key, T* out) {
+  Result<T> v = j.GetIntOr<T>(key, 0);
+  if (!v.ok()) {
+    return Status::DataLoss("task checkpoint: " + v.status().message());
+  }
+  *out = *v;
+  return Status::OK();
+}
+
 Json RngStateToJson(const RngState& s) {
   Json j = Json::Object();
   Json words = Json::Array();
@@ -53,16 +66,16 @@ Json SubspaceStateToJson(const SubspaceState& s) {
   return j;
 }
 
-SubspaceState SubspaceStateFromJson(const Json& j) {
+Result<SubspaceState> SubspaceStateFromJson(const Json& j) {
   SubspaceState s;
-  s.k = static_cast<int>(j.GetNumberOr("k", 0.0));
-  s.succ_count = static_cast<int>(j.GetNumberOr("succ_count", 0.0));
-  s.fail_count = static_cast<int>(j.GetNumberOr("fail_count", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "k", &s.k));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "succ_count", &s.succ_count));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "fail_count", &s.fail_count));
   if (const Json* imp = j.Get("importance")) {
     s.importance = VectorFromJson(*imp);
   }
   s.importance_weight = j.GetNumberOr("importance_weight", 0.0);
-  s.num_updates = static_cast<int>(j.GetNumberOr("num_updates", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "num_updates", &s.num_updates));
   s.last_fanova_size = U64FromJson(j.Get("last_fanova_size"), 0);
   return s;
 }
@@ -79,16 +92,14 @@ Json DegradationToJson(const DegradationStats& d) {
   return j;
 }
 
-DegradationStats DegradationFromJson(const Json& j) {
+Result<DegradationStats> DegradationFromJson(const Json& j) {
   DegradationStats d;
-  d.fit_failures =
-      static_cast<long long>(j.GetNumberOr("fit_failures", 0.0));
-  d.previous_model_reuses =
-      static_cast<long long>(j.GetNumberOr("previous_model_reuses", 0.0));
-  d.prior_only_fits =
-      static_cast<long long>(j.GetNumberOr("prior_only_fits", 0.0));
-  d.fallback_suggestions =
-      static_cast<long long>(j.GetNumberOr("fallback_suggestions", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "fit_failures", &d.fit_failures));
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "previous_model_reuses", &d.previous_model_reuses));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "prior_only_fits", &d.prior_only_fits));
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "fallback_suggestions", &d.fallback_suggestions));
   return d;
 }
 
@@ -123,7 +134,8 @@ Result<AdvisorState> AdvisorStateFromJson(const Json& j,
   s.rng = rng_state;
   s.init_sampler_generated = U64FromJson(j.Get("init_sampler_generated"), 0);
   if (const Json* sub = j.Get("subspace"); sub && sub->is_object()) {
-    s.subspace = SubspaceStateFromJson(*sub);
+    SPARKTUNE_ASSIGN_OR_RETURN(subspace, SubspaceStateFromJson(*sub));
+    s.subspace = std::move(subspace);
   }
   if (const Json* obs = j.Get("observations"); obs && obs->is_array()) {
     for (const auto& e : obs->elements()) {
@@ -140,11 +152,12 @@ Result<AdvisorState> AdvisorStateFromJson(const Json& j,
       s.warm_start.emplace_back(VectorFromJson(e));
     }
   }
-  s.suggestions = static_cast<int>(j.GetNumberOr("suggestions", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "suggestions", &s.suggestions));
   s.init_served = U64FromJson(j.Get("init_served"), 0);
   s.use_time_context = j.GetBoolOr("use_time_context", false);
   if (const Json* deg = j.Get("degradation"); deg && deg->is_object()) {
-    s.degradation = DegradationFromJson(*deg);
+    SPARKTUNE_ASSIGN_OR_RETURN(degradation, DegradationFromJson(*deg));
+    s.degradation = degradation;
   }
   return s;
 }
@@ -180,7 +193,7 @@ Result<TunerState> TunerStateFromJson(const Json& j,
                                       const ConfigSpace& space) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   TunerState s;
-  s.phase = static_cast<int>(j.GetNumberOr("phase", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "phase", &s.phase));
   if (s.phase < 0 || s.phase > 2) {
     return Status::DataLoss("tuner state: phase out of range");
   }
@@ -199,21 +212,21 @@ Result<TunerState> TunerStateFromJson(const Json& j,
       s.applied_history.push_back(*std::move(o));
     }
   }
-  s.tuning_iterations =
-      static_cast<int>(j.GetNumberOr("tuning_iterations", 0.0));
-  s.executions = static_cast<int>(j.GetNumberOr("executions", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "tuning_iterations", &s.tuning_iterations));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "executions", &s.executions));
   s.stopped_early = j.GetBoolOr("stopped_early", false);
-  s.restarts = static_cast<int>(j.GetNumberOr("restarts", 0.0));
-  s.degradation_streak =
-      static_cast<int>(j.GetNumberOr("degradation_streak", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "restarts", &s.restarts));
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "degradation_streak", &s.degradation_streak));
   if (const Json* pc = j.Get("pending_config"); pc != nullptr) {
     if (!pc->is_array() || pc->size() != space.size()) {
       return Status::DataLoss("tuner state: pending-config width mismatch");
     }
     s.pending_config = Configuration(VectorFromJson(*pc));
   }
-  s.pending_attempts =
-      static_cast<int>(j.GetNumberOr("pending_attempts", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "pending_attempts", &s.pending_attempts));
   s.has_advisor = j.GetBoolOr("has_advisor", false);
   if (s.has_advisor) {
     const Json* adv = j.Get("advisor");
@@ -240,21 +253,18 @@ Json RetryStateToJson(const RetryState& s) {
   return j;
 }
 
-RetryState RetryStateFromJson(const Json& j) {
+Result<RetryState> RetryStateFromJson(const Json& j) {
   RetryState s;
-  s.consecutive_infra =
-      static_cast<int>(j.GetNumberOr("consecutive_infra", 0.0));
-  s.backoff_remaining =
-      static_cast<int>(j.GetNumberOr("backoff_remaining", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "consecutive_infra", &s.consecutive_infra));
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "backoff_remaining", &s.backoff_remaining));
   s.parked = j.GetBoolOr("parked", false);
-  s.park_cooldown = static_cast<int>(j.GetNumberOr("park_cooldown", 0.0));
-  s.infra_failures =
-      static_cast<long long>(j.GetNumberOr("infra_failures", 0.0));
-  s.backoff_skips =
-      static_cast<long long>(j.GetNumberOr("backoff_skips", 0.0));
-  s.park_events = static_cast<long long>(j.GetNumberOr("park_events", 0.0));
-  s.degraded_runs =
-      static_cast<long long>(j.GetNumberOr("degraded_runs", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "park_cooldown", &s.park_cooldown));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "infra_failures", &s.infra_failures));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "backoff_skips", &s.backoff_skips));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "park_events", &s.park_events));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "degraded_runs", &s.degraded_runs));
   return s;
 }
 
@@ -300,12 +310,13 @@ Result<TaskCheckpoint> TaskCheckpointFromJson(const Json& j,
   }
   ckpt.meta_attached = j.GetBoolOr("meta_attached", false);
   ckpt.harvested = j.GetBoolOr("harvested", false);
-  ckpt.harvested_size =
-      static_cast<uint64_t>(j.GetNumberOr("harvested_size", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "harvested_size", &ckpt.harvested_size));
   if (const Json* retry = j.Get("retry"); retry && retry->is_object()) {
-    ckpt.retry = RetryStateFromJson(*retry);
+    SPARKTUNE_ASSIGN_OR_RETURN(retry_state, RetryStateFromJson(*retry));
+    ckpt.retry = retry_state;
   }
-  ckpt.periods = static_cast<long long>(j.GetNumberOr("periods", 0.0));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "periods", &ckpt.periods));
   return ckpt;
 }
 

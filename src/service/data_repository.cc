@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -102,6 +103,10 @@ Result<std::string> ReadFramedFile(const std::string& path,
 
 namespace {
 
+// Generation numbers run from 1 to kMaxGeneration; anything past it is
+// not a generation, whether in a file name or in a manifest.
+constexpr long long kMaxGeneration = 1LL << 50;
+
 // Parses "<stem>.g<digits>.ckpt" file names; returns -1 when `name` is not
 // a generation file of `stem`.
 long long GenerationOf(const std::string& name, const std::string& stem) {
@@ -117,7 +122,7 @@ long long GenerationOf(const std::string& name, const std::string& stem) {
     char c = name[i];
     if (!std::isdigit(static_cast<unsigned char>(c))) return -1;
     gen = gen * 10 + (c - '0');
-    if (gen > (1LL << 50)) return -1;
+    if (gen > kMaxGeneration) return -1;
   }
   return gen > 0 ? gen : -1;
 }
@@ -175,9 +180,14 @@ std::vector<long long> DataRepository::ManifestGenerations(
   std::vector<long long> gens;
   if (const Json* arr = doc->Get("generations"); arr && arr->is_array()) {
     for (const auto& e : arr->elements()) {
-      if (e.is_number() && e.AsNumber() >= 1.0) {
-        gens.push_back(static_cast<long long>(e.AsNumber()));
+      // An entry that is not a generation number makes the whole manifest
+      // count as torn; the directory scan backstops it.
+      const double g = e.is_number() ? e.AsNumber() : 0.0;
+      if (!(g >= 1.0 && g <= static_cast<double>(kMaxGeneration) &&
+            g == std::floor(g))) {
+        return {};
       }
+      gens.push_back(static_cast<long long>(g));
     }
   }
   std::sort(gens.begin(), gens.end());

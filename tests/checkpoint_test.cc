@@ -205,6 +205,19 @@ TEST(CheckpointCodecTest, TaskCheckpointRoundTrip) {
   EXPECT_EQ(back->retry.infra_failures, 9);
 }
 
+// `doc` with the field at `path` (object keys, outermost first) replaced.
+Json WithField(Json doc, const std::vector<std::string>& path, Json value) {
+  if (path.size() == 1) {
+    doc.Set(path[0], std::move(value));
+    return doc;
+  }
+  const Json* inner = doc.Get(path[0]);
+  doc.Set(path[0], WithField(inner != nullptr ? *inner : Json::Object(),
+                             {path.begin() + 1, path.end()},
+                             std::move(value)));
+  return doc;
+}
+
 TEST(CheckpointCodecTest, MalformedDocumentsAreDataLoss) {
   Fixture f;
   EXPECT_EQ(TaskCheckpointFromJson(Json::Array(), f.space).status().code(),
@@ -217,6 +230,30 @@ TEST(CheckpointCodecTest, MalformedDocumentsAreDataLoss) {
   no_tuner.Set("id", Json::Str("wc"));
   EXPECT_EQ(TaskCheckpointFromJson(no_tuner, f.space).status().code(),
             Status::Code::kDataLoss);
+
+  // Integer fields out of range, negative where unsigned, or fractional:
+  // a plain cast decodes each of them with an OK status.
+  auto inner = f.MakeInner(3);
+  OnlineTuner tuner(&f.space, inner.get(), f.ServiceOpts("").tuner);
+  for (int i = 0; i < 7; ++i) tuner.Step();
+  TaskCheckpoint ckpt;
+  ckpt.id = "wc";
+  ckpt.tuner = tuner.SaveState();
+  ASSERT_TRUE(ckpt.tuner.has_advisor);
+  const Json valid = TaskCheckpointToJson(ckpt);
+  ASSERT_TRUE(TaskCheckpointFromJson(valid, f.space).ok());
+  const std::pair<std::vector<std::string>, double> bad_fields[] = {
+      {{"tuner", "advisor", "subspace", "k"}, 1e300},
+      {{"periods"}, 1e300},
+      {{"harvested_size"}, -1.0},
+      {{"tuner", "advisor", "suggestions"}, 2.5},
+  };
+  for (const auto& [path, value] : bad_fields) {
+    Json doc = WithField(valid, path, Json::Number(value));
+    EXPECT_EQ(TaskCheckpointFromJson(doc, f.space).status().code(),
+              Status::Code::kDataLoss)
+        << path.back() << " = " << value;
+  }
 }
 
 // Acceptance: kill the service after any period, restore from the
@@ -511,6 +548,41 @@ TEST(CheckpointGenerationTest, ServiceRestoresFromPreviousGeneration) {
   EXPECT_EQ(report.fresh_starts, 0);
   // The revived task resumed at the older snapshot: 5 periods, not 8.
   EXPECT_EQ(revived.tuner("wc")->executions(), 5);
+}
+
+// A manifest entry that is not a generation number makes the manifest
+// count as torn, so the directory scan still finds the newest generation.
+TEST(CheckpointGenerationTest, MalformedManifestEntryFallsBackToScan) {
+  const std::string dir = TempDir("gen-bad-entry");
+  DataRepository repo(dir);
+  Json payload = Json::Object();
+  payload.Set("id", Json::Str("task-a"));
+  for (int g = 1; g <= 2; ++g) {
+    payload.Set("x", Json::Number(g));
+    ASSERT_TRUE(repo.SaveCheckpoint("task-a", payload).ok());
+  }
+  std::string path;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".manifest") path = entry.path().string();
+  }
+  ASSERT_FALSE(path.empty());
+  const std::string framed = ReadFile(path);
+  const std::string magic = framed.substr(0, framed.find(' '));
+  auto manifest = Json::Parse(framed.substr(framed.find('\n') + 1));
+  ASSERT_TRUE(manifest.ok());
+
+  // Out of range, fractional, and past the file-name bound of 2^50.
+  for (double bad : {1e300, 3.5, 1125899906842625.0}) {
+    Json gens = Json::Array();
+    gens.Append(Json::Number(bad));
+    Json doc = *manifest;
+    doc.Set("generations", std::move(gens));
+    ASSERT_TRUE(WriteFramedAtomic(path, magic.c_str(), doc.Dump()).ok());
+    auto loaded = repo.LoadCheckpoint("task-a");
+    ASSERT_TRUE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded->GetNumberOr("x", 0.0), 2.0) << bad;
+    EXPECT_EQ(repo.LatestCheckpointGeneration("task-a"), 2) << bad;
+  }
 }
 
 // A manifest whose listed generations were all deleted yields a fresh
