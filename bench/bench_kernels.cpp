@@ -443,7 +443,6 @@ void AddParallelRows(size_t num_logs, int threads, int reps,
     return out;
   }));
 
-  // Acquisition over the 60-row GP with a 10-observation history.
   ConfigSpace space;
   for (size_t k = 0; k < spark.size(); ++k) {
     MustOk(space.Add(Parameter::Float("p" + std::to_string(k), 0.0, 1.0,
