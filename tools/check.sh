@@ -109,10 +109,12 @@ if [[ "$ALL" -eq 1 ]]; then
     --harvest_per_tick=64 --max_rss_mb=2048 --out=build/BENCH_fleet.json
 fi
 
-# Kernel bit-equality self-check: every optimized hot kernel (panelled
-# upper solve, tiled SYRK, columnar kernel batch, parallel meta extract)
-# re-verified against its naive reference on ragged sizes.
-echo "==> [build] bench_kernels --self_check=1 (kernel bit-equality)"
+# Bit-equality self-check of the micro-benchmark harness on ragged sizes:
+# every optimized path re-verified against its reference — the linalg
+# kernels (upper_solve, syrk_factor), batched inference (kernel_batch,
+# gp_predict, meta_predict, forest_predict) and the parallel paths at 1
+# thread vs many (meta_extract, gp_fit, forest_fit, fanova, acq_maximize).
+echo "==> [build] bench_kernels --self_check=1 (bit-equality, 11 rows)"
 ./build/bench/bench_kernels --self_check=1 --threads="$JOBS" \
   --out=build/BENCH_kernels_selfcheck.json
 
