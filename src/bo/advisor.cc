@@ -126,14 +126,12 @@ Configuration Advisor::BestConfig() const {
 }
 
 void Advisor::ResetForRestart() {
-  suggestions_ = 0;
   last_raw_ei_ = 0.0;
   // Keep run history and learned importance: the restart leverages prior
   // knowledge (meta-learning on own history) rather than starting blind.
 }
 
-void Advisor::FitSurrogates(double datasize_hint_gb) {
-  (void)datasize_hint_gb;
+void Advisor::FitSurrogates() {
   // Context mode: fall back to time-of-day/day-of-week when no execution
   // exposed its data size but start times are known (paper §3.3).
   if (options_.datasize_aware && options_.time_context_fallback) {
@@ -196,9 +194,7 @@ void Advisor::FitSurrogates(double datasize_hint_gb) {
 
 Configuration Advisor::Suggest(double datasize_hint_gb,
                                double hours_hint) {
-  ++suggestions_;
   last_was_agd_ = false;
-  last_safe_fallback_ = false;
   last_was_initial_ = false;
   last_raw_ei_ = 0.0;
 
@@ -266,7 +262,7 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
     return space_->Sample(&rng_);
   }
 
-  FitSurrogates(datasize_hint_gb);
+  FitSurrogates();
 
   Configuration base = BestConfig();
 
@@ -513,7 +509,6 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
     }
   }
   last_raw_ei_ = res.raw_ei;
-  last_safe_fallback_ = res.safe_fallback_used;
   return res.config;
 }
 
@@ -524,7 +519,6 @@ AdvisorState Advisor::SaveState() const {
   s.subspace = subspace_.SaveState();
   s.observations = history_.observations();
   s.warm_start = warm_start_;
-  s.suggestions = suggestions_;
   s.init_served = static_cast<uint64_t>(init_served_);
   s.use_time_context = use_time_context_;
   s.degradation = degradation_;
@@ -542,7 +536,6 @@ void Advisor::RestoreState(const AdvisorState& s) {
   history_.Clear();
   for (const Observation& o : s.observations) history_.Add(o);
   warm_start_ = s.warm_start;
-  suggestions_ = s.suggestions;
   init_served_ = static_cast<size_t>(s.init_served);
   use_time_context_ = s.use_time_context;
   degradation_ = s.degradation;

@@ -50,7 +50,6 @@ struct AdvisorState {
   SubspaceState subspace;
   std::vector<Observation> observations;
   std::vector<Configuration> warm_start;
-  int suggestions = 0;
   uint64_t init_served = 0;
   bool use_time_context = false;
   DegradationStats degradation;
@@ -133,7 +132,6 @@ class Advisor {
   // Diagnostics from the last Suggest() call.
   double last_raw_ei() const { return last_raw_ei_; }
   bool last_was_agd() const { return last_was_agd_; }
-  bool last_safe_fallback() const { return last_safe_fallback_; }
   bool last_was_initial() const { return last_was_initial_; }
 
   // Reset the iteration machinery but keep learned importance; used by the
@@ -160,7 +158,7 @@ class Advisor {
   void RestoreState(const AdvisorState& s);
 
  private:
-  void FitSurrogates(double datasize_hint_gb);
+  void FitSurrogates();
 
   const ConfigSpace* space_;
   AdvisorOptions options_;
@@ -182,9 +180,9 @@ class Advisor {
   bool objective_prior_only_ = false;
   bool runtime_prior_only_ = false;
   std::vector<FeatureKind> last_schema_;
+  // lint:allow(write-only-member) the only observable of the degradation ladder; tests assert on it
   DegradationStats degradation_;
 
-  int suggestions_ = 0;
   // Initial-design suggestions served so far (external observations such as
   // the manual baseline do not consume the init budget or skip warm-start
   // entries).
@@ -192,7 +190,6 @@ class Advisor {
   bool use_time_context_ = false;
   double last_raw_ei_ = 0.0;
   bool last_was_agd_ = false;
-  bool last_safe_fallback_ = false;
   bool last_was_initial_ = false;
 };
 

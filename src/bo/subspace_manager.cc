@@ -72,7 +72,6 @@ void SubspaceManager::MaybeUpdateImportance(
   auto result = Fanova::Analyze(x_unit, y, fopts);
   if (!result.ok()) return;
   last_fanova_size_ = x_unit.size();
-  ++num_updates_;
   std::vector<double> combined = result->CombinedImportance();
   SeedImportance(combined, 1.0);
 }
@@ -111,7 +110,6 @@ SubspaceState SubspaceManager::SaveState() const {
   s.fail_count = fail_count_;
   s.importance = importance_;
   s.importance_weight = importance_weight_;
-  s.num_updates = num_updates_;
   s.last_fanova_size = static_cast<uint64_t>(last_fanova_size_);
   return s;
 }
@@ -122,7 +120,6 @@ void SubspaceManager::RestoreState(const SubspaceState& s) {
   fail_count_ = s.fail_count;
   importance_ = s.importance;
   importance_weight_ = s.importance_weight;
-  num_updates_ = s.num_updates;
   last_fanova_size_ = static_cast<size_t>(s.last_fanova_size);
 }
 

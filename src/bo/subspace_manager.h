@@ -40,7 +40,6 @@ struct SubspaceState {
   int fail_count = 0;
   std::vector<double> importance;
   double importance_weight = 0.0;
-  int num_updates = 0;
   uint64_t last_fanova_size = 0;
 };
 
@@ -78,7 +77,6 @@ class SubspaceManager {
   // Importance-sorted parameter indices (most important first).
   std::vector<int> Ranking() const;
   const std::vector<double>& importance() const { return importance_; }
-  int num_fanova_updates() const { return num_updates_; }
 
  private:
   const ConfigSpace* space_;
@@ -88,8 +86,7 @@ class SubspaceManager {
   int fail_count_ = 0;
   std::vector<double> importance_;   // running average score per parameter
   double importance_weight_ = 0.0;   // total weight folded in so far
-  int num_updates_ = 0;
-  size_t last_fanova_size_ = 0;
+  size_t last_fanova_size_ = 0;      // history size at the last fANOVA run
 };
 
 }  // namespace sparktune

@@ -20,8 +20,7 @@ int RetryPolicy::BackoffPeriods(int consecutive_failures) const {
   return static_cast<int>(std::min(base << shift, cap));
 }
 
-PeriodDecision DecidePeriod(const RetryPolicy& policy, RetryState* state) {
-  (void)policy;
+PeriodDecision DecidePeriod(RetryState* state) {
   if (state->backoff_remaining > 0) {
     --state->backoff_remaining;
     ++state->backoff_skips;

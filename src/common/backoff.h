@@ -49,7 +49,7 @@ enum class PeriodDecision {
 };
 
 // Decides the current period's action and advances the backoff/park clocks.
-PeriodDecision DecidePeriod(const RetryPolicy& policy, RetryState* state);
+PeriodDecision DecidePeriod(RetryState* state);
 
 // Records the failure kind of a *normal* executed period (kRun decisions
 // only): an infra failure extends the streak and schedules backoff or opens

@@ -40,6 +40,11 @@ class Json {
   bool AsBool() const { return bool_; }
   double AsNumber() const { return number_; }
   const std::string& AsString() const { return string_; }
+  // Checked integer read of this value: kInvalidArgument unless it is a
+  // number that is an integer within T's range. A plain cast of 1e300, or
+  // of 1e400 parsed as infinity, would be undefined.
+  template <typename T>
+  Result<T> AsInt() const;
 
   // Array access.
   void Append(Json v);
@@ -60,10 +65,7 @@ class Json {
   std::string GetStringOr(const std::string& key,
                           const std::string& fallback) const;
   bool GetBoolOr(const std::string& key, bool fallback) const;
-  // Checked integer read: the number at `key` as T, or `fallback` when the
-  // key is missing. kInvalidArgument when the value is not a number, or
-  // not an integer within T's range; a plain cast of 1e300, or of 1e400
-  // parsed as infinity, would be undefined.
+  // AsInt of the value at `key`, or `fallback` when the key is missing.
   template <typename T>
   Result<T> GetIntOr(const std::string& key, T fallback) const;
 
@@ -82,19 +84,25 @@ class Json {
 };
 
 template <typename T>
-Result<T> Json::GetIntOr(const std::string& key, T fallback) const {
+Result<T> Json::AsInt() const {
   static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
-  const Json* v = Get(key);
-  if (v == nullptr) return fallback;
   // T's range is [min, 2^digits), and both bounds are exact doubles. NaN
   // and the infinities fail the comparisons.
   constexpr double kLo = static_cast<double>(std::numeric_limits<T>::min());
   constexpr double kHi =
       2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
-  if (v->is_number()) {
-    const double d = v->AsNumber();
-    if (d >= kLo && d < kHi && d == std::floor(d)) return static_cast<T>(d);
+  if (is_number() && number_ >= kLo && number_ < kHi &&
+      number_ == std::floor(number_)) {
+    return static_cast<T>(number_);
   }
+  return Status::InvalidArgument("JSON value is not an integer in range");
+}
+
+template <typename T>
+Result<T> Json::GetIntOr(const std::string& key, T fallback) const {
+  const Json* v = Get(key);
+  if (v == nullptr) return fallback;
+  if (Result<T> r = v->AsInt<T>(); r.ok()) return r;
   return Status::InvalidArgument("JSON field \"" + key +
                                  "\" is not an integer in range");
 }

@@ -71,33 +71,35 @@ Status KnowledgeBase::AddTask(const std::string& id,
   rec.importance = importance;
 
   // Collect non-failed observations (infeasible ones still carry signal).
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
   std::vector<std::pair<double, size_t>> ranked;  // (objective, history idx)
   for (size_t i = 0; i < history.size(); ++i) {
     if (history.failed(i) || !std::isfinite(history.objective(i))) continue;
-    rec.x.push_back(space_->ToUnit(history.config(i)));
-    rec.y.push_back(history.objective(i));
+    x.push_back(space_->ToUnit(history.config(i)));
+    y.push_back(history.objective(i));
     if (history.feasible(i)) ranked.emplace_back(history.objective(i), i);
   }
-  if (rec.x.size() < 3) {
+  if (x.size() < 3) {
     return Status::FailedPrecondition(
         "task has fewer than 3 usable observations: " + id);
   }
   // Base surrogates live in log-objective space, matching the Advisor's
   // log-target surrogates they are ensembled with (rankings are unchanged;
   // scales become commensurable across tasks).
-  for (auto& v : rec.y) v = std::log(std::max(v, 1e-9));
+  for (auto& v : y) v = std::log(std::max(v, 1e-9));
   std::sort(ranked.begin(), ranked.end());  // ties break on history index
   for (size_t i = 0; i < std::min<size_t>(3, ranked.size()); ++i) {
     rec.top_configs.push_back(history.config(ranked[i].second));
   }
 
-  rec.y_mean = Mean(rec.y);
-  rec.y_scale = Stddev(rec.y);
+  rec.y_mean = Mean(y);
+  rec.y_scale = Stddev(y);
   if (rec.y_scale < 1e-12) rec.y_scale = 1.0;
 
   auto schema = BuildFeatureSchema(*space_, 0);
   auto gp = std::make_shared<GaussianProcess>(schema, options_.gp);
-  SPARKTUNE_RETURN_IF_ERROR(gp->Fit(rec.x, rec.y));
+  SPARKTUNE_RETURN_IF_ERROR(gp->Fit(x, y));
   for (const Prediction& p : gp->PredictBatch(probes_)) {
     rec.probe_means.push_back(p.mean);
   }

@@ -32,12 +32,11 @@ namespace sparktune {
 struct TaskRecord {
   std::string id;
   std::vector<double> meta_features;
-  // Config-only encoded observations (unit cube) and objective values.
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
   // Best configurations, best first (up to 3 kept).
   std::vector<Configuration> top_configs;
-  std::shared_ptr<Surrogate> surrogate;  // GP fit on (x, y)
+  // GP fit on the task's config-only encoded observations (unit cube) and
+  // log objective values.
+  std::shared_ptr<Surrogate> surrogate;
   // The surrogate's predicted means over the knowledge base's probe set:
   // the similarity labels need nothing else from it.
   std::vector<double> probe_means;

@@ -9,6 +9,17 @@
 
 namespace sparktune {
 
+struct GaussianProcess::FitScratch {
+  std::vector<double> y_std;  // standardized targets
+  // Hyperparameter-independent pairwise kernel statistics, packed lower
+  // triangle (row i, col j <= i at i*(i+1)/2 + j).
+  std::vector<KernelPairStats> pair_stats;
+  // Last Gram matrix built by Refit and its parameters, reused when only
+  // the noise changes.
+  Matrix gram;
+  std::optional<KernelParams> gram_key;
+};
+
 GaussianProcess::GaussianProcess(std::vector<FeatureKind> schema,
                                  GpOptions options)
     : kernel_(std::move(schema)), options_(options) {}
@@ -21,12 +32,14 @@ bool GaussianProcess::SameGramKey(const KernelParams& a,
          a.hamming_weight == b.hamming_weight;
 }
 
-Matrix GaussianProcess::BuildGram(const KernelParams& params) const {
+Matrix GaussianProcess::BuildGram(const KernelParams& params,
+                                  const FitScratch& scratch) const {
   size_t n = x_.size();
   Matrix k(n, n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j <= i; ++j) {
-      double v = kernel_.EvalStats(pair_stats_[i * (i + 1) / 2 + j], params);
+      double v = kernel_.EvalStats(scratch.pair_stats[i * (i + 1) / 2 + j],
+                                   params);
       k(i, j) = v;
       k(j, i) = v;
     }
@@ -35,32 +48,33 @@ Matrix GaussianProcess::BuildGram(const KernelParams& params) const {
 }
 
 Result<double> GaussianProcess::EvalLml(const KernelParams& params,
-                                        const Matrix* gram) const {
+                                        const Matrix* gram,
+                                        const FitScratch& scratch) const {
   size_t n = x_.size();
-  Matrix k = gram != nullptr ? *gram : BuildGram(params);
+  Matrix k = gram != nullptr ? *gram : BuildGram(params, scratch);
   k.AddDiagonal(params.noise_variance + options_.noise_floor);
   auto chol = Cholesky::Factor(k, 1e-10, 1e-2, options_.num_threads);
   if (!chol.ok()) return chol.status();
-  Vector alpha = chol->Solve(y_std_);
-  double fit_term = -0.5 * Dot(y_std_, alpha);
+  Vector alpha = chol->Solve(scratch.y_std);
+  double fit_term = -0.5 * Dot(scratch.y_std, alpha);
   return fit_term - 0.5 * chol->LogDet() -
          0.5 * static_cast<double>(n) *
              std::log(2.0 * std::numbers::pi);
 }
 
-Result<double> GaussianProcess::Refit(const KernelParams& params) {
+Result<double> GaussianProcess::Refit(const KernelParams& params,
+                                      FitScratch* scratch) {
   kernel_.set_params(params);
-  if (!gram_valid_ || !SameGramKey(gram_key_, params)) {
-    gram_ = BuildGram(params);
-    gram_key_ = params;
-    gram_valid_ = true;
+  if (!scratch->gram_key || !SameGramKey(*scratch->gram_key, params)) {
+    scratch->gram = BuildGram(params, *scratch);
+    scratch->gram_key = params;
   }
-  Matrix k = gram_;
+  Matrix k = scratch->gram;
   k.AddDiagonal(params.noise_variance + options_.noise_floor);
   auto chol = Cholesky::Factor(k, 1e-10, 1e-2, options_.num_threads);
   if (!chol.ok()) return chol.status();
-  Vector alpha = chol->Solve(y_std_);
-  double fit_term = -0.5 * Dot(y_std_, alpha);
+  Vector alpha = chol->Solve(scratch->y_std);
+  double fit_term = -0.5 * Dot(scratch->y_std, alpha);
   double lml = fit_term - 0.5 * chol->LogDet() -
                0.5 * static_cast<double>(x_.size()) *
                    std::log(2.0 * std::numbers::pi);
@@ -81,29 +95,28 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
     }
   }
   x_ = x;
-  y_raw_ = y;
   y_mean_ = Mean(y);
   y_scale_ = Stddev(y);
   if (y_scale_ < 1e-12) y_scale_ = 1.0;
-  y_std_.resize(y.size());
+  FitScratch scratch;
+  scratch.y_std.resize(y.size());
   for (size_t i = 0; i < y.size(); ++i) {
-    y_std_[i] = (y[i] - y_mean_) / y_scale_;
+    scratch.y_std[i] = (y[i] - y_mean_) / y_scale_;
   }
 
   // Pairwise statistics are hyperparameter-independent: compute them once
   // (in parallel over rows) and every grid refit drops from O(n^2 d) to
   // O(n^2) kernel work.
   size_t n = x_.size();
-  pair_stats_.resize(n * (n + 1) / 2);
+  scratch.pair_stats.resize(n * (n + 1) / 2);
   ParallelFor(options_.num_threads, n, [&](size_t i) {
     for (size_t j = 0; j <= i; ++j) {
-      pair_stats_[i * (i + 1) / 2 + j] = kernel_.Stats(x_[i], x_[j]);
+      scratch.pair_stats[i * (i + 1) / 2 + j] = kernel_.Stats(x_[i], x_[j]);
     }
   });
-  gram_valid_ = false;
 
   KernelParams best = kernel_.params();
-  auto first = Refit(best);
+  auto first = Refit(best, &scratch);
   if (!first.ok()) return first.status();
   if (!options_.optimize_hypers || x_.size() < 3) return Status::OK();
 
@@ -127,11 +140,11 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
     // Noise enters only the diagonal: all noise candidates share one Gram
     // matrix instead of re-evaluating the full O(n^2) kernel each.
     Matrix shared;
-    if (noise_only) shared = BuildGram(best);
+    if (noise_only) shared = BuildGram(best, scratch);
     std::vector<double> lml(grid.size(), 0.0);
     std::vector<char> ok(grid.size(), 0);
     ParallelFor(options_.num_threads, grid.size(), [&](size_t i) {
-      auto r = EvalLml(cand[i], noise_only ? &shared : nullptr);
+      auto r = EvalLml(cand[i], noise_only ? &shared : nullptr, scratch);
       if (r.ok()) {
         lml[i] = *r;
         ok[i] = 1;
@@ -175,7 +188,7 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
         true);
   }
   // Leave the model refit at the best parameters.
-  auto final_fit = Refit(best);
+  auto final_fit = Refit(best, &scratch);
   if (!final_fit.ok()) return final_fit.status();
   return Status::OK();
 }

@@ -54,18 +54,24 @@ class GaussianProcess final : public Surrogate {
   const std::vector<FeatureKind>& schema() const { return kernel_.schema(); }
 
  private:
+  // Fit-time state that Predict never needs: the standardized targets, the
+  // pairwise kernel statistics and the Gram cache. It lives for one Fit.
+  struct FitScratch;
+
   // Refactor the kernel matrix + alpha for given params; returns LML or
   // error. Mutates model state — serial use only.
-  Result<double> Refit(const KernelParams& params);
+  Result<double> Refit(const KernelParams& params, FitScratch* scratch);
 
   // Log marginal likelihood of `params` on an independent scratch state:
   // touches no members, so grid points can be evaluated concurrently. When
   // `gram` is non-null it is used as the (noise-free) kernel matrix instead
   // of rebuilding it — noise-only refits share one Gram matrix.
-  Result<double> EvalLml(const KernelParams& params, const Matrix* gram) const;
+  Result<double> EvalLml(const KernelParams& params, const Matrix* gram,
+                         const FitScratch& scratch) const;
 
   // Kernel matrix (no noise diagonal) from the cached pairwise statistics.
-  Matrix BuildGram(const KernelParams& params) const;
+  Matrix BuildGram(const KernelParams& params,
+                   const FitScratch& scratch) const;
 
   // True when `a` and `b` produce the same Gram matrix (all hyperparameters
   // equal except the noise variance, which only enters the diagonal).
@@ -75,18 +81,8 @@ class GaussianProcess final : public Surrogate {
   GpOptions options_;
 
   std::vector<std::vector<double>> x_;
-  std::vector<double> y_raw_;
-  std::vector<double> y_std_;  // standardized targets
   double y_mean_ = 0.0;
   double y_scale_ = 1.0;
-
-  // Hyperparameter-independent pairwise kernel statistics, packed lower
-  // triangle (row i, col j <= i at i*(i+1)/2 + j). Rebuilt per Fit.
-  std::vector<KernelPairStats> pair_stats_;
-  // Last Gram matrix built by Refit, reused when only the noise changes.
-  Matrix gram_;
-  KernelParams gram_key_;
-  bool gram_valid_ = false;
 
   std::optional<Cholesky> chol_;
   Vector alpha_;  // (K + tau^2 I)^-1 y_std

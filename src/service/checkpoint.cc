@@ -61,7 +61,6 @@ Json SubspaceStateToJson(const SubspaceState& s) {
   j.Set("fail_count", Json::Number(s.fail_count));
   j.Set("importance", VectorToJson(s.importance));
   j.Set("importance_weight", Json::Number(s.importance_weight));
-  j.Set("num_updates", Json::Number(s.num_updates));
   j.Set("last_fanova_size", U64ToJson(s.last_fanova_size));
   return j;
 }
@@ -75,7 +74,6 @@ Result<SubspaceState> SubspaceStateFromJson(const Json& j) {
     s.importance = VectorFromJson(*imp);
   }
   s.importance_weight = j.GetNumberOr("importance_weight", 0.0);
-  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "num_updates", &s.num_updates));
   s.last_fanova_size = U64FromJson(j.Get("last_fanova_size"), 0);
   return s;
 }
@@ -116,7 +114,6 @@ Json AdvisorStateToJson(const AdvisorState& s) {
   Json warm = Json::Array();
   for (const auto& c : s.warm_start) warm.Append(VectorToJson(c.values()));
   j.Set("warm_start", std::move(warm));
-  j.Set("suggestions", Json::Number(s.suggestions));
   j.Set("init_served", U64ToJson(s.init_served));
   j.Set("use_time_context", Json::Bool(s.use_time_context));
   j.Set("degradation", DegradationToJson(s.degradation));
@@ -152,7 +149,6 @@ Result<AdvisorState> AdvisorStateFromJson(const Json& j,
       s.warm_start.emplace_back(VectorFromJson(e));
     }
   }
-  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "suggestions", &s.suggestions));
   s.init_served = U64FromJson(j.Get("init_served"), 0);
   s.use_time_context = j.GetBoolOr("use_time_context", false);
   if (const Json* deg = j.Get("degradation"); deg && deg->is_object()) {
@@ -170,11 +166,6 @@ Json TunerStateToJson(const TunerState& s) {
   if (s.baseline_obs.has_value()) {
     j.Set("baseline_obs", DataRepository::ObservationToJson(*s.baseline_obs));
   }
-  Json applied = Json::Array();
-  for (const auto& o : s.applied_history) {
-    applied.Append(DataRepository::ObservationToJson(o));
-  }
-  j.Set("applied_history", std::move(applied));
   j.Set("tuning_iterations", Json::Number(s.tuning_iterations));
   j.Set("executions", Json::Number(s.executions));
   j.Set("stopped_early", Json::Bool(s.stopped_early));
@@ -203,14 +194,6 @@ Result<TunerState> TunerStateFromJson(const Json& j,
     auto o = DataRepository::ObservationFromJson(*b, space);
     if (!o.ok()) return Status::DataLoss(o.status().message());
     s.baseline_obs = *std::move(o);
-  }
-  if (const Json* applied = j.Get("applied_history");
-      applied && applied->is_array()) {
-    for (const auto& e : applied->elements()) {
-      auto o = DataRepository::ObservationFromJson(e, space);
-      if (!o.ok()) return Status::DataLoss(o.status().message());
-      s.applied_history.push_back(*std::move(o));
-    }
   }
   SPARKTUNE_RETURN_IF_ERROR(
       ReadInt(j, "tuning_iterations", &s.tuning_iterations));

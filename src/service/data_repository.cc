@@ -448,9 +448,7 @@ Result<Observation> DataRepository::ObservationFromJson(
   return obs;
 }
 
-Status DataRepository::SaveTask(const StoredTask& task,
-                                const ConfigSpace& space) const {
-  (void)space;
+Status DataRepository::SaveTask(const StoredTask& task) const {
   Json doc = Json::Object();
   doc.Set("id", Json::Str(task.id));
   doc.Set("meta_features", VectorToJson(task.meta_features));

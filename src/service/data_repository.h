@@ -53,7 +53,7 @@ class DataRepository {
   explicit DataRepository(std::string root_dir,
                           CheckpointRetention retention = {});
 
-  Status SaveTask(const StoredTask& task, const ConfigSpace& space) const;
+  Status SaveTask(const StoredTask& task) const;
   Result<StoredTask> LoadTask(const std::string& id,
                               const ConfigSpace& space) const;
   // Ids of every stored task (decoded from JSON documents on disk).

@@ -25,8 +25,8 @@ void ShardHealthMonitor::RecordSuccess() {
   quarantine_until_ = 0;
 }
 
-void ShardHealthMonitor::RecordFailure(long long tick) {
-  (void)tick;  // failures advance the streak; pacing is restart-side
+void ShardHealthMonitor::RecordFailure() {
+  // Failures advance the streak; pacing is restart-side.
   ++consecutive_failures_;
   if (state_ == ShardHealth::kQuarantined) return;
   if (consecutive_failures_ >= policy_.down_after) {
@@ -36,8 +36,7 @@ void ShardHealthMonitor::RecordFailure(long long tick) {
   }
 }
 
-void ShardHealthMonitor::RecordDeath(long long tick) {
-  (void)tick;
+void ShardHealthMonitor::RecordDeath() {
   if (consecutive_failures_ < policy_.down_after) {
     consecutive_failures_ = policy_.down_after;
   }

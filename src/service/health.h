@@ -71,10 +71,10 @@ class ShardHealthMonitor {
   // A successful exchange (probe or call): the shard is demonstrably
   // serving, so any suspect/down presumption clears.
   void RecordSuccess();
-  // A probe or call failure at `tick`.
-  void RecordFailure(long long tick);
+  // A probe or call failure.
+  void RecordFailure();
   // The worker process is confirmed gone (reaped or SIGKILLed).
-  void RecordDeath(long long tick);
+  void RecordDeath();
   // A successful respawn at `tick` (manual or automatic). Feeds the flap
   // window and resets the failure streaks.
   void RecordRestart(long long tick);

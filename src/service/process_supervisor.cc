@@ -213,12 +213,12 @@ void ProcessSupervisor::MarkWorkerDown(int shard) {
   ++stats_.worker_failures;
   if (w.client) w.client->Disconnect();
   w.reconnect.RecordFailure(options_.reconnect);
-  w.health.RecordFailure(stats_.ticks);
+  w.health.RecordFailure();
   // If the process actually exited, reap it now; a transient transport
   // failure of a live process keeps alive=true and lets the per-tick
   // reconnect pacing redial.
   ReapWorker(shard, /*block=*/false);
-  if (w.pid <= 0) w.health.RecordDeath(stats_.ticks);
+  if (w.pid <= 0) w.health.RecordDeath();
 }
 
 std::vector<Result<Observation>> ProcessSupervisor::Tick() {
@@ -270,8 +270,9 @@ std::vector<Result<Observation>> ProcessSupervisor::Tick() {
     auto pong = w.client->Call(net::MsgKind::kPing, EmptyBody());
     bool healthy = pong.ok();
     if (healthy) {
+      // A malformed epoch reads as -1, which no incarnation carries.
       const long long reported =
-          static_cast<long long>(pong->GetNumberOr("epoch", 0));
+          pong->GetIntOr<long long>("epoch", 0).value_or(-1);
       if (reported != 0 && reported != w.epoch) healthy = false;
     }
     if (healthy) {
@@ -327,6 +328,12 @@ std::vector<Result<Observation>> ProcessSupervisor::Tick() {
              jperiods != nullptr && jperiods->is_array() &&
              jslots->size() == batches[s].size() &&
              jperiods->size() == batches[s].size();
+    std::vector<long long> reported;
+    for (size_t k = 0; usable && k < batches[s].size(); ++k) {
+      Result<long long> p = jperiods->at(k).AsInt<long long>();
+      usable = p.ok();
+      if (usable) reported.push_back(*p);
+    }
     if (!usable) {
       MarkWorkerDown(static_cast<int>(s));
       continue;  // the batch parks below
@@ -338,10 +345,8 @@ std::vector<Result<Observation>> ProcessSupervisor::Tick() {
       // max(acked, reported). (A worker can execute + checkpoint and die
       // before the response is read — reported runs AHEAD; a duplicated
       // response frame under chaos can replay an OLDER clock.)
-      const long long reported =
-          static_cast<long long>(jperiods->at(k).AsNumber());
-      if (reported > tasks_[positions[s][k]].periods) {
-        tasks_[positions[s][k]].periods = reported;
+      if (reported[k] > tasks_[positions[s][k]].periods) {
+        tasks_[positions[s][k]].periods = reported[k];
       }
     }
   }
@@ -376,7 +381,7 @@ Status ProcessSupervisor::KillShard(int shard) {
   w.pid = -1;
   w.alive = false;
   if (w.client) w.client->Disconnect();
-  w.health.RecordDeath(stats_.ticks);
+  w.health.RecordDeath();
   ++stats_.kills;
   SaveManifest();
   return Status::OK();
@@ -452,15 +457,21 @@ Status ProcessSupervisor::RecoverShardTasks(int shard) {
       if (first.ok()) first = response.status();
       continue;
     }
+    Result<long long> replayed = response->GetIntOr<long long>("replayed", 0);
+    Result<long long> periods = response->GetIntOr<long long>("periods", 0);
+    if (!replayed.ok() || !periods.ok()) {
+      if (first.ok()) {
+        first = replayed.ok() ? periods.status() : replayed.status();
+      }
+      continue;
+    }
     if (response->GetBoolOr("restored", false)) {
       ++stats_.restored_tasks;
     } else {
       ++stats_.fresh_replays;
     }
-    stats_.replayed_periods +=
-        static_cast<long long>(response->GetNumberOr("replayed", 0));
-    const long long worker_periods =
-        static_cast<long long>(response->GetNumberOr("periods", 0));
+    stats_.replayed_periods += *replayed;
+    const long long worker_periods = *periods;
     if (worker_periods > task.periods) {
       // The dead incarnation computed these periods but never delivered
       // them; the trajectory stays exact, the results are simply lost.
@@ -491,8 +502,9 @@ void ProcessSupervisor::ReconcileTaskStatus(int shard, const Json& env) {
   for (const Json& e : jtasks->elements()) {
     const std::string id = e.GetStringOr("id", "");
     if (id.empty()) continue;
-    const long long reported =
-        static_cast<long long>(e.GetNumberOr("periods", 0));
+    Result<long long> periods = e.GetIntOr<long long>("periods", 0);
+    if (!periods.ok()) continue;
+    const long long reported = *periods;
     auto it = index_.find(id);
     if (it != index_.end()) {
       TaskEntry& task = tasks_[it->second];
@@ -554,10 +566,11 @@ Status ProcessSupervisor::Recover() {
     if (pid > 0 && w.client->ConnectOnce().ok()) {
       // Adoption handshake: the worker must be configured AND at exactly
       // the manifest's epoch — anything else is a stale or foreign
-      // incarnation and gets fenced.
+      // incarnation and gets fenced. A missing or malformed epoch reads
+      // as 0, which no manifest epoch (>= 1) matches.
       auto pong = w.client->Call(net::MsgKind::kPing, EmptyBody());
       if (pong.ok() && pong->GetBoolOr("configured", false) &&
-          static_cast<long long>(pong->GetNumberOr("epoch", 0)) == w.epoch) {
+          pong->GetIntOr<long long>("epoch", 0).value_or(0) == w.epoch) {
         auto status = w.client->Call(net::MsgKind::kTaskStatus, EmptyBody());
         if (status.ok()) {
           w.pid = static_cast<pid_t>(pid);
@@ -622,49 +635,45 @@ void ProcessSupervisor::SaveManifest() {
   }
 }
 
-CheckpointReport ProcessSupervisor::CheckpointAll() {
-  CheckpointReport report;
+template <typename Report>
+Report ProcessSupervisor::MergeShardReports(
+    net::MsgKind kind, const Json& body,
+    Result<Report> (*decode)(const Json&)) {
+  Report report;
   for (int s = 0; s < num_shards(); ++s) {
     Worker& w = workers_[static_cast<size_t>(s)];
     if (!w.alive || !w.client->connected()) continue;
-    auto response = w.client->Call(net::MsgKind::kCheckpoint, EmptyBody());
-    if (!response.ok()) {
-      ++report.failed;
-      report.errors.push_back(response.status());
-      if (response.status().code() == Status::Code::kUnavailable) {
-        MarkWorkerDown(s);
+    auto response = w.client->Call(kind, body);
+    if (response.ok()) {
+      const Json* r = response->Get("report");
+      if (r == nullptr) continue;
+      Result<Report> decoded = decode(*r);
+      if (decoded.ok()) {
+        report.Merge(*decoded);
+        continue;
       }
-      continue;
+      response = decoded.status();
     }
-    if (const Json* r = response->Get("report")) {
-      report.Merge(CheckpointReportFromJson(*r));
+    ++report.failed;
+    report.errors.push_back(response.status());
+    if (response.status().code() == Status::Code::kUnavailable) {
+      MarkWorkerDown(s);
     }
   }
   return report;
 }
 
+CheckpointReport ProcessSupervisor::CheckpointAll() {
+  return MergeShardReports(net::MsgKind::kCheckpoint, EmptyBody(),
+                           &CheckpointReportFromJson);
+}
+
 HarvestReport ProcessSupervisor::HarvestDirty(int max_tasks_per_shard) {
-  HarvestReport report;
-  for (int s = 0; s < num_shards(); ++s) {
-    Worker& w = workers_[static_cast<size_t>(s)];
-    if (!w.alive || !w.client->connected()) continue;
-    Json body = Json::Object();
-    body.Set("max_tasks",
-             Json::Number(static_cast<double>(max_tasks_per_shard)));
-    auto response = w.client->Call(net::MsgKind::kHarvest, body);
-    if (!response.ok()) {
-      ++report.failed;
-      report.errors.push_back(response.status());
-      if (response.status().code() == Status::Code::kUnavailable) {
-        MarkWorkerDown(s);
-      }
-      continue;
-    }
-    if (const Json* r = response->Get("report")) {
-      report.Merge(HarvestReportFromJson(*r));
-    }
-  }
-  return report;
+  Json body = Json::Object();
+  body.Set("max_tasks",
+           Json::Number(static_cast<double>(max_tasks_per_shard)));
+  return MergeShardReports(net::MsgKind::kHarvest, body,
+                           &HarvestReportFromJson);
 }
 
 Status ProcessSupervisor::HarvestTask(const std::string& id) {

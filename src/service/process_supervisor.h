@@ -221,6 +221,11 @@ class ProcessSupervisor {
   // max(acked, reported) and worker-known tasks missing from the manifest
   // are adopted outright.
   void ReconcileTaskStatus(int shard, const Json& env);
+  // Send `kind` to every live shard and merge the "report" each returns.
+  // A failed call, or a report `decode` rejects, counts as a failed shard.
+  template <typename Report>
+  Report MergeShardReports(net::MsgKind kind, const Json& body,
+                           Result<Report> (*decode)(const Json&));
   // Mark a worker down after a transport failure and reap it if the
   // process actually exited.
   void MarkWorkerDown(int shard);

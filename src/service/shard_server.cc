@@ -71,8 +71,7 @@ Result<Json> ShardServer::HandleConfigure(const Json& body) {
   // Epoch fencing: a configure from an older epoch is a zombie control
   // plane and must not re-arm this worker; a newer (or equal) epoch
   // re-fences in place.
-  const long long epoch =
-      static_cast<long long>(body.GetNumberOr("epoch", 0));
+  SPARKTUNE_ASSIGN_OR_RETURN(epoch, body.GetIntOr<long long>("epoch", 0));
   if (epoch < epoch_) {
     return Status::FailedPrecondition(StrFormat(
         "stale epoch: worker fenced at %lld, configure carries %lld",
@@ -152,7 +151,7 @@ Result<Json> ShardServer::HandleSubmitObservation(const Json& body) {
     task.id = id;
   }
   task.history.Add(obs);
-  SPARKTUNE_RETURN_IF_ERROR(repo.SaveTask(task, space_));
+  SPARKTUNE_RETURN_IF_ERROR(repo.SaveTask(task));
   Json env = OkEnvelope();
   env.Set("observations",
           Json::Number(static_cast<double>(task.history.size())));
@@ -187,8 +186,7 @@ Result<Json> ShardServer::HandleExecute(const Json& body) {
   // zombie control plane; a request above it means *we* are the zombie (we
   // missed a re-fence) — either way executing would fork the trajectory.
   if (body.Has("epoch")) {
-    const long long epoch =
-        static_cast<long long>(body.GetNumberOr("epoch", 0));
+    SPARKTUNE_ASSIGN_OR_RETURN(epoch, body.GetIntOr<long long>("epoch", 0));
     if (epoch != epoch_) {
       return Status::FailedPrecondition(StrFormat(
           "stale epoch: worker fenced at %lld, execute carries %lld",
@@ -233,7 +231,7 @@ Result<Json> ShardServer::HandleHarvest(const Json& body) {
         service_->HarvestTask(body.GetStringOr("id", "")));
     return OkEnvelope();
   }
-  const int max_tasks = static_cast<int>(body.GetNumberOr("max_tasks", 0));
+  SPARKTUNE_ASSIGN_OR_RETURN(max_tasks, body.GetIntOr<int>("max_tasks", 0));
   HarvestReport report = service_->HarvestDirty(max_tasks);
   Json env = OkEnvelope();
   env.Set("report", HarvestReportToJson(report));
@@ -254,8 +252,8 @@ Result<Json> ShardServer::HandleRestore(const Json& body) {
   if (service_->tuner(id) == nullptr) {
     return Status::NotFound("unknown task: " + id);
   }
-  const long long replay_to =
-      static_cast<long long>(body.GetNumberOr("replay_to", 0));
+  SPARKTUNE_ASSIGN_OR_RETURN(replay_to,
+                             body.GetIntOr<long long>("replay_to", 0));
   bool restored = false;
   if (!config_.repository_dir.empty()) {
     Status rs = service_->RestoreTask(id);

@@ -74,6 +74,7 @@ class ShardServer {
   std::unique_ptr<TuningService> service_;
   // Evaluators rebuilt from wire specs; owned here because TuningService
   // borrows them. Kept for the process lifetime (tasks never unregister).
+  // lint:allow(write-only-member) owns what the service points into; holding it is the use
   std::map<std::string, std::unique_ptr<JobEvaluator>> evaluators_;
   std::map<std::string, SimTaskSpec> specs_;
 };

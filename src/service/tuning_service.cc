@@ -146,7 +146,7 @@ Result<Observation> TuningService::ExecutePeriodic(const std::string& id) {
   TaskState& state = it->second;
   ++state.periods;
   MarkCheckpointDirty(id);
-  switch (DecidePeriod(state.policy, &state.retry)) {
+  switch (DecidePeriod(&state.retry)) {
     case PeriodDecision::kSkipBackoff:
       // The period clock and backoff window advanced: checkpointable state.
       MaybeAutoCheckpoint(id, &state);
@@ -193,7 +193,7 @@ std::vector<Result<Observation>> TuningService::ExecutePeriodicAll(
       decided[i] = &it->second;
       ++it->second.periods;
       MarkCheckpointDirty(ids[i]);
-      decisions[i] = DecidePeriod(it->second.policy, &it->second.retry);
+      decisions[i] = DecidePeriod(&it->second.retry);
       if (decisions[i] == PeriodDecision::kSkipBackoff) {
         errors[i] = Status::Unavailable(
             "task backing off after infra failure: " + ids[i]);
@@ -279,7 +279,7 @@ Status TuningService::HarvestTask(const std::string& id) {
     stored.meta_features = std::move(meta);
     stored.importance = std::move(importance);
     stored.history = history;
-    SPARKTUNE_RETURN_IF_ERROR(repository_->SaveTask(stored, *space_));
+    SPARKTUNE_RETURN_IF_ERROR(repository_->SaveTask(stored));
   }
 
   // Refresh the similarity learner on a doubling schedule: training is

@@ -48,10 +48,10 @@ struct TuningServiceOptions {
   // per id in order.
   int num_threads = 1;
   // Fleet diet: release each task's retained event log right after
-  // meta-feature extraction, keeping only an EventLogSummary digest. Off
-  // by default so external callers reading tuner()->last_event_log()
-  // between periods keep seeing the full log. The suggestion trajectory is
-  // unaffected either way (the log is consumed before compaction).
+  // meta-feature extraction. Off by default so external callers reading
+  // tuner()->last_event_log() between periods keep seeing the full log.
+  // The suggestion trajectory is unaffected either way (the log is
+  // consumed before compaction).
   bool compact_event_logs = false;
 };
 
@@ -221,6 +221,7 @@ class TuningService {
   std::map<std::string, TaskState> tasks_;
   KnowledgeBase knowledge_;
   std::unique_ptr<DataRepository> repository_;
+  // lint:allow(write-only-member) the only observable of auto-checkpointing; tests assert on it
   long long auto_checkpoints_ = 0;
   // Incremental-pass state (fleet diet): tasks whose mutable state moved
   // since their last checkpoint (sorted, so drains follow map order), and

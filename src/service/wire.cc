@@ -7,8 +7,12 @@
 namespace sparktune {
 namespace {
 
-int GetIntOr(const Json& j, const std::string& key, int fallback) {
-  return static_cast<int>(j.GetNumberOr(key, fallback));
+// Reads the integer at `key` into *out, which keeps its value when the key
+// is missing. A value that is not an int is kInvalidArgument.
+Status ReadInt(const Json& j, const std::string& key, int* out) {
+  SPARKTUNE_ASSIGN_OR_RETURN(v, j.GetIntOr<int>(key, *out));
+  *out = v;
+  return Status::OK();
 }
 
 }  // namespace
@@ -99,24 +103,24 @@ Result<ServiceConfig> ServiceConfigFromJson(const Json& j) {
   }
   ServiceConfig config;
   config.cluster = j.GetStringOr("cluster", config.cluster);
-  config.budget = GetIntOr(j, "budget", config.budget);
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "budget", &config.budget));
   config.ei_stop_threshold =
       j.GetNumberOr("ei_stop_threshold", config.ei_stop_threshold);
   config.expert_ranking = j.GetBoolOr("expert_ranking", config.expert_ranking);
   config.measure_baseline =
       j.GetBoolOr("measure_baseline", config.measure_baseline);
   config.enable_meta = j.GetBoolOr("enable_meta", config.enable_meta);
-  config.min_tasks_for_transfer =
-      GetIntOr(j, "min_tasks_for_transfer", config.min_tasks_for_transfer);
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "min_tasks_for_transfer", &config.min_tasks_for_transfer));
   config.repository_dir =
       j.GetStringOr("repository_dir", config.repository_dir);
-  config.keep_generations =
-      GetIntOr(j, "keep_generations", config.keep_generations);
-  config.auto_checkpoint_periods =
-      GetIntOr(j, "auto_checkpoint_periods", config.auto_checkpoint_periods);
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "keep_generations", &config.keep_generations));
+  SPARKTUNE_RETURN_IF_ERROR(
+      ReadInt(j, "auto_checkpoint_periods", &config.auto_checkpoint_periods));
   config.checkpoint_on_phase_change = j.GetBoolOr(
       "checkpoint_on_phase_change", config.checkpoint_on_phase_change);
-  config.num_threads = GetIntOr(j, "num_threads", config.num_threads);
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "num_threads", &config.num_threads));
   config.compact_event_logs =
       j.GetBoolOr("compact_event_logs", config.compact_event_logs);
   SPARKTUNE_RETURN_IF_ERROR(ClusterFromName(config.cluster).status());
@@ -293,12 +297,12 @@ Json CheckpointReportToJson(const CheckpointReport& report) {
   return j;
 }
 
-CheckpointReport CheckpointReportFromJson(const Json& j) {
+Result<CheckpointReport> CheckpointReportFromJson(const Json& j) {
   CheckpointReport report;
   if (!j.is_object()) return report;
-  report.written = GetIntOr(j, "written", 0);
-  report.skipped = GetIntOr(j, "skipped", 0);
-  report.failed = GetIntOr(j, "failed", 0);
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "written", &report.written));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "skipped", &report.skipped));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "failed", &report.failed));
   if (const Json* errors = j.Get("errors"); errors && errors->is_array()) {
     for (const Json& e : errors->elements()) {
       if (e.is_string()) report.errors.push_back(Status::Internal(e.AsString()));
@@ -321,13 +325,13 @@ Json HarvestReportToJson(const HarvestReport& report) {
   return j;
 }
 
-HarvestReport HarvestReportFromJson(const Json& j) {
+Result<HarvestReport> HarvestReportFromJson(const Json& j) {
   HarvestReport report;
   if (!j.is_object()) return report;
-  report.attempted = GetIntOr(j, "attempted", 0);
-  report.harvested = GetIntOr(j, "harvested", 0);
-  report.deferred = GetIntOr(j, "deferred", 0);
-  report.failed = GetIntOr(j, "failed", 0);
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "attempted", &report.attempted));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "harvested", &report.harvested));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "deferred", &report.deferred));
+  SPARKTUNE_RETURN_IF_ERROR(ReadInt(j, "failed", &report.failed));
   if (const Json* errors = j.Get("errors"); errors && errors->is_array()) {
     for (const Json& e : errors->elements()) {
       if (e.is_string()) report.errors.push_back(Status::Internal(e.AsString()));

@@ -96,9 +96,10 @@ Json ResultSlotToJson(const Result<Observation>& slot);
 Result<Observation> ResultSlotFromJson(const Json& j,
                                        const ConfigSpace& space);
 
+// A count that is not an int decodes to kInvalidArgument.
 Json CheckpointReportToJson(const CheckpointReport& report);
-CheckpointReport CheckpointReportFromJson(const Json& j);
+Result<CheckpointReport> CheckpointReportFromJson(const Json& j);
 Json HarvestReportToJson(const HarvestReport& report);
-HarvestReport HarvestReportFromJson(const Json& j);
+Result<HarvestReport> HarvestReportFromJson(const Json& j);
 
 }  // namespace sparktune

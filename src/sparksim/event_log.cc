@@ -39,21 +39,6 @@ bool EventLogLooksSane(const EventLog& log) {
   return true;
 }
 
-EventLogSummary SummarizeEventLog(const EventLog& log) {
-  EventLogSummary s;
-  s.valid = EventLogLooksSane(log);
-  s.is_sql = log.is_sql;
-  s.data_size_gb = log.data_size_gb;
-  s.num_stages = static_cast<int>(log.stages.size());
-  s.total_tasks = log.TotalTasks();
-  for (const auto& st : log.stages) {
-    s.duration_sec += st.duration_sec * st.iterations;
-  }
-  s.shuffle_mb = log.TotalShuffleMb();
-  s.spill_mb = log.TotalSpillMb();
-  return s;
-}
-
 TaskMetricSummary Summarize(const std::vector<double>& samples) {
   TaskMetricSummary s;
   if (samples.empty()) return s;

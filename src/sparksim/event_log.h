@@ -60,24 +60,6 @@ struct EventLog {
   double TotalSpillMb() const;
 };
 
-// Compact digest of one executed run's event log. A retained EventLog
-// costs kilobytes per task (stage names plus eight metric distributions
-// per stage); a fleet of 10^6 tasks cannot afford that between periods.
-// The digest keeps what diagnostics and sanity screens need after
-// meta-feature extraction has consumed the full log.
-struct EventLogSummary {
-  bool valid = false;  // a sane log was summarized
-  bool is_sql = false;
-  double data_size_gb = 0.0;
-  int num_stages = 0;
-  int total_tasks = 0;
-  double duration_sec = 0.0;
-  double shuffle_mb = 0.0;
-  double spill_mb = 0.0;
-};
-
-EventLogSummary SummarizeEventLog(const EventLog& log);
-
 // Helper: summarize a sample vector into a TaskMetricSummary.
 TaskMetricSummary Summarize(const std::vector<double>& samples);
 

@@ -57,7 +57,6 @@ JobEvaluator::Outcome FaultInjectingEvaluator::Run(
       return out;
     }
     case Fault::kHang: {
-      ++counters_.hangs;
       Outcome out = inner_->Run(config);
       out.failure = FailureKind::kTimeout;
       out.runtime_sec *= options_.hang_runtime_factor;
@@ -66,7 +65,6 @@ JobEvaluator::Outcome FaultInjectingEvaluator::Run(
       return out;
     }
     case Fault::kCorruptLog: {
-      ++counters_.corrupted_logs;
       Outcome out = inner_->Run(config);
       // The run itself succeeded; only the log is garbage. Deterministic
       // corruption: poison the stage metrics that EventLogLooksSane vets.
@@ -77,7 +75,6 @@ JobEvaluator::Outcome FaultInjectingEvaluator::Run(
       return out;
     }
     case Fault::kTruncateLog: {
-      ++counters_.truncated_logs;
       Outcome out = inner_->Run(config);
       out.event_log.stages.clear();
       return out;

@@ -19,9 +19,6 @@ struct TuningObjective {
   // Constraint thresholds; infinity = unconstrained.
   double runtime_max = std::numeric_limits<double>::infinity();
   double resource_max = std::numeric_limits<double>::infinity();
-  // Objective value assigned to failed executions (set by the controller to
-  // dominate any feasible value).
-  double failure_penalty = std::numeric_limits<double>::infinity();
 
   // f(x) from observed runtime T and resource rate R.
   double Value(double runtime_sec, double resource_rate) const;

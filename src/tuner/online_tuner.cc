@@ -168,13 +168,12 @@ Observation OnlineTuner::Step() {
       Configuration best = BestConfig();
       JobEvaluator::Outcome outcome = evaluator_->Run(best);
       if (outcome.failure == FailureKind::kInfra) {
-        // Not evidence about the configuration: skip the applied-history
-        // and degradation-restart bookkeeping entirely.
+        // Not evidence about the configuration: skip the degradation-restart
+        // bookkeeping entirely.
         return MakeObservation(best, outcome, tuning_iterations_);
       }
       last_event_log_ = outcome.event_log;
       Observation obs = MakeObservation(best, outcome, tuning_iterations_);
-      applied_history_.Add(obs);
 
       // Continuous-degradation restart check (§3.3).
       if (options_.degradation_window > 0 && advisor_) {
@@ -207,8 +206,8 @@ Observation OnlineTuner::StepDegraded() {
   last_event_log_ = outcome.event_log;
   Observation obs = MakeObservation(best, outcome, tuning_iterations_);
   obs.degraded = true;
-  // Deliberately not observed and not in applied_history_: a parked task's
-  // incumbent replays must not shift the trajectory it resumes later.
+  // Deliberately not observed: a parked task's incumbent replays must not
+  // shift the trajectory it resumes later.
   return obs;
 }
 
@@ -218,7 +217,6 @@ TunerState OnlineTuner::SaveState() const {
   s.runtime_max = objective_.runtime_max;
   s.resource_max = objective_.resource_max;
   s.baseline_obs = baseline_obs_;
-  s.applied_history = applied_history_.observations();
   s.tuning_iterations = tuning_iterations_;
   s.executions = executions_;
   s.stopped_early = stopped_early_;
@@ -236,8 +234,6 @@ void OnlineTuner::RestoreState(const TunerState& s) {
   objective_.runtime_max = s.runtime_max;
   objective_.resource_max = s.resource_max;
   baseline_obs_ = s.baseline_obs;
-  applied_history_.Clear();
-  for (const auto& obs : s.applied_history) applied_history_.Add(obs);
   tuning_iterations_ = s.tuning_iterations;
   executions_ = s.executions;
   stopped_early_ = s.stopped_early;
@@ -267,8 +263,6 @@ TuningReport OnlineTuner::RunToCompletion(int executions) {
 }
 
 void OnlineTuner::CompactLastEventLog() {
-  if (last_event_log_.stages.empty()) return;  // already compact
-  last_event_summary_ = SummarizeEventLog(last_event_log_);
   last_event_log_ = EventLog{};  // releases the stage arena
 }
 

@@ -59,7 +59,6 @@ struct TunerState {
   double runtime_max = std::numeric_limits<double>::infinity();
   double resource_max = std::numeric_limits<double>::infinity();
   std::optional<Observation> baseline_obs;
-  std::vector<Observation> applied_history;
   int tuning_iterations = 0;
   int executions = 0;
   bool stopped_early = false;
@@ -125,13 +124,9 @@ class OnlineTuner {
   // after CompactLastEventLog() until the next execution refills it.
   const EventLog& last_event_log() const { return last_event_log_; }
   // Fleet diet: release the retained event log (stage records plus metric
-  // distributions), keeping only a compact digest. Callers that need the
-  // full log must consume it before the end of the period.
+  // distributions). Callers that need the log must consume it before the
+  // end of the period.
   void CompactLastEventLog();
-  // Digest of the log most recently compacted ({} until first compaction).
-  const EventLogSummary& last_event_summary() const {
-    return last_event_summary_;
-  }
 
   // Pending meta hooks applied when the advisor is created.
   void SetWarmStartConfigs(std::vector<Configuration> configs);
@@ -164,9 +159,7 @@ class OnlineTuner {
   TunerPhase phase_;
   std::unique_ptr<Advisor> advisor_;
   std::optional<Observation> baseline_obs_;
-  RunHistory applied_history_;
   EventLog last_event_log_;
-  EventLogSummary last_event_summary_;
   int tuning_iterations_ = 0;
   int executions_ = 0;
   bool stopped_early_ = false;

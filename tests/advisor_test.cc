@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <set>
 
 #include "bo/advisor.h"
+#include "service/checkpoint.h"
 
 namespace sparktune {
 namespace {
@@ -216,6 +219,90 @@ TEST(AdvisorTest, FailedObservationsDoNotBecomeIncumbent) {
   good.config = other;
   advisor.Observe(good);
   EXPECT_DOUBLE_EQ(advisor.BestObjective(), good.objective);
+}
+
+// A GP whose Fit fails on chosen calls, numbered from 1 across every
+// instance one factory builds — the way Cholesky jitter exhaustion fails
+// a real fit.
+class FlakyGp final : public Surrogate {
+ public:
+  FlakyGp(std::vector<FeatureKind> schema, std::shared_ptr<int> calls,
+          std::set<int> fail_on)
+      : gp_(std::move(schema)), calls_(std::move(calls)),
+        fail_on_(std::move(fail_on)) {}
+
+  Status Fit(const std::vector<std::vector<double>>& x,
+             const std::vector<double>& y) override {
+    if (fail_on_.count(++*calls_)) return Status::Internal("injected");
+    return gp_.Fit(x, y);
+  }
+  Prediction Predict(const std::vector<double>& x) const override {
+    return gp_.Predict(x);
+  }
+  size_t num_observations() const override { return gp_.num_observations(); }
+
+ private:
+  GaussianProcess gp_;
+  std::shared_ptr<int> calls_;
+  std::set<int> fail_on_;
+};
+
+void ExpectSameCounters(const DegradationStats& a, const DegradationStats& b) {
+  EXPECT_EQ(a.fit_failures, b.fit_failures);
+  EXPECT_EQ(a.previous_model_reuses, b.previous_model_reuses);
+  EXPECT_EQ(a.prior_only_fits, b.prior_only_fits);
+  EXPECT_EQ(a.fallback_suggestions, b.fallback_suggestions);
+}
+
+TEST(AdvisorTest, SurrogateFitFailuresWalkTheDegradationLadder) {
+  ConfigSpace space = SynthSpace();
+  SynthBlackBox box;
+  AdvisorOptions opts = BaseOptions(&box);
+  Advisor advisor(&space, opts);
+  auto calls = std::make_shared<int>(0);
+  // Objective fits 1 and 3 fail; the runtime surrogate always fits.
+  advisor.SetObjectiveSurrogateFactory(
+      [calls](const std::vector<FeatureKind>& schema) {
+        return std::make_unique<FlakyGp>(schema, calls, std::set<int>{1, 3});
+      });
+  auto step = [&](int i) {
+    Configuration c = advisor.Suggest(100.0);
+    ASSERT_TRUE(space.Validate(c).ok());
+    advisor.Observe(box.Evaluate(c, opts.objective, i));
+  };
+  for (int i = 0; i < opts.init_samples; ++i) step(i);  // no fits yet
+  EXPECT_EQ(*calls, 0);
+
+  // Fit 1 fails with no previous model: prior-only rung, and the
+  // suggestion falls back to a neighbor of the incumbent.
+  step(3);
+  EXPECT_EQ(advisor.degradation().fit_failures, 1);
+  EXPECT_EQ(advisor.degradation().prior_only_fits, 1);
+  EXPECT_EQ(advisor.degradation().fallback_suggestions, 1);
+  EXPECT_EQ(advisor.degradation().previous_model_reuses, 0);
+
+  // Fit 2 succeeds; fit 3 fails with that model in the slot and the same
+  // schema, so the advisor keeps suggesting from it.
+  step(4);
+  step(5);
+  EXPECT_EQ(*calls, 3);
+  EXPECT_EQ(advisor.degradation().fit_failures, 2);
+  EXPECT_EQ(advisor.degradation().previous_model_reuses, 1);
+  EXPECT_EQ(advisor.degradation().prior_only_fits, 1);
+  EXPECT_EQ(advisor.degradation().fallback_suggestions, 1);
+
+  // The counters survive SaveState/RestoreState and the checkpoint JSON.
+  Advisor restored(&space, opts);
+  restored.RestoreState(advisor.SaveState());
+  ExpectSameCounters(restored.degradation(), advisor.degradation());
+  TaskCheckpoint ckpt;
+  ckpt.id = "synth";
+  ckpt.tuner.has_advisor = true;
+  ckpt.tuner.advisor = advisor.SaveState();
+  auto decoded = TaskCheckpointFromJson(TaskCheckpointToJson(ckpt), space);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSameCounters(decoded->tuner.advisor.degradation,
+                     advisor.degradation());
 }
 
 TEST(AdvisorTest, SchemaIncludesDataSizeWhenAware) {

@@ -191,26 +191,26 @@ TEST(HealthMonitor, FailureStreaksWalkHealthySuspectDown) {
   policy.down_after = 4;
   ShardHealthMonitor monitor(policy);
   EXPECT_EQ(monitor.state(), ShardHealth::kHealthy);
-  monitor.RecordFailure(1);
+  monitor.RecordFailure();
   EXPECT_EQ(monitor.state(), ShardHealth::kHealthy);
-  monitor.RecordFailure(2);
+  monitor.RecordFailure();
   EXPECT_EQ(monitor.state(), ShardHealth::kSuspect);
   monitor.RecordSuccess();  // one good exchange clears the presumption
   EXPECT_EQ(monitor.state(), ShardHealth::kHealthy);
   EXPECT_EQ(monitor.consecutive_failures(), 0);
-  for (int t = 3; t <= 6; ++t) monitor.RecordFailure(t);
+  for (int i = 0; i < 4; ++i) monitor.RecordFailure();
   EXPECT_EQ(monitor.state(), ShardHealth::kDown);
 
   // Confirmed process death short-circuits the streak.
   ShardHealthMonitor dead(policy);
-  dead.RecordDeath(1);
+  dead.RecordDeath();
   EXPECT_EQ(dead.state(), ShardHealth::kDown);
 }
 
 TEST(HealthMonitor, RestartBackoffFollowsRetryPolicyCurve) {
   HealthPolicy policy;  // restart_backoff: base 1, cap 16
   ShardHealthMonitor monitor(policy);
-  monitor.RecordDeath(1);
+  monitor.RecordDeath();
   EXPECT_TRUE(monitor.ShouldAttemptRestart(1));
   monitor.RecordRestartFailure(1);  // next at 1 + BackoffPeriods(1) = 2
   EXPECT_FALSE(monitor.ShouldAttemptRestart(1));
@@ -234,13 +234,13 @@ TEST(HealthMonitor, FlappingShardIsQuarantinedThenParoled) {
   policy.quarantine_ticks = 5;
   ShardHealthMonitor monitor(policy);
 
-  monitor.RecordDeath(1);
+  monitor.RecordDeath();
   ASSERT_TRUE(monitor.ShouldAttemptRestart(1));
   monitor.RecordRestart(1);
-  monitor.RecordDeath(2);
+  monitor.RecordDeath();
   ASSERT_TRUE(monitor.ShouldAttemptRestart(2));
   monitor.RecordRestart(2);
-  monitor.RecordDeath(3);
+  monitor.RecordDeath();
   // Two restarts within the 10-tick window: the third attempt trips the
   // flap detector instead of restarting.
   EXPECT_FALSE(monitor.ShouldAttemptRestart(3));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -246,13 +247,71 @@ TEST(CheckpointCodecTest, MalformedDocumentsAreDataLoss) {
       {{"tuner", "advisor", "subspace", "k"}, 1e300},
       {{"periods"}, 1e300},
       {{"harvested_size"}, -1.0},
-      {{"tuner", "advisor", "suggestions"}, 2.5},
+      {{"tuner", "tuning_iterations"}, 2.5},
   };
   for (const auto& [path, value] : bad_fields) {
     Json doc = WithField(valid, path, Json::Number(value));
     EXPECT_EQ(TaskCheckpointFromJson(doc, f.space).status().code(),
               Status::Code::kDataLoss)
         << path.back() << " = " << value;
+  }
+}
+
+// Once a tuner applies its best configuration, each period leaves the
+// checkpoint the same size: nothing in it grows with the period count.
+TEST(CheckpointCodecTest, ApplyingTunerCheckpointStopsGrowing) {
+  Fixture f;
+  auto inner = f.MakeInner(3);
+  OnlineTuner tuner(&f.space, inner.get(), f.ServiceOpts("").tuner);
+  for (int i = 0; i < 40 && tuner.phase() != TunerPhase::kApplying; ++i) {
+    tuner.Step();
+  }
+  ASSERT_EQ(tuner.phase(), TunerPhase::kApplying);
+  auto encoded_size = [&] {
+    TaskCheckpoint ckpt;
+    ckpt.id = "wc";
+    ckpt.tuner = tuner.SaveState();
+    return static_cast<long long>(TaskCheckpointToJson(ckpt).Dump().size());
+  };
+  const long long before = encoded_size();
+  for (int i = 0; i < 10; ++i) tuner.Step();
+  ASSERT_EQ(tuner.phase(), TunerPhase::kApplying);
+  EXPECT_LE(std::abs(encoded_size() - before), 16) << "was " << before;
+}
+
+// Fields that older checkpoints carry and this codec no longer writes
+// (applied_history, suggestions, num_updates) are ignored on decode, and
+// the restored tuner continues the uninterrupted trajectory.
+TEST(CheckpointCodecTest, RetiredFieldsStillDecode) {
+  Fixture f;
+  const TunerOptions opts = f.ServiceOpts("").tuner;
+  auto reference_inner = f.MakeInner(3);
+  OnlineTuner reference(&f.space, reference_inner.get(), opts);
+  for (int i = 0; i < 7; ++i) reference.Step();
+
+  TaskCheckpoint ckpt;
+  ckpt.id = "wc";
+  ckpt.tuner = reference.SaveState();
+  ASSERT_TRUE(ckpt.tuner.baseline_obs.has_value());
+  Json applied = Json::Array();
+  applied.Append(DataRepository::ObservationToJson(*ckpt.tuner.baseline_obs));
+  Json doc = TaskCheckpointToJson(ckpt);
+  doc = WithField(doc, {"tuner", "applied_history"}, applied);
+  doc = WithField(doc, {"tuner", "advisor", "suggestions"}, Json::Number(6));
+  doc = WithField(doc, {"tuner", "advisor", "subspace", "num_updates"},
+                  Json::Number(1));
+  auto decoded = TaskCheckpointFromJson(doc, f.space);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+
+  auto inner = f.MakeInner(3);
+  OnlineTuner restored(&f.space, inner.get(), opts);
+  restored.RestoreState(decoded->tuner);
+  inner->SkipExecutions(decoded->tuner.executions);
+  for (int i = 0; i < 10; ++i) {
+    Observation want = reference.Step();
+    Observation got = restored.Step();
+    EXPECT_TRUE(got.config == want.config) << "step " << i;
+    EXPECT_EQ(got.objective, want.objective) << "step " << i;
   }
 }
 

@@ -336,17 +336,12 @@ TEST(DeterminismTest, CompactedEventLogsKeepTrajectoryAcrossThreadCounts) {
     }
   }
   // The diet really happened: stage lists are gone on the compacted rig
-  // (and retained on the reference), while the digest kept the shape.
+  // (and retained on the reference).
   for (const std::string& t : tasks) {
     EXPECT_TRUE(compact.service->tuner(t)->last_event_log().stages.empty())
         << t;
     EXPECT_FALSE(retain.service->tuner(t)->last_event_log().stages.empty())
         << t;
-    const EventLogSummary& digest =
-        compact.service->tuner(t)->last_event_summary();
-    EXPECT_TRUE(digest.valid);
-    EXPECT_GT(digest.num_stages, 0);
-    EXPECT_GT(digest.duration_sec, 0.0);
   }
 }
 

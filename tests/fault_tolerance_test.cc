@@ -83,24 +83,24 @@ TEST(BackoffTest, CircuitBreakerParksAndRecovers) {
   policy.park_periods = 3;
   RetryState st;
 
-  ASSERT_EQ(DecidePeriod(policy, &st), PeriodDecision::kRun);
+  ASSERT_EQ(DecidePeriod(&st), PeriodDecision::kRun);
   RecordPeriodOutcome(policy, &st, FailureKind::kInfra);
   EXPECT_EQ(st.consecutive_infra, 1);
   EXPECT_EQ(st.backoff_remaining, 1);
 
-  ASSERT_EQ(DecidePeriod(policy, &st), PeriodDecision::kSkipBackoff);
-  ASSERT_EQ(DecidePeriod(policy, &st), PeriodDecision::kRun);
+  ASSERT_EQ(DecidePeriod(&st), PeriodDecision::kSkipBackoff);
+  ASSERT_EQ(DecidePeriod(&st), PeriodDecision::kRun);
   RecordPeriodOutcome(policy, &st, FailureKind::kInfra);
   EXPECT_TRUE(st.parked);  // streak hit circuit_break_failures
   EXPECT_EQ(st.park_events, 1);
 
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(DecidePeriod(policy, &st), PeriodDecision::kRunDegraded);
+    EXPECT_EQ(DecidePeriod(&st), PeriodDecision::kRunDegraded);
   }
   EXPECT_FALSE(st.parked);
   EXPECT_EQ(st.degraded_runs, 3);
   EXPECT_EQ(st.consecutive_infra, 0);  // streak restarted on unpark
-  EXPECT_EQ(DecidePeriod(policy, &st), PeriodDecision::kRun);
+  EXPECT_EQ(DecidePeriod(&st), PeriodDecision::kRun);
 
   // A config-induced failure closes the streak without backoff.
   RecordPeriodOutcome(policy, &st, FailureKind::kOom);

@@ -113,6 +113,14 @@ TEST(JsonTest, CheckedIntegerGetter) {
   }
   EXPECT_FALSE(r->GetIntOr<long long>("big", 0).ok());
   EXPECT_FALSE(r->GetIntOr<uint64_t>("neg", 0).ok());
+  // An array element goes through the same check.
+  EXPECT_EQ(*Json::Number(-7).AsInt<long long>(), -7);
+  for (double bad : {1e300, 2.5}) {
+    EXPECT_EQ(Json::Number(bad).AsInt<long long>().status().code(),
+              Status::Code::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_FALSE(Json::Str("3").AsInt<int>().ok());
 }
 
 TEST(JsonTest, ValueCodecs) {

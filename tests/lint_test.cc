@@ -65,6 +65,19 @@ void ExpectIndexedFindings(const std::string& header, const std::string& cc,
   EXPECT_EQ(got, want) << "fixture pair: " << header << " + " << cc;
 }
 
+// The write-only-member fixtures: a header and .cc under idx/src/ (the
+// rule covers library members only) and the test that calls the
+// accessor.
+const std::vector<std::string> kBadWriteOnly = {
+    "idx/src/bad_write_only.h", "idx/src/bad_write_only.cc",
+    "idx/bad_write_only_test.cc"};
+
+std::vector<Finding> LintFixtureSet(const std::vector<std::string>& rels) {
+  std::vector<std::string> paths;
+  for (const std::string& rel : rels) paths.push_back(FixturePath(rel));
+  return LintFilesIndexed(paths);
+}
+
 // Run the built CLI; returns its exit code, captures stdout+stderr.
 int RunCli(const std::string& args, std::string* output) {
   std::string cmd = std::string(LINT_CLI_PATH) + " " + args + " 2>&1";
@@ -243,6 +256,34 @@ TEST(LintCrossTU, CleanCounterpartsStaySilent) {
   ExpectIndexedFindings("idx/rng_helpers.h", "idx/clean_rng_escape.cc", {});
 }
 
+TEST(LintCrossTU, WriteOnlyMembersFireAtTheirDeclarations) {
+  // Assigned only; copied only into a *State struct; read only through
+  // an accessor that only a test calls.
+  EXPECT_EQ(RuleLines(LintFixtureSet(kBadWriteOnly)),
+            (std::vector<RuleLine>{{"write-only-member", 26},
+                                   {"write-only-member", 27},
+                                   {"write-only-member", 28}}));
+}
+
+TEST(LintCrossTU, WriteOnlyMemberCleanCounterpartStaysSilent) {
+  // A value-used increment, a read through a pointer, and an accessor
+  // called outside its class all count as reads.
+  ExpectIndexedFindings("idx/src/clean_write_only.h",
+                        "idx/src/clean_write_only.cc", {});
+}
+
+TEST(LintCrossTU, LibraryPathIsTheInnermostTreeDirectory) {
+  using sparktune::lint::InLibraryPath;
+  EXPECT_TRUE(InLibraryPath("src/bo/advisor.h"));
+  EXPECT_TRUE(InLibraryPath("./src/model/gp.cc"));
+  EXPECT_TRUE(InLibraryPath("/home/me/src/sparktune/src/bo/advisor.h"));
+  EXPECT_FALSE(InLibraryPath("/home/me/src/sparktune/tests/gp_test.cc"));
+  EXPECT_FALSE(InLibraryPath("/home/me/src/sparktune/bench/bench_fleet.cpp"));
+  EXPECT_TRUE(InLibraryPath(FixturePath("idx/src/bad_write_only.h")));
+  EXPECT_FALSE(InLibraryPath(FixturePath("idx/registry.h")));
+  EXPECT_FALSE(InLibraryPath("advisor.h"));
+}
+
 TEST(LintCrossTU, AliasedMembersTriggerUnorderedMemberIter) {
   ExpectIndexedFindings("idx/alias_types.h", "idx/bad_alias_iter.cc",
                         {{"unordered-member-iter", 15},
@@ -361,6 +402,11 @@ TEST(LintOutput, SarifIsWellFormed) {
   ASSERT_NE(driver, nullptr);
   EXPECT_GE(driver->Get("rules")->size(),
             sparktune::lint::RuleIds().size());
+  bool names_write_only = false;
+  for (const Json& rule : driver->Get("rules")->elements()) {
+    names_write_only |= rule.GetStringOr("id", "") == "write-only-member";
+  }
+  EXPECT_TRUE(names_write_only);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,6 +496,9 @@ TEST(LintMeta, EveryRuleIdIsExercisedByTheCorpus) {
     for (const Finding& finding : LintFixturePair(h, cc)) {
       fired.insert(finding.rule);
     }
+  }
+  for (const Finding& finding : LintFixtureSet(kBadWriteOnly)) {
+    fired.insert(finding.rule);
   }
   for (const std::string& id : sparktune::lint::RuleIds()) {
     EXPECT_TRUE(fired.count(id)) << "rule never fired in corpus: " << id;

@@ -461,6 +461,42 @@ TEST(Wire, ResultSlotsRoundTripBitExactly) {
             Status::Code::kDataLoss);
 }
 
+// Every integer field a wire decoder reads rejects a value that is out of
+// range or fractional, instead of casting it.
+TEST(Wire, IntegerFieldsRejectOutOfRangeAndFractionalValues) {
+  const Json config_json = ServiceConfigToJson(ServiceConfig{});
+  const Json checkpoint_json = CheckpointReportToJson(CheckpointReport{});
+  const Json harvest_json = HarvestReportToJson(HarvestReport{});
+  ASSERT_TRUE(ServiceConfigFromJson(config_json).ok());
+  ASSERT_TRUE(CheckpointReportFromJson(checkpoint_json).ok());
+  ASSERT_TRUE(HarvestReportFromJson(harvest_json).ok());
+  for (double bad : {1e300, 2.5}) {
+    for (const char* key : {"budget", "min_tasks_for_transfer",
+                            "keep_generations", "auto_checkpoint_periods",
+                            "num_threads"}) {
+      Json j = config_json;
+      j.Set(key, Json::Number(bad));
+      EXPECT_EQ(ServiceConfigFromJson(j).status().code(),
+                Status::Code::kInvalidArgument)
+          << key << " = " << bad;
+    }
+    for (const char* key : {"written", "skipped", "failed"}) {
+      Json j = checkpoint_json;
+      j.Set(key, Json::Number(bad));
+      EXPECT_EQ(CheckpointReportFromJson(j).status().code(),
+                Status::Code::kInvalidArgument)
+          << key << " = " << bad;
+    }
+    for (const char* key : {"attempted", "harvested", "deferred", "failed"}) {
+      Json j = harvest_json;
+      j.Set(key, Json::Number(bad));
+      EXPECT_EQ(HarvestReportFromJson(j).status().code(),
+                Status::Code::kInvalidArgument)
+          << key << " = " << bad;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ShardServer dispatcher (socket-free).
 // ---------------------------------------------------------------------------
@@ -503,6 +539,50 @@ TEST(ShardServer, ConfigureIsIdempotentButConflictsAreRejected) {
   response = server.Handle(net::MsgKind::kPing, Json::Object());
   EXPECT_TRUE(response.GetBoolOr("ok", false));
   EXPECT_TRUE(response.GetBoolOr("configured", false));
+}
+
+// Each integer a handler reads from its request is checked: out of range
+// or fractional is a typed kInvalidArgument, not a cast.
+TEST(ShardServer, IntegerFieldsRejectOutOfRangeAndFractionalValues) {
+  ShardServer server;
+  for (double bad : {1e300, 2.5}) {
+    Json configure = ConfigureBody(TestConfig());
+    configure.Set("epoch", Json::Number(bad));
+    EXPECT_EQ(server.Handle(net::MsgKind::kConfigure, configure)
+                  .GetStringOr("code", ""),
+              "InvalidArgument")
+        << bad;
+  }
+  Json configure = ConfigureBody(TestConfig());
+  configure.Set("epoch", Json::Number(2));
+  ASSERT_TRUE(
+      server.Handle(net::MsgKind::kConfigure, configure).GetBoolOr("ok", false));
+  SimTaskSpec spec;
+  spec.workload = "WordCount";
+  Json reg = Json::Object();
+  reg.Set("id", Json::Str("wc"));
+  reg.Set("spec", SimTaskSpecToJson(spec));
+  ASSERT_TRUE(
+      server.Handle(net::MsgKind::kRegisterTask, reg).GetBoolOr("ok", false));
+
+  for (double bad : {1e300, 2.5}) {
+    Json execute = Json::Object();
+    execute.Set("ids", Json::Array());
+    execute.Set("epoch", Json::Number(bad));
+    Json harvest = Json::Object();
+    harvest.Set("max_tasks", Json::Number(bad));
+    Json restore = Json::Object();
+    restore.Set("id", Json::Str("wc"));
+    restore.Set("replay_to", Json::Number(bad));
+    for (const auto& [kind, body] :
+         {std::pair{net::MsgKind::kExecute, execute},
+          std::pair{net::MsgKind::kHarvest, harvest},
+          std::pair{net::MsgKind::kRestore, restore}}) {
+      EXPECT_EQ(server.Handle(kind, body).GetStringOr("code", ""),
+                "InvalidArgument")
+          << static_cast<int>(kind) << " with " << bad;
+    }
+  }
 }
 
 TEST(ShardServer, ExecuteMatchesInProcessService) {

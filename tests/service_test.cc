@@ -50,7 +50,7 @@ TEST(DataRepositoryTest, SaveLoadRoundTrip) {
   task.meta_features = {1.5, -2.0, 0.0};
   task.importance = {0.9, 0.1};
   task.history = MakeHistory(space, 8, 7);
-  ASSERT_TRUE(repo.SaveTask(task, space).ok());
+  ASSERT_TRUE(repo.SaveTask(task).ok());
   EXPECT_TRUE(repo.HasTask(task.id));
 
   auto loaded = repo.LoadTask(task.id, space);
@@ -77,7 +77,7 @@ TEST(DataRepositoryTest, ListAndDelete) {
     StoredTask t;
     t.id = id;
     t.history = MakeHistory(space, 3, 11);
-    ASSERT_TRUE(repo.SaveTask(t, space).ok());
+    ASSERT_TRUE(repo.SaveTask(t).ok());
   }
   auto ids = repo.ListTaskIds();
   EXPECT_EQ(ids, (std::vector<std::string>{"a-task", "b-task", "c-task"}));
@@ -321,8 +321,9 @@ TEST(TuningServiceTest, StreamingHarvestMatchesFullPass) {
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(want[i].id, got[i].id);
     EXPECT_EQ(want[i].meta_features, got[i].meta_features);
-    EXPECT_EQ(want[i].x, got[i].x);
-    EXPECT_EQ(want[i].y, got[i].y);
+    EXPECT_EQ(want[i].probe_means, got[i].probe_means);
+    EXPECT_EQ(want[i].y_mean, got[i].y_mean);
+    EXPECT_EQ(want[i].y_scale, got[i].y_scale);
     EXPECT_EQ(want[i].importance, got[i].importance);
     ASSERT_EQ(want[i].top_configs.size(), got[i].top_configs.size());
     for (size_t k = 0; k < want[i].top_configs.size(); ++k) {

@@ -104,7 +104,7 @@ TEST(SubspaceManagerTest, FanovaUpdateRerank) {
     x.push_back({0.5, 0.5, 0.5, 0.5});
     y.push_back(50.0);
   }
-  EXPECT_GT(mgr.num_fanova_updates(), 0);
+  EXPECT_GT(mgr.SaveState().last_fanova_size, 0u);
   EXPECT_EQ(mgr.Ranking()[0], 2);
   Subspace sub = mgr.Current(space.Default());
   EXPECT_TRUE(sub.IsFree(2));
@@ -118,7 +118,7 @@ TEST(SubspaceManagerTest, NoFanovaBeforeMinObservations) {
   std::vector<std::vector<double>> x(5, {0.5, 0.5, 0.5});
   std::vector<double> y(5, 1.0);
   mgr.MaybeUpdateImportance(x, y);
-  EXPECT_EQ(mgr.num_fanova_updates(), 0);
+  EXPECT_EQ(mgr.SaveState().last_fanova_size, 0u);
 }
 
 TEST(SubspaceManagerTest, SeedImportanceBlends) {

@@ -38,6 +38,59 @@ const std::set<std::string>& NotFunctionNames() {
   return kNames;
 }
 
+// Calls whose object they mutate without reading it (write-only-member).
+const std::set<std::string>& MutatorCalls() {
+  static const std::set<std::string> kNames = {
+      "push_back", "emplace_back", "insert", "erase", "clear", "resize",
+      "reserve",   "assign",       "reset",  "Add",   "Clear"};
+  return kNames;
+}
+
+// Index in `st` of a function declarator's name: the identifier before the
+// first '(' at angle depth 0 (so std::function<void(size_t)> members are
+// not misread as methods) with no earlier '='; st.size() when there is none.
+size_t FunctionNameAt(const std::vector<const Token*>& st) {
+  int angle = 0;
+  for (size_t k = 0; k < st.size(); ++k) {
+    const std::string& t = st[k]->text;
+    if (t == "<") ++angle;
+    if (t == ">") angle = std::max(0, angle - 1);
+    if (t == "=" && angle == 0) return st.size();  // variable initializer
+    if (t == "(" && angle == 0) {
+      if (k == 0 || !IsIdent(st[k - 1]->text) ||
+          NotFunctionNames().count(st[k - 1]->text)) {
+        return st.size();
+      }
+      return k - 1;
+    }
+  }
+  return st.size();
+}
+
+// The bracket matching toks[at], scanning forward from an opener or
+// backward from a closer; toks.size() when unbalanced.
+size_t MatchForward(const std::vector<Token>& toks, size_t at) {
+  const std::string open = toks[at].text;
+  const std::string close = open == "(" ? ")" : open == "[" ? "]" : "}";
+  int depth = 0;
+  for (size_t k = at; k < toks.size(); ++k) {
+    if (toks[k].text == open) ++depth;
+    if (toks[k].text == close && --depth == 0) return k;
+  }
+  return toks.size();
+}
+
+size_t MatchBack(const std::vector<Token>& toks, size_t at) {
+  const std::string close = toks[at].text;
+  const std::string open = close == ")" ? "(" : close == "]" ? "[" : "{";
+  int depth = 0;
+  for (size_t k = at + 1; k-- > 0;) {
+    if (toks[k].text == close) ++depth;
+    if (toks[k].text == open && --depth == 0) return k;
+  }
+  return toks.size();
+}
+
 }  // namespace
 
 void SymbolIndex::AddFile(const std::string& path,
@@ -211,6 +264,28 @@ bool SymbolIndex::IsMutexMember(const std::string& name) const {
   return false;
 }
 
+std::vector<const MemberRecord*> SymbolIndex::DataMembersIn(
+    const std::string& file) const {
+  std::vector<const MemberRecord*> out;
+  for (const MemberRecord& r : data_members_) {
+    if (r.file == file) out.push_back(&r);
+  }
+  return out;
+}
+
+bool SymbolIndex::IsMemberRead(const std::string& name) const {
+  if (read_members_.count(name)) return true;
+  for (const AccessorReturn& a : accessor_returns_) {
+    if (a.member != name) continue;
+    auto it = callers_.find(a.fn);
+    if (it == callers_.end()) continue;
+    for (const std::string& cls : it->second) {
+      if (cls != a.cls) return true;
+    }
+  }
+  return false;
+}
+
 size_t SymbolIndex::member_count() const {
   size_t n = 0;
   for (const auto& [name, recs] : members_) n += recs.size();
@@ -232,10 +307,19 @@ void SymbolIndex::IndexTokens(const std::string& path,
   struct Sc {
     Kind kind;
     std::string cls;
+    int body = -1;  // enclosing function body (index into `bodies`)
   };
   std::vector<Sc> stack;
   std::vector<const Token*> head;
   int paren = 0;
+  // For IndexUses: the function body each token sits in, and the tokens
+  // that name a declared member or function rather than use one.
+  std::vector<FunctionScope> bodies;
+  std::vector<int> body_of(toks.size(), -1);
+  std::vector<char> declarators(toks.size(), 0);
+  auto mark_declarator = [&](const Token* t) {
+    declarators[static_cast<size_t>(t - toks.data())] = 1;
+  };
 
   auto head_has = [&](const char* s) {
     for (const Token* t : head) {
@@ -254,23 +338,11 @@ void SymbolIndex::IndexTokens(const std::string& path,
   // holding `name ( params... )`. Records only functions with at least one
   // Rng& / Rng* parameter, so the index stays small.
   auto parse_function_head = [&](const std::vector<const Token*>& st) {
-    // First '(' at angle depth 0 (so std::function<void(size_t)> members
-    // are not misread as methods) with no earlier '='.
-    size_t open = st.size();
-    int angle = 0;
-    for (size_t k = 0; k < st.size(); ++k) {
-      const std::string& t = st[k]->text;
-      if (t == "<") ++angle;
-      if (t == ">") angle = std::max(0, angle - 1);
-      if (t == "=" && angle == 0) return;  // variable with initializer
-      if (t == "(" && angle == 0) {
-        open = k;
-        break;
-      }
-    }
-    if (open == st.size() || open == 0) return;
-    const std::string& name = st[open - 1]->text;
-    if (!IsIdent(name) || NotFunctionNames().count(name)) return;
+    const size_t name_at = FunctionNameAt(st);
+    if (name_at == st.size()) return;
+    mark_declarator(st[name_at]);
+    const std::string& name = st[name_at]->text;
+    const size_t open = name_at + 1;
     size_t close = st.size();
     int depth = 0;
     for (size_t k = open; k < st.size(); ++k) {
@@ -355,6 +427,7 @@ void SymbolIndex::IndexTokens(const std::string& path,
       }
     }
     if (name_tok == nullptr) return;
+    mark_declarator(name_tok);
     MemberRecord rec;
     rec.cls = cls;
     rec.name = name_tok->text;
@@ -384,6 +457,9 @@ void SymbolIndex::IndexTokens(const std::string& path,
           rec.decl_allows.push_back(a.allowed[k]);
         }
       }
+    }
+    if (InLibraryPath(path) && rec.name.size() > 1 && rec.name.back() == '_') {
+      data_members_.push_back(rec);
     }
     if (rec.unordered || rec.is_mutex || !rec.guarded_by.empty() ||
         !rec.decl_allows.empty()) {
@@ -434,6 +510,7 @@ void SymbolIndex::IndexTokens(const std::string& path,
 
   for (size_t i = 0; i < toks.size(); ++i) {
     const std::string& t = toks[i].text;
+    if (!stack.empty()) body_of[i] = stack.back().body;
     if (t == "(") ++paren;
     if (t == ")") paren = std::max(0, paren - 1);
     if (t == "{" && paren == 0) {
@@ -444,6 +521,20 @@ void SymbolIndex::IndexTokens(const std::string& path,
           (stack.empty() || stack.back().kind == Kind::kNamespace ||
            stack.back().kind == Kind::kClass)) {
         parse_function_head(head);
+        const size_t name_at = FunctionNameAt(head);
+        if (name_at < head.size()) {
+          // `Cls::name(...)` out of line, or inline in a class body.
+          std::string cls;
+          if (name_at >= 2 && head[name_at - 1]->text == "::") {
+            cls = head[name_at - 2]->text;
+          } else if (!stack.empty() && stack.back().kind == Kind::kClass) {
+            cls = stack.back().cls;
+          }
+          sc.body = static_cast<int>(bodies.size());
+          bodies.push_back({head[name_at]->text, cls});
+        }
+      } else if (sc.kind != Kind::kClass && !stack.empty()) {
+        sc.body = stack.back().body;  // nested blocks stay in the body
       }
       stack.push_back(sc);
       if (sc.kind != Kind::kInit) head.clear();
@@ -473,6 +564,123 @@ void SymbolIndex::IndexTokens(const std::string& path,
       continue;
     }
     if (!in_init() && !in_enum()) head.push_back(&toks[i]);
+  }
+  IndexUses(path, toks, body_of, bodies, declarators);
+}
+
+void SymbolIndex::IndexUses(const std::string& path,
+                            const std::vector<Token>& toks,
+                            const std::vector<int>& body_of,
+                            const std::vector<FunctionScope>& bodies,
+                            const std::vector<char>& declarators) {
+  const bool test_file = path.ends_with("_test.cc");
+  auto tok = [&](size_t i) -> const std::string& {
+    static const std::string kEmpty;
+    return i < toks.size() ? toks[i].text : kEmpty;
+  };
+  // Token i begins an expression statement.
+  auto starts_statement = [&](size_t i) {
+    if (i == 0) return true;
+    const std::string& p = toks[i - 1].text;
+    return p == ";" || p == "{" || p == "}" || p == ")" || p == "else" ||
+           p == "do";
+  };
+  // `obj.` / `this->` / `rows[i].` prefixes in front of a member use.
+  auto chain_start = [&](size_t i) {
+    size_t s = i;
+    while (s >= 2 && (toks[s - 1].text == "." || toks[s - 1].text == "->")) {
+      size_t p = s - 2;
+      while (p > 0 && toks[p].text == "]") {
+        p = MatchBack(toks, p);
+        if (p == toks.size() || p == 0) return s;
+        --p;
+      }
+      if (!IsIdent(toks[p].text)) break;
+      s = p;
+    }
+    return s;
+  };
+  // One past `m_`, its `.field`s and `[index]`es (not `->`: writing
+  // through a pointer member reads the pointer).
+  auto chain_end = [&](size_t i) {
+    size_t e = i + 1;
+    while (e < toks.size()) {
+      if (toks[e].text == "[") {
+        e = MatchForward(toks, e);
+        if (e == toks.size()) return e;
+        ++e;
+      } else if (toks[e].text == "." && IsIdent(tok(e + 1)) &&
+                 tok(e + 2) != "(") {
+        e += 2;
+      } else {
+        break;
+      }
+    }
+    return e;
+  };
+  // `m_ = v;`, `m_ op= v;`, `m_++;`, `m_.clear();`, `++m_;` and the like.
+  auto statement_write = [&](size_t start, size_t end) {
+    const std::string& a = tok(end);
+    const std::string& b = tok(end + 1);
+    const std::string& c = tok(end + 2);
+    if (starts_statement(start)) {
+      if (a == "=" && b != "=") return true;
+      static const std::set<std::string> kCompound = {"+", "-", "*", "/",
+                                                      "%", "&", "|", "^"};
+      if (kCompound.count(a) && b == "=" && c != "=") return true;
+      if ((a == "<" || a == ">") && b == a && c == "=") return true;
+      if ((a == "+" || a == "-") && b == a && c == ";") return true;
+      if (a == "." && MutatorCalls().count(b) && c == "(") {
+        size_t close = MatchForward(toks, end + 2);
+        if (tok(close + 1) == ";") return true;
+      }
+    }
+    return start >= 2 && (tok(start - 1) == "+" || tok(start - 1) == "-") &&
+           tok(start - 2) == tok(start - 1) && starts_statement(start - 2) &&
+           a == ";";
+  };
+  // `Cls::Cls(...) : a_(x), m_(y)`: walk back over earlier initializers
+  // to the ':' that closes the parameter list.
+  auto mem_initializer = [&](size_t i) {
+    size_t p = i;
+    while (p >= 2) {
+      if (toks[p - 1].text == ":") {
+        return toks[p - 2].text == ")" || toks[p - 2].text == "noexcept";
+      }
+      if (toks[p - 1].text != ",") return false;
+      const size_t close = p - 2;
+      if (toks[close].text != ")" && toks[close].text != "}") return false;
+      const size_t open = MatchBack(toks, close);
+      if (open == toks.size() || open == 0 || !IsIdent(toks[open - 1].text)) {
+        return false;
+      }
+      p = open - 1;
+    }
+    return false;
+  };
+
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const std::string& t = toks[i].text;
+    if (!IsIdent(t) || declarators[i]) continue;
+    const int body = body_of[i];
+    if (tok(i + 1) == "(" && !test_file) {
+      callers_[t].insert(body >= 0 ? bodies[static_cast<size_t>(body)].cls
+                                   : "");
+    }
+    if (t.size() < 2 || t.back() != '_') continue;
+    if (body >= 0) {
+      const FunctionScope& fn = bodies[static_cast<size_t>(body)];
+      if (fn.name == "SaveState" || fn.name == "RestoreState") continue;
+      if (tok(i - 1) == "return" && tok(i + 1) == ";") {
+        accessor_returns_.push_back({fn.name, fn.cls, t});
+        continue;
+      }
+    } else if ((tok(i + 1) == "(" || tok(i + 1) == "{") &&
+               mem_initializer(i)) {
+      continue;
+    }
+    if (statement_write(chain_start(i), chain_end(i))) continue;
+    read_members_.insert(t);
   }
 }
 

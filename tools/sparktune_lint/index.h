@@ -19,10 +19,19 @@
 //     typedef spelling), resolved transitively, so a member declared
 //     through an alias classifies exactly like one declared with the
 //     underlying type — aliasing must not launder an unordered container
-//     past unordered-member-iter or a mutex past guard discipline.
+//     past unordered-member-iter or a mutex past guard discipline;
+//   * for write-only-member, every data member declared under a src/ path
+//     segment whose name ends in '_', and, for every member name, whether
+//     any use anywhere reads its value. Uses that only write it: the
+//     target of `=` or a compound assignment, a statement-level `++`/`--`,
+//     the object of a statement-level mutator call (push_back, insert,
+//     clear, reset, Add, Clear, ...), a mem-initializer, any use inside
+//     SaveState/RestoreState, and the `return m_;` of an accessor that
+//     only *_test.cc files or its own class call.
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,19 +106,50 @@ class SymbolIndex {
   const FunctionRecord* FindRngRefFunction(const std::string& name) const;
   bool IsMutexMember(const std::string& name) const;
 
+  // write-only-member: the in-scope data members declared in `file`, in
+  // declaration order, and whether any indexed use of `name` reads it.
+  std::vector<const MemberRecord*> DataMembersIn(const std::string& file) const;
+  bool IsMemberRead(const std::string& name) const;
+
   size_t member_count() const;
   size_t function_count() const;
   size_t alias_count() const { return aliases_.size(); }
 
  private:
+  // A function body: its name and class ("" for free functions).
+  struct FunctionScope {
+    std::string name;
+    std::string cls;
+  };
+  // `return member;` in accessor `fn` of class `cls`: a read only when a
+  // file other than a *_test.cc calls `fn` from outside `cls`.
+  struct AccessorReturn {
+    std::string fn;
+    std::string cls;
+    std::string member;
+  };
+
   void IndexTokens(const std::string& path, const std::vector<Token>& toks,
                    const std::map<int, Annotation>& notes);
   void CollectAliasTokens(const std::string& path,
                           const std::vector<Token>& toks);
+  // Classify every member use and call in one file. `body_of[i]` indexes
+  // `bodies` for the function body token i sits in (-1 outside any);
+  // `declarators[i]` marks member and function declarator names.
+  void IndexUses(const std::string& path, const std::vector<Token>& toks,
+                 const std::vector<int>& body_of,
+                 const std::vector<FunctionScope>& bodies,
+                 const std::vector<char>& declarators);
 
   std::map<std::string, std::vector<MemberRecord>> members_;
   std::map<std::string, std::vector<FunctionRecord>> functions_;
   std::map<std::string, AliasRecord> aliases_;
+  std::vector<MemberRecord> data_members_;
+  std::set<std::string> read_members_;
+  std::vector<AccessorReturn> accessor_returns_;
+  // Function name -> classes that call it ("" = free code), from every
+  // file but *_test.cc.
+  std::map<std::string, std::set<std::string>> callers_;
 };
 
 // Build an index over an explicit, pre-sorted file list (CollectFiles

@@ -309,6 +309,21 @@ std::vector<Token> Tokenize(const std::string& code) {
   return toks;
 }
 
+bool InLibraryPath(const std::string& path) {
+  static const std::set<std::string> kTreeDirs = {
+      "src",      "tests",     "bench",        "tools",
+      "examples", "perfbench", "lint_fixtures"};
+  size_t end = path.rfind('/');
+  while (end != std::string::npos && end > 0) {
+    const size_t slash = path.rfind('/', end - 1);
+    const size_t begin = slash == std::string::npos ? 0 : slash + 1;
+    const std::string dir = path.substr(begin, end - begin);
+    if (kTreeDirs.count(dir)) return dir == "src";
+    end = slash;
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 // Rule engine.
 // ---------------------------------------------------------------------------
@@ -323,6 +338,7 @@ const std::vector<std::string> kRules = {
     "parallel-shared-write",
     // Cross-TU rules (phase 2, need the phase-1 index).
     "unordered-member-iter", "guard-discipline", "rng-ref-escape",
+    "write-only-member",
 };
 
 const std::vector<RuleDoc> kRuleDocs = {
@@ -361,6 +377,8 @@ const std::vector<RuleDoc> kRuleDocs = {
     {"rng-ref-escape", "cross-TU: un-forked Rng reference flowing into an "
                        "Rng&-taking callee in a ParallelFor body, or "
                        "captured by reference in a stored lambda"},
+    {"write-only-member", "cross-TU: library (src/) data member that is "
+                          "written, or saved and restored, but never read"},
 };
 
 bool PathContains(const std::string& path, const std::string& needle) {
@@ -392,6 +410,7 @@ class Linter {
     if (index_ != nullptr) {
       CheckUnorderedMemberIteration();
       CheckRngRefEscape();
+      CheckWriteOnlyMembers();
       std::vector<Finding> guard =
           CheckGuardDiscipline(path_, toks_, *index_);
       findings_.insert(findings_.end(), guard.begin(), guard.end());
@@ -445,7 +464,7 @@ class Linter {
     // Library code (src/) must fail soft: a dying tuner task may not take
     // the whole multi-tenant service with it. Benchmarks, tests, and CLIs
     // own their process and are exempt.
-    const bool in_library = PathContains(path_, "src/");
+    const bool in_library = InLibraryPath(path_);
     for (int line : cleaned_.omp_pragma_lines) {
       if (!is_pool) {
         Add("no-raw-thread", line, "OpenMP pragma",
@@ -773,6 +792,19 @@ class Linter {
               ") — iteration order is hash-dependent",
           "iterate a sorted copy of the keys, or justify with "
           "lint:allow(unordered-member-iter) <reason>");
+    }
+  }
+
+  // --- cross-TU: members nothing reads -------------------------------------
+  // Reported at the declaration: the index has seen every use in the tree.
+  void CheckWriteOnlyMembers() {
+    for (const MemberRecord* m : index_->DataMembersIn(path_)) {
+      if (index_->IsMemberRead(m->name)) continue;
+      Add("write-only-member", m->line,
+          "member '" + m->name + "' of " + m->cls +
+              " is written, or saved and restored, but never read",
+          "delete it with its *State and codec fields, or justify with "
+          "lint:allow(write-only-member) <reason> on the declaration");
     }
   }
 

@@ -10,8 +10,9 @@
 //                    SymbolIndex (tools/sparktune_lint/index.h): class
 //                    members with declared types (unordered containers,
 //                    mutexes), lint:guarded-by annotations attached to
-//                    declarations, and function signatures that accept
-//                    Rng by reference or pointer.
+//                    declarations, function signatures that accept
+//                    Rng by reference or pointer, and whether any use
+//                    of each member name reads it.
 //   Phase 2 (check)  re-run the rule engine per file with the index in
 //                    hand, which is what lets the cross-TU rules see a
 //                    member declared in one header and misused in a
@@ -46,7 +47,8 @@
 //                      parameter, and not an index-owned slot whose
 //                      subscript names a body-owned index (out[task_id])
 //   no-abort           abort()/exit()/_Exit()/quick_exit()/assert(false)
-//                      under src/ — library code returns Status
+//                      in library code (InLibraryPath) — library code
+//                      returns Status
 //   bad-allow          a lint:allow with no reason string or an unknown
 //                      rule id (never suppressible)
 // Cross-TU rules (need the phase-1 index; silent without it):
@@ -63,6 +65,12 @@
 //                      inside a ParallelFor body, or an Rng is captured
 //                      by reference in a lambda stored outside the
 //                      sanctioned ParallelFor call site
+//   write-only-member  a library data member (name ending in '_') that
+//                      no use in any indexed file reads: every use is a
+//                      write, a copy in SaveState/RestoreState, or the
+//                      return of an accessor only tests or its own class
+//                      call (index.h lists the uses that are not reads);
+//                      reported at the declaration
 //
 // Suppressions: `// lint:allow(<rule-id>) <reason>` on the finding's line
 // or the line directly above. `// lint:guarded-by(<mutex>)` satisfies
@@ -128,6 +136,12 @@ struct CleanedSource {
 CleanedSource CleanSource(const std::string& src);
 std::vector<Token> Tokenize(const std::string& code);
 
+// Library code, for the rules scoped to it (no-abort, write-only-member):
+// the innermost directory of `path` named src, tests, bench, tools,
+// examples, perfbench or lint_fixtures is src. The innermost one decides,
+// so a checkout that itself sits under some ~/src/ is not all library.
+bool InLibraryPath(const std::string& path);
+
 // ---------------------------------------------------------------------------
 // Rule catalogue.
 // ---------------------------------------------------------------------------
@@ -157,8 +171,8 @@ std::vector<Finding> LintFile(const std::string& path,
                               const std::string& content);
 
 // Phase-2 entry point: per-file rules plus the cross-TU rules
-// (unordered-member-iter, guard-discipline, rng-ref-escape) when `index`
-// is non-null.
+// (unordered-member-iter, guard-discipline, rng-ref-escape,
+// write-only-member) when `index` is non-null.
 std::vector<Finding> LintFileWithIndex(const std::string& path,
                                        const std::string& content,
                                        const SymbolIndex* index);
