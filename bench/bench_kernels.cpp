@@ -14,7 +14,11 @@
 //     feature extraction over --logs event logs (meta_extract), and on
 //     Spark-shaped data the GP hyper-sweep fit on 60 rows, a 64-tree
 //     forest fit on 200 rows, fANOVA on 120 rows, and acquisition
-//     maximization (gp_fit, forest_fit, fanova, acq_maximize).
+//     maximization (gp_fit, forest_fit, fanova, acq_maximize);
+//   * acquisition scoring: a runtime-constrained, safety-on maximization
+//     at max(--threads, 2), through the safety hooks wired as the advisor
+//     wired them before the candidate scorer, against EicScorer, which
+//     encodes and predicts each candidate once (acq_score).
 //
 // Per-layer time on the real workloads comes from perfbench's traced run;
 // this harness does the one job that cannot: fast path against reference,
@@ -40,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/acquisition_reference.h"
 #include "bench_util.h"
 #include "bo/acq_optimizer.h"
 #include "common/json.h"
@@ -451,7 +456,6 @@ void AddParallelRows(size_t num_logs, int threads, int reps,
   }
   GaussianProcess gp(spark, {});
   MustOk(gp.Fit(gp_data.x, gp_data.y), "acquisition gp fit");
-  EicAcquisition acq(&gp, gp_data.y[0]);
   const Subspace full = Subspace::Full(&space);
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
   RunHistory history;
@@ -462,6 +466,10 @@ void AddParallelRows(size_t num_logs, int threads, int reps,
     o.feasible = true;
     history.Add(o);
   }
+  EicScorerOptions plain;
+  plain.objective = &gp;
+  plain.incumbent = gp_data.y[0];
+  const EicScorer plain_scorer(encode, plain);
   rows->push_back(BenchThreads("acq_maximize", threads, reps, [&](int nt) {
     AcqOptOptions opts;
     opts.num_candidates = 1024;
@@ -469,13 +477,49 @@ void AddParallelRows(size_t num_logs, int threads, int reps,
     opts.local_steps = 32;
     opts.num_threads = nt;
     Rng acq_rng(42);
-    AcqOptResult r = AcquisitionOptimizer(opts).Maximize(
-        full, encode, acq, nullptr, nullptr, &history, &acq_rng);
+    AcqOptResult r = AcquisitionOptimizer(opts).Maximize(full, plain_scorer,
+                                                         &history, &acq_rng);
     std::vector<double> out(r.config.values().begin(),
                             r.config.values().end());
     out.push_back(r.acq_value);
     return out;
   }));
+
+  // acq_score: the advisor's production shape, the default 579-candidate
+  // pool screened by a log-runtime GP at its median training value.
+  std::vector<double> log_runtime;
+  for (const auto& row : gp_data.x) {
+    log_runtime.push_back(1.0 + row[0] + 0.5 * row[1] * row[2]);
+  }
+  GaussianProcess runtime(spark, {});
+  MustOk(runtime.Fit(gp_data.x, log_runtime), "acquisition runtime gp fit");
+  std::vector<double> sorted = log_runtime;
+  std::sort(sorted.begin(), sorted.end());
+  EicScorerOptions safe;
+  safe.objective = &gp;
+  safe.incumbent = *std::min_element(gp_data.y.begin(), gp_data.y.end());
+  safe.runtime = {&runtime, sorted[sorted.size() / 2]};
+  safe.safety = true;
+  const EicScorer safe_scorer(encode, safe);
+  AcqOptOptions opts;
+  opts.num_threads = threads;
+  const AcquisitionOptimizer optimizer(opts);
+  KernelRow row{"acq_score"};
+  AcqOptResult hooks, scored;
+  row.naive_ms = TimeMs(reps, [&] {
+    Rng acq_rng(42);
+    hooks = reference::MaximizeWithHooks(optimizer, full, encode, safe,
+                                         &history, &acq_rng);
+  });
+  row.fast_ms = TimeMs(reps, [&] {
+    Rng acq_rng(42);
+    scored = optimizer.Maximize(full, safe_scorer, &history, &acq_rng);
+  });
+  row.bit_identical = hooks.config == scored.config &&
+                      hooks.acq_value == scored.acq_value &&
+                      hooks.raw_ei == scored.raw_ei &&
+                      hooks.safe_fallback_used == scored.safe_fallback_used;
+  rows->push_back(row);
 }
 
 }  // namespace

@@ -81,10 +81,12 @@ RunHistory Locat::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
           }
         }
         incumbent = std::log(std::max(incumbent, 1e-9));
-        EicAcquisition acq(&gp, incumbent);
         auto enc = [&](const Configuration& c) { return encode(c, hint); };
-        AcqOptResult res =
-            acq_opt.Maximize(sub, enc, acq, nullptr, nullptr, &history, &rng);
+        EicScorerOptions scoring;
+        scoring.objective = &gp;
+        scoring.incumbent = incumbent;
+        AcqOptResult res = acq_opt.Maximize(
+            sub, EicScorer(enc, scoring), &history, &rng);
         next = res.config;
       } else {
         next = space.Sample(&rng);

@@ -84,12 +84,14 @@ RunHistory Tuneful::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
           }
         }
         incumbent = std::log(std::max(incumbent, 1e-9));
-        EicAcquisition acq(&gp, incumbent);
         auto encode = [&](const Configuration& c) {
           return space.ToUnit(c);
         };
-        AcqOptResult res = acq_opt.Maximize(sub, encode, acq, nullptr,
-                                            nullptr, &history, &rng);
+        EicScorerOptions scoring;
+        scoring.objective = &gp;
+        scoring.incumbent = incumbent;
+        AcqOptResult res = acq_opt.Maximize(
+            sub, EicScorer(encode, scoring), &history, &rng);
         next = res.config;
       } else {
         next = space.Sample(&rng);

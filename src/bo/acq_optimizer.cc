@@ -6,6 +6,79 @@
 
 namespace sparktune {
 
+namespace {
+
+// The hook form's scorer: safety through the hooks, EIC through the
+// EicAcquisition, each called as the hook form always called them.
+class HookScorer final : public CandidateScorer {
+ public:
+  using Opt = AcquisitionOptimizer;
+
+  HookScorer(const Opt::EncodeFn& encode, const EicAcquisition& acq,
+             const Opt::SafeFn& safe, const Opt::UnsafetyFn& unsafety,
+             const Opt::SafeBatchFn& safe_batch,
+             const Opt::UnsafetyBatchFn& unsafety_batch, int num_threads)
+      : encode_(encode),
+        acq_(acq),
+        safe_(safe),
+        unsafety_(unsafety),
+        safe_batch_(safe_batch),
+        unsafety_batch_(unsafety_batch),
+        num_threads_(num_threads) {}
+
+  std::vector<CandidateScore> ScoreBatch(
+      const std::vector<Configuration>& cs) const override {
+    std::vector<char> ok(cs.size(), 1);
+    if (safe_batch_) {
+      ok = safe_batch_(cs);
+    } else if (safe_) {
+      ParallelFor(num_threads_, cs.size(),
+                  [&](size_t t) { ok[t] = safe_(cs[t]); });
+    }
+    std::vector<size_t> idx;
+    std::vector<std::vector<double>> feats;
+    for (size_t t = 0; t < cs.size(); ++t) {
+      if (!ok[t]) continue;
+      idx.push_back(t);
+      feats.push_back(encode_(cs[t]));
+    }
+    const std::vector<double> acq = acq_.EvalBatch(feats);
+    std::vector<CandidateScore> out(cs.size(), CandidateScore{false, 0.0});
+    for (size_t k = 0; k < idx.size(); ++k) out[idx[k]] = {true, acq[k]};
+    return out;
+  }
+
+  CandidateScore Score(const Configuration& c) const override {
+    if (safe_ && !safe_(c)) return {false, 0.0};
+    return {true, acq_.Eval(encode_(c))};
+  }
+
+  std::vector<double> Unsafety(
+      const std::vector<Configuration>& cs) const override {
+    std::vector<double> out(cs.size(), 0.0);
+    if (!unsafety_) return out;
+    if (unsafety_batch_) return unsafety_batch_(cs);
+    ParallelFor(num_threads_, cs.size(),
+                [&](size_t t) { out[t] = unsafety_(cs[t]); });
+    return out;
+  }
+
+  double RawEi(const Configuration& c) const override {
+    return acq_.RawEi(encode_(c));
+  }
+
+ private:
+  const Opt::EncodeFn& encode_;
+  const EicAcquisition& acq_;
+  const Opt::SafeFn& safe_;
+  const Opt::UnsafetyFn& unsafety_;
+  const Opt::SafeBatchFn& safe_batch_;
+  const Opt::UnsafetyBatchFn& unsafety_batch_;
+  const int num_threads_;
+};
+
+}  // namespace
+
 AcquisitionOptimizer::AcquisitionOptimizer(AcqOptOptions options)
     : options_(options) {}
 
@@ -14,6 +87,15 @@ AcqOptResult AcquisitionOptimizer::Maximize(
     const SafeFn& safe, const UnsafetyFn& unsafety, const RunHistory* history,
     Rng* rng, const SafeBatchFn& safe_batch,
     const UnsafetyBatchFn& unsafety_batch) const {
+  const HookScorer scorer(encode, acq, safe, unsafety, safe_batch,
+                          unsafety_batch, options_.num_threads);
+  return Maximize(subspace, scorer, history, rng);
+}
+
+AcqOptResult AcquisitionOptimizer::Maximize(const Subspace& subspace,
+                                            const CandidateScorer& scorer,
+                                            const RunHistory* history,
+                                            Rng* rng) const {
   struct Scored {
     Configuration config;
     double value = 0.0;
@@ -46,60 +128,24 @@ AcqOptResult AcquisitionOptimizer::Maximize(
     }
   }
 
-  // ---- Candidate evaluation (batched: one surrogate pass per stage) ----
-  struct CandEval {
-    bool dup = false;
-    bool is_safe = true;
-    double acq_value = 0.0;
-  };
-  std::vector<CandEval> evals(cands.size());
+  // ---- Candidate evaluation: duplicates out, then one scoring pass ----
+  std::vector<char> dup(cands.size(), 0);
   ParallelFor(options_.num_threads, cands.size(), [&](size_t i) {
-    evals[i].dup = history != nullptr && history->Contains(cands[i]);
+    dup[i] = history != nullptr && history->Contains(cands[i]);
   });
-  std::vector<size_t> live;
+  std::vector<Configuration> live;
   live.reserve(cands.size());
   for (size_t i = 0; i < cands.size(); ++i) {
-    if (!evals[i].dup) live.push_back(i);
+    if (!dup[i]) live.push_back(std::move(cands[i]));
   }
-  std::vector<Configuration> live_cfg;
-  live_cfg.reserve(live.size());
-  for (size_t i : live) live_cfg.push_back(cands[i]);
-  if (!live.empty()) {
-    // Safe-region screen.
-    if (safe_batch) {
-      std::vector<char> s = safe_batch(live_cfg);
-      for (size_t t = 0; t < live.size(); ++t) {
-        evals[live[t]].is_safe = s[t] != 0;
-      }
-    } else if (safe) {
-      ParallelFor(options_.num_threads, live.size(), [&](size_t t) {
-        evals[live[t]].is_safe = safe(live_cfg[t]);
-      });
-    }
-    // Acquisition for the safe survivors: the whole pool in one batched
-    // surrogate pass instead of a Predict per candidate.
-    std::vector<size_t> scored;
-    std::vector<std::vector<double>> feats;
-    scored.reserve(live.size());
-    feats.reserve(live.size());
-    for (size_t t = 0; t < live.size(); ++t) {
-      if (!evals[live[t]].is_safe) continue;
-      scored.push_back(live[t]);
-      feats.push_back(encode(live_cfg[t]));
-    }
-    std::vector<double> acq_vals = acq.EvalBatch(feats);
-    for (size_t t = 0; t < scored.size(); ++t) {
-      evals[scored[t]].acq_value = acq_vals[t];
-    }
-  }
+  std::vector<CandidateScore> scores;
+  if (!live.empty()) scores = scorer.ScoreBatch(live);
 
   // ---- Serial fold in candidate order (same tie-breaking as serial) ----
   std::vector<Scored> pool;
-  pool.reserve(cands.size());
-  for (size_t i = 0; i < cands.size(); ++i) {
-    const CandEval& e = evals[i];
-    if (e.dup || !e.is_safe) continue;
-    pool.push_back({std::move(cands[i]), e.acq_value});
+  pool.reserve(live.size());
+  for (size_t t = 0; t < live.size(); ++t) {
+    if (scores[t].safe) pool.push_back({live[t], scores[t].acq});
   }
 
   AcqOptResult result;
@@ -108,29 +154,20 @@ AcqOptResult AcquisitionOptimizer::Maximize(
     // violation is smallest — the point most likely to extend the safe
     // region (SafeOpt-style expansion). Unsafety is scored only here, over
     // the same non-duplicate candidates; ties go to the first in candidate
-    // order, and without an unsafety score the first candidate wins.
+    // order.
     result.safe_fallback_used = true;
-    if (live_cfg.empty()) {
+    if (live.empty()) {
       result.config = subspace.Sample(rng);
     } else {
+      const std::vector<double> u = scorer.Unsafety(live);
       size_t least = 0;
-      if (unsafety) {
-        std::vector<double> u;
-        if (unsafety_batch) {
-          u = unsafety_batch(live_cfg);
-        } else {
-          u.resize(live_cfg.size());
-          ParallelFor(options_.num_threads, live_cfg.size(),
-                      [&](size_t t) { u[t] = unsafety(live_cfg[t]); });
-        }
-        for (size_t t = 1; t < u.size(); ++t) {
-          if (u[t] < u[least]) least = t;
-        }
+      for (size_t t = 1; t < u.size(); ++t) {
+        if (u[t] < u[least]) least = t;
       }
-      result.config = std::move(live_cfg[least]);
+      result.config = std::move(live[least]);
     }
     result.acq_value = 0.0;
-    result.raw_ei = acq.RawEi(encode(result.config));
+    result.raw_ei = scorer.RawEi(result.config);
     return result;
   }
 
@@ -149,9 +186,12 @@ AcqOptResult AcquisitionOptimizer::Maximize(
     Configuration cur = pool[s].config;
     double cur_value = pool[s].value;
     double sigma = options_.local_sigma;
+    // A step's score, set by `rejected` for a non-duplicate candidate.
+    CandidateScore score;
     auto rejected = [&](const Configuration& c) {
-      return (history != nullptr && history->Contains(c)) ||
-             (safe && !safe(c));
+      if (history != nullptr && history->Contains(c)) return true;
+      score = scorer.Score(c);
+      return !score.safe;
     };
     for (int step = 0; step < options_.local_steps; ++step) {
       Configuration cand = subspace.Neighbor(cur, sigma, crng);
@@ -168,10 +208,9 @@ AcqOptResult AcquisitionOptimizer::Maximize(
         sigma *= 0.9;
         continue;
       }
-      double v = acq.Eval(encode(cand));
-      if (v > cur_value) {
+      if (score.acq > cur_value) {
         cur = std::move(cand);
-        cur_value = v;
+        cur_value = score.acq;
       } else {
         sigma *= 0.9;  // anneal toward fine-grained moves
       }
@@ -190,7 +229,7 @@ AcqOptResult AcquisitionOptimizer::Maximize(
 
   result.config = best_config;
   result.acq_value = best_value;
-  result.raw_ei = acq.RawEi(encode(best_config));
+  result.raw_ei = scorer.RawEi(best_config);
   return result;
 }
 

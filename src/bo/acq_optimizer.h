@@ -61,13 +61,22 @@ class AcquisitionOptimizer {
 
   explicit AcquisitionOptimizer(AcqOptOptions options = {});
 
-  // Scores the scattered pool with batched surrogate inference (one
-  // batched safety screen when the batch hooks are given, then one
-  // EicAcquisition::EvalBatch pass over the safe candidates) — identical
-  // selection to per-point scoring. Unsafety is scored lazily: only when
-  // the safe screen leaves no candidate, once per non-duplicate candidate,
-  // and the least-unsafe one (first in candidate order on ties) is the
-  // fallback, the same choice an eager scorer makes.
+  // Scores the non-duplicate candidates of the pool in one ScoreBatch,
+  // then climbs from the best safe ones, scoring each step with Score.
+  // Unsafety is scored lazily: only when no candidate is safe, once over
+  // the non-duplicate candidates, and the least-unsafe one (first in
+  // candidate order on ties) is the fallback, the same choice an eager
+  // scorer makes.
+  AcqOptResult Maximize(const Subspace& subspace,
+                        const CandidateScorer& scorer,
+                        const RunHistory* history, Rng* rng) const;
+
+  // The hook form: an adapter onto the scorer form with the same result
+  // and the hooks' own call pattern. The pool's safe screen calls
+  // safe_batch once when given, else safe per candidate across
+  // num_threads; EicAcquisition::EvalBatch scores the safe candidates;
+  // each climb step calls safe, then acq.Eval. Unsafety goes through
+  // unsafety_batch when given, else unsafety per candidate.
   AcqOptResult Maximize(const Subspace& subspace, const EncodeFn& encode,
                         const EicAcquisition& acq, const SafeFn& safe,
                         const UnsafetyFn& unsafety, const RunHistory* history,

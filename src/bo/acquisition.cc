@@ -1,7 +1,9 @@
 #include "bo/acquisition.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 #include "common/normal.h"
 
@@ -20,6 +22,10 @@ double ProbabilityBelow(double mean, double variance, double threshold) {
   double sigma = std::sqrt(std::max(variance, 0.0));
   if (sigma < 1e-12) return mean <= threshold ? 1.0 : 0.0;
   return NormCdf((threshold - mean) / sigma);
+}
+
+double UpperConfidenceBound(const Prediction& p, double gamma) {
+  return p.mean + gamma * std::sqrt(std::max(p.variance, 0.0));
 }
 
 double ProbabilisticConstraint::SatisfactionProbability(
@@ -43,8 +49,7 @@ std::vector<double> ProbabilisticConstraint::SatisfactionProbabilityBatch(
 double ProbabilisticConstraint::UpperBound(const std::vector<double>& features,
                                            double gamma) const {
   assert(surrogate != nullptr);
-  Prediction p = surrogate->Predict(features);
-  return p.mean + gamma * std::sqrt(std::max(p.variance, 0.0));
+  return UpperConfidenceBound(surrogate->Predict(features), gamma);
 }
 
 std::vector<double> ProbabilisticConstraint::UpperBoundBatch(
@@ -53,8 +58,7 @@ std::vector<double> ProbabilisticConstraint::UpperBoundBatch(
   std::vector<Prediction> preds = surrogate->PredictBatch(xs);
   std::vector<double> out(xs.size());
   for (size_t j = 0; j < xs.size(); ++j) {
-    out[j] =
-        preds[j].mean + gamma * std::sqrt(std::max(preds[j].variance, 0.0));
+    out[j] = UpperConfidenceBound(preds[j], gamma);
   }
   return out;
 }
@@ -76,9 +80,6 @@ double EicAcquisition::RawEi(const std::vector<double>& features) const {
 }
 
 double EicAcquisition::Eval(const std::vector<double>& features) const {
-  for (const auto& fn : deterministic_) {
-    if (!fn(features)) return 0.0;
-  }
   double acq = RawEi(features);
   if (acq <= 0.0) return 0.0;
   for (const auto& c : constraints_) {
@@ -101,34 +102,16 @@ std::vector<double> EicAcquisition::EvalBatch(
     const std::vector<std::vector<double>>& xs) const {
   std::vector<double> out(xs.size(), 0.0);
   if (xs.empty()) return out;
-  // Deterministic screen first (cheap, exact), mirroring Eval's
-  // short-circuit order per candidate.
-  std::vector<size_t> live;
-  live.reserve(xs.size());
-  for (size_t j = 0; j < xs.size(); ++j) {
-    bool ok = true;
-    for (const auto& fn : deterministic_) {
-      if (!fn(xs[j])) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) live.push_back(j);
-  }
-  if (live.empty()) return out;
-  std::vector<std::vector<double>> live_x;
-  live_x.reserve(live.size());
-  for (size_t j : live) live_x.push_back(xs[j]);
-  std::vector<double> ei = RawEiBatch(live_x);
+  std::vector<double> ei = RawEiBatch(xs);
   // Constraint surrogates only score candidates with positive EI (Eval
   // never reaches the constraint product otherwise).
   std::vector<size_t> pos;
   std::vector<std::vector<double>> pos_x;
-  for (size_t t = 0; t < live.size(); ++t) {
-    if (ei[t] > 0.0) {
-      out[live[t]] = ei[t];
-      pos.push_back(live[t]);
-      pos_x.push_back(std::move(live_x[t]));
+  for (size_t j = 0; j < xs.size(); ++j) {
+    if (ei[j] > 0.0) {
+      out[j] = ei[j];
+      pos.push_back(j);
+      pos_x.push_back(xs[j]);
     }
   }
   if (pos.empty()) return out;
@@ -137,6 +120,114 @@ std::vector<double> EicAcquisition::EvalBatch(
     for (size_t t = 0; t < pos.size(); ++t) out[pos[t]] *= probs[t];
   }
   return out;
+}
+
+EicScorer::EicScorer(EncodeFn encode, EicScorerOptions options)
+    : encode_(std::move(encode)), options_(std::move(options)) {
+  assert(options_.objective != nullptr);
+}
+
+bool EicScorer::ResourceOk(const Configuration& c) const {
+  return !options_.resource_fn ||
+         options_.resource_fn(c) <= options_.resource_max;
+}
+
+bool EicScorer::InSafeRegion(const Prediction& runtime) const {
+  return UpperConfidenceBound(runtime, options_.gamma) <=
+         options_.runtime.threshold;
+}
+
+double EicScorer::Eic(const Prediction& objective,
+                      const Prediction* runtime) const {
+  const double ei = ExpectedImprovement(objective.mean, objective.variance,
+                                        options_.incumbent);
+  if (ei <= 0.0) return 0.0;
+  if (runtime == nullptr) return ei;
+  return ei * ProbabilityBelow(runtime->mean, runtime->variance,
+                               options_.runtime.threshold);
+}
+
+CandidateScore EicScorer::Score(const Configuration& c) const {
+  if (!ResourceOk(c)) return {false, 0.0};
+  const std::vector<double> x = encode_(c);
+  std::optional<Prediction> rt;
+  if (options_.runtime.surrogate != nullptr) {
+    rt = options_.runtime.surrogate->Predict(x);
+    if (options_.safety && !InSafeRegion(*rt)) return {false, 0.0};
+  }
+  return {true, Eic(options_.objective->Predict(x), rt ? &*rt : nullptr)};
+}
+
+std::vector<CandidateScore> EicScorer::ScoreBatch(
+    const std::vector<Configuration>& cs) const {
+  std::vector<CandidateScore> out(cs.size(), CandidateScore{false, 0.0});
+  // The candidates still in the running: pool indices, features and
+  // runtime predictions.
+  std::vector<size_t> idx;
+  std::vector<std::vector<double>> xs;
+  idx.reserve(cs.size());
+  xs.reserve(cs.size());
+  for (size_t i = 0; i < cs.size(); ++i) {
+    if (!ResourceOk(cs[i])) continue;
+    idx.push_back(i);
+    xs.push_back(encode_(cs[i]));
+  }
+  const Surrogate* runtime = options_.runtime.surrogate;
+  std::vector<Prediction> rt;
+  if (runtime != nullptr) {
+    rt = runtime->PredictBatch(xs);
+    if (options_.safety) {
+      size_t kept = 0;
+      for (size_t t = 0; t < idx.size(); ++t) {
+        if (!InSafeRegion(rt[t])) continue;
+        if (kept != t) {
+          idx[kept] = idx[t];
+          xs[kept] = std::move(xs[t]);
+          rt[kept] = rt[t];
+        }
+        ++kept;
+      }
+      idx.resize(kept);
+      xs.resize(kept);
+      rt.resize(kept);
+    }
+  }
+  if (idx.empty()) return out;
+  const std::vector<Prediction> obj = options_.objective->PredictBatch(xs);
+  for (size_t t = 0; t < idx.size(); ++t) {
+    out[idx[t]] = {true, Eic(obj[t], runtime != nullptr ? &rt[t] : nullptr)};
+  }
+  return out;
+}
+
+std::vector<double> EicScorer::Unsafety(
+    const std::vector<Configuration>& cs) const {
+  std::vector<double> out(cs.size(), 0.0);
+  if (!options_.safety) return out;
+  if (options_.resource_fn) {
+    for (size_t i = 0; i < cs.size(); ++i) {
+      out[i] = std::max(
+          out[i], options_.resource_fn(cs[i]) / options_.resource_max - 1.0);
+    }
+  }
+  const Surrogate* runtime = options_.runtime.surrogate;
+  if (runtime == nullptr) return out;
+  std::vector<std::vector<double>> xs;
+  xs.reserve(cs.size());
+  for (const Configuration& c : cs) xs.push_back(encode_(c));
+  const std::vector<Prediction> p = runtime->PredictBatch(xs);
+  const double threshold = options_.runtime.threshold;
+  for (size_t i = 0; i < cs.size(); ++i) {
+    const double u = UpperConfidenceBound(p[i], options_.gamma);
+    out[i] = std::max(out[i], threshold > 0.0 ? u / threshold - 1.0
+                                              : u - threshold);
+  }
+  return out;
+}
+
+double EicScorer::RawEi(const Configuration& c) const {
+  const Prediction p = options_.objective->Predict(encode_(c));
+  return ExpectedImprovement(p.mean, p.variance, options_.incumbent);
 }
 
 }  // namespace sparktune

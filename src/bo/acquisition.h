@@ -1,11 +1,14 @@
 // Acquisition functions (paper §3.3 Eq. 3, §4.2 Eq. 6-8): Expected
-// Improvement, EI with Constraints, and the safe-region upper bound test.
+// Improvement, EI with Constraints, the safe-region upper bound test, and
+// the candidate scorer that evaluates the last two from one prediction.
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "model/surrogate.h"
+#include "space/config_space.h"
 
 namespace sparktune {
 
@@ -15,6 +18,9 @@ double ExpectedImprovement(double mean, double variance, double best);
 
 // Pr[g(x) <= threshold] under g ~ N(mean, variance).
 double ProbabilityBelow(double mean, double variance, double threshold);
+
+// The Eq. 8 upper bound u(x) = mu(x) + gamma * sigma(x) of one prediction.
+double UpperConfidenceBound(const Prediction& p, double gamma);
 
 // One probabilistic inequality constraint g(x) <= threshold, with g modeled
 // by a surrogate over the same feature encoding as the objective.
@@ -37,20 +43,13 @@ struct ProbabilisticConstraint {
       const std::vector<std::vector<double>>& xs, double gamma) const;
 };
 
-// EIC acquisition (Eq. 6): EI(x) * prod_i Pr[constraint_i satisfied] *
-// prod_j [deterministic constraint_j satisfied].
+// EIC acquisition (Eq. 6): EI(x) * prod_i Pr[constraint_i satisfied].
 class EicAcquisition {
  public:
   EicAcquisition(const Surrogate* objective_surrogate, double incumbent);
 
   void AddConstraint(ProbabilisticConstraint c) {
     constraints_.push_back(c);
-  }
-  // Exact white-box constraint (e.g. resource function): returns true when
-  // satisfied.
-  void AddDeterministicConstraint(
-      std::function<bool(const std::vector<double>&)> fn) {
-    deterministic_.push_back(std::move(fn));
   }
 
   double Eval(const std::vector<double>& features) const;
@@ -59,8 +58,7 @@ class EicAcquisition {
 
   // Batched evaluation over a candidate pool: one objective PredictBatch,
   // then one constraint-surrogate PredictBatch per constraint restricted to
-  // candidates that survive the deterministic screen and have EI > 0.
-  // out[i] == Eval(xs[i]) bit-for-bit.
+  // candidates with EI > 0. out[i] == Eval(xs[i]) bit-for-bit.
   std::vector<double> EvalBatch(
       const std::vector<std::vector<double>>& xs) const;
   // Batched RawEi; out[i] == RawEi(xs[i]) bit-for-bit.
@@ -75,7 +73,85 @@ class EicAcquisition {
   const Surrogate* objective_;
   double incumbent_;
   std::vector<ProbabilisticConstraint> constraints_;
-  std::vector<std::function<bool(const std::vector<double>&)>> deterministic_;
+};
+
+// What the acquisition optimizer learns about one candidate.
+struct CandidateScore {
+  bool safe = true;
+  // EIC (Eq. 6) of a safe candidate; 0 for an unsafe one.
+  double acq = 0.0;
+};
+
+// Scores acquisition candidates for AcquisitionOptimizer::Maximize.
+// Implementations keep no mutable state: the hill climbs call Score
+// concurrently.
+class CandidateScorer {
+ public:
+  virtual ~CandidateScorer() = default;
+
+  // One pass over a candidate pool. out[i] is bit-identical to
+  // Score(cs[i]), however the pool is split into batches.
+  virtual std::vector<CandidateScore> ScoreBatch(
+      const std::vector<Configuration>& cs) const = 0;
+  virtual CandidateScore Score(const Configuration& c) const = 0;
+  // Degree of safe-region violation per candidate (<= 0 means safe). It
+  // only ranks fallback candidates when none is safe: the least unsafe
+  // wins, the first on ties.
+  virtual std::vector<double> Unsafety(
+      const std::vector<Configuration>& cs) const = 0;
+  // EI without constraint weighting (the stopping-criterion input).
+  virtual double RawEi(const Configuration& c) const = 0;
+};
+
+struct EicScorerOptions {
+  const Surrogate* objective = nullptr;
+  double incumbent = 0.0;
+  // Probabilistic runtime constraint; Pr[runtime <= threshold] weights EI
+  // (Eq. 6). A null surrogate means no runtime constraint.
+  ProbabilisticConstraint runtime;
+  // White-box resource constraint R(x) <= resource_max: a candidate over
+  // it is never safe. Null means no resource constraint.
+  std::function<double(const Configuration&)> resource_fn;
+  double resource_max = std::numeric_limits<double>::infinity();
+  // Safe exploration (Eq. 8): a safe candidate also needs the runtime
+  // upper bound u(x) <= threshold, and Unsafety ranks violations. Without
+  // it Unsafety is 0 everywhere, so the fallback takes the first
+  // candidate.
+  bool safety = false;
+  double gamma = 0.5;
+};
+
+// The production scorer. Per candidate: one R(x) check, then one encode
+// and one prediction per surrogate. The one runtime prediction gives both
+// the Eq. 8 test and the EIC factor Phi((threshold - mu) / sigma); the
+// objective is predicted only for a safe candidate.
+class EicScorer final : public CandidateScorer {
+ public:
+  using EncodeFn = std::function<std::vector<double>(const Configuration&)>;
+
+  EicScorer(EncodeFn encode, EicScorerOptions options);
+
+  // One encode pass and one PredictBatch per surrogate over the pool.
+  std::vector<CandidateScore> ScoreBatch(
+      const std::vector<Configuration>& cs) const override;
+  CandidateScore Score(const Configuration& c) const override;
+  // max(0, R(x) / resource_max - 1, runtime violation), where the runtime
+  // violation is u(x) / threshold - 1 for a positive threshold and
+  // u(x) - threshold otherwise: with log targets a runtime bound <= 1 has a
+  // threshold <= 0, where the ratio would flip or divide by zero.
+  std::vector<double> Unsafety(
+      const std::vector<Configuration>& cs) const override;
+  double RawEi(const Configuration& c) const override;
+
+ private:
+  bool ResourceOk(const Configuration& c) const;
+  bool InSafeRegion(const Prediction& runtime) const;
+  // EIC (Eq. 6) from the candidate's predictions; null: no runtime
+  // constraint.
+  double Eic(const Prediction& objective, const Prediction* runtime) const;
+
+  EncodeFn encode_;
+  EicScorerOptions options_;
 };
 
 }  // namespace sparktune

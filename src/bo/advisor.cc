@@ -319,8 +319,7 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
       std::vector<Prediction> ps = runtime_surrogate_->PredictBatch(feats);
       upper.resize(ps.size());
       for (size_t k = 0; k < ps.size(); ++k) {
-        upper[k] = ps[k].mean + options_.safety_gamma *
-                                    std::sqrt(std::max(ps[k].variance, 0.0));
+        upper[k] = UpperConfidenceBound(ps[k], options_.safety_gamma);
       }
     }
     auto step_ok = [&](size_t k) {
@@ -386,122 +385,27 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
       options_.log_targets ? std::log(options_.objective.runtime_max)
                            : options_.objective.runtime_max;
 
-  EicAcquisition acq(objective_surrogate_.get(), incumbent);
-
-  ProbabilisticConstraint runtime_constraint;
-  const bool use_runtime_constraint =
-      options_.enable_eic && options_.objective.has_runtime_constraint();
-  if (use_runtime_constraint) {
-    runtime_constraint.surrogate = runtime_surrogate_.get();
-    runtime_constraint.threshold = runtime_threshold;
-    acq.AddConstraint(runtime_constraint);
+  // EIC (Eq. 6) weighted by the runtime constraint, over the safe region
+  // (Eq. 8) when safety is on. The white-box resource bound holds even
+  // without safety.
+  EicScorerOptions scoring;
+  scoring.objective = objective_surrogate_.get();
+  scoring.incumbent = incumbent;
+  if (options_.enable_eic && options_.objective.has_runtime_constraint()) {
+    scoring.runtime = {runtime_surrogate_.get(), runtime_threshold};
   }
-  const bool use_resource_constraint =
-      options_.enable_eic && options_.objective.has_resource_constraint();
-
-  // Deterministic white-box resource check inside the acquisition.
-  AcquisitionOptimizer::SafeFn safe;
-  AcquisitionOptimizer::UnsafetyFn unsafety;
-  AcquisitionOptimizer::SafeBatchFn safe_batch;
-  AcquisitionOptimizer::UnsafetyBatchFn unsafety_batch;
-  double gamma = options_.safety_gamma;
-  if (options_.enable_safety &&
-      (use_runtime_constraint || use_resource_constraint)) {
-    safe = [&, gamma](const Configuration& c) {
-      if (use_resource_constraint &&
-          options_.resource_fn(c) > options_.objective.resource_max) {
-        return false;
-      }
-      if (use_runtime_constraint &&
-          !runtime_constraint.InSafeRegion(encode(c), gamma)) {
-        return false;
-      }
-      return true;
-    };
-    unsafety = [&, gamma](const Configuration& c) {
-      double worst = 0.0;
-      if (use_resource_constraint) {
-        worst = std::max(worst,
-                         options_.resource_fn(c) /
-                                 options_.objective.resource_max -
-                             1.0);
-      }
-      if (use_runtime_constraint) {
-        worst = std::max(worst, runtime_constraint.UpperBound(encode(c),
-                                                              gamma) /
-                                        runtime_threshold -
-                                    1.0);
-      }
-      return worst;
-    };
-    // Batched screens for the scattered candidate pool: one runtime-
-    // surrogate PredictBatch over the pool instead of a Predict per
-    // candidate. Element-wise identical to safe/unsafety above.
-    safe_batch = [&, gamma](const std::vector<Configuration>& cs) {
-      std::vector<char> out(cs.size(), 1);
-      if (use_resource_constraint) {
-        for (size_t j = 0; j < cs.size(); ++j) {
-          if (options_.resource_fn(cs[j]) > options_.objective.resource_max) {
-            out[j] = 0;
-          }
-        }
-      }
-      if (use_runtime_constraint) {
-        std::vector<size_t> idx;
-        std::vector<std::vector<double>> feats;
-        idx.reserve(cs.size());
-        feats.reserve(cs.size());
-        for (size_t j = 0; j < cs.size(); ++j) {
-          if (!out[j]) continue;
-          idx.push_back(j);
-          feats.push_back(encode(cs[j]));
-        }
-        std::vector<double> up =
-            runtime_constraint.UpperBoundBatch(feats, gamma);
-        for (size_t t = 0; t < idx.size(); ++t) {
-          if (up[t] > runtime_constraint.threshold) out[idx[t]] = 0;
-        }
-      }
-      return out;
-    };
-    unsafety_batch = [&, gamma](const std::vector<Configuration>& cs) {
-      std::vector<double> out(cs.size(), 0.0);
-      if (use_resource_constraint) {
-        for (size_t j = 0; j < cs.size(); ++j) {
-          out[j] = std::max(out[j], options_.resource_fn(cs[j]) /
-                                            options_.objective.resource_max -
-                                        1.0);
-        }
-      }
-      if (use_runtime_constraint) {
-        std::vector<std::vector<double>> feats;
-        feats.reserve(cs.size());
-        for (const Configuration& c : cs) feats.push_back(encode(c));
-        std::vector<double> up =
-            runtime_constraint.UpperBoundBatch(feats, gamma);
-        for (size_t j = 0; j < cs.size(); ++j) {
-          out[j] = std::max(out[j], up[j] / runtime_threshold - 1.0);
-        }
-      }
-      return out;
-    };
-  } else if (use_resource_constraint) {
-    // Even without the safety component, hard white-box constraints are
-    // honored inside EIC.
-    acq.AddDeterministicConstraint(
-        [this](const std::vector<double>&) { return true; });
-    safe = [&](const Configuration& c) {
-      return options_.resource_fn(c) <= options_.objective.resource_max;
-    };
+  if (options_.enable_eic && options_.objective.has_resource_constraint()) {
+    scoring.resource_fn = options_.resource_fn;
+    scoring.resource_max = options_.objective.resource_max;
   }
+  scoring.safety = options_.enable_safety;
+  scoring.gamma = options_.safety_gamma;
+  const EicScorer scorer(encode, std::move(scoring));
 
-  AcqOptResult res =
-      acq_opt_.Maximize(sub, encode, acq, safe, unsafety, &history_, &rng_,
-                        safe_batch, unsafety_batch);
+  AcqOptResult res = acq_opt_.Maximize(sub, scorer, &history_, &rng_);
   if (sub_default.has_value()) {
-    AcqOptResult alt =
-        acq_opt_.Maximize(*sub_default, encode, acq, safe, unsafety,
-                          &history_, &rng_, safe_batch, unsafety_batch);
+    AcqOptResult alt = acq_opt_.Maximize(*sub_default, scorer, &history_,
+                                         &rng_);
     if ((res.safe_fallback_used && !alt.safe_fallback_used) ||
         (res.safe_fallback_used == alt.safe_fallback_used &&
          alt.acq_value > res.acq_value)) {

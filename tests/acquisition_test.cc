@@ -1,11 +1,14 @@
 // Tests for EI, EIC, safe-region math and the acquisition optimizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "acquisition_reference.h"
 #include "bo/acq_optimizer.h"
 #include "bo/acquisition.h"
 #include "model/gp.h"
@@ -104,16 +107,6 @@ TEST(EicTest, ConstraintProbabilityScalesEi) {
   EicAcquisition with_unsafe(&objective, 1.0);
   with_unsafe.AddConstraint({&unsafe_constraint, 0.0});
   EXPECT_LT(with_unsafe.Eval({0.0}), base * 1e-6);
-}
-
-TEST(EicTest, DeterministicConstraintZeroesOut) {
-  FakeSurrogate objective([](const std::vector<double>&) {
-    return Prediction{0.0, 1.0};
-  });
-  EicAcquisition acq(&objective, 1.0);
-  acq.AddDeterministicConstraint(
-      [](const std::vector<double>&) { return false; });
-  EXPECT_DOUBLE_EQ(acq.Eval({0.0}), 0.0);
 }
 
 ConfigSpace TwoDSpace() {
@@ -418,6 +411,235 @@ TEST(AcqOptimizerTest, RejectedClimbStepsRetryWithAnnealedSigma) {
   // No-retry floor: 64 candidate checks + 20 climb-step checks = 84.
   EXPECT_GT(safe_calls, 64 + 20);
   EXPECT_LE(res.config[0], 0.3);
+}
+
+TEST(EicScorerTest, UnsafetyRisesWithTheUpperBoundAtThresholdsAtOrBelowZero) {
+  // With log targets the runtime threshold is log(runtime_max): below 0
+  // for a bound under 1, and 0 at 1. Ranking runtime violation as
+  // u(x) / threshold - 1 there scores every runtime-unsafe candidate <= 0
+  // (erased by the max with 0) or +inf, so the fallback took the first
+  // candidate instead of the least unsafe one.
+  ConfigSpace space = TwoDSpace();
+  FakeSurrogate objective([](const std::vector<double>&) {
+    return Prediction{0.0, 1.0};
+  });
+  // u(x) = 0.5 + 2a + 0.5 * 0.1: above both thresholds everywhere.
+  FakeSurrogate runtime([](const std::vector<double>& x) {
+    return Prediction{0.5 + 2.0 * x[0], 0.01};
+  });
+  auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
+  const Subspace full = Subspace::Full(&space);
+  for (double runtime_max : {0.5, 1.0}) {
+    SCOPED_TRACE("runtime_max " + std::to_string(runtime_max));
+    EicScorerOptions o;
+    o.objective = &objective;
+    o.incumbent = 1.0;
+    o.runtime = {&runtime, std::log(runtime_max)};
+    o.safety = true;
+    const EicScorer scorer(encode, o);
+    std::vector<Configuration> cs;
+    for (double a : {0.0, 0.1, 0.3, 0.6, 1.0}) {
+      cs.push_back(Configuration(std::vector<double>{a, 0.5}));
+    }
+    const std::vector<double> u = scorer.Unsafety(cs);
+    for (size_t i = 0; i < cs.size(); ++i) {
+      EXPECT_FALSE(scorer.Score(cs[i]).safe);
+      EXPECT_GT(u[i], 0.0);
+      if (i > 0) {
+        EXPECT_GT(u[i], u[i - 1]);
+      }
+    }
+    // Nothing is safe, so the fallback is the candidate with the smallest
+    // bound: the smallest a among the 64 scattered draws of Rng(5).
+    AcqOptOptions opts;
+    opts.num_candidates = 64;
+    Rng rng(5);
+    AcqOptResult res =
+        AcquisitionOptimizer(opts).Maximize(full, scorer, nullptr, &rng);
+    EXPECT_TRUE(res.safe_fallback_used);
+    Rng probe(5);
+    double least = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < opts.num_candidates; ++i) {
+      least = std::min(least, full.Sample(&probe)[0]);
+    }
+    EXPECT_EQ(res.config[0], least);
+  }
+}
+
+// Real surrogates for the scorer's equivalence cases: GPs for the
+// objective and the log runtime over three float parameters, fitted on 14
+// observations that also form the history.
+class ScorerFixture {
+ public:
+  ScorerFixture()
+      : objective_(Schema(), {}), runtime_(Schema(), {}) {
+    for (int k = 0; k < 3; ++k) {
+      EXPECT_TRUE(
+          space_.Add(Parameter::Float("p" + std::to_string(k), 0.0, 1.0, 0.5))
+              .ok());
+    }
+    Rng rng(1234);
+    const Subspace full = Subspace::Full(&space_);
+    std::vector<std::vector<double>> x;
+    std::vector<double> y, log_runtime;
+    for (int i = 0; i < 14; ++i) {
+      Observation o;
+      o.config = full.Sample(&rng);
+      const std::vector<double> u = space_.ToUnit(o.config);
+      o.objective = std::sin(3.0 * u[0]) + std::pow(u[1] - 0.3, 2) + 0.5 * u[2];
+      o.feasible = true;
+      x.push_back(u);
+      y.push_back(o.objective);
+      log_runtime.push_back(1.0 + 1.5 * u[0] + u[1] * u[1]);
+      history_.Add(o);
+    }
+    EXPECT_TRUE(objective_.Fit(x, y).ok());
+    EXPECT_TRUE(runtime_.Fit(x, log_runtime).ok());
+    incumbent_ = *std::min_element(y.begin(), y.end());
+  }
+
+  const ConfigSpace& space() const { return space_; }
+  const RunHistory& history() const { return history_; }
+  std::vector<double> Encode(const Configuration& c) const {
+    return space_.ToUnit(c);
+  }
+
+  // The advisor's ways of wiring the constraints.
+  struct Mode {
+    const char* name;
+    bool runtime;
+    bool resource;
+    bool safety;
+    double threshold;
+    double resource_max;
+    bool nothing_safe;
+  };
+  static std::vector<Mode> Modes() {
+    return {
+        {"safety with runtime and resource", true, true, true, 2.2, 1.8,
+         false},
+        {"safety with runtime only", true, false, true, 2.2, 1.8, false},
+        {"resource without safety", true, true, false, 2.2, 1.8, false},
+        {"EIC without safety", true, false, false, 2.2, 1.8, false},
+        {"no constraints", false, false, false, 0.0, 1.8, false},
+        // The threshold lies just below every runtime bound (and stays
+        // positive, where the reference ranks unsafety as EicScorer does),
+        // and the resource bound is tight where the runtime is low, so the
+        // two violations compete for the fallback.
+        {"nothing safe", true, true, true, 0.9, 1.2, true},
+    };
+  }
+
+  EicScorerOptions Options(const Mode& m) const {
+    EicScorerOptions o;
+    o.objective = &objective_;
+    o.incumbent = incumbent_;
+    if (m.runtime) o.runtime = {&runtime_, m.threshold};
+    if (m.resource) {
+      // Falls as the runtime rises, so in the fallback the two
+      // violations compete for the max.
+      o.resource_fn = [](const Configuration& c) {
+        return 1.5 - c[0] + c[2];
+      };
+      o.resource_max = m.resource_max;
+    }
+    o.safety = m.safety;
+    return o;
+  }
+
+ private:
+  static std::vector<FeatureKind> Schema() {
+    return std::vector<FeatureKind>(3, FeatureKind::kNumeric);
+  }
+
+  ConfigSpace space_;
+  GaussianProcess objective_;
+  GaussianProcess runtime_;
+  RunHistory history_;
+  double incumbent_ = 0.0;
+};
+
+bool SameBits(const AcqOptResult& a, const AcqOptResult& b) {
+  return a.config == b.config && a.acq_value == b.acq_value &&
+         a.raw_ei == b.raw_ei && a.safe_fallback_used == b.safe_fallback_used;
+}
+
+TEST(EicScorerTest, MaximizeMatchesTheAdvisorsHookWiring) {
+  ScorerFixture f;
+  const Subspace full = Subspace::Full(&f.space());
+  auto encode = [&](const Configuration& c) { return f.Encode(c); };
+  for (const ScorerFixture::Mode& mode : ScorerFixture::Modes()) {
+    const EicScorerOptions o = f.Options(mode);
+    const EicScorer scorer(encode, o);
+    for (int threads : {1, 4}) {
+      for (uint64_t seed : {3u, 17u, 29u}) {
+        SCOPED_TRACE(std::string(mode.name) + ", threads " +
+                     std::to_string(threads) + ", seed " +
+                     std::to_string(seed));
+        AcqOptOptions opts;
+        opts.num_candidates = 96;
+        opts.num_local_starts = 4;
+        opts.local_steps = 10;
+        opts.num_threads = threads;
+        AcquisitionOptimizer opt(opts);
+        Rng hook_rng(seed);
+        Rng scorer_rng(seed);
+        AcqOptResult hooks = reference::MaximizeWithHooks(
+            opt, full, encode, o, &f.history(), &hook_rng);
+        AcqOptResult scored =
+            opt.Maximize(full, scorer, &f.history(), &scorer_rng);
+        EXPECT_TRUE(SameBits(hooks, scored));
+        EXPECT_EQ(scored.safe_fallback_used, mode.nothing_safe);
+        // Both forms drew the same numbers from the shared stream.
+        EXPECT_EQ(hook_rng.Next(), scorer_rng.Next());
+      }
+    }
+  }
+}
+
+TEST(EicScorerTest, BatchedScoresMatchPerCandidateScoresHoweverSplit) {
+  ScorerFixture f;
+  const Subspace full = Subspace::Full(&f.space());
+  auto encode = [&](const Configuration& c) { return f.Encode(c); };
+  Rng rng(77);
+  std::vector<Configuration> pool;
+  for (int i = 0; i < 61; ++i) pool.push_back(full.Sample(&rng));
+  auto same = [](const CandidateScore& a, const CandidateScore& b) {
+    return a.safe == b.safe && a.acq == b.acq;
+  };
+  for (const ScorerFixture::Mode& mode : ScorerFixture::Modes()) {
+    SCOPED_TRACE(mode.name);
+    const EicScorer scorer(encode, f.Options(mode));
+    const std::vector<CandidateScore> whole = scorer.ScoreBatch(pool);
+    ASSERT_EQ(whole.size(), pool.size());
+    size_t safe = 0;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      EXPECT_TRUE(same(whole[i], scorer.Score(pool[i]))) << "candidate " << i;
+      if (whole[i].safe) ++safe;
+    }
+    // Each mode screens what it claims to.
+    const bool screens = mode.resource || (mode.safety && mode.runtime);
+    if (mode.nothing_safe) {
+      EXPECT_EQ(safe, 0u);
+    } else if (screens) {
+      EXPECT_GT(safe, 0u);
+      EXPECT_LT(safe, pool.size());
+    } else {
+      EXPECT_EQ(safe, pool.size());
+    }
+    for (size_t chunk : {1u, 2u, 5u, 16u, 60u}) {
+      for (size_t start = 0; start < pool.size(); start += chunk) {
+        const size_t end = std::min(pool.size(), start + chunk);
+        const std::vector<CandidateScore> part = scorer.ScoreBatch(
+            std::vector<Configuration>(pool.begin() + start,
+                                       pool.begin() + end));
+        for (size_t k = 0; k < part.size(); ++k) {
+          EXPECT_TRUE(same(part[k], whole[start + k]))
+              << "chunk " << chunk << ", candidate " << start + k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

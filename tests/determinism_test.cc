@@ -200,6 +200,38 @@ TEST(DeterminismTest, AcquisitionMaximizeInvariantAcrossThreadCounts) {
   EXPECT_EQ(r1.acq_value, r4.acq_value);
   EXPECT_EQ(r1.raw_ei, r4.raw_ei);
   EXPECT_EQ(r1.safe_fallback_used, r4.safe_fallback_used);
+
+  // The scorer form, with a GP runtime constraint both screening (Eq. 8)
+  // and weighting EI (Eq. 6), and a white-box resource bound.
+  GaussianProcess runtime({FeatureKind::kNumeric, FeatureKind::kNumeric},
+                          {});
+  std::vector<double> rt_y;
+  for (const auto& row : x2) rt_y.push_back(1.0 + row[0] + 0.5 * row[1]);
+  ASSERT_TRUE(runtime.Fit(x2, rt_y).ok());
+  EicScorerOptions scoring;
+  scoring.objective = &gp;
+  scoring.incumbent = 0.5;
+  scoring.runtime = {&runtime, 1.9};
+  scoring.resource_fn = [](const Configuration& c) { return c[0] + c[1]; };
+  scoring.resource_max = 1.7;
+  scoring.safety = true;
+  const EicScorer scorer(encode, scoring);
+  auto run_scorer = [&](int threads) {
+    AcqOptOptions opts;
+    opts.num_candidates = 128;
+    opts.num_local_starts = 4;
+    opts.local_steps = 12;
+    opts.num_threads = threads;
+    Rng rng(42);
+    return AcquisitionOptimizer(opts).Maximize(full, scorer, &history, &rng);
+  };
+  AcqOptResult s1 = run_scorer(1);
+  AcqOptResult s4 = run_scorer(4);
+  EXPECT_FALSE(s1.safe_fallback_used);
+  EXPECT_TRUE(s1.config == s4.config);
+  EXPECT_EQ(s1.acq_value, s4.acq_value);
+  EXPECT_EQ(s1.raw_ei, s4.raw_ei);
+  EXPECT_EQ(s1.safe_fallback_used, s4.safe_fallback_used);
 }
 
 TEST(DeterminismTest, OnlineTunerTrajectoryInvariantAcrossThreadCounts) {
