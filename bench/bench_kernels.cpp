@@ -1,7 +1,7 @@
 // The micro-benchmark harness: every row times an optimized path against
 // its reference and verifies the two outputs bit for bit — the
 // determinism invariant is part of the benchmark contract, not a separate
-// test. Three groups of rows:
+// test. Three groups of rows, all single-threaded:
 //
 //   * linalg: the panelled upper solve and the register-tiled SYRK
 //     factorization against their naive loops (upper_solve, syrk_factor);
@@ -10,13 +10,8 @@
 //     PredictBatch call against a per-point Predict loop for the GP, the
 //     meta ensemble and the random forest, with fixed GP hyperparameters
 //     (gp_predict, meta_predict, forest_predict);
-//   * parallel paths at num_threads 1 against max(--threads, 2): meta-
-//     feature extraction over --logs event logs (meta_extract), and on
-//     Spark-shaped data the GP hyper-sweep fit on 60 rows, a 64-tree
-//     forest fit on 200 rows, fANOVA on 120 rows, and acquisition
-//     maximization (gp_fit, forest_fit, fanova, acq_maximize);
 //   * acquisition scoring: a runtime-constrained, safety-on maximization
-//     at max(--threads, 2), through the safety hooks wired as the advisor
+//     on Spark-shaped data, through the safety hooks wired as the advisor
 //     wired them before the candidate scorer, against EicScorer, which
 //     encodes and predicts each candidate once (acq_score).
 //
@@ -28,12 +23,10 @@
 // write, like BENCH_fleet.json). Any bit mismatch exits 1.
 //
 // Flags: --n=N (matrix order / training rows, default 512), --m=N
-// (right-hand-side columns / probe count, default 256), --logs=N (event
-// logs for meta extraction, default 256), --reps=N (timing repetitions,
-// best-of, default 3), --threads=N (parallel width, default 4),
-// --out=PATH, --self_check=1 (ragged sizes n=101, m=53, 17 logs, one rep
-// — the CI mode). --n=512 --m=500 is the acquisition-pool shape of the
-// batched-inference headline.
+// (right-hand-side columns / probe count, default 256), --reps=N (timing
+// repetitions, best-of, default 3), --out=PATH, --self_check=1 (ragged
+// sizes n=101, m=53, one rep — the CI mode). --n=512 --m=500 is the
+// acquisition-pool shape of the batched-inference headline.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -49,16 +42,12 @@
 #include "bo/acq_optimizer.h"
 #include "common/json.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "fanova/fanova.h"
 #include "forest/random_forest.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
-#include "meta/meta_features.h"
 #include "meta/meta_surrogate.h"
 #include "model/gp.h"
 #include "model/kernel.h"
-#include "sparksim/event_log.h"
 
 using namespace sparktune;
 using namespace sparktune::bench;
@@ -156,11 +145,11 @@ bool BitEqual(const Matrix& a, const Matrix& b) {
   return true;
 }
 
-KernelRow BenchUpperSolve(size_t n, size_t m, int threads, int reps) {
+KernelRow BenchUpperSolve(size_t n, size_t m, int reps) {
   KernelRow row{"upper_solve"};
   Rng rng(2023);
   Matrix a = RandomSpd(n, &rng);
-  auto chol = Cholesky::Factor(a, 1e-10, 1e-2, threads);
+  auto chol = Cholesky::Factor(a);
   if (!chol.ok()) {
     row.bit_identical = false;
     return row;
@@ -175,14 +164,14 @@ KernelRow BenchUpperSolve(size_t n, size_t m, int threads, int reps) {
     g_sink += naive(0, 0);
   });
   row.fast_ms = TimeMs(reps, [&] {
-    fast = chol->SolveUpperMatrix(y, threads);
+    fast = chol->SolveUpperMatrix(y);
     g_sink += fast(0, 0);
   });
   row.bit_identical = BitEqual(naive, fast);
   return row;
 }
 
-KernelRow BenchSyrkFactor(size_t n, int threads, int reps) {
+KernelRow BenchSyrkFactor(size_t n, int reps) {
   KernelRow row{"syrk_factor"};
   Rng rng(7177);
   Matrix a = RandomSpd(n, &rng);
@@ -195,7 +184,7 @@ KernelRow BenchSyrkFactor(size_t n, int threads, int reps) {
   bool fast_ok = true;
   Matrix fast;
   row.fast_ms = TimeMs(reps, [&] {
-    auto chol = Cholesky::Factor(a, 1e-10, 1e-2, threads);
+    auto chol = Cholesky::Factor(a);
     fast_ok = chol.ok() && chol->applied_jitter() == 0.0;
     if (fast_ok) fast = chol->lower();
     g_sink += fast(0, 0);
@@ -341,112 +330,13 @@ void AddInferenceRows(size_t n, size_t m, int reps,
   rows->push_back(BenchPredictBatch("forest_predict", forest, probes, reps));
 }
 
-// Times run(1) (the reference) against run(threads); the two must return
-// bit-identical outputs.
-template <typename F>
-KernelRow BenchThreads(const char* name, int threads, int reps, F&& run) {
-  KernelRow row{name};
-  decltype(run(1)) serial, parallel;
-  row.naive_ms = TimeMs(reps, [&] { serial = run(1); });
-  row.fast_ms = TimeMs(reps, [&] { parallel = run(threads); });
-  row.bit_identical = serial == parallel;
-  return row;
-}
-
-TaskMetricSummary RandomSummary(Rng* rng) {
-  TaskMetricSummary s;
-  s.mean = rng->Uniform() * 10.0;
-  s.stddev = rng->Uniform();
-  s.min = s.mean * 0.5;
-  s.max = s.mean * 2.0;
-  s.p50 = s.mean;
-  s.p90 = s.mean * 1.5;
-  s.skewness = rng->Uniform();
-  s.total = s.mean * 100.0;
-  return s;
-}
-
-EventLog MakeLog(Rng* rng) {
-  EventLog log;
-  log.app_name = "bench";
-  log.is_sql = rng->Bernoulli(0.3);
-  log.data_size_gb = 1.0 + rng->Uniform() * 10.0;
-  const int stages = 4 + static_cast<int>(rng->Uniform() * 8.0);
-  for (int s = 0; s < stages; ++s) {
-    StageLog st;
-    st.name = "stage";
-    st.op = s % 2 == 0 ? StageOp::kMap : StageOp::kReduceByKey;
-    st.num_tasks = 16 + static_cast<int>(rng->Uniform() * 200.0);
-    st.iterations = 1;
-    st.duration_sec = rng->Uniform() * 60.0;
-    st.input_mb = rng->Uniform() * 4096.0;
-    st.output_mb = rng->Uniform() * 4096.0;
-    st.shuffle_read_mb = rng->Uniform() * 1024.0;
-    st.shuffle_write_mb = rng->Uniform() * 1024.0;
-    st.spill_mb = rng->Uniform() * 128.0;
-    st.task_duration_sec = RandomSummary(rng);
-    st.task_gc_sec = RandomSummary(rng);
-    st.task_shuffle_read_mb = RandomSummary(rng);
-    st.task_shuffle_write_mb = RandomSummary(rng);
-    st.task_spill_mb = RandomSummary(rng);
-    st.task_cpu_fraction = RandomSummary(rng);
-    st.task_io_fraction = RandomSummary(rng);
-    log.stages.push_back(std::move(st));
-  }
-  return log;
-}
-
-void AddParallelRows(size_t num_logs, int threads, int reps,
-                     std::vector<KernelRow>* rows) {
-  Rng log_rng(9009);
-  std::vector<EventLog> logs;
-  logs.reserve(num_logs);
-  for (size_t i = 0; i < num_logs; ++i) logs.push_back(MakeLog(&log_rng));
-  rows->push_back(BenchThreads("meta_extract", threads, reps, [&](int nt) {
-    std::vector<std::vector<double>> features(num_logs);
-    ParallelFor(nt, num_logs, [&](size_t i) {
-      features[i] = ExtractMetaFeatures(logs[i]);
-    });
-    return features;
-  }));
-
+// acq_score: the advisor's production shape, the default 579-candidate
+// pool screened by a log-runtime GP at its median training value, on
+// Spark-shaped data (28 numeric features, 2 categorical, the data size).
+KernelRow BenchAcqScore(int reps) {
   const std::vector<FeatureKind> spark = MixedSchema(28, 2);
   Rng rng(11);
   const Dataset gp_data = MakeDataset(spark, 60, &rng);
-  const Dataset forest_data = MakeDataset(spark, 200, &rng);
-  const Dataset fanova_data = MakeDataset(spark, 120, &rng);
-
-  rows->push_back(BenchThreads("gp_fit", threads, reps, [&](int nt) {
-    GpOptions opts;
-    opts.num_threads = nt;
-    GaussianProcess gp(spark, opts);
-    MustOk(gp.Fit(gp_data.x, gp_data.y), "gp_fit");
-    return std::vector<double>{gp.kernel_params().length_numeric,
-                               gp.kernel_params().noise_variance,
-                               gp.log_marginal_likelihood(),
-                               gp.Predict(gp_data.x[0]).mean};
-  }));
-
-  rows->push_back(BenchThreads("forest_fit", threads, reps, [&](int nt) {
-    ForestOptions opts;
-    opts.num_trees = 64;
-    opts.num_threads = nt;
-    RandomForest rf(opts);
-    MustOk(rf.Fit(forest_data.x, forest_data.y), "forest_fit");
-    std::vector<double> out = rf.FeatureImportance();
-    out.push_back(rf.Predict(forest_data.x[0]).mean);
-    return out;
-  }));
-
-  rows->push_back(BenchThreads("fanova", threads, reps, [&](int nt) {
-    FanovaOptions opts;
-    opts.forest.num_threads = nt;
-    auto r = Fanova::Analyze(fanova_data.x, fanova_data.y, opts);
-    MustOk(r.status(), "fanova");
-    std::vector<double> out = r->CombinedImportance();
-    out.push_back(r->total_variance);
-    return out;
-  }));
 
   ConfigSpace space;
   for (size_t k = 0; k < spark.size(); ++k) {
@@ -466,27 +356,6 @@ void AddParallelRows(size_t num_logs, int threads, int reps,
     o.feasible = true;
     history.Add(o);
   }
-  EicScorerOptions plain;
-  plain.objective = &gp;
-  plain.incumbent = gp_data.y[0];
-  const EicScorer plain_scorer(encode, plain);
-  rows->push_back(BenchThreads("acq_maximize", threads, reps, [&](int nt) {
-    AcqOptOptions opts;
-    opts.num_candidates = 1024;
-    opts.num_local_starts = 8;
-    opts.local_steps = 32;
-    opts.num_threads = nt;
-    Rng acq_rng(42);
-    AcqOptResult r = AcquisitionOptimizer(opts).Maximize(full, plain_scorer,
-                                                         &history, &acq_rng);
-    std::vector<double> out(r.config.values().begin(),
-                            r.config.values().end());
-    out.push_back(r.acq_value);
-    return out;
-  }));
-
-  // acq_score: the advisor's production shape, the default 579-candidate
-  // pool screened by a log-runtime GP at its median training value.
   std::vector<double> log_runtime;
   for (const auto& row : gp_data.x) {
     log_runtime.push_back(1.0 + row[0] + 0.5 * row[1] * row[2]);
@@ -501,9 +370,7 @@ void AddParallelRows(size_t num_logs, int threads, int reps,
   safe.runtime = {&runtime, sorted[sorted.size() / 2]};
   safe.safety = true;
   const EicScorer safe_scorer(encode, safe);
-  AcqOptOptions opts;
-  opts.num_threads = threads;
-  const AcquisitionOptimizer optimizer(opts);
+  const AcquisitionOptimizer optimizer;
   KernelRow row{"acq_score"};
   AcqOptResult hooks, scored;
   row.naive_ms = TimeMs(reps, [&] {
@@ -519,7 +386,7 @@ void AddParallelRows(size_t num_logs, int threads, int reps,
                       hooks.acq_value == scored.acq_value &&
                       hooks.raw_ei == scored.raw_ei &&
                       hooks.safe_fallback_used == scored.safe_fallback_used;
-  rows->push_back(row);
+  return row;
 }
 
 }  // namespace
@@ -533,21 +400,17 @@ int main(int argc, char** argv) {
   const size_t n =
       self_check ? 101 : static_cast<size_t>(flags.Int("n", 512));
   const size_t m = self_check ? 53 : static_cast<size_t>(flags.Int("m", 256));
-  const size_t num_logs =
-      self_check ? 17 : static_cast<size_t>(flags.Int("logs", 256));
   const int reps = self_check ? 1 : flags.Int("reps", 3);
-  const int threads = flags.Threads(4);
   const std::string out_path = flags.Out("BENCH_kernels.json");
   if (!flags.Validate()) return 1;
 
   std::vector<KernelRow> rows;
-  rows.push_back(BenchUpperSolve(n, m, threads, reps));
-  rows.push_back(BenchSyrkFactor(n, threads, reps));
+  rows.push_back(BenchUpperSolve(n, m, reps));
+  rows.push_back(BenchSyrkFactor(n, reps));
   AddInferenceRows(n, m, reps, &rows);
-  AddParallelRows(num_logs, std::max(threads, 2), reps, &rows);
+  rows.push_back(BenchAcqScore(reps));
 
-  std::printf("bench_kernels: n=%zu m=%zu logs=%zu threads=%d reps=%d\n\n",
-              n, m, num_logs, threads, reps);
+  std::printf("bench_kernels: n=%zu m=%zu reps=%d\n\n", n, m, reps);
   std::printf("%-14s %12s %12s %9s %14s\n", "kernel", "naive_ms", "fast_ms",
               "speedup", "bit_identical");
   bool all_identical = true;
@@ -562,8 +425,6 @@ int main(int argc, char** argv) {
   doc.Set("bench", Json::Str("kernels"));
   doc.Set("n", Json::Number(static_cast<double>(n)));
   doc.Set("m", Json::Number(static_cast<double>(m)));
-  doc.Set("logs", Json::Number(static_cast<double>(num_logs)));
-  doc.Set("threads", Json::Number(static_cast<double>(threads)));
   doc.Set("reps", Json::Number(static_cast<double>(reps)));
   doc.Set("self_check", Json::Bool(self_check));
   Json kernels = Json::Array();
@@ -583,7 +444,7 @@ int main(int argc, char** argv) {
   // Schema self-check: the emitted document must parse back and carry the
   // fields downstream tooling keys on; silent schema drift is a bench bug.
   auto parsed = Json::Parse(dumped);
-  const char* required[] = {"kernels", "n", "threads", "all_bit_identical"};
+  const char* required[] = {"kernels", "n", "all_bit_identical"};
   if (!parsed.ok() || !parsed->is_object()) {
     std::fprintf(stderr,
                  "BENCH_kernels.json self-check: emitted JSON does not "

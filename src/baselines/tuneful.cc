@@ -18,9 +18,7 @@ RunHistory Tuneful::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
   Rng rng(seed);
   RunHistory history;
   QuasiRandomSampler init(static_cast<int>(space.size()), seed ^ 0x7713);
-  AcqOptOptions acq_opts;
-  acq_opts.num_threads = options_.num_threads;
-  AcquisitionOptimizer acq_opt(acq_opts);
+  AcquisitionOptimizer acq_opt;
 
   auto free_params = [&](int target) {
     std::vector<int> all(space.size());
@@ -38,7 +36,6 @@ RunHistory Tuneful::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
     ForestOptions fopts;
     fopts.num_trees = 24;
     fopts.seed = seed ^ 0x51u;
-    fopts.num_threads = options_.num_threads;
     RandomForest forest(fopts);
     if (!forest.Fit(x, y).ok()) return all;
     std::vector<double> imp = forest.FeatureImportance();
@@ -61,9 +58,7 @@ RunHistory Tuneful::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
         // Log targets: standard practice for positive multiplicative costs.
         y.push_back(std::log(std::max(o.objective, 1e-9)));
       }
-      GpOptions gp_opts;
-      gp_opts.num_threads = options_.num_threads;
-      GaussianProcess gp(BuildFeatureSchema(space, 0), gp_opts);
+      GaussianProcess gp(BuildFeatureSchema(space, 0));
       if (gp.Fit(x, y).ok()) {
         int target = static_cast<int>(space.size());
         if (static_cast<int>(history.size()) >= options_.stage2_at) {

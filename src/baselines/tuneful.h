@@ -16,10 +16,6 @@ struct TunefulOptions {
   // Second reduction.
   int stage2_at = 20;
   int stage2_params = 8;
-  // Threads for the significance forest, the GP fit and the acquisition
-  // search: 1 = serial, 0 = global pool default width, k > 1 = up to k
-  // threads. Bit-identical results at any setting.
-  int num_threads = 1;
 };
 
 class Tuneful final : public TuningMethod {

@@ -17,14 +17,13 @@ class HookScorer final : public CandidateScorer {
   HookScorer(const Opt::EncodeFn& encode, const EicAcquisition& acq,
              const Opt::SafeFn& safe, const Opt::UnsafetyFn& unsafety,
              const Opt::SafeBatchFn& safe_batch,
-             const Opt::UnsafetyBatchFn& unsafety_batch, int num_threads)
+             const Opt::UnsafetyBatchFn& unsafety_batch)
       : encode_(encode),
         acq_(acq),
         safe_(safe),
         unsafety_(unsafety),
         safe_batch_(safe_batch),
-        unsafety_batch_(unsafety_batch),
-        num_threads_(num_threads) {}
+        unsafety_batch_(unsafety_batch) {}
 
   std::vector<CandidateScore> ScoreBatch(
       const std::vector<Configuration>& cs) const override {
@@ -32,8 +31,7 @@ class HookScorer final : public CandidateScorer {
     if (safe_batch_) {
       ok = safe_batch_(cs);
     } else if (safe_) {
-      ParallelFor(num_threads_, cs.size(),
-                  [&](size_t t) { ok[t] = safe_(cs[t]); });
+      for (size_t t = 0; t < cs.size(); ++t) ok[t] = safe_(cs[t]);
     }
     std::vector<size_t> idx;
     std::vector<std::vector<double>> feats;
@@ -58,8 +56,7 @@ class HookScorer final : public CandidateScorer {
     std::vector<double> out(cs.size(), 0.0);
     if (!unsafety_) return out;
     if (unsafety_batch_) return unsafety_batch_(cs);
-    ParallelFor(num_threads_, cs.size(),
-                [&](size_t t) { out[t] = unsafety_(cs[t]); });
+    for (size_t t = 0; t < cs.size(); ++t) out[t] = unsafety_(cs[t]);
     return out;
   }
 
@@ -74,7 +71,6 @@ class HookScorer final : public CandidateScorer {
   const Opt::UnsafetyFn& unsafety_;
   const Opt::SafeBatchFn& safe_batch_;
   const Opt::UnsafetyBatchFn& unsafety_batch_;
-  const int num_threads_;
 };
 
 }  // namespace
@@ -88,7 +84,7 @@ AcqOptResult AcquisitionOptimizer::Maximize(
     Rng* rng, const SafeBatchFn& safe_batch,
     const UnsafetyBatchFn& unsafety_batch) const {
   const HookScorer scorer(encode, acq, safe, unsafety, safe_batch,
-                          unsafety_batch, options_.num_threads);
+                          unsafety_batch);
   return Maximize(subspace, scorer, history, rng);
 }
 
@@ -129,19 +125,17 @@ AcqOptResult AcquisitionOptimizer::Maximize(const Subspace& subspace,
   }
 
   // ---- Candidate evaluation: duplicates out, then one scoring pass ----
-  std::vector<char> dup(cands.size(), 0);
-  ParallelFor(options_.num_threads, cands.size(), [&](size_t i) {
-    dup[i] = history != nullptr && history->Contains(cands[i]);
-  });
   std::vector<Configuration> live;
   live.reserve(cands.size());
-  for (size_t i = 0; i < cands.size(); ++i) {
-    if (!dup[i]) live.push_back(std::move(cands[i]));
+  for (Configuration& c : cands) {
+    if (history == nullptr || !history->Contains(c)) {
+      live.push_back(std::move(c));
+    }
   }
   std::vector<CandidateScore> scores;
   if (!live.empty()) scores = scorer.ScoreBatch(live);
 
-  // ---- Serial fold in candidate order (same tie-breaking as serial) ----
+  // ---- Fold in candidate order ----
   std::vector<Scored> pool;
   pool.reserve(live.size());
   for (size_t t = 0; t < live.size(); ++t) {
@@ -174,14 +168,15 @@ AcqOptResult AcquisitionOptimizer::Maximize(const Subspace& subspace,
   std::sort(pool.begin(), pool.end(),
             [](const Scored& a, const Scored& b) { return a.value > b.value; });
 
-  // ---- Local hill-climbing from the top starts (parallel) ----
-  // Each start owns a forked RNG stream, so climbs are independent of each
-  // other and of the thread count.
-  int starts = std::min<int>(options_.num_local_starts,
-                             static_cast<int>(pool.size()));
-  std::vector<Rng> climb_rngs = ForkRngs(rng, static_cast<size_t>(starts));
-  std::vector<Scored> climbed(static_cast<size_t>(starts));
-  ParallelFor(options_.num_threads, static_cast<size_t>(starts), [&](size_t s) {
+  // ---- Local hill-climbing from the top starts ----
+  // Each start owns a stream forked before the first climb, so one climb's
+  // draws never shift another's.
+  const size_t starts = static_cast<size_t>(std::min<int>(
+      options_.num_local_starts, static_cast<int>(pool.size())));
+  std::vector<Rng> climb_rngs = ForkRngs(rng, starts);
+  Configuration best_config = pool[0].config;
+  double best_value = pool[0].value;
+  for (size_t s = 0; s < starts; ++s) {
     Rng* crng = &climb_rngs[s];
     Configuration cur = pool[s].config;
     double cur_value = pool[s].value;
@@ -215,15 +210,9 @@ AcqOptResult AcquisitionOptimizer::Maximize(const Subspace& subspace,
         sigma *= 0.9;  // anneal toward fine-grained moves
       }
     }
-    climbed[s] = {std::move(cur), cur_value};
-  });
-
-  Configuration best_config = pool[0].config;
-  double best_value = pool[0].value;
-  for (const Scored& c : climbed) {
-    if (c.value > best_value) {
-      best_value = c.value;
-      best_config = c.config;
+    if (cur_value > best_value) {
+      best_value = cur_value;
+      best_config = std::move(cur);
     }
   }
 

@@ -22,12 +22,6 @@ struct AcqOptOptions {
   // many times with annealed sigma before the step is forfeited, so a
   // cramped safe region still gets productive moves.
   int max_rejected_retries = 4;
-  // Threads for candidate scoring and the multi-start hill climbs: 1 =
-  // serial, 0 = global pool default width, k > 1 = up to k threads. The
-  // result is identical at any setting: candidates are generated serially
-  // from `rng`, each hill climb runs on its own forked stream, and
-  // selection folds in a fixed order.
-  int num_threads = 1;
 };
 
 struct AcqOptResult {
@@ -73,8 +67,8 @@ class AcquisitionOptimizer {
 
   // The hook form: an adapter onto the scorer form with the same result
   // and the hooks' own call pattern. The pool's safe screen calls
-  // safe_batch once when given, else safe per candidate across
-  // num_threads; EicAcquisition::EvalBatch scores the safe candidates;
+  // safe_batch once when given, else safe per candidate;
+  // EicAcquisition::EvalBatch scores the safe candidates;
   // each climb step calls safe, then acq.Eval. Unsafety goes through
   // unsafety_batch when given, else unsafety per candidate.
   AcqOptResult Maximize(const Subspace& subspace, const EncodeFn& encode,

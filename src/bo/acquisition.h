@@ -83,8 +83,8 @@ struct CandidateScore {
 };
 
 // Scores acquisition candidates for AcquisitionOptimizer::Maximize.
-// Implementations keep no mutable state: the hill climbs call Score
-// concurrently.
+// Implementations keep no mutable state: a candidate's score never depends
+// on which candidates were scored before it.
 class CandidateScorer {
  public:
   virtual ~CandidateScorer() = default;

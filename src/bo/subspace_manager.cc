@@ -68,7 +68,6 @@ void SubspaceManager::MaybeUpdateImportance(
   // interactions when dimensionality is modest).
   FanovaOptions fopts = options_.fanova;
   fopts.compute_pairwise = x_unit[0].size() <= 12;
-  fopts.forest.num_threads = options_.num_threads;
   auto result = Fanova::Analyze(x_unit, y, fopts);
   if (!result.ok()) return;
   last_fanova_size_ = x_unit.size();

@@ -26,10 +26,6 @@ struct SubspaceOptions {
   int fanova_period = 5;
   int fanova_min_obs = 8;
   FanovaOptions fanova;
-  // Threads for the internal fANOVA forest fit + variance decomposition:
-  // 1 = serial, 0 = global pool default width, k > 1 = up to k threads.
-  // Overrides fanova.forest.num_threads; bit-identical at any setting.
-  int num_threads = 1;
 };
 
 // Serialized mutable state of a SubspaceManager (checkpoint payload). The

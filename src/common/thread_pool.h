@@ -1,6 +1,6 @@
 // Fixed worker pool with a blocking ParallelFor(n, fn) helper — the
-// parallel substrate of the suggestion engine (GP hyper-sweep, acquisition
-// scoring, forest fitting, multi-task batches).
+// parallel substrate of the tuning service's multi-task batches
+// (TuningService::ExecutePeriodicAll is the one caller in the library).
 //
 // Determinism contract (see DESIGN.md "Threading model"):
 //   * fn(i) must depend only on `i` and on state it owns (per-item output
@@ -9,8 +9,9 @@
 //   * num_threads == 1 runs inline on the caller — byte-for-byte the serial
 //     code path, with no pool interaction at all.
 //   * Nested ParallelFor calls (from inside a worker, or from the calling
-//     thread's own chunk of an outer ParallelFor) run inline, so composed
-//     parallel components never deadlock and never oversubscribe.
+//     thread's own chunk of an outer ParallelFor) run inline, so a batch
+//     item that reaches another ParallelFor never deadlocks and never
+//     oversubscribes.
 #pragma once
 
 #include <atomic>
@@ -88,7 +89,7 @@ class ThreadPool {
   bool stop_ = false;  // lint:guarded-by(mu_)
 };
 
-// Options-level dispatch used by every `num_threads` knob in the library:
+// Options-level dispatch behind TuningServiceOptions::num_threads:
 //   1 (default) -> inline serial loop on the caller (bit-identical baseline)
 //   0           -> global pool at its default width
 //   k > 1       -> global pool, at most k threads
@@ -97,8 +98,8 @@ void ParallelFor(int num_threads, size_t n,
                  const std::function<void(size_t)>& fn);
 
 // Fork `n` child RNG streams from `base`, one Fork() per stream in index
-// order. The forking itself is serial (so the result is independent of any
-// later parallel consumption) and each stream is private to its item.
+// order. The streams are forked before any is consumed, so how far one item
+// draws never shifts another item's stream.
 std::vector<Rng> ForkRngs(Rng* base, size_t n);
 
 }  // namespace sparktune

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/thread_pool.h"
-
 namespace sparktune {
 
 namespace {
@@ -185,17 +183,10 @@ Result<FanovaResult> Fanova::Analyze(const std::vector<std::vector<double>>& x,
     result.interaction = Matrix(dims, dims, 0.0);
   }
 
-  // Decompose every tree concurrently (each writes only its own slot);
-  // accumulate serially in tree order so the floating-point sums match the
-  // serial path bit-for-bit.
-  const auto& trees = forest.trees();
-  std::vector<TreeDecomposition> decs(trees.size());
-  ParallelFor(options.forest.num_threads, trees.size(), [&](size_t t) {
-    decs[t] = DecomposeTree(trees[t], dims, options.compute_pairwise);
-  });
-
   int counted = 0;
-  for (const TreeDecomposition& dec : decs) {
+  for (const RegressionTree& tree : forest.trees()) {
+    const TreeDecomposition dec =
+        DecomposeTree(tree, dims, options.compute_pairwise);
     if (dec.variance <= 0.0) continue;
     ++counted;
     result.total_variance += dec.variance;

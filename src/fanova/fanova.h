@@ -11,8 +11,6 @@
 
 namespace sparktune {
 
-// forest.num_threads also drives the per-tree variance decomposition (the
-// forest fit and the decomposition parallelize across the same trees).
 struct FanovaOptions {
   ForestOptions forest = {.num_trees = 24,
                           .tree = {.max_depth = 10, .min_samples_leaf = 2,

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 namespace sparktune {
 
@@ -39,11 +38,9 @@ Status GbdtRegressor::Fit(const std::vector<std::vector<double>>& x,
     RegressionTree tree(options_.tree);
     SPARKTUNE_RETURN_IF_ERROR(
         tree.Fit(columns, residual, sample, &round_rng));
-    // Each row owns its slot, so refreshing the training predictions in
-    // parallel is bit-identical to the serial loop.
-    ParallelFor(options_.num_threads, y.size(), [&](size_t i) {
+    for (size_t i = 0; i < y.size(); ++i) {
       pred[i] += options_.learning_rate * tree.Predict(x[i]);
-    });
+    }
     trees_.push_back(std::move(tree));
 
     if (options_.early_stop_rounds > 0) {
@@ -78,16 +75,14 @@ std::vector<double> GbdtRegressor::PredictBatch(
   if (xs.empty() || trees_.empty()) return out;
   const size_t m = xs.size();
   constexpr size_t kChunk = 64;
-  const size_t num_chunks = (m + kChunk - 1) / kChunk;
-  ParallelFor(options_.num_threads, num_chunks, [&](size_t c) {
-    const size_t j0 = c * kChunk;
+  for (size_t j0 = 0; j0 < m; j0 += kChunk) {
     const size_t j1 = std::min(m, j0 + kChunk);
     for (const auto& tree : trees_) {
       for (size_t j = j0; j < j1; ++j) {
         out[j] += options_.learning_rate * tree.Predict(xs[j]);
       }
     }
-  });
+  }
   return out;
 }
 

@@ -21,10 +21,6 @@ struct GbdtOptions {
   // Stop early when training RMSE improvement stalls for this many rounds
   // (0 disables).
   int early_stop_rounds = 0;
-  // Threads for the per-round training-prediction refresh and for batched
-  // inference: 1 = serial, 0 = global pool default width, k > 1 = up to k
-  // threads. Bit-identical at any setting (each row owns its slot).
-  int num_threads = 1;
 };
 
 class GbdtRegressor {

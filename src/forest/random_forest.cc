@@ -31,25 +31,20 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
   TreeOptions topts = options_.tree;
   topts.max_features = max_features < nf ? max_features : -1;
 
-  // Fork every tree's RNG serially off the master stream (identical order
-  // to the serial loop), then fit trees concurrently: bootstrap draws and
-  // feature subsampling read only the tree's own stream, and the sorted
-  // columns are shared read-only.
+  // Fork every tree's RNG off the master stream before the first fit:
+  // bootstrap draws and feature subsampling read only the tree's own
+  // stream, so one tree's draws never shift another's.
   size_t num_trees = static_cast<size_t>(options_.num_trees);
   std::vector<Rng> tree_rngs = ForkRngs(&rng, num_trees);
   std::vector<RegressionTree> trees(num_trees, RegressionTree(topts));
-  std::vector<Status> statuses(num_trees, Status::OK());
-  ParallelFor(options_.num_threads, num_trees, [&](size_t t) {
+  trees_.clear();
+  for (size_t t = 0; t < num_trees; ++t) {
     Rng& tree_rng = tree_rngs[t];
     std::vector<int> sample(static_cast<size_t>(boot_n));
     for (auto& s : sample) {
       s = static_cast<int>(tree_rng.UniformInt(0, n - 1));
     }
-    statuses[t] = trees[t].Fit(columns, y, sample, &tree_rng);
-  });
-  trees_.clear();
-  for (const Status& st : statuses) {
-    SPARKTUNE_RETURN_IF_ERROR(st);
+    SPARKTUNE_RETURN_IF_ERROR(trees[t].Fit(columns, y, sample, &tree_rng));
   }
   trees_ = std::move(trees);
   return Status::OK();
@@ -88,10 +83,8 @@ std::vector<Prediction> RandomForest::PredictBatch(
   if (trees_.empty() || xs.empty()) return out;
   const size_t m = xs.size();
   constexpr size_t kChunk = 64;
-  const size_t num_chunks = (m + kChunk - 1) / kChunk;
   const double n = static_cast<double>(trees_.size());
-  ParallelFor(options_.num_threads, num_chunks, [&](size_t c) {
-    const size_t j0 = c * kChunk;
+  for (size_t j0 = 0; j0 < m; j0 += kChunk) {
     const size_t j1 = std::min(m, j0 + kChunk);
     std::vector<double> sum(j1 - j0, 0.0);
     std::vector<double> sq(j1 - j0, 0.0);
@@ -107,7 +100,7 @@ std::vector<Prediction> RandomForest::PredictBatch(
       out[j].mean = mean;
       out[j].variance = std::max(0.0, sq[j - j0] / n - mean * mean);
     }
-  });
+  }
   return out;
 }
 

@@ -20,11 +20,6 @@ struct ForestOptions {
   double feature_fraction = -1.0;
   double bootstrap_fraction = 1.0;
   uint64_t seed = 17;
-  // Threads for tree fitting: 1 = serial, 0 = global pool default width,
-  // k > 1 = up to k threads. Every tree's RNG is forked serially from the
-  // master stream before fitting, so the forest is bit-identical at any
-  // setting.
-  int num_threads = 1;
 };
 
 class RandomForest final : public Surrogate {
@@ -37,10 +32,10 @@ class RandomForest final : public Surrogate {
   // Mean prediction and variance across trees.
   Prediction Predict(const std::vector<double>& x) const override;
 
-  // Batched traversal: candidates are split into chunks (parallel when
-  // options.num_threads allows) and each chunk walks the trees in the outer
-  // loop, so one tree's nodes stay hot across the whole chunk. Per candidate
-  // the accumulation order over trees matches Predict — bit-identical.
+  // Batched traversal: candidates are split into chunks and each chunk
+  // walks the trees in the outer loop, so one tree's nodes stay hot across
+  // the whole chunk. Per candidate the accumulation order over trees
+  // matches Predict — bit-identical.
   std::vector<Prediction> PredictBatch(
       const std::vector<std::vector<double>>& xs) const override;
 

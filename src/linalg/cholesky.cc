@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace sparktune {
 
@@ -37,13 +36,12 @@ static_assert(kBlock % kTile == 0, "full blocks must tile evenly");
 // Attempt a Cholesky factorization; returns false on a non-positive pivot.
 //
 // Blocked right-looking algorithm: factor a panel of kBlock columns, then
-// subtract its outer product from the trailing submatrix (the O(n^3) bulk,
-// parallelized over trailing rows). Every element (i, j) accumulates its
-// inner-product terms k = 0..j-1 in strictly increasing k order — panels in
-// order via the trailing updates, then the within-panel remainder — which
-// is the exact operation sequence of the classic unblocked loop, so the
-// factor is bit-identical to it at any thread count.
-bool TryFactor(const Matrix& a, Matrix* l, int num_threads) {
+// subtract its outer product from the trailing submatrix (the O(n^3) bulk).
+// Every element (i, j) accumulates its inner-product terms k = 0..j-1 in
+// strictly increasing k order — panels in order via the trailing updates,
+// then the within-panel remainder — which is the exact operation sequence
+// of the classic unblocked loop, so the factor is bit-identical to it.
+bool TryFactor(const Matrix& a, Matrix* l) {
   const size_t n = a.rows();
   *l = Matrix(n, n, 0.0);
   Matrix& lm = *l;
@@ -74,7 +72,7 @@ bool TryFactor(const Matrix& a, Matrix* l, int num_threads) {
         li[j] = s / djj;
       }
     }
-    // ---- Trailing SYRK update (parallel over independent rows) ----
+    // ---- Trailing SYRK update ----
     // Register-tiled: the panel's columns are first packed transposed
     // (packed[(k - p0) * width + (j - p1)] = L(j, k); a pure copy, so no
     // rounding is involved), which makes the j dimension contiguous per k.
@@ -83,18 +81,17 @@ bool TryFactor(const Matrix& a, Matrix* l, int num_threads) {
     // strictly increasing k — per element the exact operation sequence of
     // the scalar j loop, which the reduction-ordered scalar code could
     // never vectorize. The panel columns read here (k < p1) are never
-    // written by this update (it only touches j >= p1), so packing and the
-    // row updates are race-free.
+    // written by this update (it only touches j >= p1), so the packed copy
+    // stays valid for every row.
     if (p1 < n) {
       const size_t width = n - p1;
-      ParallelFor(num_threads, width, [&](size_t r) {
+      for (size_t r = 0; r < width; ++r) {
         const double* lj = lm.row(p1 + r);
         for (size_t k = p0; k < p1; ++k) {
           packed[(k - p0) * width + r] = lj[k];
         }
-      });
-      ParallelFor(num_threads, width, [&](size_t r) {
-        const size_t i = p1 + r;
+      }
+      for (size_t i = p1; i < n; ++i) {
         double* li = lm.row(i);
         size_t j = p1;
 #if SPARKTUNE_VEC_SOLVE
@@ -115,7 +112,7 @@ bool TryFactor(const Matrix& a, Matrix* l, int num_threads) {
           for (size_t k = p0; k < p1; ++k) s -= li[k] * lj[k];
           li[j] = s;
         }
-      });
+      }
     }
   }
   return true;
@@ -123,24 +120,25 @@ bool TryFactor(const Matrix& a, Matrix* l, int num_threads) {
 
 }  // namespace
 
-Result<Cholesky> Cholesky::Factor(const Matrix& a, double initial_jitter,
-                                  double max_jitter, int num_threads) {
+Result<Cholesky> Cholesky::Factor(const Matrix& a) {
+  constexpr double kInitialJitter = 1e-10;
+  constexpr double kMaxJitter = 1e-2;
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("Cholesky requires a square matrix");
   }
   Cholesky chol;
-  if (TryFactor(a, &chol.l_, num_threads)) return chol;
+  if (TryFactor(a, &chol.l_)) return chol;
   // Escalate jitter geometrically.
-  for (double jitter = initial_jitter; jitter <= max_jitter; jitter *= 10.0) {
+  for (double jitter = kInitialJitter; jitter <= kMaxJitter; jitter *= 10.0) {
     Matrix aj = a;
     aj.AddDiagonal(jitter);
-    if (TryFactor(aj, &chol.l_, num_threads)) {
+    if (TryFactor(aj, &chol.l_)) {
       chol.applied_jitter_ = jitter;
       return chol;
     }
   }
   return Status::Internal(StrFormat(
-      "matrix not positive definite even with jitter %g", max_jitter));
+      "matrix not positive definite even with jitter %g", kMaxJitter));
 }
 
 Vector Cholesky::SolveLower(const Vector& b) const {
@@ -172,7 +170,7 @@ Vector Cholesky::Solve(const Vector& b) const {
   return x;
 }
 
-Matrix Cholesky::SolveLowerMatrix(const Matrix& b, int num_threads) const {
+Matrix Cholesky::SolveLowerMatrix(const Matrix& b) const {
   const size_t n = l_.rows();
   const size_t m = b.cols();
   assert(b.rows() == n);
@@ -182,10 +180,8 @@ Matrix Cholesky::SolveLowerMatrix(const Matrix& b, int num_threads) const {
   // Forward substitution on blocks of right-hand-side columns: the block
   // stays cache-resident while L streams through once per block (the
   // per-column path re-reads all of L for every column). Columns are
-  // independent, so the block split is bit-identical at any thread count.
-  const size_t num_blocks = (m + kBlock - 1) / kBlock;
-  ParallelFor(num_threads, num_blocks, [&](size_t blk) {
-    const size_t c0 = blk * kBlock;
+  // independent, so the block split cannot change results.
+  for (size_t c0 = 0; c0 < m; c0 += kBlock) {
     const size_t c1 = std::min(c0 + kBlock, m);
 #if SPARKTUNE_VEC_SOLVE
     // Full-width column blocks take the panelled vector path. The k
@@ -260,7 +256,7 @@ Matrix Cholesky::SolveLowerMatrix(const Matrix& b, int num_threads) const {
           *reinterpret_cast<Vec8*>(yi + c0 + 40) = a5;
         }
       }
-      return;
+      continue;
     }
 #endif
     for (size_t i = 0; i < n; ++i) {
@@ -299,11 +295,11 @@ Matrix Cholesky::SolveLowerMatrix(const Matrix& b, int num_threads) const {
         yi[c] = a / lii;
       }
     }
-  });
+  }
   return y;
 }
 
-Matrix Cholesky::SolveUpperMatrix(const Matrix& y, int num_threads) const {
+Matrix Cholesky::SolveUpperMatrix(const Matrix& y) const {
   const size_t n = l_.rows();
   const size_t m = y.cols();
   assert(y.rows() == n);
@@ -317,9 +313,7 @@ Matrix Cholesky::SolveUpperMatrix(const Matrix& y, int num_threads) const {
   // convention — and partial sums round-trip through memory between
   // panels, which is exact, so every path below is bit-identical to the
   // naive bottom-up per-column loop.
-  const size_t num_blocks = (m + kBlock - 1) / kBlock;
-  ParallelFor(num_threads, num_blocks, [&](size_t blk) {
-    const size_t c0 = blk * kBlock;
+  for (size_t c0 = 0; c0 < m; c0 += kBlock) {
     const size_t c1 = std::min(c0 + kBlock, m);
 #if SPARKTUNE_VEC_SOLVE
     // Full-width column blocks take the panelled vector path, the mirror
@@ -394,7 +388,7 @@ Matrix Cholesky::SolveUpperMatrix(const Matrix& y, int num_threads) const {
         }
         p1 = p0;
       }
-      return;
+      continue;
     }
 #endif
     // Partial column blocks: flat bottom-up sweep with a scalar register
@@ -436,12 +430,12 @@ Matrix Cholesky::SolveUpperMatrix(const Matrix& y, int num_threads) const {
         xi[c] = a / lii;
       }
     }
-  });
+  }
   return x;
 }
 
-Matrix Cholesky::SolveMatrix(const Matrix& b, int num_threads) const {
-  return SolveUpperMatrix(SolveLowerMatrix(b, num_threads), num_threads);
+Matrix Cholesky::SolveMatrix(const Matrix& b) const {
+  return SolveUpperMatrix(SolveLowerMatrix(b));
 }
 
 double Cholesky::LogDet() const {

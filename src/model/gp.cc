@@ -5,7 +5,6 @@
 #include <numbers>
 
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 namespace sparktune {
 
@@ -53,7 +52,7 @@ Result<double> GaussianProcess::EvalLml(const KernelParams& params,
   size_t n = x_.size();
   Matrix k = gram != nullptr ? *gram : BuildGram(params, scratch);
   k.AddDiagonal(params.noise_variance + options_.noise_floor);
-  auto chol = Cholesky::Factor(k, 1e-10, 1e-2, options_.num_threads);
+  auto chol = Cholesky::Factor(k);
   if (!chol.ok()) return chol.status();
   Vector alpha = chol->Solve(scratch.y_std);
   double fit_term = -0.5 * Dot(scratch.y_std, alpha);
@@ -71,7 +70,7 @@ Result<double> GaussianProcess::Refit(const KernelParams& params,
   }
   Matrix k = scratch->gram;
   k.AddDiagonal(params.noise_variance + options_.noise_floor);
-  auto chol = Cholesky::Factor(k, 1e-10, 1e-2, options_.num_threads);
+  auto chol = Cholesky::Factor(k);
   if (!chol.ok()) return chol.status();
   Vector alpha = chol->Solve(scratch->y_std);
   double fit_term = -0.5 * Dot(scratch->y_std, alpha);
@@ -80,7 +79,6 @@ Result<double> GaussianProcess::Refit(const KernelParams& params,
                    std::log(2.0 * std::numbers::pi);
   chol_.emplace(std::move(*chol));
   alpha_ = std::move(alpha);
-  lml_ = lml;
   return lml;
 }
 
@@ -105,15 +103,14 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
   }
 
   // Pairwise statistics are hyperparameter-independent: compute them once
-  // (in parallel over rows) and every grid refit drops from O(n^2 d) to
-  // O(n^2) kernel work.
+  // and every grid refit drops from O(n^2 d) to O(n^2) kernel work.
   size_t n = x_.size();
   scratch.pair_stats.resize(n * (n + 1) / 2);
-  ParallelFor(options_.num_threads, n, [&](size_t i) {
+  for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j <= i; ++j) {
       scratch.pair_stats[i * (i + 1) / 2 + j] = kernel_.Stats(x_[i], x_[j]);
     }
-  });
+  }
 
   KernelParams best = kernel_.params();
   auto first = Refit(best, &scratch);
@@ -126,34 +123,23 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
   const std::vector<double> noise_grid = {1e-6, 1e-4, 1e-3, 1e-2, 5e-2};
   const std::vector<double> hamming_grid = {0.25, 0.5, 1.0, 2.0, 4.0};
 
-  // One coordinate of the descent: refit every grid point on an
-  // independent scratch state (parallel), then scan in grid order with the
-  // same strict-improvement rule as the sequential loop. Grid points only
-  // differ from `best` in the swept coordinate, so mid-loop updates of
-  // `best` never change later candidates — the parallel evaluation is
-  // bit-identical to the serial sweep at any thread count.
+  // One coordinate of the descent: score each grid point in grid order
+  // and keep it on strict improvement.
   auto sweep_coordinate = [&](const std::vector<double>& grid,
                               void (*assign)(KernelParams*, double),
                               bool noise_only) {
-    std::vector<KernelParams> cand(grid.size(), best);
-    for (size_t i = 0; i < grid.size(); ++i) assign(&cand[i], grid[i]);
-    // Noise enters only the diagonal: all noise candidates share one Gram
-    // matrix instead of re-evaluating the full O(n^2) kernel each.
+    // Noise enters only the diagonal, and a noise candidate differs from
+    // `best` only in the noise: all noise candidates share one Gram matrix
+    // instead of re-evaluating the full O(n^2) kernel each.
     Matrix shared;
     if (noise_only) shared = BuildGram(best, scratch);
-    std::vector<double> lml(grid.size(), 0.0);
-    std::vector<char> ok(grid.size(), 0);
-    ParallelFor(options_.num_threads, grid.size(), [&](size_t i) {
-      auto r = EvalLml(cand[i], noise_only ? &shared : nullptr, scratch);
-      if (r.ok()) {
-        lml[i] = *r;
-        ok[i] = 1;
-      }
-    });
-    for (size_t i = 0; i < grid.size(); ++i) {
-      if (ok[i] && lml[i] > best_lml) {
-        best_lml = lml[i];
-        best = cand[i];
+    for (double v : grid) {
+      KernelParams cand = best;
+      assign(&cand, v);
+      auto lml = EvalLml(cand, noise_only ? &shared : nullptr, scratch);
+      if (lml.ok() && *lml > best_lml) {
+        best_lml = *lml;
+        best = cand;
       }
     }
   };
@@ -232,20 +218,12 @@ std::vector<Prediction> GaussianProcess::PredictBatch(
   // Cross-kernel matrix K*: row i holds k(x_i, xs[j]) for every candidate
   // j. Candidates are repacked feature-major once, then each training row
   // streams per-kind columns (EvalRowColumnar == EvalRow bit-for-bit).
-  // Rows are chunked so one scratch serves several rows; each output row
-  // depends only on its own training point, so chunking cannot change
-  // results.
   const MixedKernel::ProbeColumns cols = kernel_.PackProbes(xs);
   Matrix kstar(n, m);
-  constexpr size_t kRowChunk = 8;
-  const size_t num_chunks = (n + kRowChunk - 1) / kRowChunk;
-  ParallelFor(options_.num_threads, num_chunks, [&](size_t c) {
-    MixedKernel::ColumnarScratch scratch;
-    const size_t i1 = std::min((c + 1) * kRowChunk, n);
-    for (size_t i = c * kRowChunk; i < i1; ++i) {
-      kernel_.EvalRowColumnar(x_[i], cols, &scratch, kstar.row(i));
-    }
-  });
+  MixedKernel::ColumnarScratch scratch;
+  for (size_t i = 0; i < n; ++i) {
+    kernel_.EvalRowColumnar(x_[i], cols, &scratch, kstar.row(i));
+  }
   // Means: one gemv alpha^T K*, accumulated over rows in increasing order —
   // per candidate the exact op sequence of Dot(kstar_j, alpha_).
   std::vector<double> mean_std(m, 0.0);
@@ -256,18 +234,18 @@ std::vector<Prediction> GaussianProcess::PredictBatch(
   }
   // Variances: one blocked triangular solve L V = K* for all candidates at
   // once, then column squared norms accumulated in row order (== Dot(v, v)).
-  Matrix v = chol_->SolveLowerMatrix(kstar, options_.num_threads);
+  Matrix v = chol_->SolveLowerMatrix(kstar);
   std::vector<double> vv(m, 0.0);
   for (size_t i = 0; i < n; ++i) {
     const double* vi = v.row(i);
     for (size_t j = 0; j < m; ++j) vv[j] += vi[j] * vi[j];
   }
-  ParallelFor(options_.num_threads, m, [&](size_t j) {
+  for (size_t j = 0; j < m; ++j) {
     double kss = kernel_.Eval(xs[j], xs[j]) + kernel_.params().noise_variance;
     double var_std = std::max(kss - vv[j], 1e-12);
     out[j].mean = y_mean_ + y_scale_ * mean_std[j];
     out[j].variance = y_scale_ * y_scale_ * var_std;
-  });
+  }
   return out;
 }
 

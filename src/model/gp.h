@@ -21,11 +21,6 @@ struct GpOptions {
   bool optimize_hypers = true;
   // Number of coordinate-descent sweeps.
   int hyper_sweeps = 2;
-  // Threads for the hyperparameter grid sweep: 1 = serial (bit-identical to
-  // the single-threaded path), 0 = global pool default width, k > 1 = up to
-  // k threads. Any setting yields bit-identical fits (grid points are
-  // evaluated on independent scratch states; selection stays sequential).
-  int num_threads = 1;
 };
 
 class GaussianProcess final : public Surrogate {
@@ -40,16 +35,12 @@ class GaussianProcess final : public Surrogate {
 
   // Batched posterior: builds the n x m cross-kernel matrix in one pass,
   // runs a single blocked triangular solve for all variances and one gemv
-  // against alpha for all means. Bit-identical to per-point Predict;
-  // options.num_threads splits the independent candidates over the pool.
+  // against alpha for all means. Bit-identical to per-point Predict.
   std::vector<Prediction> PredictBatch(
       const std::vector<std::vector<double>>& xs) const override;
 
   size_t num_observations() const override { return x_.size(); }
 
-  // Log marginal likelihood of the standardized targets under the current
-  // hyperparameters; meaningful after Fit.
-  double log_marginal_likelihood() const { return lml_; }
   const KernelParams& kernel_params() const { return kernel_.params(); }
   const std::vector<FeatureKind>& schema() const { return kernel_.schema(); }
 
@@ -63,9 +54,10 @@ class GaussianProcess final : public Surrogate {
   Result<double> Refit(const KernelParams& params, FitScratch* scratch);
 
   // Log marginal likelihood of `params` on an independent scratch state:
-  // touches no members, so grid points can be evaluated concurrently. When
-  // `gram` is non-null it is used as the (noise-free) kernel matrix instead
-  // of rebuilding it — noise-only refits share one Gram matrix.
+  // touches no members, so a grid point that loses leaves the model as it
+  // was. When `gram` is non-null it is used as the (noise-free) kernel
+  // matrix instead of rebuilding it — noise-only refits share one Gram
+  // matrix.
   Result<double> EvalLml(const KernelParams& params, const Matrix* gram,
                          const FitScratch& scratch) const;
 
@@ -86,7 +78,6 @@ class GaussianProcess final : public Surrogate {
 
   std::optional<Cholesky> chol_;
   Vector alpha_;  // (K + tau^2 I)^-1 y_std
-  double lml_ = 0.0;
 };
 
 }  // namespace sparktune

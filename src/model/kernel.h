@@ -48,7 +48,7 @@ class MixedKernel {
   };
 
   // Per-probe accumulators for EvalRowColumnar, hoisted out so callers
-  // reuse the buffers across rows (one scratch per thread).
+  // reuse the buffers across rows.
   struct ColumnarScratch {
     std::vector<double> num_d2;
     std::vector<double> mismatches;
@@ -66,8 +66,7 @@ class MixedKernel {
   double Eval(const std::vector<double>& a, const std::vector<double>& b) const;
 
   // One cross-kernel row in a single pass: out[j] = Eval(a, bs[j]) for all
-  // j, bit-for-bit. Reads no mutable state, so rows of a cross-kernel
-  // matrix can be filled concurrently.
+  // j, bit-for-bit.
   void EvalRow(const std::vector<double>& a,
                const std::vector<std::vector<double>>& bs, double* out) const;
 
@@ -88,7 +87,7 @@ class MixedKernel {
   KernelPairStats Stats(const std::vector<double>& a,
                         const std::vector<double>& b) const;
   // k(a, b) from cached statistics under explicit hyperparameters. Reads no
-  // mutable kernel state, so it is safe to call concurrently.
+  // mutable kernel state, so `p` need not be params().
   double EvalStats(const KernelPairStats& s, const KernelParams& p) const;
 
   // Matérn-5/2 correlation for scaled distance r >= 0.

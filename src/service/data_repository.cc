@@ -39,19 +39,17 @@ std::string SanitizedFileName(const std::string& id, const char* ext) {
 constexpr char kCheckpointMagic[] = "SPARKTUNE-CKPT1";
 constexpr char kManifestMagic[] = "SPARKTUNE-MAN1";
 
-}  // namespace
-
-Status WriteFramedAtomic(const std::string& path, const char* magic,
-                         const std::string& body) {
+// Writes `bytes` to "<path>.tmp" and renames it over `path` only once the
+// flushed stream reports no error, so a failed or short write leaves the
+// previous file in place.
+Status WriteAtomic(const std::string& path, const std::string& bytes) {
   std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
     if (!out.good()) {
       return Status::Unavailable("cannot write " + tmp);
     }
-    out << magic << ' ' << StrFormat("%08x", Crc32(body)) << ' '
-        << body.size() << '\n'
-        << body;
+    out << bytes;
     out.flush();
     if (!out.good()) {
       return Status::Unavailable("short write to " + tmp);
@@ -61,6 +59,15 @@ Status WriteFramedAtomic(const std::string& path, const char* magic,
   fs::rename(tmp, path, ec);
   if (ec) return Status::Unavailable("rename failed: " + ec.message());
   return Status::OK();
+}
+
+}  // namespace
+
+Status WriteFramedAtomic(const std::string& path, const char* magic,
+                         const std::string& body) {
+  const std::string header =
+      StrFormat("%s %08x %zu\n", magic, Crc32(body), body.size());
+  return WriteAtomic(path, header + body);
 }
 
 Result<std::string> ReadFramedFile(const std::string& path,
@@ -458,20 +465,7 @@ Status DataRepository::SaveTask(const StoredTask& task) const {
     obs.Append(ObservationToJson(o));
   }
   doc.Set("observations", std::move(obs));
-
-  std::string path = PathFor(task.id);
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out.good()) {
-      return Status::Unavailable("cannot write " + tmp);
-    }
-    out << doc.Dump() << "\n";
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return Status::Unavailable("rename failed: " + ec.message());
-  return Status::OK();
+  return WriteAtomic(PathFor(task.id), doc.Dump() + "\n");
 }
 
 Result<StoredTask> DataRepository::LoadTask(const std::string& id,

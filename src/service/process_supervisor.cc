@@ -676,19 +676,6 @@ HarvestReport ProcessSupervisor::HarvestDirty(int max_tasks_per_shard) {
                            &HarvestReportFromJson);
 }
 
-Status ProcessSupervisor::HarvestTask(const std::string& id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return Status::NotFound("unknown task: " + id);
-  const TaskEntry& task = tasks_[it->second];
-  Worker& w = workers_[static_cast<size_t>(task.shard)];
-  if (!w.alive || !w.client->connected()) {
-    return Status::Unavailable("task has no live shard: " + id);
-  }
-  Json body = Json::Object();
-  body.Set("id", Json::Str(id));
-  return w.client->Call(net::MsgKind::kHarvest, body).status();
-}
-
 Result<Configuration> ProcessSupervisor::FetchSuggestion(
     const std::string& id) {
   auto it = index_.find(id);

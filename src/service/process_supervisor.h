@@ -152,8 +152,6 @@ class ProcessSupervisor {
   // Routed to every live shard; aggregated.
   CheckpointReport CheckpointAll();
   HarvestReport HarvestDirty(int max_tasks_per_shard = 0);
-  // Routed to the owning shard.
-  Status HarvestTask(const std::string& id);
   // Best incumbent configuration of a task, fetched over the wire.
   Result<Configuration> FetchSuggestion(const std::string& id);
   // Health probe: one kPing round trip to the worker. kUnavailable when

@@ -226,11 +226,6 @@ Result<Json> ShardServer::HandleExecute(const Json& body) {
 
 Result<Json> ShardServer::HandleHarvest(const Json& body) {
   SPARKTUNE_RETURN_IF_ERROR(RequireConfigured());
-  if (body.Has("id")) {
-    SPARKTUNE_RETURN_IF_ERROR(
-        service_->HarvestTask(body.GetStringOr("id", "")));
-    return OkEnvelope();
-  }
   SPARKTUNE_ASSIGN_OR_RETURN(max_tasks, body.GetIntOr<int>("max_tasks", 0));
   HarvestReport report = service_->HarvestDirty(max_tasks);
   Json env = OkEnvelope();

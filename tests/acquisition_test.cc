@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -231,12 +230,11 @@ TEST(AcqOptimizerTest, SmallPoolsStillGetIncumbentNeighbors) {
 }
 
 // Counts the unsafety hooks' work: per-point calls and batch calls plus the
-// candidates the batch calls saw. Thread-safe, since the per-point hook
-// runs inside ParallelFor.
+// candidates the batch calls saw.
 struct UnsafetyCounter {
-  std::atomic<int> calls{0};
-  std::atomic<int> batch_calls{0};
-  std::atomic<int> batch_elements{0};
+  int calls = 0;
+  int batch_calls = 0;
+  int batch_elements = 0;
 };
 
 // Unsafety in a few coarse levels, so many candidates tie.
@@ -258,45 +256,40 @@ TEST(AcqOptimizerTest, UnsafetyIsNotScoredWhenACandidateIsSafe) {
     for (const Configuration& c : cs) out.push_back(safe(c) ? 1 : 0);
     return out;
   };
-  for (int threads : {1, 4}) {
-    for (bool batched : {false, true}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) +
-                   (batched ? " batched" : " per-point"));
-      AcqOptOptions opts;
-      opts.num_candidates = 64;
-      opts.num_threads = threads;
-      AcquisitionOptimizer opt(opts);
-      UnsafetyCounter count;
-      auto unsafety = [&](const Configuration& c) {
-        ++count.calls;
-        return CoarseUnsafety(c);
-      };
-      auto unsafety_batch = [&](const std::vector<Configuration>& cs) {
-        ++count.batch_calls;
-        count.batch_elements += static_cast<int>(cs.size());
-        std::vector<double> out;
-        for (const Configuration& c : cs) out.push_back(CoarseUnsafety(c));
-        return out;
-      };
-      Rng rng(31);
-      AcqOptResult res = opt.Maximize(
-          full, encode, acq, safe, unsafety, nullptr, &rng,
-          batched ? AcquisitionOptimizer::SafeBatchFn(safe_batch) : nullptr,
-          batched ? AcquisitionOptimizer::UnsafetyBatchFn(unsafety_batch)
-                  : nullptr);
-      EXPECT_FALSE(res.safe_fallback_used);
-      EXPECT_LE(res.config[0], 0.5);
-      EXPECT_EQ(count.calls.load(), 0);
-      EXPECT_EQ(count.batch_calls.load(), 0);
-    }
+  for (bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "per-point");
+    AcqOptOptions opts;
+    opts.num_candidates = 64;
+    AcquisitionOptimizer opt(opts);
+    UnsafetyCounter count;
+    auto unsafety = [&](const Configuration& c) {
+      ++count.calls;
+      return CoarseUnsafety(c);
+    };
+    auto unsafety_batch = [&](const std::vector<Configuration>& cs) {
+      ++count.batch_calls;
+      count.batch_elements += static_cast<int>(cs.size());
+      std::vector<double> out;
+      for (const Configuration& c : cs) out.push_back(CoarseUnsafety(c));
+      return out;
+    };
+    Rng rng(31);
+    AcqOptResult res = opt.Maximize(
+        full, encode, acq, safe, unsafety, nullptr, &rng,
+        batched ? AcquisitionOptimizer::SafeBatchFn(safe_batch) : nullptr,
+        batched ? AcquisitionOptimizer::UnsafetyBatchFn(unsafety_batch)
+                : nullptr);
+    EXPECT_FALSE(res.safe_fallback_used);
+    EXPECT_LE(res.config[0], 0.5);
+    EXPECT_EQ(count.calls, 0);
+    EXPECT_EQ(count.batch_calls, 0);
   }
 }
 
 TEST(AcqOptimizerTest, NoSafeCandidateScoresUnsafetyOncePerCandidate) {
   // Nothing is safe: unsafety is scored once per non-duplicate candidate,
   // and the fallback is the eager scorer's pick — minimum unsafety, first
-  // in candidate order on ties — with per-point or batched hooks at 1 and
-  // 4 threads.
+  // in candidate order on ties — with per-point or batched hooks.
   ConfigSpace space = TwoDSpace();
   FakeSurrogate objective([](const std::vector<double>&) {
     return Prediction{0.0, 1.0};
@@ -321,53 +314,49 @@ TEST(AcqOptimizerTest, NoSafeCandidateScoresUnsafetyOncePerCandidate) {
   std::vector<Configuration> screened;
   std::vector<Configuration> picks;
   for (bool batched : {true, false}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) +
-                   (batched ? " batched" : " per-point"));
-      AcqOptOptions opts;
-      opts.num_candidates = 64;
-      opts.num_threads = threads;
-      AcquisitionOptimizer opt(opts);
-      std::atomic<int> safe_calls{0};
-      auto safe = [&](const Configuration&) {
-        ++safe_calls;
-        return false;
-      };
-      auto safe_batch = [&](const std::vector<Configuration>& cs) {
-        screened = cs;
-        return std::vector<char>(cs.size(), 0);
-      };
-      UnsafetyCounter count;
-      auto unsafety = [&](const Configuration& c) {
-        ++count.calls;
-        return CoarseUnsafety(c);
-      };
-      auto unsafety_batch = [&](const std::vector<Configuration>& cs) {
-        ++count.batch_calls;
-        count.batch_elements += static_cast<int>(cs.size());
-        std::vector<double> out;
-        for (const Configuration& c : cs) out.push_back(CoarseUnsafety(c));
-        return out;
-      };
-      Rng rng(21);
-      AcqOptResult res = opt.Maximize(
-          full, encode, acq, safe, unsafety, &history, &rng,
-          batched ? AcquisitionOptimizer::SafeBatchFn(safe_batch) : nullptr,
-          batched ? AcquisitionOptimizer::UnsafetyBatchFn(unsafety_batch)
-                  : nullptr);
-      EXPECT_TRUE(res.safe_fallback_used);
-      if (batched) {
-        EXPECT_EQ(count.calls.load(), 0);
-        EXPECT_EQ(count.batch_calls.load(), 1);
-        EXPECT_EQ(count.batch_elements.load(), kLive);
-        EXPECT_EQ(screened.size(), static_cast<size_t>(kLive));
-      } else {
-        EXPECT_EQ(safe_calls.load(), kLive);
-        EXPECT_EQ(count.calls.load(), kLive);
-        EXPECT_EQ(count.batch_calls.load(), 0);
-      }
-      picks.push_back(res.config);
+    SCOPED_TRACE(batched ? "batched" : "per-point");
+    AcqOptOptions opts;
+    opts.num_candidates = 64;
+    AcquisitionOptimizer opt(opts);
+    int safe_calls = 0;
+    auto safe = [&](const Configuration&) {
+      ++safe_calls;
+      return false;
+    };
+    auto safe_batch = [&](const std::vector<Configuration>& cs) {
+      screened = cs;
+      return std::vector<char>(cs.size(), 0);
+    };
+    UnsafetyCounter count;
+    auto unsafety = [&](const Configuration& c) {
+      ++count.calls;
+      return CoarseUnsafety(c);
+    };
+    auto unsafety_batch = [&](const std::vector<Configuration>& cs) {
+      ++count.batch_calls;
+      count.batch_elements += static_cast<int>(cs.size());
+      std::vector<double> out;
+      for (const Configuration& c : cs) out.push_back(CoarseUnsafety(c));
+      return out;
+    };
+    Rng rng(21);
+    AcqOptResult res = opt.Maximize(
+        full, encode, acq, safe, unsafety, &history, &rng,
+        batched ? AcquisitionOptimizer::SafeBatchFn(safe_batch) : nullptr,
+        batched ? AcquisitionOptimizer::UnsafetyBatchFn(unsafety_batch)
+                : nullptr);
+    EXPECT_TRUE(res.safe_fallback_used);
+    if (batched) {
+      EXPECT_EQ(count.calls, 0);
+      EXPECT_EQ(count.batch_calls, 1);
+      EXPECT_EQ(count.batch_elements, kLive);
+      EXPECT_EQ(screened.size(), static_cast<size_t>(kLive));
+    } else {
+      EXPECT_EQ(safe_calls, kLive);
+      EXPECT_EQ(count.calls, kLive);
+      EXPECT_EQ(count.batch_calls, 0);
     }
+    picks.push_back(res.config);
   }
   ASSERT_EQ(screened.size(), static_cast<size_t>(kLive));
   size_t eager = 0;
@@ -571,28 +560,24 @@ TEST(EicScorerTest, MaximizeMatchesTheAdvisorsHookWiring) {
   for (const ScorerFixture::Mode& mode : ScorerFixture::Modes()) {
     const EicScorerOptions o = f.Options(mode);
     const EicScorer scorer(encode, o);
-    for (int threads : {1, 4}) {
-      for (uint64_t seed : {3u, 17u, 29u}) {
-        SCOPED_TRACE(std::string(mode.name) + ", threads " +
-                     std::to_string(threads) + ", seed " +
-                     std::to_string(seed));
-        AcqOptOptions opts;
-        opts.num_candidates = 96;
-        opts.num_local_starts = 4;
-        opts.local_steps = 10;
-        opts.num_threads = threads;
-        AcquisitionOptimizer opt(opts);
-        Rng hook_rng(seed);
-        Rng scorer_rng(seed);
-        AcqOptResult hooks = reference::MaximizeWithHooks(
-            opt, full, encode, o, &f.history(), &hook_rng);
-        AcqOptResult scored =
-            opt.Maximize(full, scorer, &f.history(), &scorer_rng);
-        EXPECT_TRUE(SameBits(hooks, scored));
-        EXPECT_EQ(scored.safe_fallback_used, mode.nothing_safe);
-        // Both forms drew the same numbers from the shared stream.
-        EXPECT_EQ(hook_rng.Next(), scorer_rng.Next());
-      }
+    for (uint64_t seed : {3u, 17u, 29u}) {
+      SCOPED_TRACE(std::string(mode.name) + ", seed " +
+                   std::to_string(seed));
+      AcqOptOptions opts;
+      opts.num_candidates = 96;
+      opts.num_local_starts = 4;
+      opts.local_steps = 10;
+      AcquisitionOptimizer opt(opts);
+      Rng hook_rng(seed);
+      Rng scorer_rng(seed);
+      AcqOptResult hooks = reference::MaximizeWithHooks(
+          opt, full, encode, o, &f.history(), &hook_rng);
+      AcqOptResult scored =
+          opt.Maximize(full, scorer, &f.history(), &scorer_rng);
+      EXPECT_TRUE(SameBits(hooks, scored));
+      EXPECT_EQ(scored.safe_fallback_used, mode.nothing_safe);
+      // Both forms drew the same numbers from the shared stream.
+      EXPECT_EQ(hook_rng.Next(), scorer_rng.Next());
     }
   }
 }

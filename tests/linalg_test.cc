@@ -212,21 +212,6 @@ TEST(CholeskyTest, BlockedFactorBitEqualsUnblockedOnJitterPath) {
   }
 }
 
-TEST(CholeskyTest, FactorBitIdenticalAcrossThreadCounts) {
-  Rng rng(37);
-  Matrix a = RandomSpd(120, &rng);
-  auto serial = Cholesky::Factor(a, 1e-10, 1e-2, 1);
-  auto parallel = Cholesky::Factor(a, 1e-10, 1e-2, 4);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(serial->applied_jitter(), parallel->applied_jitter());
-  for (size_t r = 0; r < a.rows(); ++r) {
-    for (size_t c = 0; c < a.cols(); ++c) {
-      EXPECT_EQ(serial->lower()(r, c), parallel->lower()(r, c));
-    }
-  }
-}
-
 TEST(CholeskyTest, SolveLowerMatrixBitEqualsPerColumn) {
   Rng rng(41);
   const size_t n = 60;
@@ -238,20 +223,16 @@ TEST(CholeskyTest, SolveLowerMatrixBitEqualsPerColumn) {
   }
   auto chol = Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
-  Matrix y1 = chol->SolveLowerMatrix(b, 1);
-  Matrix y4 = chol->SolveLowerMatrix(b, 4);
-  Matrix x1 = chol->SolveMatrix(b, 1);
-  Matrix x4 = chol->SolveMatrix(b, 4);
+  Matrix y = chol->SolveLowerMatrix(b);
+  Matrix x = chol->SolveMatrix(b);
   for (size_t c = 0; c < m; ++c) {
     Vector col(n);
     for (size_t r = 0; r < n; ++r) col[r] = b(r, c);
     Vector yref = chol->SolveLower(col);
     Vector xref = chol->Solve(col);
     for (size_t r = 0; r < n; ++r) {
-      EXPECT_EQ(y1(r, c), yref[r]) << "SolveLower col " << c << " row " << r;
-      EXPECT_EQ(y4(r, c), yref[r]);
-      EXPECT_EQ(x1(r, c), xref[r]) << "Solve col " << c << " row " << r;
-      EXPECT_EQ(x4(r, c), xref[r]);
+      EXPECT_EQ(y(r, c), yref[r]) << "SolveLower col " << c << " row " << r;
+      EXPECT_EQ(x(r, c), xref[r]) << "Solve col " << c << " row " << r;
     }
   }
 }
@@ -273,7 +254,7 @@ Matrix NaiveUpperSolve(const Matrix& l, const Matrix& y) {
   return x;
 }
 
-TEST(CholeskyTest, SolveUpperMatrixBitEqualsNaiveAcrossThreadCounts) {
+TEST(CholeskyTest, SolveUpperMatrixBitEqualsNaive) {
   Rng rng(43);
   // Ragged in both dimensions: n spans two full 48-wide panels plus a
   // 5-row remainder; m spans a full 48-column block plus a partial one.
@@ -287,13 +268,10 @@ TEST(CholeskyTest, SolveUpperMatrixBitEqualsNaiveAcrossThreadCounts) {
   auto chol = Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
   Matrix ref = NaiveUpperSolve(chol->lower(), y);
-  for (int nt : {1, 2, 4}) {
-    Matrix x = chol->SolveUpperMatrix(y, nt);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = 0; c < m; ++c) {
-        EXPECT_EQ(x(r, c), ref(r, c))
-            << "nt=" << nt << " at " << r << "," << c;
-      }
+  Matrix x = chol->SolveUpperMatrix(y);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < m; ++c) {
+      EXPECT_EQ(x(r, c), ref(r, c)) << "at " << r << "," << c;
     }
   }
 }
@@ -311,59 +289,30 @@ TEST(CholeskyTest, SolveMatrixBitEqualsPerColumnOnRaggedSize) {
   }
   auto chol = Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
-  for (int nt : {1, 2, 4}) {
-    Matrix x = chol->SolveMatrix(b, nt);
-    for (size_t c = 0; c < m; ++c) {
-      Vector col(n);
-      for (size_t r = 0; r < n; ++r) col[r] = b(r, c);
-      Vector xref = chol->Solve(col);
-      for (size_t r = 0; r < n; ++r) {
-        EXPECT_EQ(x(r, c), xref[r]) << "nt=" << nt << " col " << c;
-      }
+  Matrix x = chol->SolveMatrix(b);
+  for (size_t c = 0; c < m; ++c) {
+    Vector col(n);
+    for (size_t r = 0; r < n; ++r) col[r] = b(r, c);
+    Vector xref = chol->Solve(col);
+    for (size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(x(r, c), xref[r]) << "col " << c;
     }
   }
 }
 
-TEST(CholeskyTest, FactorBitEqualsUnblockedAcrossThreadCountsRagged) {
+TEST(CholeskyTest, FactorBitEqualsUnblockedOnRaggedSize) {
   Rng rng(53);
   // Two full panels plus a remainder, exercising the tiled trailing
-  // update's ragged tail at every thread count.
+  // update's ragged tail.
   Matrix a = RandomSpd(101, &rng);
   Matrix ref;
   ASSERT_TRUE(UnblockedFactor(a, &ref));
-  for (int nt : {1, 2, 4}) {
-    auto chol = Cholesky::Factor(a, 1e-10, 1e-2, nt);
-    ASSERT_TRUE(chol.ok());
-    EXPECT_EQ(chol->applied_jitter(), 0.0);
-    for (size_t r = 0; r < a.rows(); ++r) {
-      for (size_t c = 0; c < a.cols(); ++c) {
-        EXPECT_EQ(chol->lower()(r, c), ref(r, c))
-            << "nt=" << nt << " at " << r << "," << c;
-      }
-    }
-  }
-}
-
-TEST(CholeskyTest, JitterPathBitIdenticalAcrossThreadCounts) {
-  // Rank-deficient PSD matrix: the refactor-with-jitter escalation must
-  // land on the same jitter and the same bits regardless of thread count.
-  Rng rng(59);
-  Matrix b(60, 5);
-  for (size_t r = 0; r < b.rows(); ++r) {
-    for (size_t c = 0; c < b.cols(); ++c) b(r, c) = rng.Normal();
-  }
-  Matrix a = b.MatMul(b.Transpose());
-  auto serial = Cholesky::Factor(a, 1e-10, 1e-2, 1);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_GT(serial->applied_jitter(), 0.0);
-  for (int nt : {2, 4}) {
-    auto par = Cholesky::Factor(a, 1e-10, 1e-2, nt);
-    ASSERT_TRUE(par.ok());
-    EXPECT_EQ(par->applied_jitter(), serial->applied_jitter());
-    for (size_t r = 0; r < a.rows(); ++r) {
-      for (size_t c = 0; c < a.cols(); ++c) {
-        EXPECT_EQ(par->lower()(r, c), serial->lower()(r, c)) << "nt=" << nt;
-      }
+  auto chol = Cholesky::Factor(a);
+  ASSERT_TRUE(chol.ok());
+  EXPECT_EQ(chol->applied_jitter(), 0.0);
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t c = 0; c < a.cols(); ++c) {
+      EXPECT_EQ(chol->lower()(r, c), ref(r, c)) << "at " << r << "," << c;
     }
   }
 }

@@ -1,6 +1,5 @@
 // PredictBatch must equal per-point Predict bit-for-bit for every surrogate
-// implementation — fitted and unfitted (prior path) alike — at any thread
-// count.
+// implementation — fitted and unfitted (prior path) alike.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -58,19 +57,14 @@ std::vector<std::vector<double>> MakeProbes(size_t m, uint64_t seed) {
 TEST(PredictBatchTest, GpMatchesPerPoint) {
   MixedData d = MakeMixedData(48, 7);
   std::vector<std::vector<double>> probes = MakeProbes(97, 11);
-  for (int threads : {1, 4}) {
-    GpOptions opts;
-    opts.num_threads = threads;
-    GaussianProcess gp(d.schema, opts);
-    ASSERT_TRUE(gp.Fit(d.x, d.y).ok());
-    std::vector<Prediction> batch = gp.PredictBatch(probes);
-    ASSERT_EQ(batch.size(), probes.size());
-    for (size_t j = 0; j < probes.size(); ++j) {
-      Prediction p = gp.Predict(probes[j]);
-      EXPECT_EQ(batch[j].mean, p.mean) << "threads=" << threads << " j=" << j;
-      EXPECT_EQ(batch[j].variance, p.variance)
-          << "threads=" << threads << " j=" << j;
-    }
+  GaussianProcess gp(d.schema);
+  ASSERT_TRUE(gp.Fit(d.x, d.y).ok());
+  std::vector<Prediction> batch = gp.PredictBatch(probes);
+  ASSERT_EQ(batch.size(), probes.size());
+  for (size_t j = 0; j < probes.size(); ++j) {
+    Prediction p = gp.Predict(probes[j]);
+    EXPECT_EQ(batch[j].mean, p.mean) << "j=" << j;
+    EXPECT_EQ(batch[j].variance, p.variance) << "j=" << j;
   }
 }
 
@@ -156,21 +150,17 @@ TEST(PredictBatchTest, MetaEnsemblePriorPathMatchesPerPoint) {
 TEST(PredictBatchTest, ForestMatchesPerPoint) {
   MixedData d = MakeMixedData(120, 29);
   std::vector<std::vector<double>> probes = MakeProbes(130, 31);
-  for (int threads : {1, 4}) {
-    ForestOptions opts;
-    opts.num_trees = 40;
-    opts.seed = 9;
-    opts.num_threads = threads;
-    RandomForest rf(opts);
-    ASSERT_TRUE(rf.Fit(d.x, d.y).ok());
-    std::vector<Prediction> batch = rf.PredictBatch(probes);
-    ASSERT_EQ(batch.size(), probes.size());
-    for (size_t j = 0; j < probes.size(); ++j) {
-      Prediction p = rf.Predict(probes[j]);
-      EXPECT_EQ(batch[j].mean, p.mean) << "threads=" << threads << " j=" << j;
-      EXPECT_EQ(batch[j].variance, p.variance)
-          << "threads=" << threads << " j=" << j;
-    }
+  ForestOptions opts;
+  opts.num_trees = 40;
+  opts.seed = 9;
+  RandomForest rf(opts);
+  ASSERT_TRUE(rf.Fit(d.x, d.y).ok());
+  std::vector<Prediction> batch = rf.PredictBatch(probes);
+  ASSERT_EQ(batch.size(), probes.size());
+  for (size_t j = 0; j < probes.size(); ++j) {
+    Prediction p = rf.Predict(probes[j]);
+    EXPECT_EQ(batch[j].mean, p.mean) << "j=" << j;
+    EXPECT_EQ(batch[j].variance, p.variance) << "j=" << j;
   }
 }
 
@@ -189,35 +179,14 @@ TEST(PredictBatchTest, EmptyForestMatchesPerPoint) {
 TEST(PredictBatchTest, GbdtMatchesPerPoint) {
   MixedData d = MakeMixedData(90, 43);
   std::vector<std::vector<double>> probes = MakeProbes(130, 47);
-  for (int threads : {1, 4}) {
-    GbdtOptions opts;
-    opts.num_rounds = 30;
-    opts.num_threads = threads;
-    GbdtRegressor gbdt(opts);
-    ASSERT_TRUE(gbdt.Fit(d.x, d.y).ok());
-    std::vector<double> batch = gbdt.PredictBatch(probes);
-    ASSERT_EQ(batch.size(), probes.size());
-    for (size_t j = 0; j < probes.size(); ++j) {
-      EXPECT_EQ(batch[j], gbdt.Predict(probes[j]))
-          << "threads=" << threads << " j=" << j;
-    }
-  }
-}
-
-TEST(PredictBatchTest, GbdtFitBitIdenticalAcrossThreadCounts) {
-  MixedData d = MakeMixedData(90, 53);
-  GbdtOptions serial;
-  serial.num_rounds = 25;
-  serial.num_threads = 1;
-  GbdtOptions wide = serial;
-  wide.num_threads = 4;
-  GbdtRegressor g1(serial), g4(wide);
-  ASSERT_TRUE(g1.Fit(d.x, d.y).ok());
-  ASSERT_TRUE(g4.Fit(d.x, d.y).ok());
-  EXPECT_EQ(g1.num_trees(), g4.num_trees());
-  std::vector<std::vector<double>> probes = MakeProbes(20, 59);
-  for (const auto& q : probes) {
-    EXPECT_EQ(g1.Predict(q), g4.Predict(q));
+  GbdtOptions opts;
+  opts.num_rounds = 30;
+  GbdtRegressor gbdt(opts);
+  ASSERT_TRUE(gbdt.Fit(d.x, d.y).ok());
+  std::vector<double> batch = gbdt.PredictBatch(probes);
+  ASSERT_EQ(batch.size(), probes.size());
+  for (size_t j = 0; j < probes.size(); ++j) {
+    EXPECT_EQ(batch[j], gbdt.Predict(probes[j])) << "j=" << j;
   }
 }
 

@@ -172,6 +172,39 @@ TEST(DataRepositoryTest, RejectsIterationOutsideIntRange) {
   }
 }
 
+TEST(DataRepositoryTest, FailedTaskWriteKeepsThePreviousRecord) {
+  // The record's temp file is /dev/full, so the flush fails with ENOSPC:
+  // SaveTask must report it and must not rename the torn temp over the
+  // record it was replacing.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ConfigSpace space = BuildSparkSpace(ClusterSpec::SmallSqlGroup());
+  const std::string dir = TempDir("failed-write");
+  DataRepository repo(dir);
+  StoredTask first;
+  first.id = "wc";
+  first.meta_features = {1.0, 2.0};
+  first.history = MakeHistory(space, 3, 13);
+  ASSERT_TRUE(repo.SaveTask(first).ok());
+  std::string record;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".json") record = entry.path().string();
+  }
+  ASSERT_FALSE(record.empty());
+  fs::create_symlink("/dev/full", record + ".tmp");
+
+  StoredTask second = first;
+  second.meta_features = {3.0, 4.0};
+  second.history = MakeHistory(space, 5, 17);
+  // Checked before any load: a record renamed onto /dev/full would never
+  // stop returning bytes.
+  Status saved = repo.SaveTask(second);
+  ASSERT_EQ(saved.code(), Status::Code::kUnavailable) << saved.ToString();
+  auto loaded = repo.LoadTask("wc", space);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->meta_features, first.meta_features);
+  EXPECT_EQ(loaded->history.size(), 3u);
+}
+
 struct ServiceFixture {
   ServiceFixture()
       : cluster(ClusterSpec::HiBenchCluster()),

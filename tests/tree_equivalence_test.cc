@@ -4,7 +4,7 @@
 // feature, threshold, children, value, sample count and impurity decrease,
 // compared as bits. Covers ragged shapes, heavy ties, bootstrap repeats,
 // feature bagging, GBDT row subsampling, the depth and leaf-size edges, and
-// forest and GBDT fits at 1, 2 and 4 threads. The similarity labels the
+// whole forest and GBDT fits. The similarity labels the
 // knowledge base computes from cached probe means must equal
 // SurrogateDistance bit for bit.
 #include <gtest/gtest.h>
@@ -218,7 +218,7 @@ std::vector<Nodes> ReferenceForest(const ForestOptions& o, const Data& d) {
   return trees;
 }
 
-TEST(TreeEquivalenceTest, ForestMatchesReferenceAtAnyThreadCount) {
+TEST(TreeEquivalenceTest, ForestMatchesReference) {
   const Data tied = MakeData(120, 9, 4, 31);
   const Data cont = MakeData(45, 30, 0, 32);
   for (const Data* d : {&tied, &cont}) {
@@ -226,15 +226,12 @@ TEST(TreeEquivalenceTest, ForestMatchesReferenceAtAnyThreadCount) {
     opts.num_trees = 12;
     opts.seed = 5;
     const std::vector<Nodes> want = ReferenceForest(opts, *d);
-    for (int threads : {1, 2, 4}) {
-      opts.num_threads = threads;
-      RandomForest forest(opts);
-      ASSERT_TRUE(forest.Fit(d->x, d->y).ok());
-      ASSERT_EQ(forest.trees().size(), want.size());
-      for (size_t t = 0; t < want.size(); ++t) {
-        EXPECT_TRUE(SameNodes(want[t], forest.trees()[t].nodes()))
-            << "threads=" << threads << " tree " << t;
-      }
+    RandomForest forest(opts);
+    ASSERT_TRUE(forest.Fit(d->x, d->y).ok());
+    ASSERT_EQ(forest.trees().size(), want.size());
+    for (size_t t = 0; t < want.size(); ++t) {
+      EXPECT_TRUE(SameNodes(want[t], forest.trees()[t].nodes()))
+          << "tree " << t;
     }
   }
 }
@@ -264,7 +261,7 @@ std::vector<Nodes> ReferenceGbdt(const GbdtOptions& o, const Data& d) {
   return trees;
 }
 
-TEST(TreeEquivalenceTest, GbdtMatchesReferenceAtAnyThreadCount) {
+TEST(TreeEquivalenceTest, GbdtMatchesReference) {
   const Data tied = MakeData(96, 12, 5, 41);
   const Data cont = MakeData(150, 7, 0, 42);
   for (const Data* d : {&tied, &cont}) {
@@ -273,16 +270,12 @@ TEST(TreeEquivalenceTest, GbdtMatchesReferenceAtAnyThreadCount) {
       opts.num_rounds = 25;
       opts.subsample = subsample;
       const std::vector<Nodes> want = ReferenceGbdt(opts, *d);
-      for (int threads : {1, 2, 4}) {
-        opts.num_threads = threads;
-        GbdtRegressor gbdt(opts);
-        ASSERT_TRUE(gbdt.Fit(d->x, d->y).ok());
-        ASSERT_EQ(gbdt.trees().size(), want.size());
-        for (size_t t = 0; t < want.size(); ++t) {
-          EXPECT_TRUE(SameNodes(want[t], gbdt.trees()[t].nodes()))
-              << "subsample=" << subsample << " threads=" << threads
-              << " round " << t;
-        }
+      GbdtRegressor gbdt(opts);
+      ASSERT_TRUE(gbdt.Fit(d->x, d->y).ok());
+      ASSERT_EQ(gbdt.trees().size(), want.size());
+      for (size_t t = 0; t < want.size(); ++t) {
+        EXPECT_TRUE(SameNodes(want[t], gbdt.trees()[t].nodes()))
+            << "subsample=" << subsample << " round " << t;
       }
     }
   }
