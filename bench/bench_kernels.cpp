@@ -6,10 +6,13 @@
 //   * linalg: the panelled upper solve and the register-tiled SYRK
 //     factorization against their naive loops (upper_solve, syrk_factor);
 //   * batched inference at --n training rows and --m probes: the columnar
-//     MixedKernel row against per-row EvalRow (kernel_batch), and one
-//     PredictBatch call against a per-point Predict loop for the GP, the
-//     meta ensemble and the random forest, with fixed GP hyperparameters
-//     (gp_predict, meta_predict, forest_predict);
+//     MixedKernel row against per-row EvalRow on random probes
+//     (kernel_batch, no column shared) and on an acquisition pool whose
+//     probes share all but six numeric columns and the data size
+//     (kernel_pool), and one PredictBatch call against a per-point
+//     Predict loop for the GP, the meta ensemble and the random forest,
+//     with fixed GP hyperparameters (gp_predict, meta_predict,
+//     forest_predict);
 //   * acquisition scoring: a runtime-constrained, safety-on maximization
 //     on Spark-shaped data, through the safety hooks wired as the advisor
 //     wired them before the candidate scorer, against EicScorer, which
@@ -238,11 +241,12 @@ Dataset MakeDataset(const std::vector<FeatureKind>& schema, size_t count,
   return d;
 }
 
-KernelRow BenchKernelBatch(const std::vector<FeatureKind>& schema,
+KernelRow BenchKernelBatch(const char* name,
+                           const std::vector<FeatureKind>& schema,
                            const std::vector<std::vector<double>>& train,
                            const std::vector<std::vector<double>>& probes,
                            int reps) {
-  KernelRow row{"kernel_batch"};
+  KernelRow row{name};
   MixedKernel kernel(schema);
   const size_t n = train.size();
   const size_t m = probes.size();
@@ -294,7 +298,27 @@ void AddInferenceRows(size_t n, size_t m, int reps,
   Rng rng(4242);
   const Dataset train = MakeDataset(schema, n, &rng);
   const auto probes = MakeMixedRows(schema, m, &rng);
-  rows->push_back(BenchKernelBatch(schema, train.x, probes, reps));
+  rows->push_back(
+      BenchKernelBatch("kernel_batch", schema, train.x, probes, reps));
+
+  // kernel_pool: the probes of one sub-space search, Spark-shaped. They
+  // share every pinned coordinate and the data size and vary in six free
+  // numeric ones, so the columnar path computes each shared column's term
+  // once per training row and one data-size factor per row.
+  const std::vector<FeatureKind> spark = MixedSchema(28, 2);
+  Rng pool_rng(4343);
+  const auto pool_train = MakeMixedRows(spark, n, &pool_rng);
+  auto pool = MakeMixedRows(spark, m, &pool_rng);
+  const std::vector<size_t> free = {2, 7, 11, 16, 20, 25};
+  for (auto& probe : pool) {
+    for (size_t f = 0; f < spark.size(); ++f) {
+      if (std::find(free.begin(), free.end(), f) == free.end()) {
+        probe[f] = pool[0][f];
+      }
+    }
+  }
+  rows->push_back(BenchKernelBatch("kernel_pool", spark, pool_train, pool,
+                                   reps));
 
   // Fixed hyperparameters: the rows isolate inference cost.
   GpOptions gp_opts;

@@ -3,83 +3,51 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <span>
 
 #include "common/stats.h"
 
 namespace sparktune {
 
 struct GaussianProcess::FitScratch {
+  FitScratch(const MixedKernel* kernel, std::vector<KernelPairStats> pairs)
+      : factors(kernel, std::move(pairs)) {}
+
   std::vector<double> y_std;  // standardized targets
-  // Hyperparameter-independent pairwise kernel statistics, packed lower
-  // triangle (row i, col j <= i at i*(i+1)/2 + j).
-  std::vector<KernelPairStats> pair_stats;
-  // Last Gram matrix built by Refit and its parameters, reused when only
-  // the noise changes.
-  Matrix gram;
-  std::optional<KernelParams> gram_key;
+  // Kernel factors of every training pair, packed lower triangle (row i,
+  // col j <= i at i*(i+1)/2 + j), one table per hyperparameter value the
+  // sweep meets.
+  MixedKernel::FactorTables factors;
+  std::vector<double> pair_values;  // one grid point's kernel values
 };
 
 GaussianProcess::GaussianProcess(std::vector<FeatureKind> schema,
                                  GpOptions options)
     : kernel_(std::move(schema)), options_(options) {}
 
-bool GaussianProcess::SameGramKey(const KernelParams& a,
-                                  const KernelParams& b) {
-  return a.signal_variance == b.signal_variance &&
-         a.length_numeric == b.length_numeric &&
-         a.length_datasize == b.length_datasize &&
-         a.hamming_weight == b.hamming_weight;
-}
-
-Matrix GaussianProcess::BuildGram(const KernelParams& params,
-                                  const FitScratch& scratch) const {
-  size_t n = x_.size();
+Result<GaussianProcess::Factorization> GaussianProcess::Factorize(
+    const KernelParams& params, FitScratch* scratch) const {
+  const size_t n = x_.size();
+  scratch->pair_values.resize(scratch->factors.num_pairs());
+  scratch->factors.Values(params, scratch->pair_values.data());
   Matrix k(n, n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j <= i; ++j) {
-      double v = kernel_.EvalStats(scratch.pair_stats[i * (i + 1) / 2 + j],
-                                   params);
+      const double v = scratch->pair_values[i * (i + 1) / 2 + j];
       k(i, j) = v;
       k(j, i) = v;
     }
   }
-  return k;
-}
-
-Result<double> GaussianProcess::EvalLml(const KernelParams& params,
-                                        const Matrix* gram,
-                                        const FitScratch& scratch) const {
-  size_t n = x_.size();
-  Matrix k = gram != nullptr ? *gram : BuildGram(params, scratch);
   k.AddDiagonal(params.noise_variance + options_.noise_floor);
   auto chol = Cholesky::Factor(k);
   if (!chol.ok()) return chol.status();
-  Vector alpha = chol->Solve(scratch.y_std);
-  double fit_term = -0.5 * Dot(scratch.y_std, alpha);
-  return fit_term - 0.5 * chol->LogDet() -
-         0.5 * static_cast<double>(n) *
-             std::log(2.0 * std::numbers::pi);
-}
-
-Result<double> GaussianProcess::Refit(const KernelParams& params,
-                                      FitScratch* scratch) {
-  kernel_.set_params(params);
-  if (!scratch->gram_key || !SameGramKey(*scratch->gram_key, params)) {
-    scratch->gram = BuildGram(params, *scratch);
-    scratch->gram_key = params;
-  }
-  Matrix k = scratch->gram;
-  k.AddDiagonal(params.noise_variance + options_.noise_floor);
-  auto chol = Cholesky::Factor(k);
-  if (!chol.ok()) return chol.status();
-  Vector alpha = chol->Solve(scratch->y_std);
-  double fit_term = -0.5 * Dot(scratch->y_std, alpha);
-  double lml = fit_term - 0.5 * chol->LogDet() -
-               0.5 * static_cast<double>(x_.size()) *
-                   std::log(2.0 * std::numbers::pi);
-  chol_.emplace(std::move(*chol));
-  alpha_ = std::move(alpha);
-  return lml;
+  Factorization f;
+  f.alpha = chol->Solve(scratch->y_std);
+  double fit_term = -0.5 * Dot(scratch->y_std, f.alpha);
+  f.lml = fit_term - 0.5 * chol->LogDet() -
+          0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
+  f.chol = std::move(*chol);
+  return f;
 }
 
 Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
@@ -92,90 +60,85 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
       return Status::InvalidArgument("GP feature row size mismatch");
     }
   }
+  // Unfitted until the factorization below succeeds: a failed re-Fit
+  // predicts the prior, as a failed first Fit does.
+  chol_.reset();
+  alpha_.clear();
   x_ = x;
   y_mean_ = Mean(y);
   y_scale_ = Stddev(y);
   if (y_scale_ < 1e-12) y_scale_ = 1.0;
-  FitScratch scratch;
+
+  // Pairwise statistics are hyperparameter-independent: compute them once,
+  // and each factor once per hyperparameter value, so a grid point's
+  // kernel matrix is lookups and multiplies.
+  const size_t n = x_.size();
+  std::vector<KernelPairStats> pairs(n * (n + 1) / 2);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      pairs[i * (i + 1) / 2 + j] = kernel_.Stats(x_[i], x_[j]);
+    }
+  }
+  FitScratch scratch(&kernel_, std::move(pairs));
   scratch.y_std.resize(y.size());
   for (size_t i = 0; i < y.size(); ++i) {
     scratch.y_std[i] = (y[i] - y_mean_) / y_scale_;
   }
 
-  // Pairwise statistics are hyperparameter-independent: compute them once
-  // and every grid refit drops from O(n^2 d) to O(n^2) kernel work.
-  size_t n = x_.size();
-  scratch.pair_stats.resize(n * (n + 1) / 2);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      scratch.pair_stats[i * (i + 1) / 2 + j] = kernel_.Stats(x_[i], x_[j]);
-    }
-  }
-
   KernelParams best = kernel_.params();
-  auto first = Refit(best, &scratch);
-  if (!first.ok()) return first.status();
-  if (!options_.optimize_hypers || x_.size() < 3) return Status::OK();
+  auto fit = Factorize(best, &scratch);
+  if (!fit.ok()) return fit.status();
 
-  double best_lml = *first;
-  const std::vector<double> length_grid = {0.08, 0.15, 0.3, 0.5, 0.8,
-                                           1.2,  2.0,  3.0};
-  const std::vector<double> noise_grid = {1e-6, 1e-4, 1e-3, 1e-2, 5e-2};
-  const std::vector<double> hamming_grid = {0.25, 0.5, 1.0, 2.0, 4.0};
-
-  // One coordinate of the descent: score each grid point in grid order
-  // and keep it on strict improvement.
-  auto sweep_coordinate = [&](const std::vector<double>& grid,
-                              void (*assign)(KernelParams*, double),
-                              bool noise_only) {
-    // Noise enters only the diagonal, and a noise candidate differs from
-    // `best` only in the noise: all noise candidates share one Gram matrix
-    // instead of re-evaluating the full O(n^2) kernel each.
-    Matrix shared;
-    if (noise_only) shared = BuildGram(best, scratch);
-    for (double v : grid) {
-      KernelParams cand = best;
-      assign(&cand, v);
-      auto lml = EvalLml(cand, noise_only ? &shared : nullptr, scratch);
-      if (lml.ok() && *lml > best_lml) {
-        best_lml = *lml;
-        best = cand;
+  if (options_.optimize_hypers && n >= 3) {
+    // One coordinate of the descent: score each grid point in grid order
+    // and keep it on strict improvement.
+    auto sweep_coordinate = [&](std::span<const double> grid,
+                                void (*assign)(KernelParams*, double)) {
+      for (double v : grid) {
+        KernelParams cand = best;
+        assign(&cand, v);
+        auto cand_fit = Factorize(cand, &scratch);
+        if (cand_fit.ok() && cand_fit->lml > fit->lml) {
+          best = cand;
+          fit = std::move(cand_fit);
+        }
       }
-    }
-  };
+    };
 
-  bool has_ds = std::any_of(
-      kernel_.schema().begin(), kernel_.schema().end(),
-      [](FeatureKind k) { return k == FeatureKind::kDataSize; });
-  bool has_cat = std::any_of(
-      kernel_.schema().begin(), kernel_.schema().end(),
-      [](FeatureKind k) { return k == FeatureKind::kCategorical; });
+    bool has_ds = std::any_of(
+        kernel_.schema().begin(), kernel_.schema().end(),
+        [](FeatureKind k) { return k == FeatureKind::kDataSize; });
+    bool has_cat = std::any_of(
+        kernel_.schema().begin(), kernel_.schema().end(),
+        [](FeatureKind k) { return k == FeatureKind::kCategorical; });
 
-  for (int sweep = 0; sweep < options_.hyper_sweeps; ++sweep) {
-    // Coordinate 1: numeric lengthscale.
-    sweep_coordinate(
-        length_grid, [](KernelParams* p, double v) { p->length_numeric = v; },
-        false);
-    // Coordinate 2: datasize lengthscale (only if present).
-    if (has_ds) {
-      sweep_coordinate(
-          length_grid,
-          [](KernelParams* p, double v) { p->length_datasize = v; }, false);
+    for (int sweep = 0; sweep < options_.hyper_sweeps; ++sweep) {
+      // Coordinate 1: numeric lengthscale.
+      sweep_coordinate(kLengthGrid, [](KernelParams* p, double v) {
+        p->length_numeric = v;
+      });
+      // Coordinate 2: datasize lengthscale (only if present).
+      if (has_ds) {
+        sweep_coordinate(kLengthGrid, [](KernelParams* p, double v) {
+          p->length_datasize = v;
+        });
+      }
+      // Coordinate 3: hamming weight (only if categorical present).
+      if (has_cat) {
+        sweep_coordinate(kHammingGrid, [](KernelParams* p, double v) {
+          p->hamming_weight = v;
+        });
+      }
+      // Coordinate 4: noise.
+      sweep_coordinate(kNoiseGrid, [](KernelParams* p, double v) {
+        p->noise_variance = v;
+      });
     }
-    // Coordinate 3: hamming weight (only if categorical present).
-    if (has_cat) {
-      sweep_coordinate(
-          hamming_grid,
-          [](KernelParams* p, double v) { p->hamming_weight = v; }, false);
-    }
-    // Coordinate 4: noise.
-    sweep_coordinate(
-        noise_grid, [](KernelParams* p, double v) { p->noise_variance = v; },
-        true);
   }
-  // Leave the model refit at the best parameters.
-  auto final_fit = Refit(best, &scratch);
-  if (!final_fit.ok()) return final_fit.status();
+  // The best grid point's factorization is the fitted model.
+  kernel_.set_params(best);
+  chol_.emplace(std::move(fit->chol));
+  alpha_ = std::move(fit->alpha);
   return Status::OK();
 }
 
@@ -193,7 +156,9 @@ Prediction GaussianProcess::Predict(const std::vector<double>& x) const {
   double mean_std = Dot(kstar, alpha_);
   // v = L^-1 k*; var = k** - v'v.
   Vector v = chol_->SolveLower(kstar);
-  double kss = kernel_.Eval(x, x) + kernel_.params().noise_variance;
+  // k(x, x) is the signal variance for every finite x.
+  double kss =
+      kernel_.params().signal_variance + kernel_.params().noise_variance;
   double var_std = kss - Dot(v, v);
   var_std = std::max(var_std, 1e-12);
   pred.mean = y_mean_ + y_scale_ * mean_std;
@@ -240,8 +205,10 @@ std::vector<Prediction> GaussianProcess::PredictBatch(
     const double* vi = v.row(i);
     for (size_t j = 0; j < m; ++j) vv[j] += vi[j] * vi[j];
   }
+  // k(x, x) is the signal variance for every finite x.
+  const double kss =
+      kernel_.params().signal_variance + kernel_.params().noise_variance;
   for (size_t j = 0; j < m; ++j) {
-    double kss = kernel_.Eval(xs[j], xs[j]) + kernel_.params().noise_variance;
     double var_std = std::max(kss - vv[j], 1e-12);
     out[j].mean = y_mean_ + y_scale_ * mean_std[j];
     out[j].variance = y_scale_ * y_scale_ * var_std;

@@ -4,6 +4,7 @@
 // descent over log-spaced grids (robust at small n, no gradients needed).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -25,12 +26,25 @@ struct GpOptions {
 
 class GaussianProcess final : public Surrogate {
  public:
+  // The log-spaced grids the coordinate descent sweeps.
+  static constexpr std::array<double, 8> kLengthGrid = {
+      0.08, 0.15, 0.3, 0.5, 0.8, 1.2, 2.0, 3.0};
+  static constexpr std::array<double, 5> kNoiseGrid = {1e-6, 1e-4, 1e-3,
+                                                       1e-2, 5e-2};
+  static constexpr std::array<double, 5> kHammingGrid = {0.25, 0.5, 1.0, 2.0,
+                                                         4.0};
+
   GaussianProcess(std::vector<FeatureKind> schema, GpOptions options = {});
 
   Status Fit(const std::vector<std::vector<double>>& x,
              const std::vector<double>& y) override;
 
   // Predictive mean/variance in the original (unstandardized) target units.
+  // The prior variance k(x, x) is the signal variance, which holds for
+  // every finite x (MixedKernel); GP inputs are EncodeFeatures of
+  // legalized configurations, so they are finite. Until a Fit succeeds —
+  // including after a failed re-Fit — the model is unfitted and predicts
+  // the prior.
   Prediction Predict(const std::vector<double>& x) const override;
 
   // Batched posterior: builds the n x m cross-kernel matrix in one pass,
@@ -45,29 +59,21 @@ class GaussianProcess final : public Surrogate {
   const std::vector<FeatureKind>& schema() const { return kernel_.schema(); }
 
  private:
-  // Fit-time state that Predict never needs: the standardized targets, the
-  // pairwise kernel statistics and the Gram cache. It lives for one Fit.
+  // Fit-time state that Predict never needs: the standardized targets and
+  // the kernel factor tables of the training pairs. It lives for one Fit.
   struct FitScratch;
+  // The factorization of K + (noise + floor) I under one set of
+  // hyperparameters, with its log marginal likelihood.
+  struct Factorization {
+    Cholesky chol;
+    Vector alpha;  // (K + tau^2 I)^-1 y_std
+    double lml = 0.0;
+  };
 
-  // Refactor the kernel matrix + alpha for given params; returns LML or
-  // error. Mutates model state — serial use only.
-  Result<double> Refit(const KernelParams& params, FitScratch* scratch);
-
-  // Log marginal likelihood of `params` on an independent scratch state:
-  // touches no members, so a grid point that loses leaves the model as it
-  // was. When `gram` is non-null it is used as the (noise-free) kernel
-  // matrix instead of rebuilding it — noise-only refits share one Gram
-  // matrix.
-  Result<double> EvalLml(const KernelParams& params, const Matrix* gram,
-                         const FitScratch& scratch) const;
-
-  // Kernel matrix (no noise diagonal) from the cached pairwise statistics.
-  Matrix BuildGram(const KernelParams& params,
-                   const FitScratch& scratch) const;
-
-  // True when `a` and `b` produce the same Gram matrix (all hyperparameters
-  // equal except the noise variance, which only enters the diagonal).
-  static bool SameGramKey(const KernelParams& a, const KernelParams& b);
+  // Factorizes the kernel matrix under `params`. Touches no members, so a
+  // grid point that loses leaves the model as it was.
+  Result<Factorization> Factorize(const KernelParams& params,
+                                  FitScratch* scratch) const;
 
   MixedKernel kernel_;
   GpOptions options_;

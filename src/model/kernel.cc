@@ -5,6 +5,100 @@
 
 namespace sparktune {
 
+namespace {
+
+// Marks each column of a feature-major kind whose probes all hold one
+// value. The scan of a column stops at its first differing probe, so a
+// column that varies costs O(1) in the common case.
+void MarkShared(size_t m, MixedKernel::KindColumns* kind) {
+  for (size_t f = 0; f < kind->shared.size(); ++f) {
+    const double* col = kind->values.data() + f * m;
+    size_t j = 1;
+    while (j < m && col[j] == col[0]) ++j;
+    kind->shared[f] = j >= m;
+  }
+}
+
+// Per probe, the sum over the kind's features of (a_f - b_f)^2, added in
+// ascending feature order exactly as Stats adds it. A shared column's term
+// is computed once and added to every probe at its place in that order,
+// and the leading run of shared columns is one scalar sum. Returns true
+// with that sum in *uniform when every column is shared; otherwise fills
+// acc[0, m).
+bool SquaredDistances(const std::vector<double>& a,
+                      const std::vector<size_t>& idx,
+                      const MixedKernel::KindColumns& cols, size_t m,
+                      double* __restrict acc, double* uniform) {
+  double lead = 0.0;
+  size_t f = 0;
+  for (; f < idx.size() && cols.shared[f]; ++f) {
+    const double diff = a[idx[f]] - cols.values[f * m];
+    lead += diff * diff;
+  }
+  if (f == idx.size()) {
+    *uniform = lead;
+    return true;
+  }
+  {
+    const double av = a[idx[f]];
+    const double* __restrict col = cols.values.data() + f * m;
+    for (size_t j = 0; j < m; ++j) {
+      const double diff = av - col[j];
+      acc[j] = lead + diff * diff;
+    }
+  }
+  for (++f; f < idx.size(); ++f) {
+    const double av = a[idx[f]];
+    const double* __restrict col = cols.values.data() + f * m;
+    if (cols.shared[f]) {
+      const double diff = av - col[0];
+      const double term = diff * diff;
+      for (size_t j = 0; j < m; ++j) acc[j] += term;
+    } else {
+      for (size_t j = 0; j < m; ++j) {
+        const double diff = av - col[j];
+        acc[j] += diff * diff;
+      }
+    }
+  }
+  return false;
+}
+
+// Per probe, the number of categorical features where a and the probe
+// differ. Counts are exact small integers, so their order does not matter:
+// the shared columns' count is one scalar that seeds every probe.
+// Returns true with the count in *uniform when every column is shared;
+// otherwise fills acc[0, m).
+bool Mismatches(const std::vector<double>& a, const std::vector<size_t>& idx,
+                const MixedKernel::KindColumns& cols, size_t m,
+                double* __restrict acc, double* uniform) {
+  double shared = 0.0;
+  bool all_shared = true;
+  for (size_t f = 0; f < idx.size(); ++f) {
+    if (!cols.shared[f]) {
+      all_shared = false;
+      continue;
+    }
+    shared += std::fabs(a[idx[f]] - cols.values[f * m]) > 1e-12 ? 1.0 : 0.0;
+  }
+  if (all_shared) {
+    *uniform = shared;
+    return true;
+  }
+  for (size_t j = 0; j < m; ++j) acc[j] = shared;
+  for (size_t f = 0; f < idx.size(); ++f) {
+    if (cols.shared[f]) continue;
+    const double av = a[idx[f]];
+    const double* __restrict col = cols.values.data() + f * m;
+    for (size_t j = 0; j < m; ++j) {
+      acc[j] += std::fabs(av - col[j]) > 1e-12 ? 1.0 : 0.0;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 MixedKernel::MixedKernel(std::vector<FeatureKind> schema, KernelParams params)
     : schema_(std::move(schema)), params_(params) {
   for (size_t i = 0; i < schema_.size(); ++i) {
@@ -32,17 +126,10 @@ void MixedKernel::set_params(const KernelParams& p) {
 }
 
 void MixedKernel::RebuildHammingTable() {
-  hamming_table_.assign(static_cast<size_t>(num_categorical_) + 1, 1.0);
+  hamming_table_.resize(static_cast<size_t>(num_categorical_) + 1);
   for (int c = 0; c <= num_categorical_; ++c) {
-    // The exact expression EvalStats applies to a pair with c mismatches:
-    // mismatch_frac there is c/num_categorical_ with both operands the same
-    // doubles, so the table entry is bit-identical to the exp it replaces.
-    double frac = num_categorical_ > 0
-                      ? static_cast<double>(c) /
-                            static_cast<double>(num_categorical_)
-                      : 0.0;
     hamming_table_[static_cast<size_t>(c)] =
-        std::exp(-params_.hamming_weight * frac);
+        CategoricalFactor(static_cast<double>(c), params_.hamming_weight);
   }
 }
 
@@ -50,6 +137,21 @@ double MixedKernel::Matern52(double r) {
   static const double kSqrt5 = std::sqrt(5.0);
   double s = kSqrt5 * r;
   return (1.0 + s + s * s / 3.0) * std::exp(-s);
+}
+
+double MixedKernel::NumericFactor(double numeric_dist, double length) {
+  return Matern52(numeric_dist / length);
+}
+
+double MixedKernel::CategoricalFactor(double mismatches, double weight) const {
+  double frac = num_categorical_ > 0
+                    ? mismatches / static_cast<double>(num_categorical_)
+                    : 0.0;
+  return std::exp(-weight * frac);
+}
+
+double MixedKernel::DataSizeFactor(double datasize_d2, double length) {
+  return std::exp(-0.5 * datasize_d2 / (length * length));
 }
 
 KernelPairStats MixedKernel::Stats(const std::vector<double>& a,
@@ -74,9 +176,6 @@ KernelPairStats MixedKernel::Stats(const std::vector<double>& a,
   }
   KernelPairStats s;
   s.numeric_dist = std::sqrt(num_d2);
-  if (num_categorical_ > 0) {
-    s.mismatch_frac = mismatches / static_cast<double>(num_categorical_);
-  }
   s.mismatches = mismatches;
   s.datasize_d2 = ds_d2;
   return s;
@@ -85,16 +184,12 @@ KernelPairStats MixedKernel::Stats(const std::vector<double>& a,
 double MixedKernel::EvalStats(const KernelPairStats& s,
                               const KernelParams& p) const {
   double k = p.signal_variance;
-  if (num_numeric_ > 0) {
-    double r = s.numeric_dist / p.length_numeric;
-    k *= Matern52(r);
-  }
+  if (num_numeric_ > 0) k *= NumericFactor(s.numeric_dist, p.length_numeric);
   if (num_categorical_ > 0) {
-    k *= std::exp(-p.hamming_weight * s.mismatch_frac);
+    k *= CategoricalFactor(s.mismatches, p.hamming_weight);
   }
   if (num_datasize_ > 0) {
-    double l = p.length_datasize;
-    k *= std::exp(-0.5 * s.datasize_d2 / (l * l));
+    k *= DataSizeFactor(s.datasize_d2, p.length_datasize);
   }
   return k;
 }
@@ -102,8 +197,7 @@ double MixedKernel::EvalStats(const KernelPairStats& s,
 double MixedKernel::EvalStatsCached(const KernelPairStats& s) const {
   double k = params_.signal_variance;
   if (num_numeric_ > 0) {
-    double r = s.numeric_dist / params_.length_numeric;
-    k *= Matern52(r);
+    k *= NumericFactor(s.numeric_dist, params_.length_numeric);
   }
   if (num_categorical_ > 0) {
     // s.mismatches is an exact integer count, so the cast is lossless and
@@ -111,8 +205,7 @@ double MixedKernel::EvalStatsCached(const KernelPairStats& s) const {
     k *= hamming_table_[static_cast<size_t>(s.mismatches)];
   }
   if (num_datasize_ > 0) {
-    double l = params_.length_datasize;
-    k *= std::exp(-0.5 * s.datasize_d2 / (l * l));
+    k *= DataSizeFactor(s.datasize_d2, params_.length_datasize);
   }
   return k;
 }
@@ -135,22 +228,28 @@ MixedKernel::ProbeColumns MixedKernel::PackProbes(
   ProbeColumns cols;
   cols.count = bs.size();
   const size_t m = cols.count;
-  cols.numeric.resize(numeric_idx_.size() * m);
-  cols.categorical.resize(categorical_idx_.size() * m);
-  cols.datasize.resize(datasize_idx_.size() * m);
+  cols.numeric.values.resize(numeric_idx_.size() * m);
+  cols.categorical.values.resize(categorical_idx_.size() * m);
+  cols.datasize.values.resize(datasize_idx_.size() * m);
   for (size_t j = 0; j < m; ++j) {
     assert(bs[j].size() == schema_.size());
     const double* b = bs[j].data();
     for (size_t f = 0; f < numeric_idx_.size(); ++f) {
-      cols.numeric[f * m + j] = b[numeric_idx_[f]];
+      cols.numeric.values[f * m + j] = b[numeric_idx_[f]];
     }
     for (size_t f = 0; f < categorical_idx_.size(); ++f) {
-      cols.categorical[f * m + j] = b[categorical_idx_[f]];
+      cols.categorical.values[f * m + j] = b[categorical_idx_[f]];
     }
     for (size_t f = 0; f < datasize_idx_.size(); ++f) {
-      cols.datasize[f * m + j] = b[datasize_idx_[f]];
+      cols.datasize.values[f * m + j] = b[datasize_idx_[f]];
     }
   }
+  cols.numeric.shared.resize(numeric_idx_.size());
+  cols.categorical.shared.resize(categorical_idx_.size());
+  cols.datasize.shared.resize(datasize_idx_.size());
+  MarkShared(m, &cols.numeric);
+  MarkShared(m, &cols.categorical);
+  MarkShared(m, &cols.datasize);
   return cols;
 }
 
@@ -161,55 +260,112 @@ void MixedKernel::EvalRowColumnar(const std::vector<double>& a,
   assert(a.size() == schema_.size());
   const size_t m = cols.count;
   if (m == 0) return;
-  // Accumulate each kind's statistic with features outermost and probes
-  // innermost: per probe the terms still land in ascending feature order,
-  // the exact sequence of the row-at-a-time Stats walk, while the inner
-  // loops stream unit-stride columns.
-  scratch->num_d2.assign(m, 0.0);
-  scratch->mismatches.assign(m, 0.0);
-  scratch->ds_d2.assign(m, 0.0);
-  double* __restrict num_d2 = scratch->num_d2.data();
-  double* __restrict mism = scratch->mismatches.data();
-  double* __restrict ds_d2 = scratch->ds_d2.data();
-  for (size_t f = 0; f < numeric_idx_.size(); ++f) {
-    const double av = a[numeric_idx_[f]];
-    const double* __restrict col = cols.numeric.data() + f * m;
-    for (size_t j = 0; j < m; ++j) {
-      double diff = av - col[j];
-      num_d2[j] += diff * diff;
+  scratch->num_d2.resize(m);
+  scratch->mismatches.resize(m);
+  scratch->ds_d2.resize(m);
+  double* num_d2 = scratch->num_d2.data();
+  double* mism = scratch->mismatches.data();
+  double* ds_d2 = scratch->ds_d2.data();
+  double num_u = 0.0, mism_u = 0.0, ds_u = 0.0;
+  const bool num_shared =
+      SquaredDistances(a, numeric_idx_, cols.numeric, m, num_d2, &num_u);
+  const bool mism_shared =
+      Mismatches(a, categorical_idx_, cols.categorical, m, mism, &mism_u);
+  const bool ds_shared =
+      SquaredDistances(a, datasize_idx_, cols.datasize, m, ds_d2, &ds_u);
+  // Multiply EvalStatsCached's factors into each probe in its order, one
+  // kind per pass. A kind whose statistic is the same for every probe has
+  // one factor for the row; the others get one per probe (numeric_dist =
+  // sqrt(num_d2) exactly as Stats builds it).
+  for (size_t j = 0; j < m; ++j) out[j] = params_.signal_variance;
+  if (num_numeric_ > 0) {
+    const double ln = params_.length_numeric;
+    if (num_shared) {
+      const double factor = NumericFactor(std::sqrt(num_u), ln);
+      for (size_t j = 0; j < m; ++j) out[j] *= factor;
+    } else {
+      for (size_t j = 0; j < m; ++j) {
+        out[j] *= NumericFactor(std::sqrt(num_d2[j]), ln);
+      }
     }
   }
-  for (size_t f = 0; f < categorical_idx_.size(); ++f) {
-    const double av = a[categorical_idx_[f]];
-    const double* __restrict col = cols.categorical.data() + f * m;
-    for (size_t j = 0; j < m; ++j) {
-      if (std::fabs(av - col[j]) > 1e-12) mism[j] += 1.0;
+  if (num_categorical_ > 0) {
+    if (mism_shared) {
+      const double factor = hamming_table_[static_cast<size_t>(mism_u)];
+      for (size_t j = 0; j < m; ++j) out[j] *= factor;
+    } else {
+      for (size_t j = 0; j < m; ++j) {
+        out[j] *= hamming_table_[static_cast<size_t>(mism[j])];
+      }
     }
   }
-  for (size_t f = 0; f < datasize_idx_.size(); ++f) {
-    const double av = a[datasize_idx_[f]];
-    const double* __restrict col = cols.datasize.data() + f * m;
-    for (size_t j = 0; j < m; ++j) {
-      double diff = av - col[j];
-      ds_d2[j] += diff * diff;
+  if (num_datasize_ > 0) {
+    const double lds = params_.length_datasize;
+    if (ds_shared) {
+      const double factor = DataSizeFactor(ds_u, lds);
+      for (size_t j = 0; j < m; ++j) out[j] *= factor;
+    } else {
+      for (size_t j = 0; j < m; ++j) out[j] *= DataSizeFactor(ds_d2[j], lds);
     }
   }
-  // Finish: per probe, EvalStatsCached's op sequence on the accumulated
-  // statistics (numeric_dist = sqrt(num_d2) exactly as Stats builds it).
-  for (size_t j = 0; j < m; ++j) {
-    double k = params_.signal_variance;
-    if (num_numeric_ > 0) {
-      double r = std::sqrt(num_d2[j]) / params_.length_numeric;
-      k *= Matern52(r);
+}
+
+MixedKernel::FactorTables::FactorTables(const MixedKernel* kernel,
+                                        std::vector<KernelPairStats> pairs)
+    : kernel_(kernel), pairs_(std::move(pairs)) {}
+
+template <typename Fill>
+const double* MixedKernel::FactorTables::Lookup(std::vector<Table>* tables,
+                                                double value, size_t size,
+                                                Fill fill) {
+  for (const Table& t : *tables) {
+    if (t.value == value) return t.factors.data();
+  }
+  tables->push_back({value, std::vector<double>(size)});
+  double* factors = tables->back().factors.data();
+  fill(value, factors);
+  return factors;
+}
+
+void MixedKernel::FactorTables::Values(const KernelParams& p, double* out) {
+  const size_t np = pairs_.size();
+  const double* numeric = nullptr;
+  const double* categorical = nullptr;
+  const double* datasize = nullptr;
+  if (kernel_->num_numeric_ > 0) {
+    numeric = Lookup(&numeric_, p.length_numeric, np,
+                     [&](double length, double* t) {
+                       for (size_t i = 0; i < np; ++i) {
+                         t[i] = NumericFactor(pairs_[i].numeric_dist, length);
+                       }
+                     });
+  }
+  if (kernel_->num_categorical_ > 0) {
+    const size_t counts = static_cast<size_t>(kernel_->num_categorical_) + 1;
+    categorical = Lookup(&categorical_, p.hamming_weight, counts,
+                         [&](double weight, double* t) {
+                           for (size_t c = 0; c < counts; ++c) {
+                             t[c] = kernel_->CategoricalFactor(
+                                 static_cast<double>(c), weight);
+                           }
+                         });
+  }
+  if (kernel_->num_datasize_ > 0) {
+    datasize = Lookup(&datasize_, p.length_datasize, np,
+                      [&](double length, double* t) {
+                        for (size_t i = 0; i < np; ++i) {
+                          t[i] = DataSizeFactor(pairs_[i].datasize_d2, length);
+                        }
+                      });
+  }
+  for (size_t i = 0; i < np; ++i) {
+    double k = p.signal_variance;
+    if (numeric != nullptr) k *= numeric[i];
+    if (categorical != nullptr) {
+      k *= categorical[static_cast<size_t>(pairs_[i].mismatches)];
     }
-    if (num_categorical_ > 0) {
-      k *= hamming_table_[static_cast<size_t>(mism[j])];
-    }
-    if (num_datasize_ > 0) {
-      double l = params_.length_datasize;
-      k *= std::exp(-0.5 * ds_d2[j] / (l * l));
-    }
-    out[j] = k;
+    if (datasize != nullptr) k *= datasize[i];
+    out[i] = k;
   }
 }
 

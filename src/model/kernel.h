@@ -18,7 +18,7 @@ struct KernelParams {
   double signal_variance = 1.0;
   double length_numeric = 0.5;
   double length_datasize = 0.5;
-  double hamming_weight = 1.0;  // lambda in exp(-lambda * mismatch_frac)
+  double hamming_weight = 1.0;  // lambda in exp(-lambda * mismatch fraction)
   double noise_variance = 1e-3;
 };
 
@@ -27,24 +27,38 @@ struct KernelParams {
 // computes them once per observation pair and sweeps hyperparameters in
 // O(n^2) per grid point instead of O(n^2 d).
 struct KernelPairStats {
-  double numeric_dist = 0.0;   // sqrt(sum of squared numeric diffs)
-  double mismatch_frac = 0.0;  // categorical mismatch fraction
-  double mismatches = 0.0;     // categorical mismatch count (exact integer)
-  double datasize_d2 = 0.0;    // squared data-size distance
+  double numeric_dist = 0.0;  // sqrt(sum of squared numeric diffs)
+  double mismatches = 0.0;    // categorical mismatch count (exact integer)
+  double datasize_d2 = 0.0;   // squared data-size distance
 };
 
+// k(a, b) = signal_variance * numeric * categorical * datasize, where the
+// three factors are NumericFactor, CategoricalFactor and DataSizeFactor of
+// the pair's statistics and a kind the schema lacks contributes no factor.
+// Every evaluation path — Eval, EvalRow, EvalRowColumnar, EvalStats and
+// FactorTables — multiplies them in that order, so all agree bit for bit.
+//
+// For finite inputs and finite positive hyperparameters, k(x, x) is exactly
+// signal_variance: each factor is exactly 1 at distance 0.
 class MixedKernel {
  public:
-  // Probe set repacked feature-major by kind for EvalRowColumnar: all
-  // probe values of one feature sit contiguously (value of the f-th
-  // feature of a kind for probe j is at [f * count + j]), so a batch
-  // evaluation streams unit-stride columns instead of gathering one
-  // strided value per probe row.
+  // One kind's probe values, feature-major: the f-th feature of the kind
+  // for probe j is at values[f * count + j], so a batch evaluation streams
+  // unit-stride columns instead of gathering one strided value per probe
+  // row. shared[f] is 1 when every probe holds the same value (==) in
+  // column f; the squared and absolute differences a column feeds do not
+  // see the sign of a zero, so -0.0 and 0.0 count as one value.
+  struct KindColumns {
+    std::vector<double> values;
+    std::vector<char> shared;
+  };
+
+  // Probe set repacked by kind for EvalRowColumnar.
   struct ProbeColumns {
-    size_t count = 0;                 // number of probes packed
-    std::vector<double> numeric;      // numeric_idx_.size() x count
-    std::vector<double> categorical;  // categorical_idx_.size() x count
-    std::vector<double> datasize;     // datasize_idx_.size() x count
+    size_t count = 0;  // number of probes packed
+    KindColumns numeric;
+    KindColumns categorical;
+    KindColumns datasize;
   };
 
   // Per-probe accumulators for EvalRowColumnar, hoisted out so callers
@@ -53,6 +67,41 @@ class MixedKernel {
     std::vector<double> num_d2;
     std::vector<double> mismatches;
     std::vector<double> ds_d2;
+  };
+
+  // Kernel values over one fixed set of pair statistics under many
+  // KernelParams, as the GP hyperparameter sweep needs them. Each factor
+  // is computed once per distinct hyperparameter value met: per pair for
+  // the Matérn and data-size factors, per mismatch count for the Hamming
+  // one. A value is then signal_variance times lookups, multiplied in the
+  // kernel's order, so Values(p, out) writes EvalStats(pairs[i], p) to
+  // out[i] bit for bit. Each distinct lengthscale costs 8 bytes per pair.
+  // `kernel` must outlive the tables.
+  class FactorTables {
+   public:
+    FactorTables(const MixedKernel* kernel,
+                 std::vector<KernelPairStats> pairs);
+
+    size_t num_pairs() const { return pairs_.size(); }
+    // out[i] = EvalStats(pairs[i], p) for every pair. Builds the table of
+    // any hyperparameter value not seen before.
+    void Values(const KernelParams& p, double* out);
+
+   private:
+    struct Table {
+      double value;
+      std::vector<double> factors;
+    };
+    // The factors for `value`, built by fill(value, factors) on first use.
+    template <typename Fill>
+    static const double* Lookup(std::vector<Table>* tables, double value,
+                                size_t size, Fill fill);
+
+    const MixedKernel* kernel_;
+    std::vector<KernelPairStats> pairs_;
+    std::vector<Table> numeric_;      // per length_numeric, one per pair
+    std::vector<Table> categorical_;  // per hamming_weight, one per count
+    std::vector<Table> datasize_;     // per length_datasize, one per pair
   };
 
   explicit MixedKernel(std::vector<FeatureKind> schema,
@@ -70,15 +119,18 @@ class MixedKernel {
   void EvalRow(const std::vector<double>& a,
                const std::vector<std::vector<double>>& bs, double* out) const;
 
-  // Repack probes feature-major for EvalRowColumnar (a pure copy).
+  // Repack probes by kind for EvalRowColumnar and mark their shared
+  // columns. The scan of a column stops at its first differing probe.
   ProbeColumns PackProbes(const std::vector<std::vector<double>>& bs) const;
   // Columnar EvalRow: with cols == PackProbes(bs), writes exactly
   // EvalRow(a, bs, out) bit-for-bit. The feature loop runs outermost and
-  // probes innermost, but each probe still receives its per-kind terms in
-  // ascending feature order — the same per-element summation order as the
-  // row-at-a-time Stats walk — and the finishing pass replicates
-  // EvalStatsCached's op sequence per probe. Reads no mutable kernel
-  // state; `scratch` must be exclusive to the caller.
+  // probes innermost, and each probe still receives its per-kind terms in
+  // ascending feature order, the same summation order as the
+  // row-at-a-time Stats walk. A shared column's term is computed once and
+  // added to every probe at its place in that order; when every column of
+  // a kind is shared, that kind's factor is computed once for the row.
+  // Reads no mutable kernel state; `scratch` must be exclusive to the
+  // caller.
   void EvalRowColumnar(const std::vector<double>& a, const ProbeColumns& cols,
                        ColumnarScratch* scratch, double* out) const;
 
@@ -94,10 +146,18 @@ class MixedKernel {
   static double Matern52(double r);
 
  private:
+  // The three factors of k(a, b), from the pair's statistics.
+  // Matern52(numeric_dist / length).
+  static double NumericFactor(double numeric_dist, double length);
+  // exp(-weight * mismatches / number of categorical features).
+  double CategoricalFactor(double mismatches, double weight) const;
+  // exp(-0.5 * datasize_d2 / length^2).
+  static double DataSizeFactor(double datasize_d2, double length);
+
   // k(a, b) under params_, taking the categorical factor from the cached
   // hamming table instead of calling exp. Bit-identical to
-  // EvalStats(s, params_): every table entry was computed by that exact
-  // expression at a discrete mismatch count.
+  // EvalStats(s, params_): every table entry is CategoricalFactor at a
+  // discrete mismatch count.
   double EvalStatsCached(const KernelPairStats& s) const;
   void RebuildHammingTable();
 
@@ -112,9 +172,9 @@ class MixedKernel {
   std::vector<size_t> numeric_idx_;
   std::vector<size_t> categorical_idx_;
   std::vector<size_t> datasize_idx_;
-  // hamming_table_[c] = exp(-hamming_weight * c / num_categorical_): the
-  // mismatch count is discrete, so the categorical exp of Eval/EvalRow is a
-  // table lookup.
+  // hamming_table_[c] = CategoricalFactor(c, hamming_weight): the mismatch
+  // count is discrete, so the categorical exp of Eval/EvalRow is a table
+  // lookup.
   std::vector<double> hamming_table_;
 };
 

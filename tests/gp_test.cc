@@ -2,7 +2,9 @@
 // behavior, hyperparameter optimization, mixed/datasize inputs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "common/rng.h"
@@ -169,6 +171,115 @@ TEST(GpTest, VarianceIsNonNegativeEverywhere) {
   for (double t = 0.0; t <= 1.0; t += 0.01) {
     EXPECT_GE(gp.Predict({t}).variance, 0.0);
   }
+}
+
+TEST(GpTest, FailedRefitPredictsThePrior) {
+  // A re-Fit whose factorization fails leaves the model unfitted, exactly
+  // like a fresh GP whose first fit fails: both predict the prior of the
+  // new targets. The earlier 3-row factor must not be paired with the 40
+  // new rows, or Predict reads past alpha.
+  GaussianProcess gp(Numeric1D());
+  ASSERT_TRUE(gp.Fit({{0.1}, {0.5}, {0.9}}, {1.0, 2.0, 0.5}).ok());
+  Rng rng(13);
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (int i = 0; i < 40; ++i) {
+    double t = rng.Uniform();
+    x.push_back({t});
+    y.push_back(std::sin(4.0 * t));
+  }
+  x[17][0] = std::nan("");
+  Status refit = gp.Fit(x, y);
+  EXPECT_EQ(refit.code(), Status::Code::kInternal) << refit.ToString();
+  GaussianProcess fresh(Numeric1D());
+  ASSERT_FALSE(fresh.Fit(x, y).ok());
+
+  const std::vector<std::vector<double>> probes = {{0.3}, {0.77}, {0.5}};
+  std::vector<Prediction> batch = gp.PredictBatch(probes);
+  std::vector<Prediction> fresh_batch = fresh.PredictBatch(probes);
+  ASSERT_EQ(batch.size(), probes.size());
+  for (size_t j = 0; j < probes.size(); ++j) {
+    Prediction p = gp.Predict(probes[j]);
+    Prediction q = fresh.Predict(probes[j]);
+    EXPECT_EQ(p.mean, Mean(y));
+    EXPECT_EQ(p.mean, q.mean);
+    EXPECT_EQ(p.variance, q.variance);
+    EXPECT_EQ(batch[j].mean, q.mean);
+    EXPECT_EQ(batch[j].variance, q.variance);
+    EXPECT_EQ(fresh_batch[j].variance, q.variance);
+  }
+}
+
+// The hyperparameter sweep builds each grid point's kernel matrix from
+// factor tables. Every entry must equal EvalStats on the pair's statistics
+// at every grid point a fit can visit — the product of the grids, which
+// contains the defaults — visited twice, as two sweeps do, so the second
+// pass reads only tables built by the first.
+void ExpectFactorTablesMatchEvalStats(const std::vector<FeatureKind>& schema,
+                                      uint64_t seed) {
+  const MixedKernel kernel(schema);
+  Rng rng(seed);
+  const size_t n = 13;
+  std::vector<std::vector<double>> x(n, std::vector<double>(schema.size()));
+  for (auto& row : x) {
+    for (size_t f = 0; f < schema.size(); ++f) {
+      row[f] = schema[f] == FeatureKind::kCategorical
+                   ? static_cast<double>(rng.UniformInt(0, 2)) / 3.0
+                   : rng.Uniform();
+    }
+  }
+  std::vector<KernelPairStats> pairs;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) pairs.push_back(kernel.Stats(x[i], x[j]));
+  }
+  MixedKernel::FactorTables tables(&kernel, pairs);
+  ASSERT_EQ(tables.num_pairs(), pairs.size());
+  std::vector<double> values(pairs.size());
+  size_t points = 0, mismatches = 0;
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (double length_numeric : GaussianProcess::kLengthGrid) {
+      for (double length_datasize : GaussianProcess::kLengthGrid) {
+        for (double hamming_weight : GaussianProcess::kHammingGrid) {
+          KernelParams p;
+          p.signal_variance = sweep == 0 ? 1.0 : 1.9;
+          p.length_numeric = length_numeric;
+          p.length_datasize = length_datasize;
+          p.hamming_weight = hamming_weight;
+          tables.Values(p, values.data());
+          ++points;
+          for (size_t i = 0; i < pairs.size(); ++i) {
+            if (std::bit_cast<uint64_t>(values[i]) !=
+                std::bit_cast<uint64_t>(kernel.EvalStats(pairs[i], p))) {
+              ++mismatches;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 2u * 8u * 8u * 5u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(GpTest, FactorTableGramMatchesEvalStatsOnMixedSchema) {
+  ExpectFactorTablesMatchEvalStats(
+      {FeatureKind::kNumeric, FeatureKind::kCategorical, FeatureKind::kNumeric,
+       FeatureKind::kCategorical, FeatureKind::kCategorical,
+       FeatureKind::kDataSize},
+      31);
+}
+
+TEST(GpTest, FactorTableGramMatchesEvalStatsWithoutCategoricals) {
+  ExpectFactorTablesMatchEvalStats(
+      {FeatureKind::kNumeric, FeatureKind::kNumeric, FeatureKind::kDataSize},
+      37);
+}
+
+TEST(GpTest, FactorTableGramMatchesEvalStatsWithoutDataSize) {
+  ExpectFactorTablesMatchEvalStats(
+      {FeatureKind::kNumeric, FeatureKind::kCategorical,
+       FeatureKind::kNumeric},
+      41);
 }
 
 }  // namespace

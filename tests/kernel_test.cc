@@ -1,7 +1,9 @@
 // Tests for the mixed GP kernel: symmetry, PSD, group behaviors.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "linalg/cholesky.h"
@@ -29,12 +31,47 @@ std::vector<double> RandomPoint(const std::vector<FeatureKind>& schema,
   return x;
 }
 
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Hyperparameters away from the defaults, so no factor is trivially 1.
+KernelParams SkewedParams() {
+  KernelParams p;
+  p.signal_variance = 1.7;
+  p.length_numeric = 0.3;
+  p.length_datasize = 0.8;
+  p.hamming_weight = 2.0;
+  return p;
+}
+
 TEST(KernelTest, SelfSimilarityEqualsSignalVariance) {
-  MixedKernel k(MixedSchema());
-  Rng rng(1);
-  for (int i = 0; i < 20; ++i) {
-    auto x = RandomPoint(k.schema(), &rng);
-    EXPECT_NEAR(k.Eval(x, x), k.params().signal_variance, 1e-12);
+  // Each factor is exactly 1 at distance 0, so k(x, x) is the signal
+  // variance to the bit for any finite x — the prior variance the GP uses
+  // in place of evaluating it.
+  const std::vector<std::vector<FeatureKind>> schemas = {
+      MixedSchema(),
+      {FeatureKind::kCategorical, FeatureKind::kDataSize},
+      {FeatureKind::kNumeric, FeatureKind::kNumeric, FeatureKind::kDataSize},
+      {FeatureKind::kNumeric, FeatureKind::kCategorical},
+  };
+  std::vector<KernelParams> params(3);
+  params[1] = SkewedParams();
+  params[2].signal_variance = 0.37;
+  params[2].length_numeric = 0.08;
+  params[2].length_datasize = 3.0;
+  params[2].hamming_weight = 4.0;
+  Rng rng(167);
+  for (const auto& schema : schemas) {
+    for (const KernelParams& p : params) {
+      MixedKernel k(schema, p);
+      for (int i = 0; i < 50; ++i) {
+        auto x = RandomPoint(schema, &rng);
+        // Finite values well outside the unit cube too.
+        if (i % 5 == 0) {
+          for (double& v : x) v = rng.Normal(0.0, 1e3);
+        }
+        EXPECT_EQ(Bits(k.Eval(x, x)), Bits(p.signal_variance));
+      }
+    }
   }
 }
 
@@ -116,8 +153,26 @@ TEST(KernelTest, LengthscaleControlsSmoothing) {
 }
 
 // Columnar batch evaluation must reproduce the row-at-a-time walk
-// bit-for-bit on any schema, including ones where whole feature kinds
-// are absent and the corresponding accumulation loops never run.
+// bit-for-bit on any schema and probe set, including ones where whole
+// feature kinds are absent and the corresponding accumulation loops never
+// run, and ones where columns are shared by every probe.
+void ExpectColumnarMatchesRow(const MixedKernel& k,
+                              const std::vector<double>& a,
+                              const std::vector<std::vector<double>>& bs) {
+  const size_t m = bs.size();
+  std::vector<double> by_row(m, -1.0);
+  if (m > 0) k.EvalRow(a, bs, by_row.data());
+  MixedKernel::ProbeColumns cols = k.PackProbes(bs);
+  EXPECT_EQ(cols.count, m);
+  std::vector<double> columnar(m, -2.0);
+  MixedKernel::ColumnarScratch scratch;
+  k.EvalRowColumnar(a, cols, &scratch, columnar.data());
+  for (size_t j = 0; j < m; ++j) {
+    EXPECT_EQ(Bits(columnar[j]), Bits(by_row[j])) << "probe " << j;
+    EXPECT_EQ(Bits(columnar[j]), Bits(k.Eval(a, bs[j]))) << "probe " << j;
+  }
+}
+
 void ExpectColumnarMatchesRow(const std::vector<FeatureKind>& schema,
                               size_t num_probes, uint64_t seed) {
   MixedKernel k(schema);
@@ -127,17 +182,7 @@ void ExpectColumnarMatchesRow(const std::vector<FeatureKind>& schema,
   for (size_t j = 0; j < num_probes; ++j) {
     bs.push_back(RandomPoint(schema, &rng));
   }
-  std::vector<double> by_row(num_probes, -1.0);
-  if (num_probes > 0) k.EvalRow(a, bs, by_row.data());
-  MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-  EXPECT_EQ(cols.count, num_probes);
-  std::vector<double> columnar(num_probes, -2.0);
-  MixedKernel::ColumnarScratch scratch;
-  k.EvalRowColumnar(a, cols, &scratch, columnar.data());
-  for (size_t j = 0; j < num_probes; ++j) {
-    EXPECT_EQ(columnar[j], by_row[j]) << "probe " << j;
-    EXPECT_EQ(columnar[j], k.Eval(a, bs[j])) << "probe " << j;
-  }
+  ExpectColumnarMatchesRow(k, a, bs);
 }
 
 TEST(KernelTest, ColumnarMatchesRowOnMixedSchema) {
@@ -161,6 +206,167 @@ TEST(KernelTest, ColumnarMatchesRowDataSizeOnly) {
 
 TEST(KernelTest, ColumnarHandlesEmptyProbeSet) {
   ExpectColumnarMatchesRow(MixedSchema(), 0, 113);
+}
+
+// An acquisition-pool schema: numerics with categoricals interleaved, as
+// the configuration space orders them, and the data size last.
+std::vector<FeatureKind> PoolSchema() {
+  std::vector<FeatureKind> schema;
+  for (int i = 0; i < 16; ++i) {
+    schema.push_back(i % 4 == 3 ? FeatureKind::kCategorical
+                                : FeatureKind::kNumeric);
+  }
+  schema.push_back(FeatureKind::kDataSize);
+  return schema;
+}
+
+// Probes that copy `base` except at the `free` features, which are drawn
+// at random per probe.
+std::vector<std::vector<double>> PinnedProbes(
+    const std::vector<FeatureKind>& schema, const std::vector<double>& base,
+    const std::vector<size_t>& free, size_t m, Rng* rng) {
+  std::vector<std::vector<double>> bs;
+  for (size_t j = 0; j < m; ++j) {
+    std::vector<double> b = base;
+    const std::vector<double> draw = RandomPoint(schema, rng);
+    for (size_t f : free) b[f] = draw[f];
+    bs.push_back(std::move(b));
+  }
+  return bs;
+}
+
+size_t CountShared(const MixedKernel::KindColumns& kind) {
+  size_t shared = 0;
+  for (char s : kind.shared) shared += s != 0 ? 1 : 0;
+  return shared;
+}
+
+TEST(KernelTest, ColumnarMatchesRowOnAnAcquisitionPool) {
+  // The sub-space shape: a few free numerics (the first varying column
+  // follows a shared run, and shared columns follow it) plus one free
+  // categorical; every other column and the data size pinned.
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(131);
+  const auto base = RandomPoint(schema, &rng);
+  const auto bs = PinnedProbes(schema, base, {4, 5, 7, 9, 13}, 41, &rng);
+  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
+  EXPECT_EQ(CountShared(cols.numeric), 8u);
+  EXPECT_EQ(CountShared(cols.categorical), 3u);
+  EXPECT_EQ(CountShared(cols.datasize), 1u);
+  for (int row = 0; row < 4; ++row) {
+    // Training rows both far from the pool and on its pinned values.
+    auto a = row % 2 == 0 ? RandomPoint(schema, &rng) : bs[row];
+    ExpectColumnarMatchesRow(k, a, bs);
+  }
+}
+
+TEST(KernelTest, ColumnarMatchesRowWhenEveryCategoricalIsPinned) {
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(137);
+  const auto base = RandomPoint(schema, &rng);
+  const auto bs = PinnedProbes(schema, base, {0, 1, 10}, 23, &rng);
+  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
+  EXPECT_EQ(CountShared(cols.numeric), 9u);
+  EXPECT_EQ(CountShared(cols.categorical), 4u);
+  ExpectColumnarMatchesRow(k, RandomPoint(schema, &rng), bs);
+  ExpectColumnarMatchesRow(k, base, bs);
+}
+
+TEST(KernelTest, ColumnarMatchesRowWhenEveryColumnIsShared) {
+  MixedKernel k(MixedSchema(), SkewedParams());
+  Rng rng(139);
+  const auto b = RandomPoint(k.schema(), &rng);
+  const std::vector<std::vector<double>> bs(9, b);
+  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
+  EXPECT_EQ(CountShared(cols.numeric), 2u);
+  EXPECT_EQ(CountShared(cols.categorical), 2u);
+  EXPECT_EQ(CountShared(cols.datasize), 1u);
+  ExpectColumnarMatchesRow(k, RandomPoint(k.schema(), &rng), bs);
+  ExpectColumnarMatchesRow(k, b, bs);
+}
+
+TEST(KernelTest, ColumnarMatchesRowOnASingleProbe) {
+  MixedKernel k(MixedSchema(), SkewedParams());
+  Rng rng(149);
+  const std::vector<std::vector<double>> bs = {RandomPoint(k.schema(), &rng)};
+  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
+  EXPECT_EQ(CountShared(cols.numeric) + CountShared(cols.categorical) +
+                CountShared(cols.datasize),
+            k.schema().size());
+  ExpectColumnarMatchesRow(k, RandomPoint(k.schema(), &rng), bs);
+}
+
+TEST(KernelTest, ColumnarMatchesRowWhenOnlyTheLastProbeDiffers) {
+  // One column of each kind differs in the last probe only: the scan must
+  // reach the end of the column to see it.
+  const std::vector<FeatureKind> schema = MixedSchema();
+  for (size_t f = 0; f < schema.size(); ++f) {
+    MixedKernel k(schema, SkewedParams());
+    Rng rng(151 + f);
+    const auto b = RandomPoint(schema, &rng);
+    std::vector<std::vector<double>> bs(17, b);
+    bs.back()[f] = schema[f] == FeatureKind::kCategorical
+                       ? (b[f] < 0.5 ? b[f] + 1.0 / 3.0 : b[f] - 1.0 / 3.0)
+                       : b[f] + 0.125;
+    const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
+    EXPECT_EQ(CountShared(cols.numeric) + CountShared(cols.categorical) +
+                  CountShared(cols.datasize),
+              schema.size() - 1)
+        << "feature " << f;
+    ExpectColumnarMatchesRow(k, RandomPoint(schema, &rng), bs);
+    ExpectColumnarMatchesRow(k, b, bs);
+  }
+}
+
+TEST(KernelTest, ColumnarMatchesRowOnASharedColumnOfSignedZeros) {
+  // 0.0 == -0.0, so a column holding both is shared; its squared and
+  // absolute differences do not see the sign, whichever zero `a` holds.
+  const std::vector<FeatureKind> schema = {
+      FeatureKind::kNumeric, FeatureKind::kNumeric, FeatureKind::kCategorical,
+      FeatureKind::kCategorical, FeatureKind::kDataSize};
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(157);
+  std::vector<std::vector<double>> bs;
+  for (size_t j = 0; j < 12; ++j) {
+    auto b = RandomPoint(schema, &rng);
+    const double zero = j % 2 == 0 ? 0.0 : -0.0;
+    b[0] = zero;
+    b[2] = -zero;
+    b[4] = zero;
+    bs.push_back(std::move(b));
+  }
+  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
+  EXPECT_EQ(cols.numeric.shared[0], 1);
+  EXPECT_EQ(cols.categorical.shared[0], 1);
+  EXPECT_EQ(cols.datasize.shared[0], 1);
+  for (double a0 : {0.0, -0.0, 0.25}) {
+    auto a = RandomPoint(schema, &rng);
+    a[0] = a0;
+    a[2] = -a0;
+    a[4] = a0;
+    ExpectColumnarMatchesRow(k, a, bs);
+  }
+}
+
+TEST(KernelTest, ColumnarMatchesRowWithOneOfTwoTimeOfDayColumnsShared) {
+  // Without a data size the context is hour of day and day of week: two
+  // data-size-kind features, here one pinned and one free, in both orders.
+  const std::vector<FeatureKind> schema = {
+      FeatureKind::kNumeric, FeatureKind::kCategorical, FeatureKind::kNumeric,
+      FeatureKind::kDataSize, FeatureKind::kDataSize};
+  for (size_t free : {3u, 4u}) {
+    MixedKernel k(schema, SkewedParams());
+    Rng rng(163 + free);
+    const auto base = RandomPoint(schema, &rng);
+    const auto bs = PinnedProbes(schema, base, {0, free}, 19, &rng);
+    const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
+    EXPECT_EQ(cols.datasize.shared[0], free == 3u ? 0 : 1);
+    EXPECT_EQ(cols.datasize.shared[1], free == 3u ? 1 : 0);
+    ExpectColumnarMatchesRow(k, RandomPoint(schema, &rng), bs);
+    ExpectColumnarMatchesRow(k, base, bs);
+  }
 }
 
 TEST(KernelTest, ColumnarScratchIsReusableAcrossRows) {

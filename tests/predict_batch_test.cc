@@ -54,18 +54,36 @@ std::vector<std::vector<double>> MakeProbes(size_t m, uint64_t seed) {
   return probes;
 }
 
-TEST(PredictBatchTest, GpMatchesPerPoint) {
-  MixedData d = MakeMixedData(48, 7);
-  std::vector<std::vector<double>> probes = MakeProbes(97, 11);
-  GaussianProcess gp(d.schema);
-  ASSERT_TRUE(gp.Fit(d.x, d.y).ok());
-  std::vector<Prediction> batch = gp.PredictBatch(probes);
+// An acquisition-pool shape: the probes of one sub-space search share
+// their pinned coordinates and the data size, and vary only in the free
+// ones (here features 1 and 2).
+std::vector<std::vector<double>> MakeSharedProbes(size_t m, uint64_t seed) {
+  std::vector<std::vector<double>> probes = MakeProbes(m, seed);
+  for (auto& row : probes) {
+    row[0] = 0.625;
+    row[3] = 1.0;
+    row[4] = 0.4;
+  }
+  return probes;
+}
+
+void ExpectBatchMatchesPerPoint(
+    const Surrogate& s, const std::vector<std::vector<double>>& probes) {
+  std::vector<Prediction> batch = s.PredictBatch(probes);
   ASSERT_EQ(batch.size(), probes.size());
   for (size_t j = 0; j < probes.size(); ++j) {
-    Prediction p = gp.Predict(probes[j]);
+    Prediction p = s.Predict(probes[j]);
     EXPECT_EQ(batch[j].mean, p.mean) << "j=" << j;
     EXPECT_EQ(batch[j].variance, p.variance) << "j=" << j;
   }
+}
+
+TEST(PredictBatchTest, GpMatchesPerPoint) {
+  MixedData d = MakeMixedData(48, 7);
+  GaussianProcess gp(d.schema);
+  ASSERT_TRUE(gp.Fit(d.x, d.y).ok());
+  ExpectBatchMatchesPerPoint(gp, MakeProbes(97, 11));
+  ExpectBatchMatchesPerPoint(gp, MakeSharedProbes(97, 53));
 }
 
 TEST(PredictBatchTest, GpPriorPathMatchesPerPoint) {
@@ -124,14 +142,8 @@ TEST(PredictBatchTest, MetaEnsembleMatchesPerPoint) {
   MixedData d = MakeMixedData(36, 13);
   MetaEnsembleSurrogate meta(d.schema, MakeBases());
   ASSERT_TRUE(meta.Fit(d.x, d.y).ok());
-  std::vector<std::vector<double>> probes = MakeProbes(71, 17);
-  std::vector<Prediction> batch = meta.PredictBatch(probes);
-  ASSERT_EQ(batch.size(), probes.size());
-  for (size_t j = 0; j < probes.size(); ++j) {
-    Prediction p = meta.Predict(probes[j]);
-    EXPECT_EQ(batch[j].mean, p.mean) << "j=" << j;
-    EXPECT_EQ(batch[j].variance, p.variance) << "j=" << j;
-  }
+  ExpectBatchMatchesPerPoint(meta, MakeProbes(71, 17));
+  ExpectBatchMatchesPerPoint(meta, MakeSharedProbes(71, 59));
 }
 
 TEST(PredictBatchTest, MetaEnsemblePriorPathMatchesPerPoint) {

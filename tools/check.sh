@@ -112,9 +112,9 @@ fi
 # Bit-equality self-check of the micro-benchmark harness on ragged sizes:
 # every optimized path re-verified against its reference — the linalg
 # kernels (upper_solve, syrk_factor), batched inference (kernel_batch,
-# gp_predict, meta_predict, forest_predict), and the acquisition scorer
-# against the hook wiring it replaced (acq_score).
-echo "==> [build] bench_kernels --self_check=1 (bit-equality, 7 rows)"
+# kernel_pool, gp_predict, meta_predict, forest_predict), and the
+# acquisition scorer against the hook wiring it replaced (acq_score).
+echo "==> [build] bench_kernels --self_check=1 (bit-equality, 8 rows)"
 ./build/bench/bench_kernels --self_check=1 \
   --out=build/BENCH_kernels_selfcheck.json
 
