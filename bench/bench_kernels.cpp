@@ -7,16 +7,20 @@
 //     factorization against their naive loops (upper_solve, syrk_factor);
 //   * batched inference at --n training rows and --m probes: the columnar
 //     MixedKernel row against per-row EvalRow on random probes
-//     (kernel_batch, no column shared) and on an acquisition pool whose
-//     probes share all but six numeric columns and the data size
-//     (kernel_pool), and one PredictBatch call against a per-point
-//     Predict loop for the GP, the meta ensemble and the random forest,
-//     with fixed GP hyperparameters (gp_predict, meta_predict,
-//     forest_predict);
-//   * acquisition scoring: a runtime-constrained, safety-on maximization
-//     on Spark-shaped data, through the safety hooks wired as the advisor
-//     wired them before the candidate scorer, against EicScorer, which
-//     encodes and predicts each candidate once (acq_score).
+//     (kernel_batch, no column shared) and on the pool of one sub-space
+//     search in the Spark space, whose probes share every pinned column
+//     and the data size (kernel_pool), and one PredictBatch call against
+//     a per-point Predict loop for the GP, the meta ensemble and the
+//     random forest, with fixed GP hyperparameters (gp_predict,
+//     meta_predict, forest_predict);
+//   * acquisition scoring in the Spark space, over a sub-space with nine
+//     free parameters: a runtime-constrained, safety-on maximization
+//     through the safety hooks wired as the advisor wired them before the
+//     candidate scorer, each candidate encoded in all 30 coordinates,
+//     against EicScorer with the advisor's SubspaceEncoder (acq_score);
+//     and the same with nothing safe, where the hooks score unsafety in a
+//     second full pass and EicScorer reuses the screen's runtime bounds
+//     (acq_fallback).
 //
 // Per-layer time on the real workloads comes from perfbench's traced run;
 // this harness does the one job that cannot: fast path against reference,
@@ -49,8 +53,11 @@
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "meta/meta_surrogate.h"
+#include "model/features.h"
 #include "model/gp.h"
 #include "model/kernel.h"
+#include "sparksim/cluster.h"
+#include "sparksim/spark_conf.h"
 
 using namespace sparktune;
 using namespace sparktune::bench;
@@ -227,18 +234,46 @@ struct Dataset {
   std::vector<double> y;
 };
 
-// MakeMixedRows plus a smooth noisy target over the first six features
-// and the data size, so the fits have structure to find.
+// A smooth noisy target over the first six features and the last (the
+// data size), so the fits have structure to find.
+void AddTargets(Dataset* d, Rng* rng) {
+  for (const auto& row : d->x) {
+    double y = row.back();
+    for (size_t f = 0; f < 6; ++f) y += std::sin(3.0 * row[f]);
+    d->y.push_back(y + 0.05 * rng->Normal());
+  }
+}
+
+// MakeMixedRows with AddTargets' target.
 Dataset MakeDataset(const std::vector<FeatureKind>& schema, size_t count,
                     Rng* rng) {
   Dataset d;
   d.x = MakeMixedRows(schema, count, rng);
-  for (const auto& row : d.x) {
-    double y = row.back();
-    for (size_t f = 0; f < 6; ++f) y += std::sin(3.0 * row[f]);
-    d.y.push_back(y + 0.05 * rng->Normal());
-  }
+  AddTargets(&d, rng);
   return d;
+}
+
+// The Spark space's encoded inputs, as the advisor encodes them: random
+// configurations, each with a random data size, and AddTargets' target.
+Dataset SparkDataset(const ConfigSpace& space, size_t count, Rng* rng) {
+  Dataset d;
+  for (size_t i = 0; i < count; ++i) {
+    const Configuration c = space.Sample(rng);
+    d.x.push_back(EncodeFeatures(
+        space, c, {NormalizeDataSize(rng->Uniform(1.0, 1000.0), 1024.0)}));
+  }
+  AddTargets(&d, rng);
+  return d;
+}
+
+// A sub-space of the size bo_tuning searches (9.4 free parameters on
+// average): the expert ranking's top nine free (resources, memory,
+// parallelism, a codec and a flag), the other 21 pinned at `base`.
+Subspace ExpertSubspace(const ConfigSpace* space, Configuration base) {
+  const std::vector<std::string> ranking = ExpertParameterRanking();
+  std::vector<int> free;
+  for (size_t k = 0; k < 9; ++k) free.push_back(space->IndexOf(ranking[k]));
+  return Subspace(space, std::move(free), std::move(base));
 }
 
 KernelRow BenchKernelBatch(const char* name,
@@ -301,23 +336,20 @@ void AddInferenceRows(size_t n, size_t m, int reps,
   rows->push_back(
       BenchKernelBatch("kernel_batch", schema, train.x, probes, reps));
 
-  // kernel_pool: the probes of one sub-space search, Spark-shaped. They
-  // share every pinned coordinate and the data size and vary in six free
-  // numeric ones, so the columnar path computes each shared column's term
-  // once per training row and one data-size factor per row.
-  const std::vector<FeatureKind> spark = MixedSchema(28, 2);
+  // kernel_pool: the probes of one sub-space search in the Spark space
+  // (23 numeric and 7 categorical features in slot order, then the data
+  // size). They share every pinned coordinate and the data size and vary
+  // in the nine free ones, so the columnar path computes each shared
+  // column's term once per training row and one data-size factor per row.
+  const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
+  const std::vector<FeatureKind> spark = BuildFeatureSchema(space, 1);
   Rng pool_rng(4343);
-  const auto pool_train = MakeMixedRows(spark, n, &pool_rng);
-  auto pool = MakeMixedRows(spark, m, &pool_rng);
-  const std::vector<size_t> free = {2, 7, 11, 16, 20, 25};
-  for (auto& probe : pool) {
-    for (size_t f = 0; f < spark.size(); ++f) {
-      if (std::find(free.begin(), free.end(), f) == free.end()) {
-        probe[f] = pool[0][f];
-      }
-    }
-  }
-  rows->push_back(BenchKernelBatch("kernel_pool", spark, pool_train, pool,
+  const Dataset pool_train = SparkDataset(space, n, &pool_rng);
+  const Subspace sub = ExpertSubspace(&space, space.Sample(&pool_rng));
+  const SubspaceEncoder encode(sub, {NormalizeDataSize(200.0, 1024.0)});
+  std::vector<std::vector<double>> pool;
+  for (size_t j = 0; j < m; ++j) pool.push_back(encode(sub.Sample(&pool_rng)));
+  rows->push_back(BenchKernelBatch("kernel_pool", spark, pool_train.x, pool,
                                    reps));
 
   // Fixed hyperparameters: the rows isolate inference cost.
@@ -354,32 +386,26 @@ void AddInferenceRows(size_t n, size_t m, int reps,
   rows->push_back(BenchPredictBatch("forest_predict", forest, probes, reps));
 }
 
-// acq_score: the advisor's production shape, the default 579-candidate
-// pool screened by a log-runtime GP at its median training value, on
-// Spark-shaped data (28 numeric features, 2 categorical, the data size).
-KernelRow BenchAcqScore(int reps) {
-  const std::vector<FeatureKind> spark = MixedSchema(28, 2);
+// acq_score and acq_fallback: the advisor's production shape. The default
+// 579-candidate pool over ExpertSubspace in the Spark space, pinned at
+// a history row, with the data size; GPs for the objective and the log
+// runtime fitted on 60 encoded configurations; a 10-row history, half of
+// it inside the sub-space. The reference is the hook wiring
+// (tests/acquisition_reference.h), which encodes all 30 coordinates of
+// every candidate; the fast path is EicScorer with the advisor's
+// SubspaceEncoder. acq_score screens by the runtime bound at the median
+// training value. acq_fallback leaves nothing safe: a positive threshold
+// under every upper bound, and an R(x) bound at the median resource rate
+// of the sub-space, so the hooks score unsafety in a second full pass
+// while EicScorer reuses the screen's bounds and predicts only the
+// candidates R(x) rejected.
+KernelRow BenchAcquisition(const char* name, bool nothing_safe, int reps) {
+  const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
+  const std::vector<FeatureKind> spark = BuildFeatureSchema(space, 1);
   Rng rng(11);
-  const Dataset gp_data = MakeDataset(spark, 60, &rng);
-
-  ConfigSpace space;
-  for (size_t k = 0; k < spark.size(); ++k) {
-    MustOk(space.Add(Parameter::Float("p" + std::to_string(k), 0.0, 1.0,
-                                      0.5)),
-           "config space");
-  }
+  const Dataset gp_data = SparkDataset(space, 60, &rng);
   GaussianProcess gp(spark, {});
   MustOk(gp.Fit(gp_data.x, gp_data.y), "acquisition gp fit");
-  const Subspace full = Subspace::Full(&space);
-  auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
-  RunHistory history;
-  Rng history_rng(7);
-  for (int i = 0; i < 10; ++i) {
-    Observation o;
-    o.config = full.Sample(&history_rng);
-    o.feasible = true;
-    history.Add(o);
-  }
   std::vector<double> log_runtime;
   for (const auto& row : gp_data.x) {
     log_runtime.push_back(1.0 + row[0] + 0.5 * row[1] * row[2]);
@@ -388,24 +414,58 @@ KernelRow BenchAcqScore(int reps) {
   MustOk(runtime.Fit(gp_data.x, log_runtime), "acquisition runtime gp fit");
   std::vector<double> sorted = log_runtime;
   std::sort(sorted.begin(), sorted.end());
+
+  Rng history_rng(7);
+  const Subspace sub = ExpertSubspace(&space, space.Sample(&history_rng));
+  RunHistory history;
+  for (int i = 0; i < 10; ++i) {
+    Observation o;
+    o.config = i % 2 == 0 ? sub.Sample(&history_rng)
+                          : space.Sample(&history_rng);
+    o.objective = history_rng.Uniform();
+    o.feasible = true;
+    history.Add(o);
+  }
+  const std::vector<double> context = {NormalizeDataSize(200.0, 1024.0)};
+  auto encode = [&](const Configuration& c) {
+    return EncodeFeatures(space, c, context);
+  };
+
   EicScorerOptions safe;
   safe.objective = &gp;
   safe.incumbent = *std::min_element(gp_data.y.begin(), gp_data.y.end());
-  safe.runtime = {&runtime, sorted[sorted.size() / 2]};
+  safe.runtime = {&runtime, nothing_safe ? 0.5 : sorted[sorted.size() / 2]};
   safe.safety = true;
-  const EicScorer safe_scorer(encode, safe);
+  if (nothing_safe) {
+    safe.resource_fn = [&space](const Configuration& c) {
+      return ResourceFunction(DecodeSparkConf(space, c));
+    };
+    std::vector<double> rates;
+    Rng rate_rng(13);
+    for (int i = 0; i < 101; ++i) {
+      rates.push_back(safe.resource_fn(sub.Sample(&rate_rng)));
+    }
+    std::sort(rates.begin(), rates.end());
+    safe.resource_max = rates[rates.size() / 2];
+  }
+  const EicScorer safe_scorer(SubspaceEncoder(sub, context), safe);
   const AcquisitionOptimizer optimizer;
-  KernelRow row{"acq_score"};
+  KernelRow row{name};
   AcqOptResult hooks, scored;
   row.naive_ms = TimeMs(reps, [&] {
     Rng acq_rng(42);
-    hooks = reference::MaximizeWithHooks(optimizer, full, encode, safe,
+    hooks = reference::MaximizeWithHooks(optimizer, sub, encode, safe,
                                          &history, &acq_rng);
   });
   row.fast_ms = TimeMs(reps, [&] {
     Rng acq_rng(42);
-    scored = optimizer.Maximize(full, safe_scorer, &history, &acq_rng);
+    scored = optimizer.Maximize(sub, safe_scorer, &history, &acq_rng);
   });
+  if (scored.safe_fallback_used != nothing_safe) {
+    std::fprintf(stderr, "bench_kernels: %s: the fallback %s\n", name,
+                 nothing_safe ? "did not run" : "ran");
+    std::exit(1);
+  }
   row.bit_identical = hooks.config == scored.config &&
                       hooks.acq_value == scored.acq_value &&
                       hooks.raw_ei == scored.raw_ei &&
@@ -432,7 +492,8 @@ int main(int argc, char** argv) {
   rows.push_back(BenchUpperSolve(n, m, reps));
   rows.push_back(BenchSyrkFactor(n, reps));
   AddInferenceRows(n, m, reps, &rows);
-  rows.push_back(BenchAcqScore(reps));
+  rows.push_back(BenchAcquisition("acq_score", false, reps));
+  rows.push_back(BenchAcquisition("acq_fallback", true, reps));
 
   std::printf("bench_kernels: n=%zu m=%zu reps=%d\n\n", n, m, reps);
   std::printf("%-14s %12s %12s %9s %14s\n", "kernel", "naive_ms", "fast_ms",

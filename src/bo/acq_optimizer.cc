@@ -125,12 +125,14 @@ AcqOptResult AcquisitionOptimizer::Maximize(const Subspace& subspace,
   }
 
   // ---- Candidate evaluation: duplicates out, then one scoring pass ----
+  // Every candidate, here and in the climbs, is the base with its free
+  // coordinates overwritten, so only the history rows sharing the base's
+  // pinned coordinates can hold it.
+  const SubspaceHistory seen(history, subspace);
   std::vector<Configuration> live;
   live.reserve(cands.size());
   for (Configuration& c : cands) {
-    if (history == nullptr || !history->Contains(c)) {
-      live.push_back(std::move(c));
-    }
+    if (!seen.Contains(c)) live.push_back(std::move(c));
   }
   std::vector<CandidateScore> scores;
   if (!live.empty()) scores = scorer.ScoreBatch(live);
@@ -146,14 +148,32 @@ AcqOptResult AcquisitionOptimizer::Maximize(const Subspace& subspace,
   if (pool.empty()) {
     // Safe set empty: suggest the configuration whose worst-case constraint
     // violation is smallest — the point most likely to extend the safe
-    // region (SafeOpt-style expansion). Unsafety is scored only here, over
-    // the same non-duplicate candidates; ties go to the first in candidate
-    // order.
+    // region (SafeOpt-style expansion). The screen's scores carry the
+    // unsafety it already knows; Unsafety is scored only here, in one call
+    // over the non-duplicate candidates it left unknown. Ties go to the
+    // first in candidate order.
     result.safe_fallback_used = true;
     if (live.empty()) {
       result.config = subspace.Sample(rng);
     } else {
-      const std::vector<double> u = scorer.Unsafety(live);
+      std::vector<double> u(live.size());
+      std::vector<size_t> unknown;
+      std::vector<Configuration> asked;
+      for (size_t t = 0; t < live.size(); ++t) {
+        if (scores[t].unsafety.has_value()) {
+          u[t] = *scores[t].unsafety;
+        } else {
+          unknown.push_back(t);
+          asked.push_back(std::move(live[t]));
+        }
+      }
+      if (!asked.empty()) {
+        const std::vector<double> answered = scorer.Unsafety(asked);
+        for (size_t k = 0; k < unknown.size(); ++k) {
+          u[unknown[k]] = answered[k];
+          live[unknown[k]] = std::move(asked[k]);
+        }
+      }
       size_t least = 0;
       for (size_t t = 1; t < u.size(); ++t) {
         if (u[t] < u[least]) least = t;
@@ -184,7 +204,7 @@ AcqOptResult AcquisitionOptimizer::Maximize(const Subspace& subspace,
     // A step's score, set by `rejected` for a non-duplicate candidate.
     CandidateScore score;
     auto rejected = [&](const Configuration& c) {
-      if (history != nullptr && history->Contains(c)) return true;
+      if (seen.Contains(c)) return true;
       score = scorer.Score(c);
       return !score.safe;
     };

@@ -57,10 +57,14 @@ class AcquisitionOptimizer {
 
   // Scores the non-duplicate candidates of the pool in one ScoreBatch,
   // then climbs from the best safe ones, scoring each step with Score.
-  // Unsafety is scored lazily: only when no candidate is safe, once over
-  // the non-duplicate candidates, and the least-unsafe one (first in
-  // candidate order on ties) is the fallback, the same choice an eager
-  // scorer makes.
+  // Every candidate it draws is the sub-space's base with the free
+  // coordinates overwritten, so the duplicate check compares free
+  // coordinates against the history rows sharing the base
+  // (SubspaceHistory), with RunHistory::Contains' verdicts. Unsafety is
+  // scored lazily: only when no candidate is safe, and only for the
+  // non-duplicate candidates whose ScoreBatch score left it unknown; the
+  // least-unsafe one (first in candidate order on ties) is the fallback,
+  // the same choice an eager scorer makes.
   AcqOptResult Maximize(const Subspace& subspace,
                         const CandidateScorer& scorer,
                         const RunHistory* history, Rng* rng) const;

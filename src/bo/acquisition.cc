@@ -125,6 +125,7 @@ std::vector<double> EicAcquisition::EvalBatch(
 EicScorer::EicScorer(EncodeFn encode, EicScorerOptions options)
     : encode_(std::move(encode)), options_(std::move(options)) {
   assert(options_.objective != nullptr);
+  assert(!options_.resource_fn || options_.resource_max > 0.0);
 }
 
 bool EicScorer::ResourceOk(const Configuration& c) const {
@@ -135,6 +136,12 @@ bool EicScorer::ResourceOk(const Configuration& c) const {
 bool EicScorer::InSafeRegion(const Prediction& runtime) const {
   return UpperConfidenceBound(runtime, options_.gamma) <=
          options_.runtime.threshold;
+}
+
+double EicScorer::RuntimeViolation(const Prediction& runtime) const {
+  const double u = UpperConfidenceBound(runtime, options_.gamma);
+  const double threshold = options_.runtime.threshold;
+  return threshold > 0.0 ? u / threshold - 1.0 : u - threshold;
 }
 
 double EicScorer::Eic(const Prediction& objective,
@@ -179,6 +186,8 @@ std::vector<CandidateScore> EicScorer::ScoreBatch(
     if (options_.safety) {
       size_t kept = 0;
       for (size_t t = 0; t < idx.size(); ++t) {
+        // Within R(x), the resource term of Unsafety is exactly 0.
+        out[idx[t]].unsafety = std::max(0.0, RuntimeViolation(rt[t]));
         if (!InSafeRegion(rt[t])) continue;
         if (kept != t) {
           idx[kept] = idx[t];
@@ -195,7 +204,8 @@ std::vector<CandidateScore> EicScorer::ScoreBatch(
   if (idx.empty()) return out;
   const std::vector<Prediction> obj = options_.objective->PredictBatch(xs);
   for (size_t t = 0; t < idx.size(); ++t) {
-    out[idx[t]] = {true, Eic(obj[t], runtime != nullptr ? &rt[t] : nullptr)};
+    out[idx[t]].safe = true;
+    out[idx[t]].acq = Eic(obj[t], runtime != nullptr ? &rt[t] : nullptr);
   }
   return out;
 }
@@ -216,11 +226,8 @@ std::vector<double> EicScorer::Unsafety(
   xs.reserve(cs.size());
   for (const Configuration& c : cs) xs.push_back(encode_(c));
   const std::vector<Prediction> p = runtime->PredictBatch(xs);
-  const double threshold = options_.runtime.threshold;
   for (size_t i = 0; i < cs.size(); ++i) {
-    const double u = UpperConfidenceBound(p[i], options_.gamma);
-    out[i] = std::max(out[i], threshold > 0.0 ? u / threshold - 1.0
-                                              : u - threshold);
+    out[i] = std::max(out[i], RuntimeViolation(p[i]));
   }
   return out;
 }

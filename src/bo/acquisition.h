@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "model/surrogate.h"
@@ -77,9 +78,18 @@ class EicAcquisition {
 
 // What the acquisition optimizer learns about one candidate.
 struct CandidateScore {
+  CandidateScore() = default;
+  CandidateScore(bool safe, double acq,
+                 std::optional<double> unsafety = std::nullopt)
+      : safe(safe), acq(acq), unsafety(unsafety) {}
+
   bool safe = true;
   // EIC (Eq. 6) of a safe candidate; 0 for an unsafe one.
   double acq = 0.0;
+  // The candidate's Unsafety, bit for bit, when scoring it already told
+  // (EicScorer: from the runtime bound of a candidate that passed R(x));
+  // empty when only an Unsafety call can tell.
+  std::optional<double> unsafety;
 };
 
 // Scores acquisition candidates for AcquisitionOptimizer::Maximize.
@@ -89,14 +99,16 @@ class CandidateScorer {
  public:
   virtual ~CandidateScorer() = default;
 
-  // One pass over a candidate pool. out[i] is bit-identical to
-  // Score(cs[i]), however the pool is split into batches.
+  // One pass over a candidate pool. out[i].safe and out[i].acq are
+  // bit-identical to Score(cs[i])'s, and out[i] does not depend on how
+  // the pool is split into batches.
   virtual std::vector<CandidateScore> ScoreBatch(
       const std::vector<Configuration>& cs) const = 0;
   virtual CandidateScore Score(const Configuration& c) const = 0;
   // Degree of safe-region violation per candidate (<= 0 means safe). It
   // only ranks fallback candidates when none is safe: the least unsafe
-  // wins, the first on ties.
+  // wins, the first on ties. Maximize calls it lazily, only for the
+  // candidates whose ScoreBatch score left the unsafety unknown.
   virtual std::vector<double> Unsafety(
       const std::vector<Configuration>& cs) const = 0;
   // EI without constraint weighting (the stopping-criterion input).
@@ -109,8 +121,8 @@ struct EicScorerOptions {
   // Probabilistic runtime constraint; Pr[runtime <= threshold] weights EI
   // (Eq. 6). A null surrogate means no runtime constraint.
   ProbabilisticConstraint runtime;
-  // White-box resource constraint R(x) <= resource_max: a candidate over
-  // it is never safe. Null means no resource constraint.
+  // White-box resource constraint R(x) <= resource_max (positive): a
+  // candidate over it is never safe. Null means no resource constraint.
   std::function<double(const Configuration&)> resource_fn;
   double resource_max = std::numeric_limits<double>::infinity();
   // Safe exploration (Eq. 8): a safe candidate also needs the runtime
@@ -122,23 +134,29 @@ struct EicScorerOptions {
 };
 
 // The production scorer. Per candidate: one R(x) check, then one encode
-// and one prediction per surrogate. The one runtime prediction gives both
-// the Eq. 8 test and the EIC factor Phi((threshold - mu) / sigma); the
-// objective is predicted only for a safe candidate.
+// and one prediction per surrogate. The one runtime prediction gives the
+// Eq. 8 test, the EIC factor Phi((threshold - mu) / sigma) and, with
+// safety on, the candidate's unsafety; the objective is predicted only for
+// a safe candidate. The advisor builds one per searched sub-space, with a
+// SubspaceEncoder for that sub-space.
 class EicScorer final : public CandidateScorer {
  public:
   using EncodeFn = std::function<std::vector<double>(const Configuration&)>;
 
   EicScorer(EncodeFn encode, EicScorerOptions options);
 
-  // One encode pass and one PredictBatch per surrogate over the pool.
+  // One encode pass and one PredictBatch per surrogate over the pool. With
+  // safety on, a candidate that passed R(x) carries its unsafety.
   std::vector<CandidateScore> ScoreBatch(
       const std::vector<Configuration>& cs) const override;
   CandidateScore Score(const Configuration& c) const override;
   // max(0, R(x) / resource_max - 1, runtime violation), where the runtime
   // violation is u(x) / threshold - 1 for a positive threshold and
   // u(x) - threshold otherwise: with log targets a runtime bound <= 1 has a
-  // threshold <= 0, where the ratio would flip or divide by zero.
+  // threshold <= 0, where the ratio would flip or divide by zero. For a
+  // candidate within R(x) the resource term is exactly 0, so its unsafety
+  // is the screen's max(0, runtime violation); Maximize asks here only for
+  // the candidates R(x) rejected.
   std::vector<double> Unsafety(
       const std::vector<Configuration>& cs) const override;
   double RawEi(const Configuration& c) const override;
@@ -146,6 +164,8 @@ class EicScorer final : public CandidateScorer {
  private:
   bool ResourceOk(const Configuration& c) const;
   bool InSafeRegion(const Prediction& runtime) const;
+  // Runtime violation of one prediction (see Unsafety).
+  double RuntimeViolation(const Prediction& runtime) const;
   // EIC (Eq. 6) from the candidate's predictions; null: no runtime
   // constraint.
   double Eic(const Prediction& objective, const Prediction* runtime) const;

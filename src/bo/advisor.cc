@@ -106,6 +106,11 @@ std::vector<FeatureKind> Advisor::Schema() const {
 std::vector<double> Advisor::Encode(const Configuration& c,
                                     double data_size_gb,
                                     double hours) const {
+  return EncodeFeatures(*space_, c, Context(data_size_gb, hours));
+}
+
+std::vector<double> Advisor::Context(double data_size_gb,
+                                     double hours) const {
   std::vector<double> context;
   if (options_.datasize_aware) {
     if (use_time_context_) {
@@ -116,7 +121,7 @@ std::vector<double> Advisor::Encode(const Configuration& c,
           NormalizeDataSize(ds, options_.datasize_reference_gb));
     }
   }
-  return EncodeFeatures(*space_, c, context);
+  return context;
 }
 
 Configuration Advisor::BestConfig() const {
@@ -400,12 +405,17 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
   }
   scoring.safety = options_.enable_safety;
   scoring.gamma = options_.safety_gamma;
-  const EicScorer scorer(encode, std::move(scoring));
+  // One scorer per searched sub-space: its encoder holds that sub-space's
+  // base features, so a candidate re-encodes only its free coordinates.
+  const std::vector<double> context = Context(datasize_hint_gb, hours_hint);
+  auto maximize = [&](const Subspace& s) {
+    const EicScorer scorer(SubspaceEncoder(s, context), scoring);
+    return acq_opt_.Maximize(s, scorer, &history_, &rng_);
+  };
 
-  AcqOptResult res = acq_opt_.Maximize(sub, scorer, &history_, &rng_);
+  AcqOptResult res = maximize(sub);
   if (sub_default.has_value()) {
-    AcqOptResult alt = acq_opt_.Maximize(*sub_default, scorer, &history_,
-                                         &rng_);
+    AcqOptResult alt = maximize(*sub_default);
     if ((res.safe_fallback_used && !alt.safe_fallback_used) ||
         (res.safe_fallback_used == alt.safe_fallback_used &&
          alt.acq_value > res.acq_value)) {

@@ -159,6 +159,8 @@ class Advisor {
 
  private:
   void FitSurrogates();
+  // The context features Encode appends.
+  std::vector<double> Context(double data_size_gb, double hours) const;
 
   const ConfigSpace* space_;
   AdvisorOptions options_;

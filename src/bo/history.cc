@@ -1,5 +1,6 @@
 #include "bo/history.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace sparktune {
@@ -161,6 +162,38 @@ size_t RunHistory::HeapBytes() const {
              bucket.capacity() * sizeof(uint32_t);
   }
   return bytes;
+}
+
+SubspaceHistory::SubspaceHistory(const RunHistory* history,
+                                 const Subspace& subspace)
+    : free_(subspace.free_indices().begin(), subspace.free_indices().end()) {
+  if (history == nullptr) return;
+  const Configuration& base = subspace.base();
+  std::vector<size_t> pinned;
+  for (size_t p = 0; p < base.size(); ++p) {
+    if (!subspace.IsFree(static_cast<int>(p))) pinned.push_back(p);
+  }
+  for (size_t i = 0; i < history->size(); ++i) {
+    if (history->config_size(i) != base.size()) continue;
+    const double* row = history->config_data(i);
+    if (!std::all_of(pinned.begin(), pinned.end(),
+                     [&](size_t p) { return row[p] == base[p]; })) {
+      continue;
+    }
+    for (size_t f : free_) rows_.push_back(row[f]);
+    ++num_rows_;
+  }
+}
+
+bool SubspaceHistory::Contains(const Configuration& c) const {
+  const size_t k = free_.size();
+  for (size_t r = 0; r < num_rows_; ++r) {
+    const double* row = rows_.data() + r * k;
+    size_t j = 0;
+    while (j < k && row[j] == c[free_[j]]) ++j;
+    if (j == k) return true;
+  }
+  return false;
 }
 
 }  // namespace sparktune

@@ -17,6 +17,7 @@
 
 #include "common/failure.h"
 #include "space/config_space.h"
+#include "space/subspace.h"
 
 namespace sparktune {
 
@@ -101,9 +102,9 @@ class RunHistory {
   double BestObjective() const;
 
   // True if `config` was already evaluated (exact value match). O(1): a
-  // hash bucket lookup plus exact comparison of the (rare) bucket entries —
-  // the acquisition optimizer calls this once per candidate, which used to
-  // cost O(pool x history) per iteration as an exact-double scan.
+  // hash bucket lookup plus exact comparison of the (rare) bucket entries.
+  // AcquisitionOptimizer::Maximize checks its candidates through
+  // SubspaceHistory instead, with the same verdicts.
   bool Contains(const Configuration& config) const;
 
   // Distinct index entries stored for `config`'s hash bucket (diagnostics:
@@ -151,6 +152,28 @@ class RunHistory {
   // order-independent integer reduction; lookups never see hash order.
   // lint:allow(unordered-member-iter) HeapBytes is an order-independent sum
   std::unordered_map<uint64_t, std::vector<uint32_t>> config_index_;
+};
+
+// The duplicate check for the candidates of one sub-space, each the base
+// with its free coordinates overwritten. Such a candidate can only equal a
+// history row that holds the base's value in every pinned coordinate, so
+// those rows are collected once and a candidate is compared with them in
+// its free coordinates only, stopping at the first mismatch. For such a
+// candidate, Contains(c) equals RunHistory::Contains(c): elementwise ==,
+// so -0.0 equals 0.0, NaN never matches and a row of another length never
+// matches.
+class SubspaceHistory {
+ public:
+  // A null history holds no row.
+  SubspaceHistory(const RunHistory* history, const Subspace& subspace);
+
+  bool Contains(const Configuration& c) const;
+
+ private:
+  std::vector<size_t> free_;
+  // The free coordinates of the rows sharing the base, free_.size() each.
+  std::vector<double> rows_;
+  size_t num_rows_ = 0;
 };
 
 }  // namespace sparktune

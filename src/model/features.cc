@@ -27,6 +27,22 @@ std::vector<double> EncodeFeatures(const ConfigSpace& space,
   return features;
 }
 
+SubspaceEncoder::SubspaceEncoder(const Subspace& sub,
+                                 const std::vector<double>& context)
+    : space_(&sub.space()),
+      free_(sub.free_indices()),
+      base_features_(EncodeFeatures(sub.space(), sub.base(), context)) {}
+
+std::vector<double> SubspaceEncoder::operator()(const Configuration& c) const {
+  assert(c.size() == space_->size());
+  std::vector<double> features = base_features_;
+  for (int idx : free_) {
+    const size_t i = static_cast<size_t>(idx);
+    features[i] = space_->param(i).ToUnit(c[i]);
+  }
+  return features;
+}
+
 double NormalizeDataSize(double data_size_gb, double reference_gb) {
   assert(reference_gb > 0.0);
   return std::log1p(std::max(0.0, data_size_gb)) / std::log1p(reference_gb);

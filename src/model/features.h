@@ -9,6 +9,7 @@
 
 #include "model/kernel.h"
 #include "space/config_space.h"
+#include "space/subspace.h"
 
 namespace sparktune {
 
@@ -23,6 +24,25 @@ std::vector<FeatureKind> BuildFeatureSchema(const ConfigSpace& space,
 std::vector<double> EncodeFeatures(const ConfigSpace& space,
                                    const Configuration& c,
                                    const std::vector<double>& context = {});
+
+// EncodeFeatures for the configurations of one sub-space, each the base
+// with its free coordinates overwritten (every Subspace method that builds
+// a configuration starts from the base). The base's features, context
+// included, are encoded once; a call copies them and re-encodes the k free
+// coordinates, instead of one ToUnit per parameter. For every c that holds
+// the base's bits in its pinned coordinates, the result is bit-identical
+// to EncodeFeatures(sub.space(), c, context).
+class SubspaceEncoder {
+ public:
+  SubspaceEncoder(const Subspace& sub, const std::vector<double>& context);
+
+  std::vector<double> operator()(const Configuration& c) const;
+
+ private:
+  const ConfigSpace* space_;
+  std::vector<int> free_;
+  std::vector<double> base_features_;
+};
 
 // Normalize a data size (GB) into a stable [0, ~1] coordinate:
 // log1p(ds) / log1p(reference). Values above reference saturate >1 softly.

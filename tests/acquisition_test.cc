@@ -3,14 +3,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "acquisition_reference.h"
 #include "bo/acq_optimizer.h"
 #include "bo/acquisition.h"
+#include "model/features.h"
 #include "model/gp.h"
+#include "sparksim/cluster.h"
+#include "sparksim/spark_conf.h"
 
 namespace sparktune {
 namespace {
@@ -68,6 +74,22 @@ class FakeSurrogate final : public Surrogate {
  private:
   std::function<Prediction(const std::vector<double>&)> fn_;
 };
+
+bool BitEqual(double a, double b) {
+  uint64_t x = 0;
+  uint64_t y = 0;
+  std::memcpy(&x, &a, sizeof(x));
+  std::memcpy(&y, &b, sizeof(y));
+  return x == y;
+}
+
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!BitEqual(a[i], b[i])) return false;
+  }
+  return true;
+}
 
 TEST(SafeRegionTest, UpperBoundUsesGamma) {
   FakeSurrogate surrogate([](const std::vector<double>&) {
@@ -592,15 +614,40 @@ TEST(EicScorerTest, BatchedScoresMatchPerCandidateScoresHoweverSplit) {
   auto same = [](const CandidateScore& a, const CandidateScore& b) {
     return a.safe == b.safe && a.acq == b.acq;
   };
+  auto same_unsafety = [](const CandidateScore& a, const CandidateScore& b) {
+    return a.unsafety.has_value() == b.unsafety.has_value() &&
+           (!a.unsafety || BitEqual(*a.unsafety, *b.unsafety));
+  };
   for (const ScorerFixture::Mode& mode : ScorerFixture::Modes()) {
     SCOPED_TRACE(mode.name);
-    const EicScorer scorer(encode, f.Options(mode));
+    const EicScorerOptions o = f.Options(mode);
+    const EicScorer scorer(encode, o);
     const std::vector<CandidateScore> whole = scorer.ScoreBatch(pool);
     ASSERT_EQ(whole.size(), pool.size());
+    const std::vector<double> unsafety = scorer.Unsafety(pool);
     size_t safe = 0;
+    size_t known = 0;
     for (size_t i = 0; i < pool.size(); ++i) {
       EXPECT_TRUE(same(whole[i], scorer.Score(pool[i]))) << "candidate " << i;
       if (whole[i].safe) ++safe;
+      // The screen knows the unsafety of exactly the candidates it
+      // predicted the runtime for, and it is Unsafety's, bit for bit.
+      const bool within_rx = !o.resource_fn || o.resource_fn(pool[i]) <=
+                                                   o.resource_max;
+      EXPECT_EQ(whole[i].unsafety.has_value(),
+                mode.safety && mode.runtime && within_rx)
+          << "candidate " << i;
+      if (whole[i].unsafety.has_value()) {
+        ++known;
+        EXPECT_TRUE(BitEqual(*whole[i].unsafety, unsafety[i]))
+            << "candidate " << i;
+      }
+    }
+    // In the nothing-safe mode, candidates R(x) rejected compete with
+    // runtime-unsafe ones for the fallback.
+    if (mode.nothing_safe) {
+      EXPECT_GT(known, 0u);
+      EXPECT_LT(known, pool.size());
     }
     // Each mode screens what it claims to.
     const bool screens = mode.resource || (mode.safety && mode.runtime);
@@ -619,12 +666,488 @@ TEST(EicScorerTest, BatchedScoresMatchPerCandidateScoresHoweverSplit) {
             std::vector<Configuration>(pool.begin() + start,
                                        pool.begin() + end));
         for (size_t k = 0; k < part.size(); ++k) {
-          EXPECT_TRUE(same(part[k], whole[start + k]))
+          EXPECT_TRUE(same(part[k], whole[start + k]) &&
+                      same_unsafety(part[k], whole[start + k]))
               << "chunk " << chunk << ", candidate " << start + k;
         }
       }
     }
   }
+}
+
+// ---- Scoring in the sub-space (the base with its free coordinates
+// overwritten) ----
+
+// A sub-space of `space` with `k` free parameters drawn at random around
+// `base`.
+Subspace RandomSubspace(const ConfigSpace* space, size_t k,
+                        const Configuration& base, Rng* rng) {
+  std::vector<int> idx(space->size());
+  std::iota(idx.begin(), idx.end(), 0);
+  for (size_t i = idx.size(); i > 1; --i) {
+    std::swap(idx[i - 1],
+              idx[static_cast<size_t>(
+                  rng->UniformInt(0, static_cast<int64_t>(i) - 1))]);
+  }
+  idx.resize(k);
+  return Subspace(space, std::move(idx), base);
+}
+
+// Candidates of every kind Maximize draws: Sample, Neighbor, Project and
+// FromFreeUnit, the unit cube's corners included.
+std::vector<Configuration> DrawCandidates(const Subspace& sub, Rng* rng) {
+  std::vector<Configuration> cs;
+  for (int i = 0; i < 30; ++i) {
+    Configuration c = sub.Sample(rng);
+    cs.push_back(sub.Neighbor(c, 0.08, rng));
+    cs.push_back(std::move(c));
+    cs.push_back(sub.Project(sub.space().Sample(rng)));
+    std::vector<double> u(sub.num_free());
+    for (double& v : u) v = rng->Uniform();
+    cs.push_back(sub.FromFreeUnit(u));
+  }
+  cs.push_back(sub.FromFreeUnit(std::vector<double>(sub.num_free(), 0.0)));
+  cs.push_back(sub.FromFreeUnit(std::vector<double>(sub.num_free(), 1.0)));
+  return cs;
+}
+
+std::vector<size_t> PinnedIndices(const Subspace& sub) {
+  std::vector<size_t> pinned;
+  for (size_t p = 0; p < sub.space().size(); ++p) {
+    if (!sub.IsFree(static_cast<int>(p))) pinned.push_back(p);
+  }
+  return pinned;
+}
+
+TEST(SubspaceEncoderTest, MatchesEncodeFeaturesBitForBit) {
+  const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
+  ASSERT_EQ(space.size(), 30u);
+  const std::vector<std::vector<double>> contexts = {
+      {}, {NormalizeDataSize(37.5, 1024.0)}, TimeOfDayContext(1234.5)};
+  Rng rng(606);
+  for (size_t k : {1u, 9u, 30u}) {
+    for (const std::vector<double>& context : contexts) {
+      for (int trial = 0; trial < 3; ++trial) {
+        SCOPED_TRACE("k " + std::to_string(k) + ", context size " +
+                     std::to_string(context.size()) + ", trial " +
+                     std::to_string(trial));
+        const Configuration base =
+            trial == 0 ? space.Default() : space.Sample(&rng);
+        const Subspace sub = RandomSubspace(&space, k, base, &rng);
+        const SubspaceEncoder encode(sub, context);
+        for (const Configuration& c : DrawCandidates(sub, &rng)) {
+          EXPECT_TRUE(BitEqual(encode(c), EncodeFeatures(space, c, context)));
+        }
+      }
+    }
+  }
+}
+
+TEST(SubspaceHistoryTest, MatchesRunHistoryContainsOnEveryCandidate) {
+  const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
+  Rng rng(707);
+  for (size_t k : {1u, 9u, 30u}) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    // A base holding 0.0 (a category index) in a pinned coordinate.
+    const Subspace drawn = RandomSubspace(&space, k, space.Sample(&rng), &rng);
+    const std::vector<size_t> pinned = PinnedIndices(drawn);
+    Configuration base = drawn.base();
+    size_t zero = space.size();
+    for (size_t p : pinned) {
+      if (!space.param(p).is_numeric()) {
+        zero = p;
+        base[p] = 0.0;
+        break;
+      }
+    }
+    ASSERT_TRUE(pinned.empty() || zero < space.size());
+    const Subspace sub(&space, drawn.free_indices(), base);
+    const std::vector<Configuration> cands = DrawCandidates(sub, &rng);
+
+    // Each case is a history of one kind of row, and whether a row of that
+    // kind can match a candidate and shares the base.
+    struct Case {
+      std::string name;
+      std::vector<Configuration> rows;
+      bool matches;
+      bool shares;
+    };
+    std::vector<Case> cases;
+    Case sharing{"rows sharing the base", {}, true, true};
+    for (size_t i = 0; i < cands.size(); i += 3) sharing.rows.push_back(cands[i]);
+    cases.push_back(sharing);
+    Case free_nan{"NaN in a free coordinate", {}, false, true};
+    Case free_zero{"-0.0 where a candidate holds 0.0 freely", {}, true, true};
+    for (size_t i = 0; i < cands.size(); i += 4) {
+      const size_t f = static_cast<size_t>(sub.free_indices()[0]);
+      Configuration c = cands[i];
+      c[f] = std::numeric_limits<double>::quiet_NaN();
+      free_nan.rows.push_back(c);
+      for (int idx : sub.free_indices()) {
+        Configuration z = cands[i];
+        if (z[static_cast<size_t>(idx)] != 0.0) continue;
+        z[static_cast<size_t>(idx)] = -0.0;
+        free_zero.rows.push_back(z);
+      }
+    }
+    cases.push_back(free_nan);
+    if (!free_zero.rows.empty()) cases.push_back(free_zero);
+    Case other_length{"rows of another length", {}, false, false};
+    for (size_t i = 0; i < cands.size(); i += 5) {
+      std::vector<double> longer = cands[i].values();
+      longer.push_back(0.5);
+      other_length.rows.push_back(Configuration(longer));
+      std::vector<double> shorter = cands[i].values();
+      shorter.pop_back();
+      other_length.rows.push_back(Configuration(shorter));
+    }
+    cases.push_back(other_length);
+    if (!pinned.empty()) {
+      Case one_pinned{"one pinned coordinate differs", {}, false, false};
+      Case pinned_nan{"NaN in a pinned coordinate", {}, false, false};
+      Case pinned_zero{"-0.0 where the base holds 0.0", {}, true, true};
+      for (size_t i = 0; i < cands.size(); i += 4) {
+        const size_t p = pinned[i % pinned.size()];
+        Configuration c = cands[i];
+        c[p] = std::nextafter(c[p], std::numeric_limits<double>::infinity());
+        one_pinned.rows.push_back(c);
+        c = cands[i];
+        c[p] = std::numeric_limits<double>::quiet_NaN();
+        pinned_nan.rows.push_back(c);
+        c = cands[i];
+        c[zero] = -0.0;
+        pinned_zero.rows.push_back(c);
+      }
+      cases.push_back(one_pinned);
+      cases.push_back(pinned_nan);
+      cases.push_back(pinned_zero);
+    }
+    Case all{"every kind at once", {}, true, true};
+    for (const Case& c : cases) {
+      all.rows.insert(all.rows.end(), c.rows.begin(), c.rows.end());
+    }
+    cases.push_back(all);
+
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      RunHistory history;
+      size_t sharing_rows = 0;
+      for (const Configuration& row : c.rows) {
+        Observation o;
+        o.config = row;
+        history.Add(o);
+        bool shares = row.size() == base.size();
+        for (size_t p : pinned) shares = shares && row[p] == base[p];
+        sharing_rows += shares ? 1 : 0;
+      }
+      const SubspaceHistory seen(&history, sub);
+      EXPECT_EQ(sharing_rows > 0, c.shares);
+      size_t dups = 0;
+      for (size_t i = 0; i < cands.size(); ++i) {
+        const bool dup = history.Contains(cands[i]);
+        EXPECT_EQ(seen.Contains(cands[i]), dup) << "candidate " << i;
+        dups += dup ? 1 : 0;
+      }
+      EXPECT_EQ(dups > 0, c.matches);
+    }
+    const SubspaceHistory none(nullptr, sub);
+    for (const Configuration& c : cands) EXPECT_FALSE(none.Contains(c));
+  }
+}
+
+// Records every configuration Maximize hands each scorer method, then
+// scores through `inner`.
+class RecordingScorer final : public CandidateScorer {
+ public:
+  explicit RecordingScorer(const CandidateScorer& inner) : inner_(inner) {}
+
+  std::vector<CandidateScore> ScoreBatch(
+      const std::vector<Configuration>& cs) const override {
+    batches_.push_back(cs);
+    return inner_.ScoreBatch(cs);
+  }
+  CandidateScore Score(const Configuration& c) const override {
+    scored_.push_back(c);
+    return inner_.Score(c);
+  }
+  std::vector<double> Unsafety(
+      const std::vector<Configuration>& cs) const override {
+    unsafety_calls_.push_back(cs);
+    return inner_.Unsafety(cs);
+  }
+  double RawEi(const Configuration& c) const override {
+    raw_ei_.push_back(c);
+    return inner_.RawEi(c);
+  }
+
+  const std::vector<std::vector<Configuration>>& batches() const {
+    return batches_;
+  }
+  const std::vector<Configuration>& scored() const { return scored_; }
+  const std::vector<std::vector<Configuration>>& unsafety_calls() const {
+    return unsafety_calls_;
+  }
+  const std::vector<Configuration>& raw_ei() const { return raw_ei_; }
+
+ private:
+  const CandidateScorer& inner_;
+  mutable std::vector<std::vector<Configuration>> batches_;
+  mutable std::vector<Configuration> scored_;
+  mutable std::vector<std::vector<Configuration>> unsafety_calls_;
+  mutable std::vector<Configuration> raw_ei_;
+};
+
+// A runtime surrogate that records the inputs of every prediction call.
+class RecordingSurrogate final : public Surrogate {
+ public:
+  explicit RecordingSurrogate(
+      std::function<Prediction(const std::vector<double>&)> fn)
+      : fn_(std::move(fn)) {}
+  Status Fit(const std::vector<std::vector<double>>&,
+             const std::vector<double>&) override {
+    return Status::OK();
+  }
+  Prediction Predict(const std::vector<double>& x) const override {
+    calls_.push_back({x});
+    return fn_(x);
+  }
+  std::vector<Prediction> PredictBatch(
+      const std::vector<std::vector<double>>& xs) const override {
+    calls_.push_back(xs);
+    std::vector<Prediction> out;
+    for (const auto& x : xs) out.push_back(fn_(x));
+    return out;
+  }
+  size_t num_observations() const override { return 1; }
+
+  const std::vector<std::vector<std::vector<double>>>& calls() const {
+    return calls_;
+  }
+
+ private:
+  std::function<Prediction(const std::vector<double>&)> fn_;
+  mutable std::vector<std::vector<std::vector<double>>> calls_;
+};
+
+size_t FirstLeast(const std::vector<double>& u) {
+  size_t least = 0;
+  for (size_t t = 1; t < u.size(); ++t) {
+    if (u[t] < u[least]) least = t;
+  }
+  return least;
+}
+
+TEST(EicScorerTest, FallbackPredictsOnlyTheCandidatesRxRejected) {
+  // Nothing is safe: the runtime bound exceeds the (positive) threshold
+  // everywhere, and R(x) rejects part of the pool. The screen predicts
+  // the runtime of the candidates within R(x) and keeps their unsafety,
+  // so the fallback predicts exactly the ones R(x) rejected.
+  ConfigSpace space = TwoDSpace();
+  FakeSurrogate objective([](const std::vector<double>&) {
+    return Prediction{0.0, 1.0};
+  });
+  RecordingSurrogate runtime([](const std::vector<double>& x) {
+    return Prediction{1.0 + x[0] + x[1], 0.01};
+  });
+  auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
+  EicScorerOptions o;
+  o.objective = &objective;
+  o.incumbent = 1.0;
+  o.runtime = {&runtime, 0.9};
+  o.resource_fn = [](const Configuration& c) { return 1.0 + c[1] - c[0]; };
+  o.resource_max = 1.1;
+  o.safety = true;
+  const EicScorer scorer(encode, o);
+  const RecordingScorer recorder(scorer);
+  AcqOptOptions opts;
+  opts.num_candidates = 64;
+  Rng rng(44);
+  const AcqOptResult res = AcquisitionOptimizer(opts).Maximize(
+      Subspace::Full(&space), recorder, nullptr, &rng);
+  EXPECT_TRUE(res.safe_fallback_used);
+
+  ASSERT_EQ(recorder.batches().size(), 1u);
+  const std::vector<Configuration>& live = recorder.batches()[0];
+  std::vector<Configuration> within, rejected;
+  for (const Configuration& c : live) {
+    (o.resource_fn(c) <= o.resource_max ? within : rejected).push_back(c);
+  }
+  ASSERT_GT(within.size(), 0u);
+  ASSERT_GT(rejected.size(), 0u);
+  auto encoded = [&](const std::vector<Configuration>& cs) {
+    std::vector<std::vector<double>> xs;
+    for (const Configuration& c : cs) xs.push_back(encode(c));
+    return xs;
+  };
+  // One prediction pass for the screen, one for the fallback: every live
+  // candidate is predicted exactly once.
+  ASSERT_EQ(runtime.calls().size(), 2u);
+  EXPECT_EQ(runtime.calls()[0], encoded(within));
+  EXPECT_EQ(runtime.calls()[1], encoded(rejected));
+  ASSERT_EQ(recorder.unsafety_calls().size(), 1u);
+  EXPECT_TRUE(recorder.unsafety_calls()[0] == rejected);
+  // The pick is the eager scorer's.
+  EXPECT_TRUE(res.config == live[FirstLeast(scorer.Unsafety(live))]);
+}
+
+TEST(EicScorerTest, FallbackPicksTheLeastUnsafeAtEveryThresholdSign) {
+  // Coarse runtime and resource levels make many candidates tie, so the
+  // first-in-candidate-order rule decides too. The runtime bound is above
+  // each threshold everywhere; R(x) rejects part of every pool.
+  ConfigSpace space = TwoDSpace();
+  FakeSurrogate objective([](const std::vector<double>&) {
+    return Prediction{0.0, 1.0};
+  });
+  FakeSurrogate runtime([](const std::vector<double>& x) {
+    return Prediction{0.6 + 0.25 * std::floor(4.0 * x[0]), 0.01};
+  });
+  auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
+  const Subspace full = Subspace::Full(&space);
+  for (double threshold : {0.5, 0.0, -0.5}) {
+    for (uint64_t seed : {5u, 6u, 7u}) {
+      SCOPED_TRACE("threshold " + std::to_string(threshold) + ", seed " +
+                   std::to_string(seed));
+      EicScorerOptions o;
+      o.objective = &objective;
+      o.incumbent = 1.0;
+      o.runtime = {&runtime, threshold};
+      o.resource_fn = [](const Configuration& c) {
+        return 1.0 + 0.25 * std::floor(4.0 * c[1]) - 0.5 * c[0];
+      };
+      o.resource_max = 1.2;
+      o.safety = true;
+      const EicScorer scorer(encode, o);
+      const RecordingScorer recorder(scorer);
+      AcqOptOptions opts;
+      opts.num_candidates = 96;
+      Rng rng(seed);
+      const AcqOptResult res = AcquisitionOptimizer(opts).Maximize(
+          full, recorder, nullptr, &rng);
+      EXPECT_TRUE(res.safe_fallback_used);
+      ASSERT_EQ(recorder.batches().size(), 1u);
+      const std::vector<Configuration>& live = recorder.batches()[0];
+      ASSERT_EQ(recorder.unsafety_calls().size(), 1u);
+      EXPECT_GT(recorder.unsafety_calls()[0].size(), 0u);
+      EXPECT_LT(recorder.unsafety_calls()[0].size(), live.size());
+      EXPECT_TRUE(res.config == live[FirstLeast(scorer.Unsafety(live))]);
+    }
+  }
+}
+
+TEST(AcqOptimizerTest, EveryScoredCandidateHoldsTheBasesPinnedBits) {
+  // Whatever Maximize hands the scorer (pool, climb steps, the fallback's
+  // candidates and its Sample, the winner's RawEi) is the base with its
+  // free coordinates overwritten: the pinned coordinates hold the base's
+  // bits, which the sub-space encoder and duplicate check rely on.
+  const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
+  Rng rng(808);
+  // Objective and runtime over the encoded features.
+  FakeSurrogate objective([](const std::vector<double>& x) {
+    double m = 0.0;
+    for (size_t i = 0; i < x.size(); ++i) m += (i % 3 == 0 ? 1.0 : -0.5) * x[i];
+    return Prediction{m, 0.2};
+  });
+  FakeSurrogate runtime([](const std::vector<double>& x) {
+    return Prediction{x[0] + x[5] + x[17], 0.04};
+  });
+  size_t batches = 0, scored = 0, unsafety = 0, raw_ei = 0;
+  auto check = [&](const Subspace& sub, const RecordingScorer& recorder) {
+    const std::vector<size_t> pinned = PinnedIndices(sub);
+    auto holds_base = [&](const Configuration& c) {
+      if (c.size() != sub.base().size()) return false;
+      for (size_t p : pinned) {
+        if (!BitEqual(c[p], sub.base()[p])) return false;
+      }
+      return true;
+    };
+    for (const auto& batch : recorder.batches()) {
+      for (const Configuration& c : batch) EXPECT_TRUE(holds_base(c));
+    }
+    for (const Configuration& c : recorder.scored()) {
+      EXPECT_TRUE(holds_base(c));
+    }
+    for (const auto& call : recorder.unsafety_calls()) {
+      for (const Configuration& c : call) EXPECT_TRUE(holds_base(c));
+    }
+    for (const Configuration& c : recorder.raw_ei()) {
+      EXPECT_TRUE(holds_base(c));
+    }
+    batches += recorder.batches().size();
+    scored += recorder.scored().size();
+    unsafety += recorder.unsafety_calls().size();
+    raw_ei += recorder.raw_ei().size();
+  };
+  for (size_t k : {1u, 9u, 30u}) {
+    const Subspace sub = RandomSubspace(&space, k, space.Sample(&rng), &rng);
+    // A history of rows inside and outside the sub-space, so the
+    // incumbent and recent neighbours go through Project.
+    RunHistory history;
+    for (int i = 0; i < 8; ++i) {
+      Observation o;
+      o.config = i % 2 == 0 ? sub.Sample(&rng) : space.Sample(&rng);
+      o.objective = 1.0 + rng.Uniform();
+      history.Add(o);
+    }
+    const size_t first_free = static_cast<size_t>(sub.free_indices()[0]);
+    // Some candidates safe (threshold 1.4, unless the pinned coordinates
+    // alone push the bound over it), then none (threshold 0.05: every
+    // bound is at least 0.1).
+    for (double threshold : {1.4, 0.05}) {
+      SCOPED_TRACE("k " + std::to_string(k) + ", threshold " +
+                   std::to_string(threshold));
+      EicScorerOptions o;
+      o.objective = &objective;
+      o.incumbent = 0.5;
+      o.runtime = {&runtime, threshold};
+      o.resource_fn = [&space, first_free](const Configuration& c) {
+        return 1.0 + space.param(first_free).ToUnit(c[first_free]);
+      };
+      o.resource_max = 1.5;
+      o.safety = true;
+      const EicScorer scorer(SubspaceEncoder(sub, {0.25}), o);
+      const RecordingScorer recorder(scorer);
+      AcqOptOptions opts;
+      opts.num_candidates = 48;
+      opts.local_steps = 6;
+      const AcqOptResult res =
+          AcquisitionOptimizer(opts).Maximize(sub, recorder, &history, &rng);
+      if (threshold < 1.0) {
+        EXPECT_TRUE(res.safe_fallback_used);
+      }
+      check(sub, recorder);
+    }
+  }
+  // Every candidate a duplicate: one free boolean whose two values are in
+  // the history, so the fallback draws its own Sample.
+  size_t flag = space.size();
+  for (size_t p = 0; p < space.size(); ++p) {
+    if (space.param(p).type() == ParamType::kBool) flag = p;
+  }
+  ASSERT_LT(flag, space.size());
+  const Subspace one(&space, {static_cast<int>(flag)}, space.Default());
+  RunHistory both;
+  for (double v : {0.0, 1.0}) {
+    Observation o;
+    o.config = space.Default();
+    o.config[flag] = v;
+    both.Add(o);
+  }
+  EicScorerOptions o;
+  o.objective = &objective;
+  o.incumbent = 0.5;
+  const EicScorer scorer(SubspaceEncoder(one, {}), o);
+  const RecordingScorer recorder(scorer);
+  const AcqOptResult res =
+      AcquisitionOptimizer().Maximize(one, recorder, &both, &rng);
+  EXPECT_TRUE(res.safe_fallback_used);
+  EXPECT_TRUE(recorder.batches().empty());
+  EXPECT_EQ(recorder.raw_ei().size(), 1u);
+  check(one, recorder);
+  // Each method was exercised.
+  EXPECT_GT(batches, 0u);
+  EXPECT_GT(scored, 0u);
+  EXPECT_GT(unsafety, 0u);
+  EXPECT_GT(raw_ei, 0u);
 }
 
 }  // namespace

@@ -113,8 +113,9 @@ fi
 # every optimized path re-verified against its reference — the linalg
 # kernels (upper_solve, syrk_factor), batched inference (kernel_batch,
 # kernel_pool, gp_predict, meta_predict, forest_predict), and the
-# acquisition scorer against the hook wiring it replaced (acq_score).
-echo "==> [build] bench_kernels --self_check=1 (bit-equality, 8 rows)"
+# acquisition scorer against the hook wiring it replaced, with a safe
+# candidate (acq_score) and with none (acq_fallback).
+echo "==> [build] bench_kernels --self_check=1 (bit-equality, 9 rows)"
 ./build/bench/bench_kernels --self_check=1 \
   --out=build/BENCH_kernels_selfcheck.json
 
