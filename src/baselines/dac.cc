@@ -5,6 +5,15 @@
 
 namespace sparktune {
 
+namespace {
+
+// Data-size buckets (quantile edges over the history), and the samples a
+// bucket forest needs before it overrides the global model.
+constexpr int kDataSizeBuckets = 3;
+constexpr int kMinBucketSamples = 6;
+
+}  // namespace
+
 RunHistory Dac::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
                      const TuningObjective& objective, int budget,
                      uint64_t seed) {
@@ -28,9 +37,9 @@ RunHistory Dac::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
     std::sort(sorted.begin(), sorted.end());
     auto bucket_of = [&](double ds) {
       int b = 0;
-      for (int k = 1; k < options_.datasize_buckets; ++k) {
+      for (int k = 1; k < kDataSizeBuckets; ++k) {
         double edge = sorted[sorted.size() * static_cast<size_t>(k) /
-                             static_cast<size_t>(options_.datasize_buckets)];
+                             static_cast<size_t>(kDataSizeBuckets)];
         if (ds > edge) b = k;
       }
       return b;
@@ -59,7 +68,7 @@ RunHistory Dac::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
     bool global_ok = global.Fit(gx, gy).ok();
     RandomForest bucket(fopts);
     bool bucket_ok =
-        static_cast<int>(bx.size()) >= options_.min_bucket_samples &&
+        static_cast<int>(bx.size()) >= kMinBucketSamples &&
         bucket.Fit(bx, by).ok();
 
     Configuration next;

@@ -13,7 +13,6 @@ namespace sparktune {
 
 struct DacOptions {
   double init_fraction = 0.4;
-  int datasize_buckets = 3;
   ForestOptions forest = {.num_trees = 20,
                           .tree = {.max_depth = 12, .min_samples_leaf = 2,
                                    .min_samples_split = 4,
@@ -22,9 +21,6 @@ struct DacOptions {
                           .bootstrap_fraction = 1.0,
                           .seed = 11};
   GaOptions ga;
-  // Minimum samples a bucket forest needs before it overrides the global
-  // model.
-  int min_bucket_samples = 6;
 };
 
 class Dac final : public TuningMethod {

@@ -6,6 +6,16 @@
 
 namespace sparktune {
 
+namespace {
+
+constexpr int kPopulation = 40;
+constexpr int kTournament = 3;
+constexpr double kCrossoverRate = 0.9;
+constexpr double kMutationRate = 0.1;   // per-gene probability
+constexpr double kMutationSigma = 0.15;  // gaussian step in unit space
+
+}  // namespace
+
 GeneticAlgorithm::GeneticAlgorithm(GaOptions options) : options_(options) {}
 
 Configuration GeneticAlgorithm::Minimize(
@@ -22,15 +32,15 @@ Configuration GeneticAlgorithm::Minimize(
   };
 
   std::vector<Individual> pop;
-  pop.reserve(static_cast<size_t>(options_.population));
+  pop.reserve(kPopulation);
   for (const auto& seed : seeds) {
-    if (static_cast<int>(pop.size()) >= options_.population) break;
+    if (static_cast<int>(pop.size()) >= kPopulation) break;
     Individual ind;
     ind.genes = space.ToUnit(seed);
     ind.fitness = evaluate(ind.genes);
     pop.push_back(std::move(ind));
   }
-  while (static_cast<int>(pop.size()) < options_.population) {
+  while (static_cast<int>(pop.size()) < kPopulation) {
     Individual ind;
     ind.genes.resize(dims);
     for (auto& g : ind.genes) g = rng->Uniform();
@@ -39,9 +49,9 @@ Configuration GeneticAlgorithm::Minimize(
   }
 
   auto tournament_select = [&]() -> const Individual& {
-    int best = static_cast<int>(rng->UniformInt(0, options_.population - 1));
-    for (int i = 1; i < options_.tournament; ++i) {
-      int cand = static_cast<int>(rng->UniformInt(0, options_.population - 1));
+    int best = static_cast<int>(rng->UniformInt(0, kPopulation - 1));
+    for (int i = 1; i < kTournament; ++i) {
+      int cand = static_cast<int>(rng->UniformInt(0, kPopulation - 1));
       if (pop[static_cast<size_t>(cand)].fitness <
           pop[static_cast<size_t>(best)].fitness) {
         best = cand;
@@ -61,19 +71,18 @@ Configuration GeneticAlgorithm::Minimize(
          ++e) {
       next.push_back(pop[static_cast<size_t>(e)]);
     }
-    while (static_cast<int>(next.size()) < options_.population) {
+    while (static_cast<int>(next.size()) < kPopulation) {
       const Individual& a = tournament_select();
       const Individual& b = tournament_select();
       Individual child;
       child.genes.resize(dims);
-      bool cross = rng->Bernoulli(options_.crossover_rate);
+      bool cross = rng->Bernoulli(kCrossoverRate);
       for (size_t d = 0; d < dims; ++d) {
         child.genes[d] = (cross && rng->Bernoulli(0.5)) ? b.genes[d]
                                                         : a.genes[d];
-        if (rng->Bernoulli(options_.mutation_rate)) {
+        if (rng->Bernoulli(kMutationRate)) {
           child.genes[d] = std::clamp(
-              child.genes[d] + rng->Normal(0.0, options_.mutation_sigma), 0.0,
-              1.0);
+              child.genes[d] + rng->Normal(0.0, kMutationSigma), 0.0, 1.0);
         }
       }
       child.fitness = evaluate(child.genes);

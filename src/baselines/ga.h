@@ -12,12 +12,7 @@
 namespace sparktune {
 
 struct GaOptions {
-  int population = 40;
   int generations = 30;
-  int tournament = 3;
-  double crossover_rate = 0.9;
-  double mutation_rate = 0.1;       // per-gene probability
-  double mutation_sigma = 0.15;     // gaussian step in unit space
   int elites = 2;
 };
 

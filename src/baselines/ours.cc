@@ -26,9 +26,6 @@ RunHistory OursMethod::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
   if (options_.surrogate_factory) {
     advisor.SetObjectiveSurrogateFactory(options_.surrogate_factory);
   }
-  if (!options_.importance_prior.empty()) {
-    advisor.SeedImportance(options_.importance_prior, 2.0);
-  }
 
   for (int i = 0; i < budget; ++i) {
     Configuration c = advisor.Suggest(evaluator->NextDataSizeHintGb(),

@@ -13,7 +13,6 @@ struct OursOptions {
   // Optional meta hooks applied to each run.
   std::vector<Configuration> warm_start;
   SurrogateFactory surrogate_factory;
-  std::vector<double> importance_prior;
 };
 
 class OursMethod final : public TuningMethod {

@@ -8,6 +8,11 @@ namespace sparktune {
 
 namespace {
 
+// Rejected hill-climb candidates (duplicate or unsafe) are re-drawn this
+// many times with annealed sigma before the step is forfeited, so a
+// cramped safe region still gets productive moves.
+constexpr int kMaxRejectedRetries = 4;
+
 // The hook form's scorer: safety through the hooks, EIC through the
 // EicAcquisition, each called as the hook form always called them.
 class HookScorer final : public CandidateScorer {
@@ -213,8 +218,7 @@ AcqOptResult AcquisitionOptimizer::Maximize(const Subspace& subspace,
       // A duplicate or unsafe candidate is not a wasted step: anneal sigma
       // and redraw closer to `cur`, where membership is likeliest.
       bool rej = rejected(cand);
-      for (int retry = 0; rej && retry < options_.max_rejected_retries;
-           ++retry) {
+      for (int retry = 0; rej && retry < kMaxRejectedRetries; ++retry) {
         sigma *= 0.9;
         cand = subspace.Neighbor(cur, sigma, crng);
         rej = rejected(cand);

@@ -18,10 +18,6 @@ struct AcqOptOptions {
   int num_local_starts = 6;
   int local_steps = 24;
   double local_sigma = 0.08;
-  // Rejected hill-climb candidates (duplicate or unsafe) are re-drawn this
-  // many times with annealed sigma before the step is forfeited, so a
-  // cramped safe region still gets productive moves.
-  int max_rejected_retries = 4;
 };
 
 struct AcqOptResult {

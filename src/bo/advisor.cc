@@ -9,6 +9,9 @@ namespace sparktune {
 
 namespace {
 
+// Data size that normalizes to 1 in the surrogate's context feature.
+constexpr double kDataSizeReferenceGb = 1024.0;
+
 // Cap the objective values of failed runs so they do not wreck target
 // standardization: 1.5x the worst real value seen.
 std::vector<double> CappedObjectives(const RunHistory& history) {
@@ -117,8 +120,7 @@ std::vector<double> Advisor::Context(double data_size_gb,
       context = TimeOfDayContext(hours >= 0.0 ? hours : 0.0);
     } else {
       double ds = data_size_gb >= 0.0 ? data_size_gb : 0.0;
-      context.push_back(
-          NormalizeDataSize(ds, options_.datasize_reference_gb));
+      context.push_back(NormalizeDataSize(ds, kDataSizeReferenceGb));
     }
   }
   return context;
@@ -139,7 +141,7 @@ void Advisor::ResetForRestart() {
 void Advisor::FitSurrogates() {
   // Context mode: fall back to time-of-day/day-of-week when no execution
   // exposed its data size but start times are known (paper §3.3).
-  if (options_.datasize_aware && options_.time_context_fallback) {
+  if (options_.datasize_aware) {
     bool any_ds = false;
     bool any_hours = false;
     for (size_t i = 0; i < history_.size(); ++i) {
@@ -159,10 +161,12 @@ void Advisor::FitSurrogates() {
     y_rt.push_back(history_.runtime_sec(i));
   }
   y_obj = CappedObjectives(history_);
-  if (options_.log_targets) {
-    for (auto& v : y_obj) v = std::log(std::max(v, 1e-9));
-    for (auto& v : y_rt) v = std::log(std::max(v, 1e-9));
-  }
+  // Surrogates fit log-transformed objective/runtime values. Costs and
+  // runtimes are positive with multiplicative structure (failures sit
+  // orders of magnitude above good configs); log space keeps the GP
+  // well-conditioned and makes EI scale-free.
+  for (auto& v : y_obj) v = std::log(std::max(v, 1e-9));
+  for (auto& v : y_rt) v = std::log(std::max(v, 1e-9));
 
   // Degradation ladder (DESIGN.md §7): a failed fit — e.g. Cholesky
   // exhausting its jitter budget on a near-singular Gram matrix — must not
@@ -290,13 +294,8 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
   if (options_.enable_agd && history_.BestFeasibleIndex() >= 0 &&
       (static_cast<int>(history_.size()) + 1) % options_.agd.period == 0) {
     last_was_agd_ = true;
-    std::unique_ptr<Surrogate> linear_runtime;
-    const Surrogate* rt_for_agd = runtime_surrogate_.get();
-    if (options_.log_targets) {
-      linear_runtime = std::make_unique<ExpAdapter>(runtime_surrogate_.get());
-      rt_for_agd = linear_runtime.get();
-    }
-    Configuration next = agd_.Step(base, *rt_for_agd, encode,
+    const ExpAdapter linear_runtime(runtime_surrogate_.get());
+    Configuration next = agd_.Step(base, linear_runtime, encode,
                                    options_.resource_fn, options_.objective);
     // AGD exploits from a feasible incumbent; backtrack the step toward the
     // incumbent if it leaves the (white-box resource, predicted runtime)
@@ -333,11 +332,9 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
           options_.resource_fn(traj[k]) > options_.objective.resource_max) {
         return false;
       }
-      if (need_runtime) {
-        double threshold = options_.log_targets
-                               ? std::log(options_.objective.runtime_max)
-                               : options_.objective.runtime_max;
-        if (upper[k] > threshold) return false;
+      if (need_runtime &&
+          upper[k] > std::log(options_.objective.runtime_max)) {
+        return false;
       }
       return true;
     };
@@ -385,10 +382,8 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
     auto y = CappedObjectives(history_);
     incumbent = *std::min_element(y.begin(), y.end());
   }
-  if (options_.log_targets) incumbent = std::log(std::max(incumbent, 1e-9));
-  const double runtime_threshold =
-      options_.log_targets ? std::log(options_.objective.runtime_max)
-                           : options_.objective.runtime_max;
+  incumbent = std::log(std::max(incumbent, 1e-9));
+  const double runtime_threshold = std::log(options_.objective.runtime_max);
 
   // EIC (Eq. 6) weighted by the runtime constraint, over the safe region
   // (Eq. 8) when safety is on. The white-box resource bound holds even

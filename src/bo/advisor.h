@@ -87,15 +87,8 @@ struct AdvisorOptions {
   // privacy case) hour-of-day / day-of-week features characterizing the
   // periodic change of data.
   bool datasize_aware = true;
-  bool time_context_fallback = true;
-  double datasize_reference_gb = 1024.0;
 
   GpOptions gp;
-  // Fit surrogates on log-transformed objective/runtime values. Costs and
-  // runtimes are positive with multiplicative structure (failures sit
-  // orders of magnitude above good configs); log space keeps the GP
-  // well-conditioned and makes EI scale-free.
-  bool log_targets = true;
   uint64_t seed = 42;
 };
 

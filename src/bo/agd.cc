@@ -6,6 +6,17 @@
 
 namespace sparktune {
 
+namespace {
+
+// Central-difference half step and per-dimension step clip (unit space).
+constexpr double kFdEpsilon = 0.03;
+constexpr double kMaxStep = 0.15;
+// If rounding leaves the configuration unchanged, the step is amplified by
+// this factor until something moves (or kMaxStep is hit).
+constexpr double kAmplify = 2.0;
+
+}  // namespace
+
 Agd::Agd(const ConfigSpace* space, AgdOptions options)
     : space_(space), options_(options) {
   assert(space_ != nullptr);
@@ -31,8 +42,8 @@ Configuration Agd::Step(const Configuration& base,
   feats.push_back(encode(base));
   for (size_t i = 0; i < u.size(); ++i) {
     if (!space_->param(i).is_numeric()) continue;
-    double lo = std::max(0.0, u[i] - options_.fd_epsilon);
-    double hi = std::min(1.0, u[i] + options_.fd_epsilon);
+    double lo = std::max(0.0, u[i] - kFdEpsilon);
+    double hi = std::min(1.0, u[i] + kFdEpsilon);
     if (hi - lo < 1e-9) continue;
     std::vector<double> up = u, un = u;
     up[i] = hi;
@@ -73,8 +84,7 @@ Configuration Agd::Step(const Configuration& base,
   for (;;) {
     std::vector<double> next = u;
     for (size_t i = 0; i < u.size(); ++i) {
-      double step = std::clamp(eta * grad[i], -options_.max_step,
-                               options_.max_step);
+      double step = std::clamp(eta * grad[i], -kMaxStep, kMaxStep);
       next[i] = std::clamp(u[i] - step, 0.0, 1.0);
     }
     Configuration out = space_->FromUnit(next);
@@ -83,14 +93,13 @@ Configuration Agd::Step(const Configuration& base,
     // step hits the clip.
     bool maxed = true;
     for (size_t i = 0; i < u.size(); ++i) {
-      if (grad[i] != 0.0 &&
-          std::fabs(eta * grad[i]) < options_.max_step) {
+      if (grad[i] != 0.0 && std::fabs(eta * grad[i]) < kMaxStep) {
         maxed = false;
         break;
       }
     }
     if (maxed) return out;  // gradient is zero or steps are saturated
-    eta *= options_.amplify;
+    eta *= kAmplify;
   }
 }
 

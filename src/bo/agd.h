@@ -21,11 +21,6 @@ namespace sparktune {
 struct AgdOptions {
   int period = 5;              // N_AGD: AGD replaces BO every `period` iters
   double learning_rate = 0.05; // eta on the normalized gradient
-  double fd_epsilon = 0.03;    // central-difference half step (unit space)
-  double max_step = 0.15;      // per-dimension step clip (unit space)
-  // If rounding leaves the configuration unchanged, the step is amplified
-  // by this factor until something moves (or max_step is hit).
-  double amplify = 2.0;
 };
 
 class Agd {

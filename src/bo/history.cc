@@ -50,13 +50,6 @@ void RunHistory::Clear() {
   config_index_.clear();
 }
 
-void RunHistory::Reserve(size_t n, size_t dim) {
-  configs_.reserve(n * dim);
-  offsets_.reserve(n + 1);
-  rows_.reserve(n);
-  config_index_.reserve(n);
-}
-
 Configuration RunHistory::config(size_t i) const {
   return Configuration(std::vector<double>(
       config_data(i), config_data(i) + config_size(i)));

@@ -52,8 +52,6 @@ class RunHistory {
  public:
   void Add(const Observation& obs);
   void Clear();
-  // Pre-size the arenas for `n` observations of `dim` coordinates each.
-  void Reserve(size_t n, size_t dim);
 
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
@@ -110,6 +108,7 @@ class RunHistory {
   // Distinct index entries stored for `config`'s hash bucket (diagnostics:
   // repeated Adds of one config must keep this at 1, not grow per
   // duplicate observation).
+  // lint:allow(test-only-function) history_test reads the real index size
   size_t IndexEntries(const Configuration& config) const;
 
   // Heap bytes held by the arenas and the config index (diagnostics for

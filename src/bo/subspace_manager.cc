@@ -6,6 +6,15 @@
 
 namespace sparktune {
 
+namespace {
+
+// TuRBO-style trust-region counters: consecutive improvements before K
+// grows, consecutive failures before it shrinks.
+constexpr int kTauSucc = 3;
+constexpr int kTauFail = 5;
+
+}  // namespace
+
 SubspaceManager::SubspaceManager(const ConfigSpace* space,
                                  SubspaceOptions options,
                                  const std::vector<std::string>& expert_ranking)
@@ -39,7 +48,7 @@ void SubspaceManager::ReportOutcome(bool improved) {
   if (improved) {
     ++succ_count_;
     fail_count_ = 0;
-    if (succ_count_ >= options_.tau_succ) {
+    if (succ_count_ >= kTauSucc) {
       k_ = std::min(options_.k_max, k_ + options_.k_step);
       succ_count_ = 0;
       fail_count_ = 0;
@@ -47,7 +56,7 @@ void SubspaceManager::ReportOutcome(bool improved) {
   } else {
     ++fail_count_;
     succ_count_ = 0;
-    if (fail_count_ >= options_.tau_fail) {
+    if (fail_count_ >= kTauFail) {
       k_ = std::max(options_.k_min, k_ - options_.k_step);
       succ_count_ = 0;
       fail_count_ = 0;

@@ -1,8 +1,8 @@
 // Adaptive sub-space generation (paper §4.1): rank parameters by fANOVA
 // importance (averaged over analyses, seeded by an expert ranking before
 // any history exists) and adapt the sub-space size K TuRBO-style — grow
-// after tau_succ consecutive improvements, shrink after tau_fail consecutive
-// failures.
+// after kTauSucc (3) consecutive improvements, shrink after kTauFail (5)
+// consecutive failures (subspace_manager.cc).
 #pragma once
 
 #include <string>
@@ -18,8 +18,6 @@ struct SubspaceOptions {
   int k_init = 10;
   int k_min = 4;
   int k_max = -1;  // -1 = number of parameters
-  int tau_succ = 3;
-  int tau_fail = 5;
   int k_step = 2;
   // Re-run fANOVA every this many new observations (and only once at least
   // `fanova_min_obs` are available).

@@ -83,32 +83,6 @@ double Rng::LogNormal(double mu, double sigma) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-double Rng::Gamma(double shape, double scale) {
-  assert(shape > 0.0 && scale > 0.0);
-  if (shape < 1.0) {
-    // Boost to shape+1 then apply the standard power correction.
-    double u;
-    do {
-      u = Uniform();
-    } while (u <= 1e-300);
-    return Gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = Normal();
-    double v = 1.0 + c * x;
-    if (v <= 0.0) continue;
-    v = v * v * v;
-    double u = Uniform();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (u > 1e-300 &&
-        std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v * scale;
-    }
-  }
-}
-
 std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
   assert(k <= n);
   std::vector<int> idx = Permutation(n);

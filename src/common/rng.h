@@ -37,9 +37,6 @@ class Rng {
   double LogNormal(double mu, double sigma);
   // Bernoulli(p).
   bool Bernoulli(double p);
-  // Gamma(shape k, scale theta) via Marsaglia-Tsang; used for skewed task
-  // duration tails.
-  double Gamma(double shape, double scale);
 
   // Sample `k` distinct indices from [0, n); k <= n.
   std::vector<int> SampleWithoutReplacement(int n, int k);

@@ -48,8 +48,6 @@ double Quantile(std::vector<double> v, double q) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
-double Median(const std::vector<double>& v) { return Quantile(v, 0.5); }
-
 double Skewness(const std::vector<double>& v) {
   if (v.size() < 3) return 0.0;
   double m = Mean(v);
@@ -118,38 +116,5 @@ double PearsonR(const std::vector<double>& a, const std::vector<double>& b) {
 double SpearmanRho(const std::vector<double>& a, const std::vector<double>& b) {
   return PearsonR(AverageRanks(a), AverageRanks(b));
 }
-
-std::vector<int> Histogram(const std::vector<double>& v, double lo, double hi,
-                           int bins) {
-  assert(bins > 0 && hi > lo);
-  std::vector<int> counts(bins, 0);
-  double width = (hi - lo) / bins;
-  for (double x : v) {
-    int b = static_cast<int>(std::floor((x - lo) / width));
-    b = std::clamp(b, 0, bins - 1);
-    ++counts[b];
-  }
-  return counts;
-}
-
-void RunningStat::Add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace sparktune

@@ -3,7 +3,6 @@
 // distance) and the experiment harnesses.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace sparktune {
@@ -17,7 +16,6 @@ double Max(const std::vector<double>& v);
 double Sum(const std::vector<double>& v);
 // Linear-interpolated quantile, q in [0, 1]. v need not be sorted.
 double Quantile(std::vector<double> v, double q);
-double Median(const std::vector<double>& v);
 // Skewness (Fisher-Pearson, population); 0 for degenerate inputs.
 double Skewness(const std::vector<double>& v);
 
@@ -34,29 +32,5 @@ double PearsonR(const std::vector<double>& a, const std::vector<double>& b);
 
 // Ranks with ties resolved by averaging (1-based ranks).
 std::vector<double> AverageRanks(const std::vector<double>& v);
-
-// Simple fixed-width histogram over [lo, hi) with `bins` buckets; values
-// outside the range are clamped into the first/last bucket.
-std::vector<int> Histogram(const std::vector<double>& v, double lo, double hi,
-                           int bins);
-
-// Incremental mean/variance accumulator (Welford).
-class RunningStat {
- public:
-  void Add(double x);
-  size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace sparktune

@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <sstream>
 
 namespace sparktune {
 
@@ -23,15 +22,6 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::vector<std::string> StrSplit(const std::string& s, char delim) {
-  std::vector<std::string> parts;
-  std::string cur;
-  std::istringstream in(s);
-  while (std::getline(in, cur, delim)) parts.push_back(cur);
-  if (!s.empty() && s.back() == delim) parts.push_back("");
-  return parts;
-}
-
 std::string StrJoin(const std::vector<std::string>& parts,
                     const std::string& sep) {
   std::string out;
@@ -40,13 +30,6 @@ std::string StrJoin(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
-}
-
-std::string StrTrim(const std::string& s) {
-  size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return "";
-  size_t e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
 }
 
 bool StartsWith(const std::string& s, const std::string& prefix) {

@@ -1,5 +1,5 @@
 // Small string helpers: printf-style formatting (no std::format on GCC 12),
-// split/join, and numeric rendering used by the table printers.
+// join, and numeric rendering used by the table printers.
 #pragma once
 
 #include <string>
@@ -11,12 +11,8 @@ namespace sparktune {
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-std::vector<std::string> StrSplit(const std::string& s, char delim);
 std::string StrJoin(const std::vector<std::string>& parts,
                     const std::string& sep);
-
-// Trim ASCII whitespace on both sides.
-std::string StrTrim(const std::string& s);
 
 bool StartsWith(const std::string& s, const std::string& prefix);
 

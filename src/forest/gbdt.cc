@@ -69,21 +69,4 @@ double GbdtRegressor::Predict(const std::vector<double>& x) const {
   return out;
 }
 
-std::vector<double> GbdtRegressor::PredictBatch(
-    const std::vector<std::vector<double>>& xs) const {
-  std::vector<double> out(xs.size(), base_);
-  if (xs.empty() || trees_.empty()) return out;
-  const size_t m = xs.size();
-  constexpr size_t kChunk = 64;
-  for (size_t j0 = 0; j0 < m; j0 += kChunk) {
-    const size_t j1 = std::min(m, j0 + kChunk);
-    for (const auto& tree : trees_) {
-      for (size_t j = j0; j < j1; ++j) {
-        out[j] += options_.learning_rate * tree.Predict(xs[j]);
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace sparktune

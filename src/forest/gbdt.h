@@ -32,12 +32,6 @@ class GbdtRegressor {
 
   double Predict(const std::vector<double>& x) const;
 
-  // Batched scoring: candidate chunks walk the boosted trees in the outer
-  // loop so each tree stays cache-hot across the chunk. out[i] equals
-  // Predict(xs[i]) bit-for-bit (same per-candidate accumulation order).
-  std::vector<double> PredictBatch(
-      const std::vector<std::vector<double>>& xs) const;
-
   int num_trees() const { return static_cast<int>(trees_.size()); }
   double base_prediction() const { return base_; }
   const std::vector<RegressionTree>& trees() const { return trees_; }

@@ -434,10 +434,6 @@ Matrix Cholesky::SolveUpperMatrix(const Matrix& y) const {
   return x;
 }
 
-Matrix Cholesky::SolveMatrix(const Matrix& b) const {
-  return SolveUpperMatrix(SolveLowerMatrix(b));
-}
-
 double Cholesky::LogDet() const {
   double acc = 0.0;
   for (size_t i = 0; i < l_.rows(); ++i) acc += std::log(l_(i, i));

@@ -38,10 +38,6 @@ class Cholesky {
   // half of Solve(·) on column j bit-for-bit: per element the k terms
   // arrive in strictly decreasing order, panels bottom-up.
   Matrix SolveUpperMatrix(const Matrix& y) const;
-  // Solve A X = B for all columns of B at once (SolveLowerMatrix followed
-  // by SolveUpperMatrix). Column j equals Solve(column j of B)
-  // bit-for-bit.
-  Matrix SolveMatrix(const Matrix& b) const;
 
   // log |A| = 2 * sum(log L_ii).
   double LogDet() const;

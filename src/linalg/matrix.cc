@@ -1,26 +1,8 @@
 #include "linalg/matrix.h"
 
-#include <cmath>
+#include <algorithm>
 
 namespace sparktune {
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n, 0.0);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Vector Matrix::MatVec(const Vector& x) const {
-  assert(x.size() == cols_);
-  Vector y(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row = &data_[r * cols_];
-    for (size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
 
 Matrix Matrix::MatMul(const Matrix& other) const {
   assert(cols_ == other.rows_);
@@ -56,27 +38,5 @@ double Dot(const Vector& a, const Vector& b) {
   for (size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
   return acc;
 }
-
-Vector Add(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vector Sub(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vector Scale(const Vector& a, double s) {
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] * s;
-  return out;
-}
-
-double Norm2(const Vector& a) { return std::sqrt(Dot(a, a)); }
 
 }  // namespace sparktune

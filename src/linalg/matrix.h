@@ -17,8 +17,6 @@ class Matrix {
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  static Matrix Identity(size_t n);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
@@ -41,8 +39,6 @@ class Matrix {
     return data_.data() + r * cols_;
   }
 
-  // y = A * x
-  Vector MatVec(const Vector& x) const;
   // C = A * B
   Matrix MatMul(const Matrix& other) const;
   Matrix Transpose() const;
@@ -58,11 +54,6 @@ class Matrix {
   std::vector<double> data_;
 };
 
-// Basic vector arithmetic.
 double Dot(const Vector& a, const Vector& b);
-Vector Add(const Vector& a, const Vector& b);
-Vector Sub(const Vector& a, const Vector& b);
-Vector Scale(const Vector& a, double s);
-double Norm2(const Vector& a);
 
 }  // namespace sparktune

@@ -12,6 +12,13 @@
 
 namespace sparktune {
 
+namespace {
+
+// Base surrogates (the most similar tasks) in a meta-ensemble.
+constexpr int kMaxEnsembleBases = 5;
+
+}  // namespace
+
 SimilarityPairPlan PlanSimilarityPairs(size_t num_tasks, uint64_t seed) {
   SimilarityPairPlan plan;
   const size_t n = num_tasks;
@@ -211,7 +218,7 @@ SurrogateFactory KnowledgeBase::MakeMetaSurrogateFactory(
     if (d_max - d_min < 1e-9) return v;
     return (v - d_min) / (d_max - d_min);
   };
-  std::vector<int> order = MostSimilar(meta, options_.max_ensemble_bases);
+  std::vector<int> order = MostSimilar(meta, kMaxEnsembleBases);
   std::vector<BaseSurrogate> bases;
   for (int idx : order) {
     const TaskRecord& rec = records_[static_cast<size_t>(idx)];

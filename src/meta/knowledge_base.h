@@ -67,7 +67,6 @@ struct KnowledgeBaseOptions {
   int num_probe_configs = 64;
   uint64_t seed = 99;
   int warm_start_tasks = 3;  // top-k similar tasks for warm starting
-  int max_ensemble_bases = 5;
 };
 
 class KnowledgeBase {

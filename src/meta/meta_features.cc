@@ -126,38 +126,4 @@ std::vector<double> ExtractMetaFeatures(const EventLog& log) {
   return f;
 }
 
-std::vector<double> AverageMetaFeatures(
-    const std::vector<std::vector<double>>& features) {
-  assert(!features.empty());
-  std::vector<double> avg(features[0].size(), 0.0);
-  for (const auto& v : features) {
-    assert(v.size() == avg.size());
-    for (size_t i = 0; i < v.size(); ++i) avg[i] += v[i];
-  }
-  for (auto& x : avg) x /= static_cast<double>(features.size());
-  return avg;
-}
-
-std::vector<std::string> MetaFeatureNames() {
-  std::vector<std::string> names = {
-      "stage.num_stages",      "stage.map_fraction",
-      "stage.shuffle_fraction", "stage.join_fraction",
-      "stage.sort_fraction",   "stage.iterative_fraction",
-      "stage.cached_fraction", "stage.action_fraction",
-      "stage.total_iterations", "stage.is_sql",
-      "stage.input_scale",
-  };
-  const char* metrics[] = {"duration", "gc",       "shuffle_read",
-                           "shuffle_write", "spill", "cpu_fraction",
-                           "io_fraction",   "input"};
-  const char* stats[] = {"mean", "std", "min", "max",
-                         "p50",  "p90", "skew", "total"};
-  for (const char* m : metrics) {
-    for (const char* s : stats) {
-      names.push_back(std::string("task.") + m + "." + s);
-    }
-  }
-  return names;
-}
-
 }  // namespace sparktune

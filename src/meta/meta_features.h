@@ -4,7 +4,6 @@
 // (8 per-task metrics x 8 distribution statistics), mirroring Prats et al.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sparksim/event_log.h"
@@ -19,14 +18,5 @@ inline constexpr int kNumMetaFeatures = kNumStageFeatures + kNumTaskFeatures;
 // heavy features are log1p-compressed so downstream models see bounded
 // ranges.
 std::vector<double> ExtractMetaFeatures(const EventLog& log);
-
-// Average meta-features over several executions of the same task (more
-// robust characterization).
-std::vector<double> AverageMetaFeatures(
-    const std::vector<std::vector<double>>& features);
-
-// Human-readable names, index-aligned with ExtractMetaFeatures (for
-// debugging and docs).
-std::vector<std::string> MetaFeatureNames();
 
 }  // namespace sparktune

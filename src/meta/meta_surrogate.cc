@@ -8,6 +8,17 @@
 
 namespace sparktune {
 
+namespace {
+
+// Folds of the cross-validation that sets the self weight.
+constexpr int kCvFolds = 3;
+// Base-surrogate weights decay linearly to zero as the current task
+// accumulates this many observations: transfer dominates the cold start
+// and fades once the task's own evidence suffices.
+constexpr int kBaseDecayHorizon = 30;
+
+}  // namespace
+
 MetaEnsembleSurrogate::MetaEnsembleSurrogate(std::vector<FeatureKind> schema,
                                              std::vector<BaseSurrogate> bases,
                                              MetaEnsembleOptions options)
@@ -27,15 +38,14 @@ Status MetaEnsembleSurrogate::Fit(const std::vector<std::vector<double>>& x,
 
   // ---- Self weight via k-fold CV rank correlation ----
   double self_raw = options_.min_self_weight;
-  int folds = options_.cv_folds;
-  if (static_cast<int>(x.size()) >= 2 * folds) {
+  if (static_cast<int>(x.size()) >= 2 * kCvFolds) {
     std::vector<double> predicted(x.size(), 0.0);
-    for (int f = 0; f < folds; ++f) {
+    for (int f = 0; f < kCvFolds; ++f) {
       std::vector<std::vector<double>> train_x;
       std::vector<double> train_y;
       std::vector<size_t> test_idx;
       for (size_t i = 0; i < x.size(); ++i) {
-        if (static_cast<int>(i) % folds == f) {
+        if (static_cast<int>(i) % kCvFolds == f) {
           test_idx.push_back(i);
         } else {
           train_x.push_back(x[i]);
@@ -57,11 +67,8 @@ Status MetaEnsembleSurrogate::Fit(const std::vector<std::vector<double>>& x,
   }
 
   // ---- Normalize ----
-  double decay = 1.0;
-  if (options_.base_decay_horizon > 0) {
-    decay = std::max(0.0, 1.0 - static_cast<double>(n_obs_) /
-                               options_.base_decay_horizon);
-  }
+  const double decay =
+      std::max(0.0, 1.0 - static_cast<double>(n_obs_) / kBaseDecayHorizon);
   base_weights_.resize(bases_.size());
   double base_mass = 0.0;
   for (size_t i = 0; i < bases_.size(); ++i) {

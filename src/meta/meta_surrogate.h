@@ -31,13 +31,8 @@ struct BaseSurrogate {
 
 struct MetaEnsembleOptions {
   GpOptions gp;
-  int cv_folds = 3;
   // Self weight floor/ceiling before normalization.
   double min_self_weight = 0.1;
-  // Base-surrogate weights decay linearly to zero as the current task
-  // accumulates this many observations: transfer dominates the cold start
-  // and fades once the task's own evidence suffices.
-  int base_decay_horizon = 30;
 };
 
 class MetaEnsembleSurrogate final : public Surrogate {

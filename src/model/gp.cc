@@ -9,6 +9,13 @@
 
 namespace sparktune {
 
+namespace {
+
+// Coordinate-descent sweeps over the hyperparameter grids.
+constexpr int kHyperSweeps = 2;
+
+}  // namespace
+
 struct GaussianProcess::FitScratch {
   FitScratch(const MixedKernel* kernel, std::vector<KernelPairStats> pairs)
       : factors(kernel, std::move(pairs)) {}
@@ -112,7 +119,7 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
         kernel_.schema().begin(), kernel_.schema().end(),
         [](FeatureKind k) { return k == FeatureKind::kCategorical; });
 
-    for (int sweep = 0; sweep < options_.hyper_sweeps; ++sweep) {
+    for (int sweep = 0; sweep < kHyperSweeps; ++sweep) {
       // Coordinate 1: numeric lengthscale.
       sweep_coordinate(kLengthGrid, [](KernelParams* p, double v) {
         p->length_numeric = v;

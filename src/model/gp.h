@@ -20,8 +20,6 @@ struct GpOptions {
   double noise_floor = 1e-6;
   // Optimize hyperparameters by log-marginal-likelihood coordinate descent.
   bool optimize_hypers = true;
-  // Number of coordinate-descent sweeps.
-  int hyper_sweeps = 2;
 };
 
 class GaussianProcess final : public Surrogate {

@@ -140,6 +140,7 @@ class MixedKernel {
                         const std::vector<double>& b) const;
   // k(a, b) from cached statistics under explicit hyperparameters. Reads no
   // mutable kernel state, so `p` need not be params().
+  // lint:allow(test-only-function) the reference kernel tests compare to
   double EvalStats(const KernelPairStats& s, const KernelParams& p) const;
 
   // Matérn-5/2 correlation for scaled distance r >= 0.

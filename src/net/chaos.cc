@@ -48,18 +48,6 @@ ChaosFault DrawFault(const ChaosOptions& options, long long index) {
 
 }  // namespace
 
-const char* ChaosFaultName(ChaosFault fault) {
-  switch (fault) {
-    case ChaosFault::kNone: return "none";
-    case ChaosFault::kTornWrite: return "torn-write";
-    case ChaosFault::kBitFlip: return "bit-flip";
-    case ChaosFault::kDupFrame: return "dup-frame";
-    case ChaosFault::kDelay: return "delay";
-    case ChaosFault::kReset: return "reset";
-  }
-  return "unknown";
-}
-
 ChaosChannel::ChaosChannel(ChaosOptions options) : options_(options) {}
 
 ChaosFault ChaosChannel::FaultAt(long long index) const {

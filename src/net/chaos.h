@@ -32,8 +32,6 @@ enum class ChaosFault {
   kReset,      // shutdown(2) both directions before any byte
 };
 
-const char* ChaosFaultName(ChaosFault fault);
-
 // Direction salts: the supervisor's request writes and the worker's
 // response writes draw from independent deterministic streams even when
 // they share (seed, shard).
@@ -71,6 +69,7 @@ class ChaosChannel {
 
   // The fault this channel draws for exchange `index`: a pure function of
   // (seed, shard, salt, index) — exposed so tests pin the schedule.
+  // lint:allow(test-only-function) chaos_net_test pins the fault schedule
   ChaosFault FaultAt(long long index) const;
 
   // WriteFrame with injection. Consumes one exchange index per call. A

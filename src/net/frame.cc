@@ -122,28 +122,4 @@ Status CheckFrameCrc(std::string_view header, std::string_view payload,
   return Status::OK();
 }
 
-Result<Frame> DecodeFrame(std::string_view buf, size_t* consumed) {
-  if (buf.size() < kFrameHeaderBytes) {
-    return Status::DataLoss(StrFormat(
-        "torn frame: %zu bytes, need %zu for the header", buf.size(),
-        kFrameHeaderBytes));
-  }
-  MsgKind kind = MsgKind::kPing;
-  uint32_t crc = 0;
-  SPARKTUNE_ASSIGN_OR_RETURN(
-      len, DecodeFrameHeader(buf.substr(0, kFrameHeaderBytes), &kind, &crc));
-  const size_t total = kFrameHeaderBytes + static_cast<size_t>(len);
-  if (buf.size() < total) {
-    return Status::DataLoss(StrFormat(
-        "truncated frame: %zu of %zu bytes", buf.size(), total));
-  }
-  std::string_view payload = buf.substr(kFrameHeaderBytes, len);
-  SPARKTUNE_RETURN_IF_ERROR(CheckFrameCrc(buf, payload, crc));
-  Frame frame;
-  frame.kind = kind;
-  frame.payload.assign(payload.data(), payload.size());
-  if (consumed != nullptr) *consumed = total;
-  return frame;
-}
-
 }  // namespace sparktune::net

@@ -15,13 +15,14 @@
 //                 still fails the checksum
 //   16      len   payload bytes (UTF-8 JSON in this protocol)
 //
-// Decode never trusts the peer: a bad magic/version/kind, a zero-length
-// or oversized declared payload, or a non-zero reserved field is
-// kInvalidArgument (the frame is well-formed garbage); a buffer shorter
-// than the declared frame or a CRC mismatch is kDataLoss (a torn or
-// bit-flipped frame). Decoders must never read past `buf.size()`
-// regardless of what the header claims — the hardening corpus in
-// tests/rpc_test.cc pins this under ASan/UBSan.
+// There is one decoder, net::ReadFrame (net/channel.h), built from the
+// pieces below. It never trusts the peer: a bad magic/version/kind, a
+// zero-length or oversized declared payload, or a non-zero reserved field
+// is kInvalidArgument (the frame is well-formed garbage); a stream that
+// ends inside a frame or a CRC mismatch is kDataLoss (a torn or
+// bit-flipped frame). It never reads more than the declared frame,
+// whatever the header claims — the hardening corpus in tests/rpc_test.cc
+// pins this under ASan/UBSan.
 #pragma once
 
 #include <cstdint>
@@ -78,16 +79,9 @@ Result<uint32_t> DecodeFrameHeader(std::string_view header, MsgKind* kind,
 
 // kDataLoss unless `crc` is the CRC-32 of header bytes 0..11 then
 // `payload`, the rule EncodeFrame writes. `header` is the frame's header
-// (at least its first 12 bytes). Both decoders, DecodeFrame and
-// net::ReadFrame, check their frames through this one function.
+// (at least its first 12 bytes). The one decoder, net::ReadFrame
+// (net/channel.h), checks its frames through this function.
 Status CheckFrameCrc(std::string_view header, std::string_view payload,
                      uint32_t crc);
-
-// Decode exactly one frame from the front of `buf`.
-//   * buf shorter than one header, or than header+declared length: kDataLoss
-//   * header validation failure: kInvalidArgument
-//   * payload CRC mismatch: kDataLoss
-// On success `*consumed` (when non-null) is the total frame size.
-Result<Frame> DecodeFrame(std::string_view buf, size_t* consumed = nullptr);
 
 }  // namespace sparktune::net

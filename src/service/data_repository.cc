@@ -296,17 +296,6 @@ bool DataRepository::HasCheckpoint(const std::string& id) const {
   return !ScanGenerations(id).empty() || fs::exists(ManifestPath(id));
 }
 
-Status DataRepository::DeleteCheckpoint(const std::string& id) const {
-  std::error_code ec;
-  for (long long gen : ScanGenerations(id)) {
-    fs::remove(GenerationPath(id, gen), ec);
-    if (ec) return Status::Unavailable("remove failed: " + ec.message());
-  }
-  fs::remove(ManifestPath(id), ec);
-  if (ec) return Status::Unavailable("remove failed: " + ec.message());
-  return Status::OK();
-}
-
 long long DataRepository::LatestCheckpointGeneration(
     const std::string& id) const {
   long long latest = 0;
@@ -514,13 +503,6 @@ std::vector<std::string> DataRepository::ListTaskIds() const {
 
 bool DataRepository::HasTask(const std::string& id) const {
   return fs::exists(PathFor(id));
-}
-
-Status DataRepository::DeleteTask(const std::string& id) const {
-  std::error_code ec;
-  fs::remove(PathFor(id), ec);
-  if (ec) return Status::Unavailable("remove failed: " + ec.message());
-  return Status::OK();
 }
 
 }  // namespace sparktune

@@ -59,7 +59,6 @@ class DataRepository {
   // Ids of every stored task (decoded from JSON documents on disk).
   std::vector<std::string> ListTaskIds() const;
   bool HasTask(const std::string& id) const;
-  Status DeleteTask(const std::string& id) const;
 
   const std::string& root_dir() const { return root_dir_; }
   const CheckpointRetention& retention() const { return retention_; }
@@ -78,11 +77,12 @@ class DataRepository {
   // exists at all, kDataLoss when files exist but none decodes.
   Status SaveCheckpoint(const std::string& id, const Json& payload) const;
   Result<Json> LoadCheckpoint(const std::string& id) const;
+  // lint:allow(test-only-function) checkpoint_test checks the disk state
   bool HasCheckpoint(const std::string& id) const;
-  Status DeleteCheckpoint(const std::string& id) const;
   std::vector<std::string> ListCheckpointIds() const;
 
   // Newest generation number present on disk for `id` (0 = none).
+  // lint:allow(test-only-function) checkpoint_test pins generation GC
   long long LatestCheckpointGeneration(const std::string& id) const;
   // Sweeps stale temp files and generation files that fell out of the
   // retention window (e.g. a crash between a write and its GC, or a

@@ -2,16 +2,6 @@
 
 namespace sparktune {
 
-const char* ShardHealthName(ShardHealth health) {
-  switch (health) {
-    case ShardHealth::kHealthy: return "healthy";
-    case ShardHealth::kSuspect: return "suspect";
-    case ShardHealth::kDown: return "down";
-    case ShardHealth::kQuarantined: return "quarantined";
-  }
-  return "unknown";
-}
-
 bool ShardHealthMonitor::ShouldProbe(long long tick) const {
   if (policy_.heartbeat_every_ticks <= 1) return true;
   return tick % policy_.heartbeat_every_ticks == 0;

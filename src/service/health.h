@@ -26,8 +26,6 @@ enum class ShardHealth {
   kQuarantined = 3,  // flapping: restarts parked until the window expires
 };
 
-const char* ShardHealthName(ShardHealth health);
-
 struct HealthPolicy {
   // Auto-restart of down shards inside ProcessSupervisor::Tick. Off by
   // default so the manual KillShard/RestartShard chaos workflow (and every

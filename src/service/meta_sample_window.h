@@ -6,10 +6,10 @@
 // that is millions of small allocations. Here each task owns exactly one
 // flat buffer of capacity x dim doubles reused as a circular window.
 //
-// Average() is bit-identical to AverageMetaFeatures() over the equivalent
-// vector-of-vectors window: samples are summed oldest-first in the same
-// order the erase-front ring kept them, so the checkpoint/restore path and
-// the fleet-diet path produce the same meta vector to the last bit.
+// Average() sums the samples oldest-first, then divides by their count.
+// That is the order a vector-of-vectors window with erase-front eviction
+// keeps them in, so a window restored from ToRows() rows yields the same
+// meta vector to the last bit.
 #pragma once
 
 #include <cassert>

@@ -164,6 +164,7 @@ class ProcessSupervisor {
   Status Shutdown();
 
   int num_shards() const { return static_cast<int>(workers_.size()); }
+  // lint:allow(test-only-function) tests count live workers after kills
   int num_live_shards() const;
   bool shard_alive(int shard) const;
   int shard_of(const std::string& id) const;  // -1 if unknown
@@ -173,7 +174,9 @@ class ProcessSupervisor {
   const ProcessSupervisorStats& stats() const { return stats_; }
   std::string socket_path(int shard) const;
   const std::string& manifest_path() const { return options_.manifest_path; }
+  // lint:allow(test-only-function) chaos_net_test checks health states
   ShardHealth shard_health(int shard) const;
+  // lint:allow(test-only-function) chaos_net_test checks respawn fencing
   long long shard_epoch(int shard) const;
   long long total_quarantines() const;
   // Aggregated client-side chaos counters across every shard channel.

@@ -438,35 +438,9 @@ Status TuningService::RestoreTask(const std::string& id) {
   return Status::OK();
 }
 
-TuningService::RestoreReport TuningService::RestoreTasks() {
-  RestoreReport report;
-  if (repository_ == nullptr) {
-    report.errors.push_back(
-        Status::FailedPrecondition("no repository configured"));
-    return report;
-  }
-  for (const auto& [id, state] : tasks_) {
-    (void)state;
-    if (!repository_->HasCheckpoint(id)) continue;
-    Status s = RestoreTask(id);
-    if (s.ok()) {
-      ++report.restored;
-    } else {
-      ++report.fresh_starts;
-      report.errors.push_back(std::move(s));
-    }
-  }
-  return report;
-}
-
 const RetryState* TuningService::retry_state(const std::string& id) const {
   auto it = tasks_.find(id);
   return it == tasks_.end() ? nullptr : &it->second.retry;
-}
-
-const OnlineTuner* TuningService::tuner(const std::string& id) const {
-  auto it = tasks_.find(id);
-  return it == tasks_.end() ? nullptr : it->second.tuner.get();
 }
 
 OnlineTuner* TuningService::tuner(const std::string& id) {

@@ -55,8 +55,8 @@ struct TuningServiceOptions {
   bool compact_event_logs = false;
 };
 
-// Aggregated result of a fleet checkpoint pass (mirrors RestoreReport):
-// every task is attempted; per-task failures are collected, not fatal.
+// Aggregated result of a fleet checkpoint pass: every task is attempted;
+// per-task failures are collected, not fatal.
 struct CheckpointReport {
   int written = 0;  // tasks whose checkpoint was (re)written
   int skipped = 0;  // tasks unchanged since their last checkpoint
@@ -152,21 +152,10 @@ class TuningService {
   CheckpointReport CheckpointTasks();
   Status RestoreTask(const std::string& id);
 
-  struct RestoreReport {
-    int restored = 0;      // tasks resumed from a valid checkpoint
-    int fresh_starts = 0;  // checkpoint present but unusable (kept fresh)
-    std::vector<Status> errors;
-  };
-  // Restores every registered task that has a checkpoint. Call after
-  // RegisterTask (and typically after LoadRepository, so re-attached
-  // meta-surrogates see the same knowledge base). Tasks whose checkpoint
-  // is corrupt fall back to a fresh start and are reported, not fatal.
-  RestoreReport RestoreTasks();
-
   // Watchdog diagnostics for a task (null if unknown).
+  // lint:allow(test-only-function) tests read the watchdog's state
   const RetryState* retry_state(const std::string& id) const;
 
-  const OnlineTuner* tuner(const std::string& id) const;
   OnlineTuner* tuner(const std::string& id);
   KnowledgeBase& knowledge_base() { return knowledge_; }
   const KnowledgeBase& knowledge_base() const { return knowledge_; }

@@ -55,8 +55,11 @@ struct EventLog {
   double data_size_gb = 0.0;
   std::vector<StageLog> stages;
 
+  // lint:allow(test-only-function) runtime_model_test checks log totals
   int TotalTasks() const;
+  // lint:allow(test-only-function) runtime_model_test checks log totals
   double TotalShuffleMb() const;
+  // lint:allow(test-only-function) runtime_model_test checks log totals
   double TotalSpillMb() const;
 };
 

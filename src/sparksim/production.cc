@@ -12,6 +12,9 @@ namespace sparktune {
 
 namespace {
 
+// Fraction of hourly SparkSQL tasks; the rest are daily Spark ETL jobs.
+constexpr double kSqlFraction = 0.5;
+
 // Random ETL-style DAG: source -> map chain -> shuffle stage(s) -> sink.
 WorkloadSpec RandomEtlWorkload(const std::string& name, Rng* rng) {
   WorkloadSpec w;
@@ -187,7 +190,7 @@ std::vector<ProductionTask> GenerateProductionFleet(
       BuildSparkSpace(ClusterSpec::ProductionGroup());
   for (int i = 0; i < options.num_tasks; ++i) {
     Rng task_rng = rng.Fork();
-    bool is_sql = task_rng.Bernoulli(options.sql_fraction);
+    bool is_sql = task_rng.Bernoulli(kSqlFraction);
     ProductionTask t;
     t.id = StrFormat("task-%05d", i);
     t.cluster = is_sql ? ClusterSpec::SmallSqlGroup()

@@ -27,8 +27,6 @@ struct ProductionTask {
 
 struct ProductionFleetOptions {
   int num_tasks = 2000;
-  // Fraction of hourly SparkSQL tasks; the rest are daily Spark ETL jobs.
-  double sql_fraction = 0.5;
 };
 
 // Generate `options.num_tasks` synthetic tasks. Deterministic in `seed`.

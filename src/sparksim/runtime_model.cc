@@ -10,6 +10,10 @@ namespace sparktune {
 
 namespace {
 
+// Cap on simulated per-stage sampled tasks (statistics are exact in
+// expectation; the cap bounds simulation cost).
+constexpr int kMaxSampledTasks = 96;
+
 // Compression codec characteristics (size ratio after compression, and
 // MB/s per core for compress / decompress).
 struct CodecProps {
@@ -427,7 +431,7 @@ ExecutionResult SparkSimulator::Execute(const WorkloadSpec& workload,
     log.cached = spec.cached;
 
     // Sampled per-task distributions (for meta-features).
-    int sample_n = std::min(tasks, options_.max_sampled_tasks);
+    int sample_n = std::min(tasks, kMaxSampledTasks);
     std::vector<double> durs, gcs, srs, sws, spills, cpufracs, iofracs, inputs;
     durs.reserve(sample_n);
     double gc_sec = cpu_sec * (gc_factor - 1.0) / std::max(gc_factor, 1e-9);

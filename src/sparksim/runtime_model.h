@@ -57,9 +57,6 @@ struct SimOptions {
   // Failed runs report this multiple of the elapsed time at failure
   // (retries + late kill).
   double failure_overrun = 2.0;
-  // Cap on simulated per-stage sampled tasks (statistics are exact in
-  // expectation; the cap bounds simulation cost).
-  int max_sampled_tasks = 96;
 };
 
 class SparkSimulator {

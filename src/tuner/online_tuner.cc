@@ -147,11 +147,9 @@ Observation OnlineTuner::Step() {
           tuning_iterations_ >= options_.min_iterations_before_stop &&
           !advisor_->last_was_initial() && !advisor_->last_was_agd()) {
         double incumbent = advisor_->BestObjective();
-        // In log space the raw EI is already a relative improvement (nats);
-        // otherwise normalize by the incumbent.
-        double rel_ei = advisor_->options().log_targets
-                            ? advisor_->last_raw_ei()
-                            : advisor_->last_raw_ei() / incumbent;
+        // The advisor fits in log space, so the raw EI is already a
+        // relative improvement (nats).
+        double rel_ei = advisor_->last_raw_ei();
         if (std::isfinite(incumbent) && incumbent > 0.0 &&
             rel_ei < options_.ei_stop_threshold) {
           ei_stop = true;

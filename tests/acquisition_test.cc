@@ -395,7 +395,7 @@ TEST(AcqOptimizerTest, NoSafeCandidateScoresUnsafetyOncePerCandidate) {
 TEST(AcqOptimizerTest, RejectedClimbStepsRetryWithAnnealedSigma) {
   // Regression: hill-climb draws rejected by the safe predicate used to
   // forfeit the whole step. Now each rejected draw is retried (up to
-  // max_rejected_retries times) with annealed sigma, so the safe predicate
+  // kMaxRejectedRetries times) with annealed sigma, so the safe predicate
   // is consulted strictly more often than the no-retry floor of one call
   // per candidate plus one per climb step.
   ConfigSpace space = TwoDSpace();

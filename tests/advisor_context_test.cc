@@ -1,6 +1,5 @@
 // Tests for the workload-context machinery: data-size feature vs the
-// hour-of-day/day-of-week fallback (paper §3.3, data-privacy case), plus
-// log-target surrogate behavior.
+// hour-of-day/day-of-week fallback (paper §3.3, data-privacy case).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -58,21 +57,6 @@ TEST(AdvisorContextTest, FallsBackToTimeContextWhenDataSizeHidden) {
   EXPECT_EQ(advisor.Schema().size(), space.size() + 2);
 }
 
-TEST(AdvisorContextTest, FallbackCanBeDisabled) {
-  ConfigSpace space = TinySpace();
-  AdvisorOptions opts;
-  opts.init_samples = 2;
-  opts.time_context_fallback = false;
-  Advisor advisor(&space, opts);
-  Rng rng(3);
-  for (int i = 0; i < 6; ++i) {
-    Configuration c = advisor.Suggest(-1.0, i * 1.0);
-    advisor.Observe(Obs(c, rng.Uniform(1.0, 2.0), -1.0, i * 1.0));
-  }
-  EXPECT_FALSE(advisor.using_time_context());
-  EXPECT_EQ(advisor.Schema().size(), space.size() + 1);
-}
-
 TEST(AdvisorContextTest, TimeContextEncodingIsPeriodic) {
   // TimeOfDayContext wraps daily and weekly.
   auto a = TimeOfDayContext(3.0);
@@ -82,21 +66,6 @@ TEST(AdvisorContextTest, TimeContextEncodingIsPeriodic) {
   EXPECT_NEAR(a[1], b[1], 1e-9);
   auto c = TimeOfDayContext(15.0);
   EXPECT_NE(a[0], c[0]);
-}
-
-TEST(AdvisorContextTest, LogTargetsCanBeDisabled) {
-  ConfigSpace space = TinySpace();
-  AdvisorOptions opts;
-  opts.init_samples = 2;
-  opts.log_targets = false;
-  Advisor advisor(&space, opts);
-  Rng rng(4);
-  for (int i = 0; i < 10; ++i) {
-    Configuration c = advisor.Suggest(10.0, i);
-    advisor.Observe(Obs(c, 100.0 + 50.0 * c[0], 10.0, i));
-  }
-  // Still functions and converges in linear space.
-  EXPECT_LT(advisor.BestObjective(), 150.0);
 }
 
 TEST(AdvisorContextTest, MixedVisibilityPrefersDataSize) {

@@ -127,9 +127,6 @@ TEST(CheckpointFileTest, RoundTripAndListing) {
   loaded = repo.LoadCheckpoint("task-a");
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->GetNumberOr("x", 0.0), 43.0);
-
-  ASSERT_TRUE(repo.DeleteCheckpoint("task-a").ok());
-  EXPECT_FALSE(repo.HasCheckpoint("task-a"));
 }
 
 TEST(CheckpointFileTest, TruncationAndCorruptionAreDataLoss) {
@@ -353,11 +350,8 @@ TEST(CheckpointRecoveryTest, KillRestartResumesIdenticalTrajectory) {
   FaultInjectingEvaluator eval(inner.get(), MixedFaults());
   ASSERT_TRUE(revived.RegisterTask("wc", &eval).ok());
   ASSERT_TRUE(revived.LoadRepository().ok());
-  auto report = revived.RestoreTasks();
-  ASSERT_TRUE(report.errors.empty())
-      << report.errors[0].message();
-  EXPECT_EQ(report.restored, 1);
-  EXPECT_EQ(report.fresh_starts, 0);
+  Status restored = revived.RestoreTask("wc");
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
 
   for (int i = kKillAfter; i < kTotal; ++i) {
     auto got = revived.ExecutePeriodic("wc");
@@ -395,11 +389,7 @@ TEST(CheckpointRecoveryTest, TornCheckpointFallsBackToFreshStart) {
   TuningService revived(&f.space, f.ServiceOpts(dir));
   auto inner = f.MakeInner(3);
   ASSERT_TRUE(revived.RegisterTask("wc", inner.get()).ok());
-  auto report = revived.RestoreTasks();
-  EXPECT_EQ(report.restored, 0);
-  EXPECT_EQ(report.fresh_starts, 1);
-  ASSERT_EQ(report.errors.size(), 1u);
-  EXPECT_EQ(report.errors[0].code(), Status::Code::kDataLoss);
+  EXPECT_EQ(revived.RestoreTask("wc").code(), Status::Code::kDataLoss);
 
   // The task stayed in its freshly registered state and tunes normally.
   auto obs = revived.ExecutePeriodic("wc");
@@ -602,9 +592,8 @@ TEST(CheckpointGenerationTest, ServiceRestoresFromPreviousGeneration) {
   TuningService revived(&f.space, f.ServiceOpts(dir));
   auto inner = f.MakeInner(3);
   ASSERT_TRUE(revived.RegisterTask("wc", inner.get()).ok());
-  auto report = revived.RestoreTasks();
-  EXPECT_EQ(report.restored, 1);
-  EXPECT_EQ(report.fresh_starts, 0);
+  Status restored = revived.RestoreTask("wc");
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
   // The revived task resumed at the older snapshot: 5 periods, not 8.
   EXPECT_EQ(revived.tuner("wc")->executions(), 5);
 }
@@ -665,11 +654,7 @@ TEST(CheckpointGenerationTest, ManifestOverDeletedGenerationsIsFreshStart) {
   TuningService revived(&f.space, f.ServiceOpts(dir));
   auto inner = f.MakeInner(3);
   ASSERT_TRUE(revived.RegisterTask("wc", inner.get()).ok());
-  auto report = revived.RestoreTasks();
-  EXPECT_EQ(report.restored, 0);
-  EXPECT_EQ(report.fresh_starts, 1);
-  ASSERT_EQ(report.errors.size(), 1u);
-  EXPECT_EQ(report.errors[0].code(), Status::Code::kNotFound);
+  EXPECT_EQ(revived.RestoreTask("wc").code(), Status::Code::kNotFound);
   auto obs = revived.ExecutePeriodic("wc");
   ASSERT_TRUE(obs.ok());
   EXPECT_EQ(revived.tuner("wc")->executions(), 1);
@@ -783,13 +768,14 @@ TEST(CheckpointRecoveryTest, RestoreReattachesMetaSurrogates) {
   auto sort = f.MakeInner(8);
   ASSERT_TRUE(revived.RegisterTask("wc", wc.get()).ok());
   ASSERT_TRUE(revived.RegisterTask("sort", sort.get()).ok());
-  // LoadRepository first, so RestoreTasks rebuilds the surrogate factory
+  // LoadRepository first, so RestoreTask rebuilds the surrogate factory
   // over the same harvested records the original service held in memory.
   ASSERT_TRUE(revived.LoadRepository().ok());
   EXPECT_EQ(revived.knowledge_base().size(), 2u);
-  auto report = revived.RestoreTasks();
-  ASSERT_TRUE(report.errors.empty()) << report.errors[0].message();
-  EXPECT_EQ(report.restored, 2);
+  for (const char* id : {"wc", "sort"}) {
+    Status restored = revived.RestoreTask(id);
+    ASSERT_TRUE(restored.ok()) << id << ": " << restored.ToString();
+  }
 
   // The restored checkpoint says meta was attached at the kill point.
   DataRepository repo(dir);

@@ -10,12 +10,6 @@
 namespace sparktune {
 namespace {
 
-TEST(MatrixTest, IdentityMatVec) {
-  Matrix m = Matrix::Identity(3);
-  Vector x = {1.0, 2.0, 3.0};
-  EXPECT_EQ(m.MatVec(x), x);
-}
-
 TEST(MatrixTest, MatMulKnownValue) {
   Matrix a(2, 3);
   Matrix b(3, 2);
@@ -53,13 +47,9 @@ TEST(MatrixTest, AddDiagonal) {
   EXPECT_DOUBLE_EQ(m(0, 1), 1.0);
 }
 
-TEST(VectorOps, DotAddSubScaleNorm) {
+TEST(VectorOps, Dot) {
   Vector a = {1, 2, 3}, b = {4, 5, 6};
   EXPECT_DOUBLE_EQ(Dot(a, b), 32.0);
-  EXPECT_EQ(Add(a, b), (Vector{5, 7, 9}));
-  EXPECT_EQ(Sub(b, a), (Vector{3, 3, 3}));
-  EXPECT_EQ(Scale(a, 2.0), (Vector{2, 4, 6}));
-  EXPECT_DOUBLE_EQ(Norm2({3, 4}), 5.0);
 }
 
 Matrix RandomSpd(size_t n, Rng* rng) {
@@ -92,7 +82,10 @@ TEST(CholeskyTest, SolvesLinearSystem) {
   Matrix a = RandomSpd(8, &rng);
   Vector x_true(8);
   for (auto& v : x_true) v = rng.Normal();
-  Vector b = a.MatVec(x_true);
+  Vector b(8, 0.0);
+  for (size_t r = 0; r < 8; ++r) {
+    for (size_t c = 0; c < 8; ++c) b[r] += a(r, c) * x_true[c];
+  }
   auto chol = Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
   Vector x = chol->Solve(b);
@@ -132,7 +125,7 @@ TEST(CholeskyTest, SolveMatrixColumnwise) {
   }
   auto chol = Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
-  Matrix x = chol->SolveMatrix(b);
+  Matrix x = chol->SolveUpperMatrix(chol->SolveLowerMatrix(b));
   Matrix ax = a.MatMul(x);
   for (size_t r = 0; r < 5; ++r) {
     EXPECT_NEAR(ax(r, 0), b(r, 0), 1e-8);
@@ -224,7 +217,7 @@ TEST(CholeskyTest, SolveLowerMatrixBitEqualsPerColumn) {
   auto chol = Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
   Matrix y = chol->SolveLowerMatrix(b);
-  Matrix x = chol->SolveMatrix(b);
+  Matrix x = chol->SolveUpperMatrix(chol->SolveLowerMatrix(b));
   for (size_t c = 0; c < m; ++c) {
     Vector col(n);
     for (size_t r = 0; r < n; ++r) col[r] = b(r, c);
@@ -289,7 +282,7 @@ TEST(CholeskyTest, SolveMatrixBitEqualsPerColumnOnRaggedSize) {
   }
   auto chol = Cholesky::Factor(a);
   ASSERT_TRUE(chol.ok());
-  Matrix x = chol->SolveMatrix(b);
+  Matrix x = chol->SolveUpperMatrix(chol->SolveLowerMatrix(b));
   for (size_t c = 0; c < m; ++c) {
     Vector col(n);
     for (size_t r = 0; r < n; ++r) col[r] = b(r, c);

@@ -17,4 +17,6 @@ class Ticket {
   int issued_ = 0;      // read through an accessor called outside Ticket
 };
 
+bool AnyIssued(const Ticket& t);
+
 }  // namespace lintfix

@@ -66,11 +66,27 @@ void ExpectIndexedFindings(const std::string& header, const std::string& cc,
 }
 
 // The write-only-member fixtures: a header and .cc under idx/src/ (the
-// rule covers library members only) and the test that calls the
-// accessor.
+// rule covers library members only), the test that calls the accessor,
+// and the production code that calls the methods.
 const std::vector<std::string> kBadWriteOnly = {
     "idx/src/bad_write_only.h", "idx/src/bad_write_only.cc",
-    "idx/bad_write_only_test.cc"};
+    "idx/bad_write_only_test.cc", "idx/write_only_callers.cc"};
+const std::vector<std::string> kCleanWriteOnly = {
+    "idx/src/clean_write_only.h", "idx/src/clean_write_only.cc",
+    "idx/write_only_callers.cc"};
+
+// The test-only-function fixtures: library functions under idx/src/, the
+// tests that call them, and callers under perfbench/, tests/ and bench/.
+const std::vector<std::string> kBadTestOnly = {
+    "idx/src/bad_test_only.h", "idx/src/bad_test_only.cc",
+    "idx/bad_test_only_test.cc", "idx/tests/test_only_reference.h"};
+const std::vector<std::string> kCleanTestOnly = {
+    "idx/src/clean_test_only.h",
+    "idx/src/clean_test_only.cc",
+    "idx/clean_test_only_test.cc",
+    "idx/perfbench/clean_test_only_bench.cc",
+    "idx/tests/bench_reference.h",
+    "idx/bench/bench_reference_user.cc"};
 
 std::vector<Finding> LintFixtureSet(const std::vector<std::string>& rels) {
   std::vector<std::string> paths;
@@ -268,8 +284,48 @@ TEST(LintCrossTU, WriteOnlyMembersFireAtTheirDeclarations) {
 TEST(LintCrossTU, WriteOnlyMemberCleanCounterpartStaysSilent) {
   // A value-used increment, a read through a pointer, and an accessor
   // called outside its class all count as reads.
-  ExpectIndexedFindings("idx/src/clean_write_only.h",
-                        "idx/src/clean_write_only.cc", {});
+  EXPECT_EQ(RuleLines(LintFixtureSet(kCleanWriteOnly)),
+            std::vector<RuleLine>{});
+}
+
+TEST(LintCrossTU, TestOnlyFunctionsFireAtTheirDeclarations) {
+  // Called by a test; only by itself; only by a test-only function; only
+  // by a tests/ header no bench/ file includes; a method a test calls.
+  const std::vector<Finding> findings = LintFixtureSet(kBadTestOnly);
+  EXPECT_EQ(RuleLines(findings), (std::vector<RuleLine>{
+                                     {"test-only-function", 17},
+                                     {"test-only-function", 18},
+                                     {"test-only-function", 19},
+                                     {"test-only-function", 20},
+                                     {"test-only-function", 24}}));
+  for (const Finding& f : findings) {
+    EXPECT_TRUE(f.file.ends_with("idx/src/bad_test_only.h")) << f.file;
+  }
+}
+
+TEST(LintCrossTU, TestOnlyFunctionCleanCounterpartStaysSilent) {
+  // Called from perfbench/; from a tests/ header a bench/ file includes;
+  // address taken as &Pump::Loop and as &OnTick; called as Widen<long>(1);
+  // a reasoned allow.
+  EXPECT_EQ(RuleLines(LintFixtureSet(kCleanTestOnly)),
+            std::vector<RuleLine>{});
+}
+
+TEST(LintCrossTU, TestOnlyFunctionNeedsItsProductionCaller) {
+  // Without the perfbench/ caller, or without the bench/ file that makes
+  // the tests/ header production code, that function fires.
+  const std::vector<std::pair<std::string, int>> cases = {
+      {"idx/perfbench/clean_test_only_bench.cc", 12},
+      {"idx/bench/bench_reference_user.cc", 14}};
+  for (const auto& [dropped, line] : cases) {
+    std::vector<std::string> rels;
+    for (const std::string& rel : kCleanTestOnly) {
+      if (rel != dropped) rels.push_back(rel);
+    }
+    EXPECT_EQ(RuleLines(LintFixtureSet(rels)),
+              (std::vector<RuleLine>{{"test-only-function", line}}))
+        << "without " << dropped;
+  }
 }
 
 TEST(LintCrossTU, LibraryPathIsTheInnermostTreeDirectory) {
@@ -282,6 +338,12 @@ TEST(LintCrossTU, LibraryPathIsTheInnermostTreeDirectory) {
   EXPECT_TRUE(InLibraryPath(FixturePath("idx/src/bad_write_only.h")));
   EXPECT_FALSE(InLibraryPath(FixturePath("idx/registry.h")));
   EXPECT_FALSE(InLibraryPath("advisor.h"));
+  using sparktune::lint::TreeDir;
+  EXPECT_EQ(TreeDir("/home/me/src/sparktune/perfbench/workloads.cc"),
+            "perfbench");
+  EXPECT_EQ(TreeDir(FixturePath("idx/tests/bench_reference.h")), "tests");
+  EXPECT_EQ(TreeDir(FixturePath("idx/registry.h")), "lint_fixtures");
+  EXPECT_EQ(TreeDir("advisor.h"), "");
 }
 
 TEST(LintCrossTU, AliasedMembersTriggerUnorderedMemberIter) {
@@ -403,10 +465,13 @@ TEST(LintOutput, SarifIsWellFormed) {
   EXPECT_GE(driver->Get("rules")->size(),
             sparktune::lint::RuleIds().size());
   bool names_write_only = false;
+  bool names_test_only = false;
   for (const Json& rule : driver->Get("rules")->elements()) {
     names_write_only |= rule.GetStringOr("id", "") == "write-only-member";
+    names_test_only |= rule.GetStringOr("id", "") == "test-only-function";
   }
   EXPECT_TRUE(names_write_only);
+  EXPECT_TRUE(names_test_only);
 }
 
 // ---------------------------------------------------------------------------
@@ -497,8 +562,10 @@ TEST(LintMeta, EveryRuleIdIsExercisedByTheCorpus) {
       fired.insert(finding.rule);
     }
   }
-  for (const Finding& finding : LintFixtureSet(kBadWriteOnly)) {
-    fired.insert(finding.rule);
+  for (const auto& set : {kBadWriteOnly, kBadTestOnly}) {
+    for (const Finding& finding : LintFixtureSet(set)) {
+      fired.insert(finding.rule);
+    }
   }
   for (const std::string& id : sparktune::lint::RuleIds()) {
     EXPECT_TRUE(fired.count(id)) << "rule never fired in corpus: " << id;

@@ -1,14 +1,9 @@
-// Tests for the generic black-box Optimizer facade and the event-log JSON
-// round trip.
+// Tests for the generic black-box Optimizer facade.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "bo/optimizer.h"
-#include "meta/meta_features.h"
-#include "sparksim/event_log_json.h"
-#include "sparksim/hibench.h"
-#include "sparksim/runtime_model.h"
 
 namespace sparktune {
 namespace {
@@ -125,63 +120,6 @@ TEST(OptimizerTest, StepwiseApiMatchesHistory) {
   }
   EXPECT_EQ(optimizer.history().size(), 5u);
   EXPECT_TRUE(optimizer.history().BestFeasible().has_value());
-}
-
-TEST(EventLogJsonTest, RoundTripPreservesMetaFeatures) {
-  ClusterSpec cluster = ClusterSpec::HiBenchCluster();
-  ConfigSpace space = BuildSparkSpace(cluster);
-  SimOptions sopts;
-  sopts.noise_sigma = 0.0;
-  SparkSimulator sim(cluster, sopts);
-  auto w = HiBenchTask("PageRank");
-  SparkConf conf = DecodeSparkConf(space, space.Default());
-  EventLog log = sim.Execute(*w, conf, w->input_gb, 5).event_log;
-
-  std::string lines = EventLogToJsonLines(log);
-  auto back = EventLogFromJsonLines(lines);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->app_name, log.app_name);
-  EXPECT_EQ(back->stages.size(), log.stages.size());
-  // The meta-feature pipeline sees identical inputs.
-  auto f1 = ExtractMetaFeatures(log);
-  auto f2 = ExtractMetaFeatures(*back);
-  ASSERT_EQ(f1.size(), f2.size());
-  for (size_t i = 0; i < f1.size(); ++i) {
-    EXPECT_NEAR(f1[i], f2[i], 1e-9) << MetaFeatureNames()[i];
-  }
-}
-
-TEST(EventLogJsonTest, FileRoundTrip) {
-  EventLog log;
-  log.app_name = "tiny";
-  log.is_sql = true;
-  log.data_size_gb = 3.5;
-  StageLog s;
-  s.name = "scan";
-  s.op = StageOp::kSource;
-  s.num_tasks = 4;
-  s.duration_sec = 1.5;
-  log.stages.push_back(s);
-  std::string path = "/tmp/sparktune-eventlog-test.jsonl";
-  ASSERT_TRUE(WriteEventLogFile(log, path).ok());
-  auto back = ReadEventLogFile(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->is_sql);
-  EXPECT_DOUBLE_EQ(back->data_size_gb, 3.5);
-  ASSERT_EQ(back->stages.size(), 1u);
-  EXPECT_EQ(back->stages[0].op, StageOp::kSource);
-}
-
-TEST(EventLogJsonTest, RejectsHeaderlessAndMalformed) {
-  EXPECT_FALSE(EventLogFromJsonLines("").ok());
-  EXPECT_FALSE(EventLogFromJsonLines("{\"Event\":\"StageCompleted\"}").ok());
-  EXPECT_FALSE(EventLogFromJsonLines("not json\n").ok());
-  EXPECT_FALSE(ReadEventLogFile("/nonexistent/evlog").ok());
-  // Unknown events are tolerated.
-  auto ok = EventLogFromJsonLines(
-      "{\"Event\":\"ApplicationStart\",\"App Name\":\"a\"}\n"
-      "{\"Event\":\"SparkListenerSomethingNew\"}\n");
-  EXPECT_TRUE(ok.ok());
 }
 
 }  // namespace

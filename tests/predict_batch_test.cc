@@ -5,7 +5,6 @@
 #include <cmath>
 #include <memory>
 
-#include "forest/gbdt.h"
 #include "forest/random_forest.h"
 #include "meta/meta_surrogate.h"
 #include "model/gp.h"
@@ -185,30 +184,6 @@ TEST(PredictBatchTest, EmptyForestMatchesPerPoint) {
     Prediction p = rf.Predict(probes[j]);
     EXPECT_EQ(batch[j].mean, p.mean);
     EXPECT_EQ(batch[j].variance, p.variance);
-  }
-}
-
-TEST(PredictBatchTest, GbdtMatchesPerPoint) {
-  MixedData d = MakeMixedData(90, 43);
-  std::vector<std::vector<double>> probes = MakeProbes(130, 47);
-  GbdtOptions opts;
-  opts.num_rounds = 30;
-  GbdtRegressor gbdt(opts);
-  ASSERT_TRUE(gbdt.Fit(d.x, d.y).ok());
-  std::vector<double> batch = gbdt.PredictBatch(probes);
-  ASSERT_EQ(batch.size(), probes.size());
-  for (size_t j = 0; j < probes.size(); ++j) {
-    EXPECT_EQ(batch[j], gbdt.Predict(probes[j])) << "j=" << j;
-  }
-}
-
-TEST(PredictBatchTest, EmptyGbdtMatchesPerPoint) {
-  GbdtRegressor gbdt;  // never fitted -> base prediction only
-  std::vector<std::vector<double>> probes = MakeProbes(5, 61);
-  std::vector<double> batch = gbdt.PredictBatch(probes);
-  ASSERT_EQ(batch.size(), probes.size());
-  for (size_t j = 0; j < probes.size(); ++j) {
-    EXPECT_EQ(batch[j], gbdt.Predict(probes[j]));
   }
 }
 

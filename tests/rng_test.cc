@@ -73,27 +73,6 @@ TEST_P(RngSeedTest, UniformIntCoversRangeInclusive) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST_P(RngSeedTest, GammaMoments) {
-  Rng rng(GetParam());
-  const double shape = 2.5, scale = 1.5;
-  double sum = 0.0;
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) sum += rng.Gamma(shape, scale);
-  EXPECT_NEAR(sum / n, shape * scale, 0.1);
-}
-
-TEST_P(RngSeedTest, GammaShapeBelowOne) {
-  Rng rng(GetParam());
-  double sum = 0.0;
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) {
-    double g = rng.Gamma(0.5, 2.0);
-    ASSERT_GT(g, 0.0);
-    sum += g;
-  }
-  EXPECT_NEAR(sum / n, 1.0, 0.08);
-}
-
 TEST_P(RngSeedTest, LogNormalMean) {
   Rng rng(GetParam());
   // mu = -sigma^2/2 gives E = 1.

@@ -42,41 +42,80 @@ std::string TempDir(const std::string& tag) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame codec hardening.
+// Frame codec hardening, through the decoder production runs: net::ReadFrame
+// on a socket. A stream that ends cleanly between frames is kUnavailable;
+// one cut anywhere inside a frame is kDataLoss.
 // ---------------------------------------------------------------------------
+
+struct ReadBack {
+  std::vector<net::Frame> frames;  // every frame ReadFrame returned, in order
+  Status end;                      // the status that ended the stream
+};
+
+// Pushes `bytes` through one end of a socketpair, closes it, and reads
+// frames from the other end until the stream errors (at most 64 frames).
+ReadBack ReadFramesFrom(const std::string& bytes) {
+  ReadBack out;
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    ADD_FAILURE() << "socketpair failed";
+    out.end = Status::Internal("socketpair failed");
+    return out;
+  }
+  net::UniqueFd reader(fds[0]);
+  {
+    net::UniqueFd writer(fds[1]);
+    if (!bytes.empty()) {
+      Status wrote =
+          net::WriteFull(writer.get(), bytes.data(), bytes.size(), 2000);
+      EXPECT_TRUE(wrote.ok()) << wrote.ToString();
+    }
+  }  // writer closes: the reader sees EOF after the bytes
+  for (int hop = 0; hop < 64; ++hop) {
+    auto frame = net::ReadFrame(reader.get(), /*deadline_ms=*/2000);
+    if (!frame.ok()) {
+      out.end = frame.status();
+      return out;
+    }
+    out.frames.push_back(std::move(frame).value());
+  }
+  return out;
+}
 
 TEST(FrameCodec, RoundTripAndBackToBackFrames) {
   const std::string payload = R"({"ok":true,"x":[1,2,3]})";
   std::string wire = net::EncodeFrame(net::MsgKind::kExecute, payload);
   ASSERT_EQ(wire.size(), net::kFrameHeaderBytes + payload.size());
 
-  size_t consumed = 0;
-  auto frame = net::DecodeFrame(wire, &consumed);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame->kind, net::MsgKind::kExecute);
-  EXPECT_EQ(frame->payload, payload);
-  EXPECT_EQ(consumed, wire.size());
+  ReadBack one = ReadFramesFrom(wire);
+  ASSERT_EQ(one.frames.size(), 1u) << one.end.ToString();
+  EXPECT_EQ(one.frames[0].kind, net::MsgKind::kExecute);
+  EXPECT_EQ(one.frames[0].payload, payload);
+  EXPECT_EQ(one.end.code(), Status::Code::kUnavailable);
 
-  // Two frames back to back: the first decode consumes exactly one.
-  std::string two = wire + net::EncodeFrame(net::MsgKind::kPing, "{}");
-  auto first = net::DecodeFrame(two, &consumed);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->kind, net::MsgKind::kExecute);
-  auto second = net::DecodeFrame(
-      std::string_view(two).substr(consumed), &consumed);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->kind, net::MsgKind::kPing);
-  EXPECT_EQ(second->payload, "{}");
+  // Two frames back to back: each read consumes exactly one.
+  ReadBack two =
+      ReadFramesFrom(wire + net::EncodeFrame(net::MsgKind::kPing, "{}"));
+  ASSERT_EQ(two.frames.size(), 2u) << two.end.ToString();
+  EXPECT_EQ(two.frames[0].kind, net::MsgKind::kExecute);
+  EXPECT_EQ(two.frames[0].payload, payload);
+  EXPECT_EQ(two.frames[1].kind, net::MsgKind::kPing);
+  EXPECT_EQ(two.frames[1].payload, "{}");
+  EXPECT_EQ(two.end.code(), Status::Code::kUnavailable);
 }
 
 TEST(FrameCodec, TornPrefixesAreDataLoss) {
   const std::string wire =
       net::EncodeFrame(net::MsgKind::kCheckpoint, R"({"a":1})");
-  for (size_t cut = 0; cut < wire.size(); ++cut) {
-    auto frame = net::DecodeFrame(std::string_view(wire.data(), cut));
-    ASSERT_FALSE(frame.ok()) << "cut=" << cut;
-    EXPECT_EQ(frame.status().code(), Status::Code::kDataLoss)
-        << "cut=" << cut;
+  // An empty stream is a clean close, not a torn frame.
+  ReadBack empty = ReadFramesFrom("");
+  EXPECT_TRUE(empty.frames.empty());
+  EXPECT_EQ(empty.end.code(), Status::Code::kUnavailable);
+  for (size_t cut = 1; cut < wire.size(); ++cut) {
+    ReadBack torn = ReadFramesFrom(wire.substr(0, cut));
+    EXPECT_TRUE(torn.frames.empty()) << "cut=" << cut;
+    EXPECT_EQ(torn.end.code(), Status::Code::kDataLoss)
+        << "cut=" << cut << ": " << torn.end.ToString();
   }
 }
 
@@ -87,16 +126,15 @@ TEST(FrameCodec, EveryBitFlipIsATypedError) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string corrupt = wire;
       corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << bit));
-      auto frame = net::DecodeFrame(corrupt);
+      ReadBack got = ReadFramesFrom(corrupt);
       // A flip can never decode to success: header fields are validated
       // and the payload is CRC-framed. It must come back as a typed
       // error, never a crash or over-read (ASan backs this up).
-      ASSERT_FALSE(frame.ok()) << "byte " << i << " bit " << bit;
-      const Status::Code code = frame.status().code();
+      EXPECT_TRUE(got.frames.empty()) << "byte " << i << " bit " << bit;
+      const Status::Code code = got.end.code();
       EXPECT_TRUE(code == Status::Code::kDataLoss ||
                   code == Status::Code::kInvalidArgument)
-          << "byte " << i << " bit " << bit << ": "
-          << frame.status().ToString();
+          << "byte " << i << " bit " << bit << ": " << got.end.ToString();
     }
   }
 }
@@ -148,20 +186,19 @@ TEST(FrameCodec, MalformedHeadersAreInvalidArgument) {
     auto len = net::DecodeFrameHeader(c.header, &decoded_kind, &crc);
     ASSERT_FALSE(len.ok()) << c.name;
     EXPECT_EQ(len.status().code(), Status::Code::kInvalidArgument) << c.name;
-    // The full-frame decoder agrees (padding keeps the buffer long).
-    auto frame = net::DecodeFrame(c.header + std::string(64, 'x'));
-    ASSERT_FALSE(frame.ok()) << c.name;
-    EXPECT_EQ(frame.status().code(), Status::Code::kInvalidArgument)
-        << c.name;
+    // ReadFrame agrees (padding keeps the stream long).
+    ReadBack got = ReadFramesFrom(c.header + std::string(64, 'x'));
+    EXPECT_TRUE(got.frames.empty()) << c.name;
+    EXPECT_EQ(got.end.code(), Status::Code::kInvalidArgument) << c.name;
   }
 }
 
 TEST(FrameCodec, CrcMismatchIsDataLoss) {
   std::string wire = net::EncodeFrame(net::MsgKind::kRestore, "{\"p\":1}");
   wire[wire.size() - 1] = static_cast<char>(wire[wire.size() - 1] ^ 0x01);
-  auto frame = net::DecodeFrame(wire);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), Status::Code::kDataLoss);
+  ReadBack got = ReadFramesFrom(wire);
+  EXPECT_TRUE(got.frames.empty());
+  EXPECT_EQ(got.end.code(), Status::Code::kDataLoss);
 }
 
 // ---------------------------------------------------------------------------
@@ -171,31 +208,15 @@ TEST(FrameCodec, CrcMismatchIsDataLoss) {
 // back the memory-safety half of that claim).
 // ---------------------------------------------------------------------------
 
-// Pushes `bytes` through one end of a socketpair, closes it, and reads
-// frames from the other end until the stream errors or drains.
 void ExpectTypedFrameStream(const std::string& bytes, const char* what) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  net::UniqueFd reader(fds[0]);
-  {
-    net::UniqueFd writer(fds[1]);
-    if (!bytes.empty()) {
-      ASSERT_TRUE(
-          net::WriteFull(writer.get(), bytes.data(), bytes.size(), 2000).ok())
-          << what;
-    }
-  }  // writer closes: the reader sees EOF after the garbage
   const int64_t start = net::MonotonicMs();
-  for (int hop = 0; hop < 64; ++hop) {
-    auto frame = net::ReadFrame(reader.get(), /*deadline_ms=*/2000);
-    if (frame.ok()) continue;  // a mutation can leave a decodable frame
-    const Status::Code code = frame.status().code();
-    EXPECT_TRUE(code == Status::Code::kDataLoss ||
-                code == Status::Code::kInvalidArgument ||
-                code == Status::Code::kUnavailable)
-        << what << ": " << frame.status().ToString();
-    break;
-  }
+  // A mutation can leave decodable frames; the stream must still end in
+  // a typed status.
+  const Status::Code code = ReadFramesFrom(bytes).end.code();
+  EXPECT_TRUE(code == Status::Code::kDataLoss ||
+              code == Status::Code::kInvalidArgument ||
+              code == Status::Code::kUnavailable)
+      << what << ": code " << static_cast<int>(code);
   EXPECT_LT(net::MonotonicMs() - start, 10000) << what;
 }
 
@@ -207,15 +228,8 @@ TEST(FrameCodec, FuzzRandomByteStreamsAreTypedAndBounded) {
     for (char& c : bytes) {
       c = static_cast<char>(rng.UniformInt(0, 255));
     }
-    // Random bytes essentially never carry the magic + CRC, so the decode
-    // must reject them without reading past the buffer.
-    auto direct = net::DecodeFrame(bytes);
-    if (!direct.ok()) {
-      const Status::Code code = direct.status().code();
-      EXPECT_TRUE(code == Status::Code::kDataLoss ||
-                  code == Status::Code::kInvalidArgument)
-          << "round " << round << ": " << direct.status().ToString();
-    }
+    // Random bytes essentially never carry the magic + CRC, so the read
+    // must reject them without reading past the stream.
     ExpectTypedFrameStream(bytes, "random stream");
   }
 }

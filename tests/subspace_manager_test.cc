@@ -33,7 +33,7 @@ TEST(SubspaceManagerTest, StartsAtKInitWithExpertRanking) {
 
 TEST(SubspaceManagerTest, GrowsAfterConsecutiveSuccesses) {
   ConfigSpace space = MakeSpace(20);
-  SubspaceOptions opts;  // tau_succ 3, step 2
+  SubspaceOptions opts;  // kTauSucc 3, step 2
   SubspaceManager mgr(&space, opts, {});
   mgr.ReportOutcome(true);
   mgr.ReportOutcome(true);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-shot verification gate: configure + build + ctest for the default
-# config and the UBSan config, plus an isolated run of the lint label.
-# Exits non-zero on the first failure.
+# config and the UBSan config, the benchmark's self-test, plus an isolated
+# run of the lint label. Exits non-zero on the first failure.
 #
 # Usage: tools/check.sh [--all] [extra ctest args...]
 #
@@ -81,6 +81,13 @@ rpc_smoke_chaos() {
 }
 rpc_smoke build
 rpc_smoke_chaos build
+
+# The benchmark builds the library from this checkout as a project of its
+# own (perfbench/CMakeLists.txt). Building it and running its own tests
+# here makes a library change the benchmark still relies on fail this
+# gate instead of the benchmark run.
+echo "==> [build/perfbench] perfbench/run.py --selftest"
+CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py --selftest
 
 if [[ "$ALL" -eq 1 ]]; then
   run_config build-tsan thread "$@"

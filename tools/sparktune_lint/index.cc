@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -80,6 +82,10 @@ size_t MatchForward(const std::vector<Token>& toks, size_t at) {
   return toks.size();
 }
 
+std::string NormalPath(const std::filesystem::path& p) {
+  return p.lexically_normal().generic_string();
+}
+
 size_t MatchBack(const std::vector<Token>& toks, size_t at) {
   const std::string close = toks[at].text;
   const std::string open = close == ")" ? "(" : close == "]" ? "[" : "{";
@@ -101,7 +107,27 @@ void SymbolIndex::AddFile(const std::string& path,
   // pre-pass (the one-file AddFile API used by unit tests).
   CollectAliasTokens(path, toks);
   ResolveAliases();
+  if (TreeDir(path) == "bench") CollectBenchIncludes(path, content);
   IndexTokens(path, toks, cs.notes);
+}
+
+void SymbolIndex::CollectBenchIncludes(const std::string& path,
+                                       const std::string& content) {
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  std::istringstream lines(content);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const size_t hash = line.find_first_not_of(" \t");
+    if (hash == std::string::npos || line.compare(hash, 8, "#include") != 0) {
+      continue;
+    }
+    const size_t open = line.find('"', hash);
+    const size_t close =
+        open == std::string::npos ? open : line.find('"', open + 1);
+    if (close == std::string::npos) continue;
+    bench_includes_.insert(
+        NormalPath(dir / line.substr(open + 1, close - open - 1)));
+  }
 }
 
 void SymbolIndex::AddFileOnDisk(const std::string& path) {
@@ -277,13 +303,88 @@ bool SymbolIndex::IsMemberRead(const std::string& name) const {
   if (read_members_.count(name)) return true;
   for (const AccessorReturn& a : accessor_returns_) {
     if (a.member != name) continue;
-    auto it = callers_.find(a.fn);
-    if (it == callers_.end()) continue;
-    for (const std::string& cls : it->second) {
-      if (cls != a.cls) return true;
+    auto it = calls_.find(a.fn);
+    if (it == calls_.end()) continue;
+    for (const CallSite& c : it->second) {
+      const std::string& cls =
+          c.scope < 0 ? "" : scopes_[static_cast<size_t>(c.scope)].cls;
+      if (cls != a.cls && !IsTestFile(files_[c.file])) return true;
     }
   }
   return false;
+}
+
+bool SymbolIndex::IsTestFile(const std::string& path) const {
+  if (path.ends_with("_test.cc")) return true;
+  return TreeDir(path) == "tests" && !bench_includes_.count(NormalPath(path));
+}
+
+bool SymbolIndex::HasProductionCaller(
+    const std::string& name, const std::vector<char>& test_file,
+    const std::set<std::string>& test_only) const {
+  auto it = calls_.find(name);
+  if (it == calls_.end()) return false;
+  for (const CallSite& c : it->second) {
+    if (test_file[c.file]) continue;
+    if (c.scope >= 0) {
+      // A call from the body of a src/ function still presumed test-only
+      // (its own body included) reaches nothing new.
+      const FunctionScope& body = scopes_[static_cast<size_t>(c.scope)];
+      if (InLibraryPath(files_[c.file]) &&
+          test_only.count(body.cls + "::" + body.name)) {
+        continue;
+      }
+    }
+    return true;
+  }
+  return false;
+}
+
+void SymbolIndex::ResolveCallers() {
+  std::vector<char> test_file(files_.size());
+  for (size_t f = 0; f < files_.size(); ++f) {
+    test_file[f] = IsTestFile(files_[f]);
+  }
+  // Greatest fixed point: every function starts test-only and leaves the
+  // set once production code reaches it, so a cycle of functions only
+  // tests enter stays in it.
+  std::set<std::string> only;
+  for (const auto& [key, defs] : definitions_) only.insert(key);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (auto it = only.begin(); it != only.end();) {
+      if (HasProductionCaller(definitions_.at(*it).front().name, test_file,
+                              only)) {
+        it = only.erase(it);
+        changed = true;
+      } else {
+        ++it;
+      }
+    }
+  }
+  // Report each at its declarations, or at its definition when it has
+  // none.
+  test_only_sites_.clear();
+  std::set<std::string> declared;
+  for (const FunctionSite& d : declarations_) {
+    const std::string key = d.cls + "::" + d.name;
+    declared.insert(key);
+    if (only.count(key)) test_only_sites_[d.file].push_back(d);
+  }
+  for (const std::string& key : only) {
+    if (declared.count(key)) continue;
+    for (const FunctionSite& d : definitions_.at(key)) {
+      test_only_sites_[d.file].push_back(d);
+    }
+  }
+}
+
+std::vector<FunctionSite> SymbolIndex::TestOnlyFunctionsIn(
+    const std::string& file) const {
+  auto it = test_only_sites_.find(file);
+  return it == test_only_sites_.end() ? std::vector<FunctionSite>{}
+                                      : it->second;
 }
 
 size_t SymbolIndex::member_count() const {
@@ -332,6 +433,28 @@ void SymbolIndex::IndexTokens(const std::string& path,
   };
   auto in_enum = [&]() {
     return !stack.empty() && stack.back().kind == Kind::kEnum;
+  };
+  const bool library = InLibraryPath(path);
+  // test-only-function: the function declared or defined by the head
+  // `st` (name at `name_at`), unless it is a constructor, a destructor
+  // or main.
+  auto function_site =
+      [&](const std::vector<const Token*>& st, size_t name_at,
+          const std::string& cls) -> std::optional<FunctionSite> {
+    const std::string& name = st[name_at]->text;
+    if (!library || name == cls || name == "main" ||
+        (name_at > 0 && st[name_at - 1]->text == "~")) {
+      return std::nullopt;
+    }
+    return FunctionSite{cls, name, path, st[name_at]->line};
+  };
+  auto record_declaration = [&](const std::vector<const Token*>& st,
+                                const std::string& cls) {
+    const size_t name_at = FunctionNameAt(st);
+    if (name_at == st.size()) return;
+    if (auto site = function_site(st, name_at, cls)) {
+      declarations_.push_back(std::move(*site));
+    }
   };
 
   // Extract an Rng-by-reference-accepting signature from a statement head
@@ -400,6 +523,7 @@ void SymbolIndex::IndexTokens(const std::string& path,
         if (t == "=" && angle == 0) break;
         if (t == "(" && angle == 0) {
           parse_function_head(st);
+          record_declaration(st, cls);
           return;
         }
       }
@@ -532,6 +656,12 @@ void SymbolIndex::IndexTokens(const std::string& path,
           }
           sc.body = static_cast<int>(bodies.size());
           bodies.push_back({head[name_at]->text, cls});
+          const bool out_of_class =
+              stack.empty() || stack.back().kind == Kind::kNamespace;
+          if (auto site = function_site(head, name_at, cls);
+              site && out_of_class) {
+            definitions_[cls + "::" + site->name].push_back(std::move(*site));
+          }
         }
       } else if (sc.kind != Kind::kClass && !stack.empty()) {
         sc.body = stack.back().body;  // nested blocks stay in the body
@@ -558,6 +688,7 @@ void SymbolIndex::IndexTokens(const std::string& path,
           // Free-function prototype at namespace scope (the cross-TU
           // case: Rng&-taking helpers declared in headers).
           parse_function_head(head);
+          record_declaration(head, "");
         }
         head.clear();
       }
@@ -573,7 +704,10 @@ void SymbolIndex::IndexUses(const std::string& path,
                             const std::vector<int>& body_of,
                             const std::vector<FunctionScope>& bodies,
                             const std::vector<char>& declarators) {
-  const bool test_file = path.ends_with("_test.cc");
+  const size_t file = files_.size();
+  files_.push_back(path);
+  const int scope_base = static_cast<int>(scopes_.size());
+  scopes_.insert(scopes_.end(), bodies.begin(), bodies.end());
   auto tok = [&](size_t i) -> const std::string& {
     static const std::string kEmpty;
     return i < toks.size() ? toks[i].text : kEmpty;
@@ -659,13 +793,40 @@ void SymbolIndex::IndexUses(const std::string& path,
     return false;
   };
 
+  // `name(`, `name<...>(`, or an address taken: `&Cls::name`, or `&name`
+  // after `(`, `,`, `=` or `return`.
+  auto is_call = [&](size_t i) {
+    size_t next = i + 1;
+    if (tok(next) == "<") {
+      int depth = 0;
+      for (size_t k = next; k < toks.size() && k < next + 32; ++k) {
+        const std::string& a = toks[k].text;
+        if (a == "<") ++depth;
+        if (a == ">" && --depth == 0) {
+          next = k + 1;
+          break;
+        }
+        if (a == ";" || a == "{" || a == "}" || a == "(" || a == ")") break;
+      }
+    }
+    if (tok(next) == "(") return true;
+    size_t q = i;
+    while (q >= 2 && toks[q - 1].text == "::" && IsIdent(toks[q - 2].text)) {
+      q -= 2;
+    }
+    if (q < 2 || toks[q - 1].text != "&") return false;
+    if (q < i) return true;
+    const std::string& before = toks[q - 2].text;
+    return before == "(" || before == "," || before == "=" ||
+           before == "return";
+  };
+
   for (size_t i = 0; i < toks.size(); ++i) {
     const std::string& t = toks[i].text;
     if (!IsIdent(t) || declarators[i]) continue;
     const int body = body_of[i];
-    if (tok(i + 1) == "(" && !test_file) {
-      callers_[t].insert(body >= 0 ? bodies[static_cast<size_t>(body)].cls
-                                   : "");
+    if (is_call(i)) {
+      calls_[t].push_back({file, body >= 0 ? scope_base + body : -1});
     }
     if (t.size() < 2 || t.back() != '_') continue;
     if (body >= 0) {
@@ -692,6 +853,7 @@ SymbolIndex BuildIndex(const std::vector<std::string>& paths) {
   for (const std::string& p : paths) index.CollectAliasesOnDisk(p);
   index.ResolveAliases();
   for (const std::string& p : paths) index.AddFileOnDisk(p);
+  index.ResolveCallers();
   return index;
 }
 

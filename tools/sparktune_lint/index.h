@@ -27,7 +27,17 @@
 //     the object of a statement-level mutator call (push_back, insert,
 //     clear, reset, Add, Clear, ...), a mem-initializer, any use inside
 //     SaveState/RestoreState, and the `return m_;` of an accessor that
-//     only *_test.cc files or its own class call.
+//     only test files or its own class call;
+//   * for test-only-function, every function body outside a class body
+//     under a src/ path segment, every function declaration there, and
+//     every call of each name: `name(`, `name<...>(`, or an address taken
+//     as `&Cls::name` or as `&name` after `(`, `,`, `=` or `return`, with
+//     the file and function body it sits in.
+//
+// A test file is a *_test.cc, or a file under tests/ that no bench/ file
+// #includes (bench_kernels runs tests/acquisition_reference.h, so that
+// header's calls are real callers). Every other indexed file, perfbench/
+// included, is production code.
 #pragma once
 
 #include <map>
@@ -59,6 +69,14 @@ struct FunctionRecord {
   int line = 0;
   // Parameter names declared as Rng& / Rng* (const-qualified included).
   std::vector<std::string> rng_ref_params;
+};
+
+// test-only-function: where a function is declared or defined.
+struct FunctionSite {
+  std::string cls;   // enclosing or qualifying class ("" for free functions)
+  std::string name;
+  std::string file;
+  int line = 0;
 };
 
 struct AliasRecord {
@@ -111,6 +129,17 @@ class SymbolIndex {
   std::vector<const MemberRecord*> DataMembersIn(const std::string& file) const;
   bool IsMemberRead(const std::string& name) const;
 
+  // test-only-function: find the functions defined outside a class body
+  // under src/ that no production code reaches. A call counts unless it
+  // sits in a test file or in the body of such a function (its own body
+  // included), so a helper only test-only code calls is test-only too.
+  // Call after the last AddFile (BuildIndex does).
+  void ResolveCallers();
+  // The sites in `file` at which to report them: each declaration, or
+  // the definition when there is none. Constructors, destructors,
+  // operators and main are never reported.
+  std::vector<FunctionSite> TestOnlyFunctionsIn(const std::string& file) const;
+
   size_t member_count() const;
   size_t function_count() const;
   size_t alias_count() const { return aliases_.size(); }
@@ -121,8 +150,14 @@ class SymbolIndex {
     std::string name;
     std::string cls;
   };
+  // One call of a name: the indexed file (into files_) and the function
+  // body it sits in (into scopes_; -1 outside any body).
+  struct CallSite {
+    size_t file = 0;
+    int scope = -1;
+  };
   // `return member;` in accessor `fn` of class `cls`: a read only when a
-  // file other than a *_test.cc calls `fn` from outside `cls`.
+  // file other than a test file calls `fn` from outside `cls`.
   struct AccessorReturn {
     std::string fn;
     std::string cls;
@@ -131,6 +166,18 @@ class SymbolIndex {
 
   void IndexTokens(const std::string& path, const std::vector<Token>& toks,
                    const std::map<int, Annotation>& notes);
+  // Record the quoted #includes of a bench/ file, resolved against its
+  // directory.
+  void CollectBenchIncludes(const std::string& path,
+                            const std::string& content);
+  // Whether `path` is a test file (see the header comment).
+  bool IsTestFile(const std::string& path) const;
+  // True when production code calls `name` (see ResolveCallers).
+  // `test_file[f]` classifies files_[f]; `test_only` holds the
+  // "cls::name" keys still presumed test-only.
+  bool HasProductionCaller(const std::string& name,
+                           const std::vector<char>& test_file,
+                           const std::set<std::string>& test_only) const;
   void CollectAliasTokens(const std::string& path,
                           const std::vector<Token>& toks);
   // Classify every member use and call in one file. `body_of[i]` indexes
@@ -147,9 +194,17 @@ class SymbolIndex {
   std::vector<MemberRecord> data_members_;
   std::set<std::string> read_members_;
   std::vector<AccessorReturn> accessor_returns_;
-  // Function name -> classes that call it ("" = free code), from every
-  // file but *_test.cc.
-  std::map<std::string, std::set<std::string>> callers_;
+  // test-only-function.
+  std::vector<FunctionSite> declarations_;  // under src/
+  // Qualified "cls::name" -> bodies outside a class body under src/.
+  std::map<std::string, std::vector<FunctionSite>> definitions_;
+  // Function name -> every call of it, in any indexed file.
+  std::map<std::string, std::vector<CallSite>> calls_;
+  std::vector<std::string> files_;
+  std::vector<FunctionScope> scopes_;
+  std::set<std::string> bench_includes_;  // normalized include paths
+  // ResolveCallers' report sites of test-only functions, by file.
+  std::map<std::string, std::vector<FunctionSite>> test_only_sites_;
 };
 
 // Build an index over an explicit, pre-sorted file list (CollectFiles

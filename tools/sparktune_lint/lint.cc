@@ -309,7 +309,7 @@ std::vector<Token> Tokenize(const std::string& code) {
   return toks;
 }
 
-bool InLibraryPath(const std::string& path) {
+std::string TreeDir(const std::string& path) {
   static const std::set<std::string> kTreeDirs = {
       "src",      "tests",     "bench",        "tools",
       "examples", "perfbench", "lint_fixtures"};
@@ -317,12 +317,14 @@ bool InLibraryPath(const std::string& path) {
   while (end != std::string::npos && end > 0) {
     const size_t slash = path.rfind('/', end - 1);
     const size_t begin = slash == std::string::npos ? 0 : slash + 1;
-    const std::string dir = path.substr(begin, end - begin);
-    if (kTreeDirs.count(dir)) return dir == "src";
+    std::string dir = path.substr(begin, end - begin);
+    if (kTreeDirs.count(dir)) return dir;
     end = slash;
   }
-  return false;
+  return "";
 }
+
+bool InLibraryPath(const std::string& path) { return TreeDir(path) == "src"; }
 
 // ---------------------------------------------------------------------------
 // Rule engine.
@@ -338,7 +340,7 @@ const std::vector<std::string> kRules = {
     "parallel-shared-write",
     // Cross-TU rules (phase 2, need the phase-1 index).
     "unordered-member-iter", "guard-discipline", "rng-ref-escape",
-    "write-only-member",
+    "write-only-member", "test-only-function",
 };
 
 const std::vector<RuleDoc> kRuleDocs = {
@@ -379,6 +381,9 @@ const std::vector<RuleDoc> kRuleDocs = {
                        "captured by reference in a stored lambda"},
     {"write-only-member", "cross-TU: library (src/) data member that is "
                           "written, or saved and restored, but never read"},
+    {"test-only-function", "cross-TU: function defined in src/ outside a "
+                           "class body that only tests reach (directly or "
+                           "through other such functions)"},
 };
 
 bool PathContains(const std::string& path, const std::string& needle) {
@@ -411,6 +416,7 @@ class Linter {
       CheckUnorderedMemberIteration();
       CheckRngRefEscape();
       CheckWriteOnlyMembers();
+      CheckTestOnlyFunctions();
       std::vector<Finding> guard =
           CheckGuardDiscipline(path_, toks_, *index_);
       findings_.insert(findings_.end(), guard.begin(), guard.end());
@@ -805,6 +811,18 @@ class Linter {
               " is written, or saved and restored, but never read",
           "delete it with its *State and codec fields, or justify with "
           "lint:allow(write-only-member) <reason> on the declaration");
+    }
+  }
+
+  // --- cross-TU: functions only tests call ---------------------------------
+  // Reported at the declaration: the index has seen every call in the tree.
+  void CheckTestOnlyFunctions() {
+    for (const FunctionSite& f : index_->TestOnlyFunctionsIn(path_)) {
+      const std::string name = f.cls.empty() ? f.name : f.cls + "::" + f.name;
+      Add("test-only-function", f.line,
+          "function '" + name + "' is defined in src/ but only tests reach it",
+          "delete it with the tests that only check it, or justify with "
+          "lint:allow(test-only-function) <reason> on the declaration");
     }
   }
 

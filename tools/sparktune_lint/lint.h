@@ -11,8 +11,9 @@
 //                    members with declared types (unordered containers,
 //                    mutexes), lint:guarded-by annotations attached to
 //                    declarations, function signatures that accept
-//                    Rng by reference or pointer, and whether any use
-//                    of each member name reads it.
+//                    Rng by reference or pointer, whether any use of
+//                    each member name reads it, and who calls each
+//                    function.
 //   Phase 2 (check)  re-run the rule engine per file with the index in
 //                    hand, which is what lets the cross-TU rules see a
 //                    member declared in one header and misused in a
@@ -70,6 +71,12 @@
 //                      write, a copy in SaveState/RestoreState, or the
 //                      return of an accessor only tests or its own class
 //                      call (index.h lists the uses that are not reads);
+//                      reported at the declaration
+//   test-only-function a function defined in src/ outside a class body
+//                      whose only callers are test files (index.h), its
+//                      own body, or other such functions; calls from
+//                      perfbench/ and from tests/ headers a bench/ file
+//                      includes count, and so does taking its address;
 //                      reported at the declaration
 //
 // Suppressions: `// lint:allow(<rule-id>) <reason>` on the finding's line
@@ -136,10 +143,14 @@ struct CleanedSource {
 CleanedSource CleanSource(const std::string& src);
 std::vector<Token> Tokenize(const std::string& code);
 
-// Library code, for the rules scoped to it (no-abort, write-only-member):
-// the innermost directory of `path` named src, tests, bench, tools,
-// examples, perfbench or lint_fixtures is src. The innermost one decides,
-// so a checkout that itself sits under some ~/src/ is not all library.
+// The innermost directory of `path` named src, tests, bench, tools,
+// examples, perfbench or lint_fixtures; "" when there is none. The
+// innermost one decides, so a checkout that itself sits under some ~/src/
+// is not all library.
+std::string TreeDir(const std::string& path);
+
+// Library code, for the rules scoped to it (no-abort, write-only-member,
+// test-only-function): TreeDir(path) is src.
 bool InLibraryPath(const std::string& path);
 
 // ---------------------------------------------------------------------------
@@ -172,7 +183,7 @@ std::vector<Finding> LintFile(const std::string& path,
 
 // Phase-2 entry point: per-file rules plus the cross-TU rules
 // (unordered-member-iter, guard-discipline, rng-ref-escape,
-// write-only-member) when `index` is non-null.
+// write-only-member, test-only-function) when `index` is non-null.
 std::vector<Finding> LintFileWithIndex(const std::string& path,
                                        const std::string& content,
                                        const SymbolIndex* index);

@@ -4,8 +4,8 @@
 //                  [--fix] [--fix-user=<name>] [--list-rules]
 //                  [--schema-check] [path ...]
 //
-// With no explicit paths, walks src/, bench/, tests/, tools/, and
-// examples/ under --root (default: current directory) in two phases:
+// With no explicit paths, walks src/, bench/, tests/, tools/, examples/
+// and perfbench/ under --root (default: current directory) in two phases:
 // build the symbol index over every file, then lint each file with the
 // index (which enables the cross-TU rules — see lint.h). Explicit paths
 // may be files or directories; they are indexed together, so a two-file
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   if (paths.empty()) {
     files = sparktune::lint::CollectFiles(
-        root, {"src", "bench", "tests", "tools", "examples"});
+        root, {"src", "bench", "tests", "tools", "examples", "perfbench"});
   } else {
     for (const std::string& p : paths) {
       std::error_code ec;
