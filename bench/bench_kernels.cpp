@@ -7,18 +7,22 @@
 //     factorization against their naive loops (upper_solve, syrk_factor);
 //   * batched inference at --n training rows and --m probes: the columnar
 //     MixedKernel row against per-row EvalRow on random probes
-//     (kernel_batch, no column shared) and on the pool of one sub-space
-//     search in the Spark space, whose probes share every pinned column
-//     and the data size (kernel_pool), and one PredictBatch call against
-//     a per-point Predict loop for the GP, the meta ensemble and the
-//     random forest, with fixed GP hyperparameters (gp_predict,
-//     meta_predict, forest_predict);
+//     (kernel_batch, no column shared); on the pool of one sub-space
+//     search in the Spark space, the kernel values from the training rows
+//     conditioned on the sub-space (ConditionedRows: the free columns and
+//     the nonzero pinned terms only, one data-size factor per row) against
+//     the columnar path over the pool's full features, which that search
+//     used before (kernel_pool); and one PredictBatch call against a
+//     per-point Predict loop for the GP, the meta ensemble and the random
+//     forest, with fixed GP hyperparameters (gp_predict, meta_predict,
+//     forest_predict);
 //   * acquisition scoring in the Spark space, over a sub-space with nine
-//     free parameters: a runtime-constrained, safety-on maximization
-//     through the safety hooks wired as the advisor wired them before the
-//     candidate scorer, each candidate encoded in all 30 coordinates,
-//     against EicScorer with the advisor's SubspaceEncoder (acq_score);
-//     and the same with nothing safe, where the hooks score unsafety in a
+//     free parameters: a runtime-constrained, safety-on maximization with
+//     EicScorer against the scorer before it predicted from conditioned
+//     rows, which encodes all 31 features of every candidate and walks
+//     them for every training row (acq_score); and the same with nothing
+//     safe against the safety hooks wired as the advisor wired them
+//     before the candidate scorer, where the hooks score unsafety in a
 //     second full pass and EicScorer reuses the screen's runtime bounds
 //     (acq_fallback).
 //
@@ -35,8 +39,10 @@
 // sizes n=101, m=53, one rep — the CI mode). --n=512 --m=500 is the
 // acquisition-pool shape of the batched-inference headline.
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -305,6 +311,57 @@ KernelRow BenchKernelBatch(const char* name,
   return row;
 }
 
+// kernel_pool: the cross-kernel matrix of a sub-space pool through the
+// columnar path over its full features (reference) and from the training
+// rows conditioned on the sub-space (fast), both built from scratch per
+// timing, as one search builds them.
+KernelRow BenchKernelPool(const std::vector<FeatureKind>& schema,
+                          const std::vector<std::vector<double>>& train,
+                          const Subspace& sub,
+                          const std::vector<double>& context,
+                          const std::vector<Configuration>& pool, int reps) {
+  KernelRow row{"kernel_pool"};
+  MixedKernel kernel(schema);
+  const size_t n = train.size();
+  const size_t m = pool.size();
+  const SubspaceEncoder encode(sub, context);
+  const size_t k = encode.num_free();
+  std::vector<double> full(n * m), conditioned(n * m);
+  row.naive_ms = TimeMs(reps, [&] {
+    std::vector<std::vector<double>> probes;
+    probes.reserve(m);
+    for (const Configuration& c : pool) {
+      probes.push_back(EncodeFeatures(sub.space(), c, context));
+    }
+    const MixedKernel::ProbeColumns cols = kernel.PackProbes(probes);
+    MixedKernel::ColumnarScratch scratch;
+    for (size_t i = 0; i < n; ++i) {
+      kernel.EvalRowColumnar(train[i], cols, &scratch, full.data() + i * m);
+    }
+    g_sink += full[0];
+  });
+  row.fast_ms = TimeMs(reps, [&] {
+    std::vector<double> cols(k * m);
+    for (size_t j = 0; j < m; ++j) encode(pool[j], cols.data() + j, m);
+    const ConditionedRows view(kernel, train, encode.subspace().base,
+                               encode.subspace().free);
+    std::vector<double> num_d2(m), mismatches(m);
+    for (size_t i = 0; i < n; ++i) {
+      view.RowStats(i, cols.data(), m, num_d2.data(), mismatches.data());
+      kernel.EvalConditionedRow(num_d2.data(), mismatches.data(), m,
+                                kernel.DataSizeFactorOf(view.datasize_d2(i)),
+                                conditioned.data() + i * m);
+    }
+    g_sink += conditioned[0];
+  });
+  row.bit_identical = full.size() == conditioned.size();
+  for (size_t t = 0; row.bit_identical && t < full.size(); ++t) {
+    row.bit_identical = std::bit_cast<uint64_t>(full[t]) ==
+                        std::bit_cast<uint64_t>(conditioned[t]);
+  }
+  return row;
+}
+
 // A per-point Predict loop (the reference) against one PredictBatch call.
 KernelRow BenchPredictBatch(const char* name, const Surrogate& s,
                             const std::vector<std::vector<double>>& probes,
@@ -339,18 +396,28 @@ void AddInferenceRows(size_t n, size_t m, int reps,
   // kernel_pool: the probes of one sub-space search in the Spark space
   // (23 numeric and 7 categorical features in slot order, then the data
   // size). They share every pinned coordinate and the data size and vary
-  // in the nine free ones, so the columnar path computes each shared
-  // column's term once per training row and one data-size factor per row.
+  // in the nine free ones. The reference is the columnar path over their
+  // full features; the fast path conditions the training rows on the
+  // sub-space once and streams each row's statistics over the free
+  // columns, as the scorer's pool does.
+  // Half the training rows come from the sub-space, as the history rows
+  // that share the incumbent's pinned values do, so their pinned terms
+  // are zero.
   const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
   const std::vector<FeatureKind> spark = BuildFeatureSchema(space, 1);
   Rng pool_rng(4343);
-  const Dataset pool_train = SparkDataset(space, n, &pool_rng);
   const Subspace sub = ExpertSubspace(&space, space.Sample(&pool_rng));
-  const SubspaceEncoder encode(sub, {NormalizeDataSize(200.0, 1024.0)});
-  std::vector<std::vector<double>> pool;
-  for (size_t j = 0; j < m; ++j) pool.push_back(encode(sub.Sample(&pool_rng)));
-  rows->push_back(BenchKernelBatch("kernel_pool", spark, pool_train.x, pool,
-                                   reps));
+  std::vector<std::vector<double>> pool_train;
+  for (size_t i = 0; i < n; ++i) {
+    const Configuration c =
+        i % 2 == 0 ? sub.Sample(&pool_rng) : space.Sample(&pool_rng);
+    pool_train.push_back(EncodeFeatures(
+        space, c, {NormalizeDataSize(pool_rng.Uniform(1.0, 1000.0), 1024.0)}));
+  }
+  const std::vector<double> context = {NormalizeDataSize(200.0, 1024.0)};
+  std::vector<Configuration> pool;
+  for (size_t j = 0; j < m; ++j) pool.push_back(sub.Sample(&pool_rng));
+  rows->push_back(BenchKernelPool(spark, pool_train, sub, context, pool, reps));
 
   // Fixed hyperparameters: the rows isolate inference cost.
   GpOptions gp_opts;
@@ -390,14 +457,15 @@ void AddInferenceRows(size_t n, size_t m, int reps,
 // 579-candidate pool over ExpertSubspace in the Spark space, pinned at
 // a history row, with the data size; GPs for the objective and the log
 // runtime fitted on 60 encoded configurations; a 10-row history, half of
-// it inside the sub-space. The reference is the hook wiring
-// (tests/acquisition_reference.h), which encodes all 30 coordinates of
-// every candidate; the fast path is EicScorer with the advisor's
+// it inside the sub-space. The fast path is EicScorer with the advisor's
 // SubspaceEncoder. acq_score screens by the runtime bound at the median
-// training value. acq_fallback leaves nothing safe: a positive threshold
+// training value, against the scorer before conditioned rows
+// (tests/acquisition_reference.h), which predicts from every candidate's
+// full features. acq_fallback leaves nothing safe: a positive threshold
 // under every upper bound, and an R(x) bound at the median resource rate
-// of the sub-space, so the hooks score unsafety in a second full pass
-// while EicScorer reuses the screen's bounds and predicts only the
+// of the sub-space. Its reference is the hook wiring, which encodes all
+// 30 coordinates of every candidate and scores unsafety in a second full
+// pass, while EicScorer reuses the screen's bounds and predicts only the
 // candidates R(x) rejected.
 KernelRow BenchAcquisition(const char* name, bool nothing_safe, int reps) {
   const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
@@ -448,18 +516,23 @@ KernelRow BenchAcquisition(const char* name, bool nothing_safe, int reps) {
     std::sort(rates.begin(), rates.end());
     safe.resource_max = rates[rates.size() / 2];
   }
-  const EicScorer safe_scorer(SubspaceEncoder(sub, context), safe);
   const AcquisitionOptimizer optimizer;
   KernelRow row{name};
   AcqOptResult hooks, scored;
   row.naive_ms = TimeMs(reps, [&] {
     Rng acq_rng(42);
-    hooks = reference::MaximizeWithHooks(optimizer, sub, encode, safe,
-                                         &history, &acq_rng);
+    if (nothing_safe) {
+      hooks = reference::MaximizeWithHooks(optimizer, sub, encode, safe,
+                                           &history, &acq_rng);
+    } else {
+      const reference::FullFeatureScorer before(encode, safe);
+      hooks = optimizer.Maximize(sub, before, &history, &acq_rng);
+    }
   });
   row.fast_ms = TimeMs(reps, [&] {
     Rng acq_rng(42);
-    scored = optimizer.Maximize(sub, safe_scorer, &history, &acq_rng);
+    const EicScorer scorer(SubspaceEncoder(sub, context), safe);
+    scored = optimizer.Maximize(sub, scorer, &history, &acq_rng);
   });
   if (scored.safe_fallback_used != nothing_safe) {
     std::fprintf(stderr, "bench_kernels: %s: the fallback %s\n", name,

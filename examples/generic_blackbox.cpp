@@ -44,8 +44,8 @@ int main() {
   (void)space.Add(Parameter::Categorical("compaction_style",
                                          {"level", "universal"}, 0));
 
+  constexpr int kBudget = 30;
   OptimizerOptions opts;
-  opts.budget = 30;
   opts.safety_bound = 120.0;  // never tolerate >120 ms while tuning live
   opts.beta = 0.5;            // trade latency against memory cost
   opts.resource_fn = [&space](const Configuration& c) {
@@ -57,7 +57,7 @@ int main() {
   Optimizer optimizer(&space, opts);
   TablePrinter table({"iter", "buffer_gb", "threads", "style",
                       "latency(ms)", "status"});
-  for (int i = 0; i < opts.budget; ++i) {
+  for (int i = 0; i < kBudget; ++i) {
     Configuration c = optimizer.Suggest();
     double latency = LatencyMs(space, c);
     optimizer.Observe(c, latency);

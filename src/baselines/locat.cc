@@ -81,12 +81,14 @@ RunHistory Locat::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
           }
         }
         incumbent = std::log(std::max(incumbent, 1e-9));
-        auto enc = [&](const Configuration& c) { return encode(c, hint); };
         EicScorerOptions scoring;
         scoring.objective = &gp;
         scoring.incumbent = incumbent;
+        const std::vector<double> context = {
+            NormalizeDataSize(std::max(0.0, hint), ds_ref)};
         AcqOptResult res = acq_opt.Maximize(
-            sub, EicScorer(enc, scoring), &history, &rng);
+            sub, EicScorer(SubspaceEncoder(sub, context), scoring), &history,
+            &rng);
         next = res.config;
       } else {
         next = space.Sample(&rng);

@@ -79,14 +79,12 @@ RunHistory Tuneful::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
           }
         }
         incumbent = std::log(std::max(incumbent, 1e-9));
-        auto encode = [&](const Configuration& c) {
-          return space.ToUnit(c);
-        };
         EicScorerOptions scoring;
         scoring.objective = &gp;
         scoring.incumbent = incumbent;
         AcqOptResult res = acq_opt.Maximize(
-            sub, EicScorer(encode, scoring), &history, &rng);
+            sub, EicScorer(SubspaceEncoder(sub, {}), scoring), &history,
+            &rng);
         next = res.config;
       } else {
         next = space.Sample(&rng);

@@ -122,10 +122,26 @@ std::vector<double> EicAcquisition::EvalBatch(
   return out;
 }
 
-EicScorer::EicScorer(EncodeFn encode, EicScorerOptions options)
-    : encode_(std::move(encode)), options_(std::move(options)) {
+EicScorer::EicScorer(SubspaceEncoder encode, EicScorerOptions options)
+    : encode_(std::move(encode)),
+      options_(std::move(options)),
+      free_(encode_.num_free()) {
   assert(options_.objective != nullptr);
   assert(!options_.resource_fn || options_.resource_max > 0.0);
+  const FeatureSubspace& sub = encode_.subspace();
+  const ConditionedRows* shared = nullptr;
+  if (options_.runtime.surrogate != nullptr) {
+    runtime_ = options_.runtime.surrogate->Condition(sub, nullptr);
+    shared = runtime_->rows();
+  }
+  objective_ = options_.objective->Condition(sub, shared);
+  shares_stats_ = shared != nullptr && objective_->rows() == shared;
+  if (runtime_ != nullptr && runtime_->rows() != nullptr) {
+    runtime_stats_.resize(runtime_->rows()->size());
+  }
+  if (!shares_stats_ && objective_->rows() != nullptr) {
+    objective_stats_.resize(objective_->rows()->size());
+  }
 }
 
 bool EicScorer::ResourceOk(const Configuration& c) const {
@@ -154,58 +170,91 @@ double EicScorer::Eic(const Prediction& objective,
                                options_.runtime.threshold);
 }
 
+std::vector<double> EicScorer::FreeColumns(
+    const std::vector<Configuration>& cs,
+    const std::vector<size_t>& idx) const {
+  std::vector<double> cols(encode_.num_free() * idx.size());
+  if (cols.empty()) return cols;  // no free feature: nothing to encode
+  for (size_t t = 0; t < idx.size(); ++t) {
+    encode_(cs[idx[t]], cols.data() + t, idx.size());
+  }
+  return cols;
+}
+
+const KernelPairStats* EicScorer::StatsFor(
+    const ConditionedSurrogate& model,
+    std::vector<KernelPairStats>* scratch) const {
+  const ConditionedRows* rows = model.rows();
+  if (rows == nullptr) return nullptr;
+  rows->Stats(free_.data(), scratch->data());
+  return scratch->data();
+}
+
+Prediction EicScorer::PredictObjective(
+    const KernelPairStats* runtime_stats) const {
+  const KernelPairStats* stats = shares_stats_
+                                     ? runtime_stats
+                                     : StatsFor(*objective_, &objective_stats_);
+  return objective_->Predict(free_.data(), stats);
+}
+
 CandidateScore EicScorer::Score(const Configuration& c) const {
   if (!ResourceOk(c)) return {false, 0.0};
-  const std::vector<double> x = encode_(c);
+  encode_(c, free_.data());
+  const KernelPairStats* runtime_stats = nullptr;
   std::optional<Prediction> rt;
-  if (options_.runtime.surrogate != nullptr) {
-    rt = options_.runtime.surrogate->Predict(x);
+  if (runtime_ != nullptr) {
+    runtime_stats = StatsFor(*runtime_, &runtime_stats_);
+    rt = runtime_->Predict(free_.data(), runtime_stats);
     if (options_.safety && !InSafeRegion(*rt)) return {false, 0.0};
   }
-  return {true, Eic(options_.objective->Predict(x), rt ? &*rt : nullptr)};
+  return {true, Eic(PredictObjective(runtime_stats), rt ? &*rt : nullptr)};
 }
 
 std::vector<CandidateScore> EicScorer::ScoreBatch(
     const std::vector<Configuration>& cs) const {
   std::vector<CandidateScore> out(cs.size(), CandidateScore{false, 0.0});
-  // The candidates still in the running: pool indices, features and
-  // runtime predictions.
+  // The candidates still in the running: pool indices, free feature
+  // columns and runtime predictions.
   std::vector<size_t> idx;
-  std::vector<std::vector<double>> xs;
   idx.reserve(cs.size());
-  xs.reserve(cs.size());
   for (size_t i = 0; i < cs.size(); ++i) {
-    if (!ResourceOk(cs[i])) continue;
-    idx.push_back(i);
-    xs.push_back(encode_(cs[i]));
+    if (ResourceOk(cs[i])) idx.push_back(i);
   }
-  const Surrogate* runtime = options_.runtime.surrogate;
+  std::vector<double> cols = FreeColumns(cs, idx);
   std::vector<Prediction> rt;
-  if (runtime != nullptr) {
-    rt = runtime->PredictBatch(xs);
+  if (runtime_ != nullptr) {
+    rt = runtime_->PredictBatch(cols.data(), idx.size());
     if (options_.safety) {
-      size_t kept = 0;
-      for (size_t t = 0; t < idx.size(); ++t) {
+      const size_t m = idx.size();
+      std::vector<size_t> safe;
+      for (size_t t = 0; t < m; ++t) {
         // Within R(x), the resource term of Unsafety is exactly 0.
         out[idx[t]].unsafety = std::max(0.0, RuntimeViolation(rt[t]));
-        if (!InSafeRegion(rt[t])) continue;
-        if (kept != t) {
-          idx[kept] = idx[t];
-          xs[kept] = std::move(xs[t]);
-          rt[kept] = rt[t];
+        if (InSafeRegion(rt[t])) safe.push_back(t);
+      }
+      const size_t kept = safe.size();
+      std::vector<double> safe_cols(encode_.num_free() * kept);
+      for (size_t s = 0; s < encode_.num_free(); ++s) {
+        for (size_t u = 0; u < kept; ++u) {
+          safe_cols[s * kept + u] = cols[s * m + safe[u]];
         }
-        ++kept;
+      }
+      for (size_t u = 0; u < kept; ++u) {
+        idx[u] = idx[safe[u]];
+        rt[u] = rt[safe[u]];
       }
       idx.resize(kept);
-      xs.resize(kept);
       rt.resize(kept);
+      cols = std::move(safe_cols);
     }
   }
   if (idx.empty()) return out;
-  const std::vector<Prediction> obj = options_.objective->PredictBatch(xs);
+  const std::vector<Prediction> obj =
+      objective_->PredictBatch(cols.data(), idx.size());
   for (size_t t = 0; t < idx.size(); ++t) {
     out[idx[t]].safe = true;
-    out[idx[t]].acq = Eic(obj[t], runtime != nullptr ? &rt[t] : nullptr);
+    out[idx[t]].acq = Eic(obj[t], runtime_ != nullptr ? &rt[t] : nullptr);
   }
   return out;
 }
@@ -220,12 +269,12 @@ std::vector<double> EicScorer::Unsafety(
           out[i], options_.resource_fn(cs[i]) / options_.resource_max - 1.0);
     }
   }
-  const Surrogate* runtime = options_.runtime.surrogate;
-  if (runtime == nullptr) return out;
-  std::vector<std::vector<double>> xs;
-  xs.reserve(cs.size());
-  for (const Configuration& c : cs) xs.push_back(encode_(c));
-  const std::vector<Prediction> p = runtime->PredictBatch(xs);
+  if (runtime_ == nullptr) return out;
+  std::vector<size_t> all(cs.size());
+  for (size_t i = 0; i < cs.size(); ++i) all[i] = i;
+  const std::vector<double> cols = FreeColumns(cs, all);
+  const std::vector<Prediction> p =
+      runtime_->PredictBatch(cols.data(), cs.size());
   for (size_t i = 0; i < cs.size(); ++i) {
     out[i] = std::max(out[i], RuntimeViolation(p[i]));
   }
@@ -233,7 +282,10 @@ std::vector<double> EicScorer::Unsafety(
 }
 
 double EicScorer::RawEi(const Configuration& c) const {
-  const Prediction p = options_.objective->Predict(encode_(c));
+  encode_(c, free_.data());
+  // Shared statistics are the runtime surrogate's to compute.
+  const Prediction p = PredictObjective(
+      shares_stats_ ? StatsFor(*runtime_, &runtime_stats_) : nullptr);
   return ExpectedImprovement(p.mean, p.variance, options_.incumbent);
 }
 

@@ -5,9 +5,12 @@
 
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "model/features.h"
+#include "model/kernel.h"
 #include "model/surrogate.h"
 #include "space/config_space.h"
 
@@ -93,8 +96,9 @@ struct CandidateScore {
 };
 
 // Scores acquisition candidates for AcquisitionOptimizer::Maximize.
-// Implementations keep no mutable state: a candidate's score never depends
-// on which candidates were scored before it.
+// A candidate's score never depends on which candidates were scored before
+// it: implementations keep no mutable state beyond scratch buffers that
+// each call overwrites before reading.
 class CandidateScorer {
  public:
   virtual ~CandidateScorer() = default;
@@ -133,17 +137,19 @@ struct EicScorerOptions {
   double gamma = 0.5;
 };
 
-// The production scorer. Per candidate: one R(x) check, then one encode
-// and one prediction per surrogate. The one runtime prediction gives the
-// Eq. 8 test, the EIC factor Phi((threshold - mu) / sigma) and, with
-// safety on, the candidate's unsafety; the objective is predicted only for
-// a safe candidate. The advisor builds one per searched sub-space, with a
-// SubspaceEncoder for that sub-space.
+// The production scorer, for the candidates of one sub-space search. Per
+// candidate: one R(x) check, then the k free features and one prediction
+// per surrogate. The one runtime prediction gives the Eq. 8 test, the EIC
+// factor Phi((threshold - mu) / sigma) and, with safety on, the
+// candidate's unsafety; the objective is predicted only for a safe
+// candidate. Each surrogate is conditioned on the sub-space once, at
+// construction (Surrogate::Condition): when the objective is fit on the
+// runtime GP's rows (the advisor's two GPs, or its meta-ensemble's
+// current-task GP), a climb step computes the rows' statistics once for
+// both. The pool streams each surrogate's statistics row by row.
 class EicScorer final : public CandidateScorer {
  public:
-  using EncodeFn = std::function<std::vector<double>(const Configuration&)>;
-
-  EicScorer(EncodeFn encode, EicScorerOptions options);
+  EicScorer(SubspaceEncoder encode, EicScorerOptions options);
 
   // One encode pass and one PredictBatch per surrogate over the pool. With
   // safety on, a candidate that passed R(x) carries its unsafety.
@@ -169,9 +175,30 @@ class EicScorer final : public CandidateScorer {
   // EIC (Eq. 6) from the candidate's predictions; null: no runtime
   // constraint.
   double Eic(const Prediction& objective, const Prediction* runtime) const;
+  // The free features of cs[idx[t]] for every t, feature-major.
+  std::vector<double> FreeColumns(const std::vector<Configuration>& cs,
+                                  const std::vector<size_t>& idx) const;
+  // The statistics `model` reads for the candidate in free_, computed
+  // into `scratch`; null when it reads none.
+  const KernelPairStats* StatsFor(const ConditionedSurrogate& model,
+                                  std::vector<KernelPairStats>* scratch) const;
+  // The objective's prediction for the candidate in free_; `runtime_stats`
+  // is what StatsFor gave the runtime surrogate for it, if it ran.
+  Prediction PredictObjective(const KernelPairStats* runtime_stats) const;
 
-  EncodeFn encode_;
+  SubspaceEncoder encode_;
   EicScorerOptions options_;
+  // The surrogates conditioned on the sub-space; no runtime surrogate
+  // without a runtime constraint.
+  std::unique_ptr<ConditionedSurrogate> runtime_;
+  std::unique_ptr<ConditionedSurrogate> objective_;
+  // Whether the objective reads the runtime surrogate's statistics.
+  bool shares_stats_ = false;
+  // Per-candidate scratch of Score and RawEi: the free features and each
+  // surrogate's row statistics.
+  mutable std::vector<double> free_;
+  mutable std::vector<KernelPairStats> runtime_stats_;
+  mutable std::vector<KernelPairStats> objective_stats_;
 };
 
 }  // namespace sparktune

@@ -400,8 +400,8 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
   }
   scoring.safety = options_.enable_safety;
   scoring.gamma = options_.safety_gamma;
-  // One scorer per searched sub-space: its encoder holds that sub-space's
-  // base features, so a candidate re-encodes only its free coordinates.
+  // One scorer per searched sub-space: it conditions both surrogates on
+  // the sub-space once, so a candidate costs its k free coordinates.
   const std::vector<double> context = Context(datasize_hint_gb, hours_hint);
   auto maximize = [&](const Subspace& s) {
     const EicScorer scorer(SubspaceEncoder(s, context), scoring);

@@ -62,34 +62,4 @@ void Optimizer::Observe(const Configuration& config, double value) {
   advisor_.Observe(std::move(obs));
 }
 
-OptimizerReport Optimizer::Minimize(const ObjectiveFn& fn) {
-  OptimizerReport report;
-  for (int i = 0; i < options_.budget; ++i) {
-    Configuration c = Suggest();
-    double value = fn(c);
-    Observe(c, value);
-    ++report.evaluations;
-    if (std::isfinite(value) && value > options_.safety_bound) {
-      ++report.violations;
-    }
-  }
-  const RunHistory& h = advisor_.history();
-  int best = h.BestFeasibleIndex();
-  if (best >= 0) {
-    report.best_config = h.config(static_cast<size_t>(best));
-    report.best_value = h.runtime_sec(static_cast<size_t>(best));
-  } else if (!h.empty()) {
-    // Nothing feasible: return the smallest observed value anyway.
-    double best_val = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < h.size(); ++i) {
-      if (!h.failed(i) && h.runtime_sec(i) < best_val) {
-        best_val = h.runtime_sec(i);
-        report.best_config = h.config(i);
-        report.best_value = best_val;
-      }
-    }
-  }
-  return report;
-}
-
 }  // namespace sparktune

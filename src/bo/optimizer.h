@@ -18,7 +18,6 @@
 namespace sparktune {
 
 struct OptimizerOptions {
-  int budget = 30;
   // Safe exploration bound: observed values are expected to stay at or
   // below this (infinity = unconstrained).
   double safety_bound = std::numeric_limits<double>::infinity();
@@ -30,26 +29,13 @@ struct OptimizerOptions {
   uint64_t seed = 1;
 };
 
-struct OptimizerReport {
-  Configuration best_config;
-  double best_value = std::numeric_limits<double>::infinity();
-  int evaluations = 0;
-  int violations = 0;  // observations above the safety bound
-};
-
 class Optimizer {
  public:
-  // The black box: returns the value to minimize. Throwing is not
-  // supported; encode failures as +infinity (they are treated as failed,
-  // penalized observations).
-  using ObjectiveFn = std::function<double(const Configuration&)>;
-
   Optimizer(const ConfigSpace* space, OptimizerOptions options);
 
-  // Run the full budget and return the best found.
-  OptimizerReport Minimize(const ObjectiveFn& fn);
-
-  // Step-wise API for callers that own the evaluation loop.
+  // The caller owns the evaluation loop: Suggest, evaluate the black box,
+  // Observe its value. Encode a failed evaluation as +infinity: it is
+  // recorded as a failed, penalized observation.
   Configuration Suggest();
   void Observe(const Configuration& config, double value);
 

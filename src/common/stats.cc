@@ -19,9 +19,13 @@ double Mean(const std::vector<double>& v) {
 
 double Variance(const std::vector<double>& v) {
   if (v.size() < 2) return 0.0;
-  double m = Mean(v);
+  return Variance(v, Mean(v));
+}
+
+double Variance(const std::vector<double>& v, double mean) {
+  if (v.size() < 2) return 0.0;
   double acc = 0.0;
-  for (double x : v) acc += (x - m) * (x - m);
+  for (double x : v) acc += (x - mean) * (x - mean);
   return acc / static_cast<double>(v.size());
 }
 
@@ -37,25 +41,21 @@ double Max(const std::vector<double>& v) {
   return *std::max_element(v.begin(), v.end());
 }
 
-double Quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
+double SortedQuantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  std::sort(v.begin(), v.end());
-  double pos = q * static_cast<double>(v.size() - 1);
+  double pos = q * static_cast<double>(sorted.size() - 1);
   size_t lo = static_cast<size_t>(pos);
-  size_t hi = std::min(lo + 1, v.size() - 1);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double Skewness(const std::vector<double>& v) {
-  if (v.size() < 3) return 0.0;
-  double m = Mean(v);
-  double s = Stddev(v);
-  if (s <= 0.0) return 0.0;
+double Skewness(const std::vector<double>& v, double mean, double stddev) {
+  if (v.size() < 3 || stddev <= 0.0) return 0.0;
   double acc = 0.0;
   for (double x : v) {
-    double z = (x - m) / s;
+    double z = (x - mean) / stddev;
     acc += z * z * z;
   }
   return acc / static_cast<double>(v.size());

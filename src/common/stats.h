@@ -10,14 +10,18 @@ namespace sparktune {
 double Mean(const std::vector<double>& v);
 // Population variance/stddev (divide by n); returns 0 for n < 2.
 double Variance(const std::vector<double>& v);
+// Variance with v's mean given: Variance(v, Mean(v)) == Variance(v).
+double Variance(const std::vector<double>& v, double mean);
 double Stddev(const std::vector<double>& v);
 double Min(const std::vector<double>& v);
 double Max(const std::vector<double>& v);
 double Sum(const std::vector<double>& v);
-// Linear-interpolated quantile, q in [0, 1]. v need not be sorted.
-double Quantile(std::vector<double> v, double q);
-// Skewness (Fisher-Pearson, population); 0 for degenerate inputs.
-double Skewness(const std::vector<double>& v);
+// Linear-interpolated quantile of an ascending vector, q clamped to
+// [0, 1].
+double SortedQuantile(const std::vector<double>& sorted, double q);
+// Skewness (Fisher-Pearson, population) of v, whose mean and stddev are
+// given; 0 for degenerate inputs.
+double Skewness(const std::vector<double>& v, double mean, double stddev);
 
 // Kendall rank correlation coefficient tau-a in [-1, 1].
 // Returns 0 for vectors shorter than 2. O(n^2); n is small in our usage

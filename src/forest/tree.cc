@@ -142,16 +142,6 @@ void BestSplitForFeature(const SortedColumns& columns,
 
 }  // namespace
 
-Status RegressionTree::Fit(const std::vector<std::vector<double>>& x,
-                           const std::vector<double>& y,
-                           const std::vector<int>& sample_indices, Rng* rng) {
-  if (x.empty() || x.size() != y.size()) {
-    return Status::InvalidArgument("tree needs matching non-empty X and y");
-  }
-  SPARKTUNE_ASSIGN_OR_RETURN(columns, SortedColumns::Build(x));
-  return Fit(columns, y, sample_indices, rng);
-}
-
 Status RegressionTree::Fit(const SortedColumns& columns,
                            const std::vector<double>& y,
                            const std::vector<int>& sample_indices, Rng* rng) {

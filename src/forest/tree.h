@@ -59,14 +59,10 @@ class RegressionTree {
 
   explicit RegressionTree(TreeOptions options = {});
 
-  // Fit on rows `x` (all the same width) and targets `y`. `sample_indices`
-  // selects a bootstrap subset (empty = all rows; repeats allowed). `rng`
-  // drives feature subsampling; required when options.max_features != -1.
-  Status Fit(const std::vector<std::vector<double>>& x,
-             const std::vector<double>& y,
-             const std::vector<int>& sample_indices = {},
-             Rng* rng = nullptr);
-  // The same fit on columns sorted by SortedColumns::Build(x).
+  // Fit on the columns SortedColumns::Build made of rows x and targets
+  // `y`. `sample_indices` selects a bootstrap subset (empty = all rows;
+  // repeats allowed). `rng` drives feature subsampling; required when
+  // options.max_features != -1.
   Status Fit(const SortedColumns& columns, const std::vector<double>& y,
              const std::vector<int>& sample_indices = {},
              Rng* rng = nullptr);

@@ -142,15 +142,19 @@ Result<Cholesky> Cholesky::Factor(const Matrix& a) {
 }
 
 Vector Cholesky::SolveLower(const Vector& b) const {
-  size_t n = l_.rows();
-  assert(b.size() == n);
-  Vector y(n, 0.0);
+  assert(b.size() == l_.rows());
+  Vector y = b;
+  SolveLowerInPlace(y.data());
+  return y;
+}
+
+void Cholesky::SolveLowerInPlace(double* y) const {
+  const size_t n = l_.rows();
   for (size_t i = 0; i < n; ++i) {
-    double sum = b[i];
+    double sum = y[i];
     for (size_t k = 0; k < i; ++k) sum -= l_(i, k) * y[k];
     y[i] = sum / l_(i, i);
   }
-  return y;
 }
 
 Vector Cholesky::Solve(const Vector& b) const {

@@ -29,6 +29,8 @@ class Cholesky {
   Vector Solve(const Vector& b) const;
   // Solve L y = b (forward substitution only, ascending k).
   Vector SolveLower(const Vector& b) const;
+  // SolveLower on y[0, n) in place, bit for bit, with no allocation.
+  void SolveLowerInPlace(double* y) const;
   // Solve L Y = B for all columns of B at once (forward substitution on
   // column blocks, no per-column copies). Column j of the result equals
   // SolveLower(column j of B) bit-for-bit.

@@ -28,13 +28,21 @@ MetaEnsembleSurrogate::MetaEnsembleSurrogate(std::vector<FeatureKind> schema,
 
 Status MetaEnsembleSurrogate::Fit(const std::vector<std::vector<double>>& x,
                                   const std::vector<double>& y) {
+  // Unfitted until the current-task GP fits: a failed fit, first or not,
+  // predicts the prior mix, as an ensemble never fitted does.
+  current_.reset();
+  self_weight_ = 0.0;
+  base_weights_.clear();
+  target_mean_ = 0.0;
+  target_scale_ = 1.0;
+  n_obs_ = 0;
+  auto current = std::make_unique<GaussianProcess>(schema_, options_.gp);
+  SPARKTUNE_RETURN_IF_ERROR(current->Fit(x, y));
+  current_ = std::move(current);
   n_obs_ = x.size();
   target_mean_ = Mean(y);
   target_scale_ = Stddev(y);
   if (target_scale_ < 1e-12) target_scale_ = 1.0;
-
-  current_ = std::make_unique<GaussianProcess>(schema_, options_.gp);
-  SPARKTUNE_RETURN_IF_ERROR(current_->Fit(x, y));
 
   // ---- Self weight via k-fold CV rank correlation ----
   double self_raw = options_.min_self_weight;
@@ -93,45 +101,59 @@ Status MetaEnsembleSurrogate::Fit(const std::vector<std::vector<double>>& x,
   return Status::OK();
 }
 
-Prediction MetaEnsembleSurrogate::Predict(const std::vector<double>& x) const {
-  Prediction out;
-  if (current_ == nullptr) {
-    // Not fitted: pure prior mix of base models in current scale (identity
-    // scale since no target stats).
-    double w = bases_.empty() ? 0.0 : 1.0 / static_cast<double>(bases_.size());
-    for (const auto& b : bases_) {
-      std::vector<double> xb(x.begin(),
-                             x.begin() + static_cast<long>(std::min(
-                                             b.input_dims, x.size())));
-      Prediction p = b.model->Predict(xb);
-      double std_mean = (p.mean - b.y_mean) / b.y_scale;
-      out.mean += w * std_mean;
-      out.variance += w * w * p.variance / (b.y_scale * b.y_scale);
-    }
-    return out;
-  }
+bool MetaEnsembleSurrogate::Mixes(size_t i) const {
+  return current_ == nullptr || base_weights_[i] > 0.0;
+}
 
-  Prediction self = current_->Predict(x);
+void MetaEnsembleSurrogate::MixBase(size_t i, const Prediction& p,
+                                    Prediction* out) const {
+  const BaseSurrogate& b = bases_[i];
+  // Standardize in the base task's scale.
+  const double std_mean = (p.mean - b.y_mean) / b.y_scale;
+  if (current_ == nullptr) {
+    // Not fitted: pure prior mix of base models (identity scale, since
+    // there are no target statistics).
+    const double w = 1.0 / static_cast<double>(bases_.size());
+    out->mean += w * std_mean;
+    out->variance += w * w * p.variance / (b.y_scale * b.y_scale);
+    return;
+  }
+  // Re-express in the current task's scale.
+  const double w = base_weights_[i];
+  const double mean_here = target_mean_ + target_scale_ * std_mean;
+  const double var_here =
+      p.variance / (b.y_scale * b.y_scale) * (target_scale_ * target_scale_);
+  out->mean += w * mean_here;
+  out->variance += w * w * var_here;
+}
+
+Prediction MetaEnsembleSurrogate::MixSelf(const Prediction& self) const {
+  Prediction out;
   out.mean = self_weight_ * self.mean;
   out.variance = self_weight_ * self_weight_ * self.variance;
+  return out;
+}
+
+namespace {
+
+// The leading input_dims features a base model reads.
+std::vector<double> Truncated(const std::vector<double>& x,
+                              size_t input_dims) {
+  return std::vector<double>(
+      x.begin(), x.begin() + static_cast<long>(std::min(input_dims, x.size())));
+}
+
+}  // namespace
+
+Prediction MetaEnsembleSurrogate::Predict(const std::vector<double>& x) const {
+  Prediction out;
+  if (current_ != nullptr) out = MixSelf(current_->Predict(x));
   for (size_t i = 0; i < bases_.size(); ++i) {
-    double w = base_weights_[i];
-    if (w <= 0.0) continue;
+    if (!Mixes(i)) continue;
     const BaseSurrogate& b = bases_[i];
-    std::vector<double> xb(x.begin(),
-                           x.begin() + static_cast<long>(std::min(
-                                           b.input_dims, x.size())));
-    Prediction p = b.model->Predict(xb);
-    // Standardize in the base task's scale, re-express in the current
-    // task's scale.
-    double std_mean = (p.mean - b.y_mean) / b.y_scale;
-    double mean_here = target_mean_ + target_scale_ * std_mean;
-    double var_here =
-        p.variance / (b.y_scale * b.y_scale) * (target_scale_ * target_scale_);
-    out.mean += w * mean_here;
-    out.variance += w * w * var_here;
+    MixBase(i, b.model->Predict(Truncated(x, b.input_dims)), &out);
   }
-  out.variance = std::max(out.variance, 1e-12);
+  if (current_ != nullptr) out.variance = std::max(out.variance, 1e-12);
   return out;
 }
 
@@ -139,56 +161,106 @@ std::vector<Prediction> MetaEnsembleSurrogate::PredictBatch(
     const std::vector<std::vector<double>>& xs) const {
   std::vector<Prediction> out(xs.size());
   if (xs.empty()) return out;
-  // Inputs truncated to one base model's feature width.
-  auto truncated = [&](size_t input_dims) {
-    std::vector<std::vector<double>> xb;
-    xb.reserve(xs.size());
-    for (const auto& x : xs) {
-      xb.emplace_back(
-          x.begin(),
-          x.begin() + static_cast<long>(std::min(input_dims, x.size())));
-    }
-    return xb;
-  };
-  if (current_ == nullptr) {
-    // Not fitted: pure prior mix of base models.
-    double w = bases_.empty() ? 0.0 : 1.0 / static_cast<double>(bases_.size());
-    for (const auto& b : bases_) {
-      std::vector<Prediction> preds =
-          b.model->PredictBatch(truncated(b.input_dims));
-      for (size_t j = 0; j < xs.size(); ++j) {
-        double std_mean = (preds[j].mean - b.y_mean) / b.y_scale;
-        out[j].mean += w * std_mean;
-        out[j].variance += w * w * preds[j].variance / (b.y_scale * b.y_scale);
-      }
-    }
-    return out;
-  }
-
-  std::vector<Prediction> selfs = current_->PredictBatch(xs);
-  for (size_t j = 0; j < xs.size(); ++j) {
-    out[j].mean = self_weight_ * selfs[j].mean;
-    out[j].variance = self_weight_ * self_weight_ * selfs[j].variance;
+  if (current_ != nullptr) {
+    std::vector<Prediction> selfs = current_->PredictBatch(xs);
+    for (size_t j = 0; j < xs.size(); ++j) out[j] = MixSelf(selfs[j]);
   }
   // Each base model scores the whole batch once; per-candidate the mix
   // accumulates self-then-bases in index order, exactly like Predict.
   for (size_t i = 0; i < bases_.size(); ++i) {
-    double w = base_weights_[i];
-    if (w <= 0.0) continue;
-    const BaseSurrogate& b = bases_[i];
-    std::vector<Prediction> preds =
-        b.model->PredictBatch(truncated(b.input_dims));
-    for (size_t j = 0; j < xs.size(); ++j) {
-      double std_mean = (preds[j].mean - b.y_mean) / b.y_scale;
-      double mean_here = target_mean_ + target_scale_ * std_mean;
-      double var_here = preds[j].variance / (b.y_scale * b.y_scale) *
-                        (target_scale_ * target_scale_);
-      out[j].mean += w * mean_here;
-      out[j].variance += w * w * var_here;
-    }
+    if (!Mixes(i)) continue;
+    std::vector<std::vector<double>> xb;
+    xb.reserve(xs.size());
+    for (const auto& x : xs) xb.push_back(Truncated(x, bases_[i].input_dims));
+    std::vector<Prediction> preds = bases_[i].model->PredictBatch(xb);
+    for (size_t j = 0; j < xs.size(); ++j) MixBase(i, preds[j], &out[j]);
   }
-  for (Prediction& p : out) p.variance = std::max(p.variance, 1e-12);
+  if (current_ != nullptr) {
+    for (Prediction& p : out) p.variance = std::max(p.variance, 1e-12);
+  }
   return out;
+}
+
+class MetaEnsembleSurrogate::Conditioned final : public ConditionedSurrogate {
+ public:
+  Conditioned(const MetaEnsembleSurrogate* meta, const FeatureSubspace& sub,
+              const ConditionedRows* shared)
+      : meta_(meta), bases_(meta->bases_.size()) {
+    if (meta->current_ != nullptr) {
+      current_ = meta->current_->Condition(sub, shared);
+    }
+    size_t most_rows = 0;
+    for (size_t i = 0; i < bases_.size(); ++i) {
+      if (!meta->Mixes(i)) continue;
+      // The base reads the leading input_dims features; the free ones
+      // among them are a prefix of sub.free, so a candidate's free
+      // features serve the base as they are.
+      const size_t dims = meta->bases_[i].input_dims;
+      FeatureSubspace truncated;
+      truncated.base = Truncated(sub.base, dims);
+      for (size_t f : sub.free) {
+        if (f < truncated.base.size()) truncated.free.push_back(f);
+      }
+      bases_[i] = meta->bases_[i].model->Condition(truncated, nullptr);
+      if (const ConditionedRows* rows = bases_[i]->rows()) {
+        most_rows = std::max(most_rows, rows->size());
+      }
+    }
+    base_stats_.resize(most_rows);
+  }
+
+  const ConditionedRows* rows() const override {
+    return current_ != nullptr ? current_->rows() : nullptr;
+  }
+
+  Prediction Predict(const double* free,
+                     const KernelPairStats* stats) const override {
+    Prediction out;
+    if (current_ != nullptr) {
+      out = meta_->MixSelf(current_->Predict(free, stats));
+    }
+    for (size_t i = 0; i < bases_.size(); ++i) {
+      if (bases_[i] == nullptr) continue;
+      if (const ConditionedRows* rows = bases_[i]->rows()) {
+        rows->Stats(free, base_stats_.data());
+      }
+      meta_->MixBase(i, bases_[i]->Predict(free, base_stats_.data()), &out);
+    }
+    if (current_ != nullptr) out.variance = std::max(out.variance, 1e-12);
+    return out;
+  }
+
+  std::vector<Prediction> PredictBatch(const double* cols,
+                                       size_t m) const override {
+    std::vector<Prediction> out(m);
+    if (m == 0) return out;
+    if (current_ != nullptr) {
+      std::vector<Prediction> selfs = current_->PredictBatch(cols, m);
+      for (size_t j = 0; j < m; ++j) out[j] = meta_->MixSelf(selfs[j]);
+    }
+    for (size_t i = 0; i < bases_.size(); ++i) {
+      if (bases_[i] == nullptr) continue;
+      std::vector<Prediction> preds = bases_[i]->PredictBatch(cols, m);
+      for (size_t j = 0; j < m; ++j) meta_->MixBase(i, preds[j], &out[j]);
+    }
+    if (current_ != nullptr) {
+      for (Prediction& p : out) p.variance = std::max(p.variance, 1e-12);
+    }
+    return out;
+  }
+
+ private:
+  const MetaEnsembleSurrogate* meta_;
+  std::unique_ptr<ConditionedSurrogate> current_;
+  // Aligned with the ensemble's bases; null for a base the mix skips.
+  std::vector<std::unique_ptr<ConditionedSurrogate>> bases_;
+  // Per-candidate scratch of Predict: one base's row statistics.
+  mutable std::vector<KernelPairStats> base_stats_;
+};
+
+std::unique_ptr<ConditionedSurrogate> MetaEnsembleSurrogate::Condition(
+    const FeatureSubspace& sub, const ConditionedRows* shared) const {
+  return std::make_unique<Conditioned>(this, sub, shared);
 }
 
 }  // namespace sparktune

@@ -42,7 +42,9 @@ class MetaEnsembleSurrogate final : public Surrogate {
                         MetaEnsembleOptions options = {});
 
   // Fits the current-task GP and computes the self weight via k-fold
-  // cross-validated Kendall rank accuracy.
+  // cross-validated Kendall rank accuracy. A failed fit leaves the
+  // ensemble unfitted: it predicts the prior mix of its bases, as before
+  // any fit.
   Status Fit(const std::vector<std::vector<double>>& x,
              const std::vector<double>& y) override;
 
@@ -54,12 +56,32 @@ class MetaEnsembleSurrogate final : public Surrogate {
   std::vector<Prediction> PredictBatch(
       const std::vector<std::vector<double>>& xs) const override;
 
+  // The mix over one sub-space search's candidates: the current-task GP
+  // conditioned with `shared` (its rows()), each mixed base conditioned
+  // on the sub-space's leading input_dims features once, mixed in
+  // Predict's order.
+  std::unique_ptr<ConditionedSurrogate> Condition(
+      const FeatureSubspace& sub,
+      const ConditionedRows* shared) const override;
+
   size_t num_observations() const override { return n_obs_; }
 
   double self_weight() const { return self_weight_; }
   const std::vector<double>& base_weights() const { return base_weights_; }
 
  private:
+  class Conditioned;
+
+  // Whether base i enters the mix: every base before a fit, the bases
+  // with positive weight after one.
+  bool Mixes(size_t i) const;
+  // Adds base i's prediction `p` (of its truncated input) to `out`: with
+  // weight 1 / number of bases in the base's standardized scale before a
+  // fit, with its weight in the current task's scale after one.
+  void MixBase(size_t i, const Prediction& p, Prediction* out) const;
+  // The fitted mix's start: the current-task GP's prediction, weighted.
+  Prediction MixSelf(const Prediction& self) const;
+
   std::vector<FeatureKind> schema_;
   std::vector<BaseSurrogate> bases_;
   MetaEnsembleOptions options_;

@@ -1,5 +1,6 @@
 #include "model/features.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -29,18 +30,21 @@ std::vector<double> EncodeFeatures(const ConfigSpace& space,
 
 SubspaceEncoder::SubspaceEncoder(const Subspace& sub,
                                  const std::vector<double>& context)
-    : space_(&sub.space()),
-      free_(sub.free_indices()),
-      base_features_(EncodeFeatures(sub.space(), sub.base(), context)) {}
-
-std::vector<double> SubspaceEncoder::operator()(const Configuration& c) const {
-  assert(c.size() == space_->size());
-  std::vector<double> features = base_features_;
-  for (int idx : free_) {
-    const size_t i = static_cast<size_t>(idx);
-    features[i] = space_->param(i).ToUnit(c[i]);
+    : space_(&sub.space()) {
+  features_.base = EncodeFeatures(sub.space(), sub.base(), context);
+  for (int idx : sub.free_indices()) {
+    features_.free.push_back(static_cast<size_t>(idx));
   }
-  return features;
+  std::sort(features_.free.begin(), features_.free.end());
+}
+
+void SubspaceEncoder::operator()(const Configuration& c, double* out,
+                                 size_t stride) const {
+  assert(c.size() == space_->size());
+  for (size_t s = 0; s < features_.free.size(); ++s) {
+    const size_t i = features_.free[s];
+    out[s * stride] = space_->param(i).ToUnit(c[i]);
+  }
 }
 
 double NormalizeDataSize(double data_size_gb, double reference_gb) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "model/kernel.h"
+#include "model/surrogate.h"
 #include "space/config_space.h"
 #include "space/subspace.h"
 
@@ -25,23 +26,28 @@ std::vector<double> EncodeFeatures(const ConfigSpace& space,
                                    const Configuration& c,
                                    const std::vector<double>& context = {});
 
-// EncodeFeatures for the configurations of one sub-space, each the base
+// The surrogate inputs of one sub-space's configurations, each the base
 // with its free coordinates overwritten (every Subspace method that builds
 // a configuration starts from the base). The base's features, context
-// included, are encoded once; a call copies them and re-encodes the k free
-// coordinates, instead of one ToUnit per parameter. For every c that holds
-// the base's bits in its pinned coordinates, the result is bit-identical
-// to EncodeFeatures(sub.space(), c, context).
+// included, are encoded once (subspace()); a call encodes only the k free
+// coordinates, in ascending order, and EncodeFeatures(sub.space(), c,
+// context) is subspace().base with subspace().free[s] set to the s-th,
+// bit for bit, for every c that holds the base's bits in its pinned
+// coordinates.
 class SubspaceEncoder {
  public:
   SubspaceEncoder(const Subspace& sub, const std::vector<double>& context);
 
-  std::vector<double> operator()(const Configuration& c) const;
+  // Writes c's k free features to out[0], out[stride], ...
+  void operator()(const Configuration& c, double* out,
+                  size_t stride = 1) const;
+
+  const FeatureSubspace& subspace() const { return features_; }
+  size_t num_free() const { return features_.free.size(); }
 
  private:
   const ConfigSpace* space_;
-  std::vector<int> free_;
-  std::vector<double> base_features_;
+  FeatureSubspace features_;
 };
 
 // Normalize a data size (GB) into a stable [0, ~1] coordinate:

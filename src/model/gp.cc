@@ -149,42 +149,76 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
   return Status::OK();
 }
 
-Prediction GaussianProcess::Predict(const std::vector<double>& x) const {
+Prediction GaussianProcess::Prior() const {
   Prediction pred;
-  if (!chol_.has_value() || x_.empty()) {
-    // Prior.
-    pred.mean = y_mean_;
-    pred.variance = y_scale_ * y_scale_ * kernel_.params().signal_variance;
-    return pred;
-  }
-  size_t n = x_.size();
-  Vector kstar(n);
-  for (size_t i = 0; i < n; ++i) kstar[i] = kernel_.Eval(x_[i], x);
-  double mean_std = Dot(kstar, alpha_);
+  pred.mean = y_mean_;
+  pred.variance = y_scale_ * y_scale_ * kernel_.params().signal_variance;
+  return pred;
+}
+
+Prediction GaussianProcess::Posterior(const double* kstar, double* v) const {
+  const size_t n = x_.size();
+  double mean_std = 0.0;
+  for (size_t i = 0; i < n; ++i) mean_std += kstar[i] * alpha_[i];
   // v = L^-1 k*; var = k** - v'v.
-  Vector v = chol_->SolveLower(kstar);
+  std::copy(kstar, kstar + n, v);
+  chol_->SolveLowerInPlace(v);
+  double vv = 0.0;
+  for (size_t i = 0; i < n; ++i) vv += v[i] * v[i];
   // k(x, x) is the signal variance for every finite x.
-  double kss =
+  const double kss =
       kernel_.params().signal_variance + kernel_.params().noise_variance;
-  double var_std = kss - Dot(v, v);
-  var_std = std::max(var_std, 1e-12);
+  const double var_std = std::max(kss - vv, 1e-12);
+  Prediction pred;
   pred.mean = y_mean_ + y_scale_ * mean_std;
   pred.variance = y_scale_ * y_scale_ * var_std;
   return pred;
 }
 
+std::vector<Prediction> GaussianProcess::Posteriors(const Matrix& kstar) const {
+  const size_t n = x_.size();
+  const size_t m = kstar.cols();
+  // Means: one gemv alpha^T K*, accumulated over rows in increasing order —
+  // per candidate the exact op sequence of Posterior's mean.
+  std::vector<double> mean_std(m, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double* ki = kstar.row(i);
+    const double ai = alpha_[i];
+    for (size_t j = 0; j < m; ++j) mean_std[j] += ki[j] * ai;
+  }
+  // Variances: one blocked triangular solve L V = K* for all candidates at
+  // once, then column squared norms accumulated in row order.
+  Matrix v = chol_->SolveLowerMatrix(kstar);
+  std::vector<double> vv(m, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double* vi = v.row(i);
+    for (size_t j = 0; j < m; ++j) vv[j] += vi[j] * vi[j];
+  }
+  // k(x, x) is the signal variance for every finite x.
+  const double kss =
+      kernel_.params().signal_variance + kernel_.params().noise_variance;
+  std::vector<Prediction> out(m);
+  for (size_t j = 0; j < m; ++j) {
+    double var_std = std::max(kss - vv[j], 1e-12);
+    out[j].mean = y_mean_ + y_scale_ * mean_std[j];
+    out[j].variance = y_scale_ * y_scale_ * var_std;
+  }
+  return out;
+}
+
+Prediction GaussianProcess::Predict(const std::vector<double>& x) const {
+  if (!fitted()) return Prior();
+  const size_t n = x_.size();
+  Vector kstar(n);
+  for (size_t i = 0; i < n; ++i) kstar[i] = kernel_.Eval(x_[i], x);
+  Vector v(n);
+  return Posterior(kstar.data(), v.data());
+}
+
 std::vector<Prediction> GaussianProcess::PredictBatch(
     const std::vector<std::vector<double>>& xs) const {
-  std::vector<Prediction> out(xs.size());
-  if (xs.empty()) return out;
-  if (!chol_.has_value() || x_.empty()) {
-    // Prior.
-    for (Prediction& pred : out) {
-      pred.mean = y_mean_;
-      pred.variance = y_scale_ * y_scale_ * kernel_.params().signal_variance;
-    }
-    return out;
-  }
+  if (xs.empty()) return {};
+  if (!fitted()) return std::vector<Prediction>(xs.size(), Prior());
   const size_t n = x_.size();
   const size_t m = xs.size();
   // Cross-kernel matrix K*: row i holds k(x_i, xs[j]) for every candidate
@@ -196,31 +230,72 @@ std::vector<Prediction> GaussianProcess::PredictBatch(
   for (size_t i = 0; i < n; ++i) {
     kernel_.EvalRowColumnar(x_[i], cols, &scratch, kstar.row(i));
   }
-  // Means: one gemv alpha^T K*, accumulated over rows in increasing order —
-  // per candidate the exact op sequence of Dot(kstar_j, alpha_).
-  std::vector<double> mean_std(m, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const double* ki = kstar.row(i);
-    const double ai = alpha_[i];
-    for (size_t j = 0; j < m; ++j) mean_std[j] += ki[j] * ai;
+  return Posteriors(kstar);
+}
+
+class GaussianProcess::Conditioned final : public ConditionedSurrogate {
+ public:
+  Conditioned(const GaussianProcess* gp, const FeatureSubspace& sub,
+              const ConditionedRows* shared)
+      : gp_(gp) {
+    // An unfitted GP predicts the prior and reads no statistics.
+    if (!gp->fitted()) return;
+    if (shared != nullptr && shared->Conditions(gp->schema(), gp->x_)) {
+      rows_ = shared;
+    } else {
+      rows_ = &own_.emplace(gp->kernel_, gp->x_, sub.base, sub.free);
+    }
+    const size_t n = gp->x_.size();
+    datasize_factors_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      datasize_factors_[i] =
+          gp->kernel_.DataSizeFactorOf(rows_->datasize_d2(i));
+    }
+    kstar_.resize(n);
+    v_.resize(n);
   }
-  // Variances: one blocked triangular solve L V = K* for all candidates at
-  // once, then column squared norms accumulated in row order (== Dot(v, v)).
-  Matrix v = chol_->SolveLowerMatrix(kstar);
-  std::vector<double> vv(m, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const double* vi = v.row(i);
-    for (size_t j = 0; j < m; ++j) vv[j] += vi[j] * vi[j];
+
+  const ConditionedRows* rows() const override { return rows_; }
+
+  Prediction Predict(const double*,
+                     const KernelPairStats* stats) const override {
+    if (rows_ == nullptr) return gp_->Prior();
+    for (size_t i = 0; i < kstar_.size(); ++i) {
+      kstar_[i] = gp_->kernel_.EvalConditioned(stats[i], datasize_factors_[i]);
+    }
+    return gp_->Posterior(kstar_.data(), v_.data());
   }
-  // k(x, x) is the signal variance for every finite x.
-  const double kss =
-      kernel_.params().signal_variance + kernel_.params().noise_variance;
-  for (size_t j = 0; j < m; ++j) {
-    double var_std = std::max(kss - vv[j], 1e-12);
-    out[j].mean = y_mean_ + y_scale_ * mean_std[j];
-    out[j].variance = y_scale_ * y_scale_ * var_std;
+
+  std::vector<Prediction> PredictBatch(const double* cols,
+                                       size_t m) const override {
+    if (m == 0) return {};
+    if (rows_ == nullptr) return std::vector<Prediction>(m, gp_->Prior());
+    // Row by row: the row's statistics against every candidate, then its
+    // kernel values, so no n x m statistics are held.
+    const size_t n = kstar_.size();
+    Matrix kstar(n, m);
+    std::vector<double> num_d2(m), mismatches(m);
+    for (size_t i = 0; i < n; ++i) {
+      rows_->RowStats(i, cols, m, num_d2.data(), mismatches.data());
+      gp_->kernel_.EvalConditionedRow(num_d2.data(), mismatches.data(), m,
+                                      datasize_factors_[i], kstar.row(i));
+    }
+    return gp_->Posteriors(kstar);
   }
-  return out;
+
+ private:
+  const GaussianProcess* gp_;
+  std::optional<ConditionedRows> own_;
+  const ConditionedRows* rows_ = nullptr;
+  std::vector<double> datasize_factors_;
+  // Per-candidate scratch of Predict.
+  mutable std::vector<double> kstar_;
+  mutable std::vector<double> v_;
+};
+
+std::unique_ptr<ConditionedSurrogate> GaussianProcess::Condition(
+    const FeatureSubspace& sub, const ConditionedRows* shared) const {
+  return std::make_unique<Conditioned>(this, sub, shared);
 }
 
 }  // namespace sparktune

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -51,6 +52,14 @@ class GaussianProcess final : public Surrogate {
   std::vector<Prediction> PredictBatch(
       const std::vector<std::vector<double>>& xs) const override;
 
+  // The GP over one sub-space search's candidates: kernel values from the
+  // statistics of a ConditionedRows view of the training rows (`shared`
+  // when it conditions them, else its own) and a data-size factor per row
+  // computed once. A climb step's Predict allocates nothing.
+  std::unique_ptr<ConditionedSurrogate> Condition(
+      const FeatureSubspace& sub,
+      const ConditionedRows* shared) const override;
+
   size_t num_observations() const override { return x_.size(); }
 
   const KernelParams& kernel_params() const { return kernel_.params(); }
@@ -68,10 +77,22 @@ class GaussianProcess final : public Surrogate {
     double lml = 0.0;
   };
 
+  class Conditioned;
+
   // Factorizes the kernel matrix under `params`. Touches no members, so a
   // grid point that loses leaves the model as it was.
   Result<Factorization> Factorize(const KernelParams& params,
                                   FitScratch* scratch) const;
+
+  bool fitted() const { return chol_.has_value() && !x_.empty(); }
+  Prediction Prior() const;
+  // The posterior of one candidate from its cross-kernel column
+  // kstar[0, n); `v` is n doubles of scratch. Predict and the conditioned
+  // Predict share it.
+  Prediction Posterior(const double* kstar, double* v) const;
+  // The posteriors of the n x m cross-kernel matrix's columns. PredictBatch
+  // and the conditioned PredictBatch share it.
+  std::vector<Prediction> Posteriors(const Matrix& kstar) const;
 
   MixedKernel kernel_;
   GpOptions options_;

@@ -195,6 +195,17 @@ double MixedKernel::EvalStats(const KernelPairStats& s,
 }
 
 double MixedKernel::EvalStatsCached(const KernelPairStats& s) const {
+  return EvalConditioned(s, DataSizeFactorOf(s.datasize_d2));
+}
+
+double MixedKernel::DataSizeFactorOf(double datasize_d2) const {
+  return num_datasize_ > 0
+             ? DataSizeFactor(datasize_d2, params_.length_datasize)
+             : 1.0;
+}
+
+double MixedKernel::EvalConditioned(const KernelPairStats& s,
+                                    double datasize_factor) const {
   double k = params_.signal_variance;
   if (num_numeric_ > 0) {
     k *= NumericFactor(s.numeric_dist, params_.length_numeric);
@@ -204,10 +215,34 @@ double MixedKernel::EvalStatsCached(const KernelPairStats& s) const {
     // the lookup returns the very exp EvalStats would have computed.
     k *= hamming_table_[static_cast<size_t>(s.mismatches)];
   }
-  if (num_datasize_ > 0) {
-    k *= DataSizeFactor(s.datasize_d2, params_.length_datasize);
-  }
+  if (num_datasize_ > 0) k *= datasize_factor;
   return k;
+}
+
+void MixedKernel::EvalConditionedRow(const double* num_d2,
+                                     const double* mismatches, size_t m,
+                                     double datasize_factor,
+                                     double* out) const {
+  // EvalConditioned's products for every candidate, one factor kind per
+  // pass: per candidate the same multiplies in the same order.
+  const double sv = params_.signal_variance;
+  if (num_numeric_ > 0) {
+    const double ln = params_.length_numeric;
+    for (size_t j = 0; j < m; ++j) {
+      out[j] = sv * NumericFactor(std::sqrt(num_d2[j]), ln);
+    }
+  } else {
+    for (size_t j = 0; j < m; ++j) out[j] = sv;
+  }
+  if (num_categorical_ > 0) {
+    const double* table = hamming_table_.data();
+    for (size_t j = 0; j < m; ++j) {
+      out[j] *= table[static_cast<size_t>(mismatches[j])];
+    }
+  }
+  if (num_datasize_ > 0) {
+    for (size_t j = 0; j < m; ++j) out[j] *= datasize_factor;
+  }
 }
 
 double MixedKernel::Eval(const std::vector<double>& a,
@@ -366,6 +401,162 @@ void MixedKernel::FactorTables::Values(const KernelParams& p, double* out) {
     }
     if (datasize != nullptr) k *= datasize[i];
     out[i] = k;
+  }
+}
+
+ConditionedRows::ConditionedRows(const MixedKernel& kernel,
+                                 const std::vector<std::vector<double>>& rows,
+                                 std::span<const double> base,
+                                 std::span<const size_t> free)
+    : schema_(kernel.schema()), rows_(&rows) {
+  const size_t d = schema_.size();
+  assert(base.size() == d);
+  std::vector<char> is_free(d, 0);
+  for (size_t s = 0; s < free.size(); ++s) {
+    const size_t f = free[s];
+    assert(f < d && (s == 0 || free[s - 1] < f));
+    assert(schema_[f] != FeatureKind::kDataSize);
+    is_free[f] = 1;
+    if (schema_[f] == FeatureKind::kNumeric) {
+      free_numeric_.push_back(s);
+    } else {
+      free_categorical_.push_back(s);
+    }
+  }
+  const size_t n = rows.size();
+  const size_t kn = free_numeric_.size();
+  const size_t kc = free_categorical_.size();
+  lead_.resize(n);
+  mismatches_.resize(n);
+  datasize_d2_.resize(n);
+  numeric_values_.resize(n * kn);
+  categorical_values_.resize(n * kc);
+  segment_end_.resize(n * kn);
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<double>& x = rows[i];
+    assert(x.size() == d);
+    double lead = 0.0;
+    double mismatches = 0.0;
+    double ds_d2 = 0.0;
+    size_t sn = 0;  // free numeric features met so far
+    size_t sc = 0;
+    // One walk of the schema adds each kind's terms in ascending feature
+    // order, as Stats does.
+    for (size_t f = 0; f < d; ++f) {
+      switch (schema_[f]) {
+        case FeatureKind::kNumeric: {
+          if (is_free[f]) {
+            if (sn > 0) {
+              segment_end_[i * kn + sn - 1] =
+                  static_cast<uint32_t>(terms_.size());
+            }
+            numeric_values_[i * kn + sn++] = x[f];
+            break;
+          }
+          const double diff = x[f] - base[f];
+          const double term = diff * diff;
+          if (sn == 0) {
+            lead += term;
+          } else if (term != 0.0) {
+            terms_.push_back(term);
+          }
+          break;
+        }
+        case FeatureKind::kCategorical:
+          if (is_free[f]) {
+            categorical_values_[i * kc + sc++] = x[f];
+          } else if (std::fabs(x[f] - base[f]) > 1e-12) {
+            mismatches += 1.0;
+          }
+          break;
+        case FeatureKind::kDataSize: {
+          const double diff = x[f] - base[f];
+          ds_d2 += diff * diff;
+          break;
+        }
+      }
+    }
+    if (kn > 0) {
+      segment_end_[i * kn + kn - 1] = static_cast<uint32_t>(terms_.size());
+    }
+    lead_[i] = lead;
+    mismatches_[i] = mismatches;
+    datasize_d2_[i] = ds_d2;
+  }
+}
+
+bool ConditionedRows::Conditions(
+    const std::vector<FeatureKind>& schema,
+    const std::vector<std::vector<double>>& rows) const {
+  return schema == schema_ && (&rows == rows_ || rows == *rows_);
+}
+
+void ConditionedRows::Stats(const double* free, KernelPairStats* out) const {
+  const size_t n = lead_.size();
+  const size_t kn = free_numeric_.size();
+  const size_t kc = free_categorical_.size();
+  const double* terms = terms_.data();
+  size_t t = 0;  // segments are contiguous, row after row
+  for (size_t i = 0; i < n; ++i) {
+    double num_d2 = lead_[i];
+    const double* xn = numeric_values_.data() + i * kn;
+    const uint32_t* ends = segment_end_.data() + i * kn;
+    for (size_t s = 0; s < kn; ++s) {
+      const double diff = xn[s] - free[free_numeric_[s]];
+      num_d2 += diff * diff;
+      for (const size_t end = ends[s]; t < end; ++t) num_d2 += terms[t];
+    }
+    double mismatches = mismatches_[i];
+    const double* xc = categorical_values_.data() + i * kc;
+    for (size_t s = 0; s < kc; ++s) {
+      if (std::fabs(xc[s] - free[free_categorical_[s]]) > 1e-12) {
+        mismatches += 1.0;
+      }
+    }
+    out[i].numeric_dist = std::sqrt(num_d2);
+    out[i].mismatches = mismatches;
+    out[i].datasize_d2 = datasize_d2_[i];
+  }
+}
+
+void ConditionedRows::RowStats(size_t i, const double* cols, size_t m,
+                               double* __restrict num_d2,
+                               double* __restrict mismatches) const {
+  const size_t kn = free_numeric_.size();
+  const size_t kc = free_categorical_.size();
+  const double lead = lead_[i];
+  if (kn == 0) {
+    for (size_t j = 0; j < m; ++j) num_d2[j] = lead;
+  } else {
+    size_t t = i == 0 ? 0 : segment_end_[i * kn - 1];
+    for (size_t s = 0; s < kn; ++s) {
+      const double xv = numeric_values_[i * kn + s];
+      const double* __restrict col = cols + free_numeric_[s] * m;
+      if (s == 0) {
+        for (size_t j = 0; j < m; ++j) {
+          const double diff = xv - col[j];
+          num_d2[j] = lead + diff * diff;
+        }
+      } else {
+        for (size_t j = 0; j < m; ++j) {
+          const double diff = xv - col[j];
+          num_d2[j] += diff * diff;
+        }
+      }
+      for (const size_t end = segment_end_[i * kn + s]; t < end; ++t) {
+        const double term = terms_[t];
+        for (size_t j = 0; j < m; ++j) num_d2[j] += term;
+      }
+    }
+  }
+  const double pinned = mismatches_[i];
+  for (size_t j = 0; j < m; ++j) mismatches[j] = pinned;
+  for (size_t s = 0; s < kc; ++s) {
+    const double xv = categorical_values_[i * kc + s];
+    const double* __restrict col = cols + free_categorical_[s] * m;
+    for (size_t j = 0; j < m; ++j) {
+      mismatches[j] += std::fabs(xv - col[j]) > 1e-12 ? 1.0 : 0.0;
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace sparktune {
@@ -35,8 +37,9 @@ struct KernelPairStats {
 // k(a, b) = signal_variance * numeric * categorical * datasize, where the
 // three factors are NumericFactor, CategoricalFactor and DataSizeFactor of
 // the pair's statistics and a kind the schema lacks contributes no factor.
-// Every evaluation path — Eval, EvalRow, EvalRowColumnar, EvalStats and
-// FactorTables — multiplies them in that order, so all agree bit for bit.
+// Every evaluation path — Eval, EvalRow, EvalRowColumnar, EvalStats,
+// EvalConditioned(Row) and FactorTables — multiplies them in that order,
+// so all agree bit for bit.
 //
 // For finite inputs and finite positive hyperparameters, k(x, x) is exactly
 // signal_variance: each factor is exactly 1 at distance 0.
@@ -143,6 +146,23 @@ class MixedKernel {
   // lint:allow(test-only-function) the reference kernel tests compare to
   double EvalStats(const KernelPairStats& s, const KernelParams& p) const;
 
+  // The data-size factor Eval multiplies in for a pair at squared
+  // data-size distance `datasize_d2`, under params(); 1 when the schema
+  // has no data-size feature. A sub-space search computes it once per
+  // training row (ConditionedRows::datasize_d2).
+  double DataSizeFactorOf(double datasize_d2) const;
+  // k(a, b) from the pair's statistics and its data-size factor
+  // DataSizeFactorOf(s.datasize_d2), multiplied in Eval's order: equal to
+  // Eval(a, b) bit for bit.
+  double EvalConditioned(const KernelPairStats& s,
+                         double datasize_factor) const;
+  // EvalConditioned for one training row against m candidates, from
+  // ConditionedRows::RowStats' output: out[j] is the value for
+  // numeric_dist = sqrt(num_d2[j]) and mismatches[j].
+  void EvalConditionedRow(const double* num_d2, const double* mismatches,
+                          size_t m, double datasize_factor,
+                          double* out) const;
+
   // Matérn-5/2 correlation for scaled distance r >= 0.
   static double Matern52(double r);
 
@@ -177,6 +197,73 @@ class MixedKernel {
   // count is discrete, so the categorical exp of Eval/EvalRow is a table
   // lookup.
   std::vector<double> hamming_table_;
+};
+
+// A GP's training rows conditioned on one searched sub-space. Every
+// candidate of the search is the base's features (context included) with
+// its free features overwritten, so a row's terms in the pinned features
+// are the same for every candidate. Built once per search from the rows,
+// the base's features and the ascending indices of the free features, the
+// view yields each row's KernelPairStats from a candidate's k free
+// features alone, equal to MixedKernel::Stats(row, candidate) bit for bit.
+// Per row it keeps:
+//   * numeric: the sum of the pinned terms before the first free numeric
+//     feature (Stats' own partial sum), then the row's free numeric values
+//     and its nonzero pinned terms (x - base)^2, in ascending feature
+//     order. A skipped term is exactly +0.0 added to a sum >= +0.0: every
+//     term is a square and the sum starts at +0.0, so the sum keeps its
+//     bits, whatever the sign of the zeros that made the term;
+//   * categorical: the pinned mismatch count. Counts are exact integers,
+//     so adding the free mismatches to it gives Stats' count;
+//   * data size: the squared distance itself. Data-size features are the
+//     context, which a sub-space never frees.
+// The view keeps a pointer to `rows`, which must outlive it.
+class ConditionedRows {
+ public:
+  ConditionedRows(const MixedKernel& kernel,
+                  const std::vector<std::vector<double>>& rows,
+                  std::span<const double> base, std::span<const size_t> free);
+
+  size_t size() const { return lead_.size(); }
+
+  // True when the view was built from rows equal to `rows` under `schema`,
+  // so a model fit on them may read its statistics.
+  bool Conditions(const std::vector<FeatureKind>& schema,
+                  const std::vector<std::vector<double>>& rows) const;
+
+  // out[i] = Stats(rows[i], candidate) for every row; `free` holds the
+  // candidate's free features in the order of the view's `free`.
+  void Stats(const double* free, KernelPairStats* out) const;
+  // Row i against m candidates whose free feature s is cols[s * m + j]:
+  // num_d2[j] is the squared numeric distance (numeric_dist is its sqrt)
+  // and mismatches[j] the mismatch count of Stats(rows[i], candidate j).
+  // The loops run over the free columns and the row's nonzero pinned
+  // terms, candidates innermost.
+  void RowStats(size_t i, const double* cols, size_t m, double* num_d2,
+                double* mismatches) const;
+  double datasize_d2(size_t i) const { return datasize_d2_[i]; }
+
+ private:
+  std::vector<FeatureKind> schema_;
+  const std::vector<std::vector<double>>* rows_;
+  // Positions in a candidate's free features of the numeric and the
+  // categorical ones, ascending.
+  std::vector<size_t> free_numeric_;
+  std::vector<size_t> free_categorical_;
+  // Per row.
+  std::vector<double> lead_;
+  std::vector<double> mismatches_;
+  std::vector<double> datasize_d2_;
+  // Row i's value of free numeric feature s at [i * kn + s], of free
+  // categorical feature s at [i * kc + s].
+  std::vector<double> numeric_values_;
+  std::vector<double> categorical_values_;
+  // The nonzero pinned terms after each free numeric feature: row i's
+  // terms between free numeric features s and s + 1 (or the last feature)
+  // end at terms_[segment_end_[i * kn + s]] and start where the previous
+  // segment ends (0 for the first).
+  std::vector<double> terms_;
+  std::vector<uint32_t> segment_end_;
 };
 
 }  // namespace sparktune

@@ -4,15 +4,49 @@
 // adapter in the baselines) and the meta-learning ensemble (meta/).
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
 
 namespace sparktune {
 
+struct KernelPairStats;
+class ConditionedRows;
+
 struct Prediction {
   double mean = 0.0;
   double variance = 0.0;
+};
+
+// A searched sub-space in feature coordinates: the base's features,
+// context included, and the ascending indices of the free ones. Every
+// candidate of the search is the base with its free features overwritten.
+struct FeatureSubspace {
+  std::vector<double> base;
+  std::vector<size_t> free;
+};
+
+// A surrogate's predictions for the candidates of one sub-space search,
+// from each candidate's free features (in FeatureSubspace::free order).
+// Every prediction equals the model's Predict of the candidate's full
+// features bit for bit. It lives for one search and may keep scratch
+// buffers, so it serves one thread.
+class ConditionedSurrogate {
+ public:
+  virtual ~ConditionedSurrogate() = default;
+
+  // The view whose per-row statistics Predict reads, or null when it
+  // reads none. Another model fit on the same rows may share it, so the
+  // caller computes a candidate's statistics once for both.
+  virtual const ConditionedRows* rows() const = 0;
+  // `stats` is rows()->Stats(free) when rows() is non-null, else unused.
+  virtual Prediction Predict(const double* free,
+                             const KernelPairStats* stats) const = 0;
+  // m candidates, free feature s of candidate j at cols[s * m + j].
+  virtual std::vector<Prediction> PredictBatch(const double* cols,
+                                               size_t m) const = 0;
 };
 
 class Surrogate {
@@ -38,6 +72,15 @@ class Surrogate {
     for (const auto& x : xs) out.push_back(Predict(x));
     return out;
   }
+
+  // This model conditioned on one searched sub-space; it must outlive the
+  // result. `shared`, when non-null, is a view of rows whose statistics
+  // the caller computes per candidate: a model that reads statistics of
+  // equal rows reads these (its rows() is `shared`) instead of building
+  // its own. The default rebuilds each candidate's full features and
+  // predicts through Predict and PredictBatch.
+  virtual std::unique_ptr<ConditionedSurrogate> Condition(
+      const FeatureSubspace& sub, const ConditionedRows* shared) const;
 
   virtual size_t num_observations() const = 0;
 };

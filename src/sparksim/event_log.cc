@@ -1,5 +1,6 @@
 #include "sparksim/event_log.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace sparktune {
@@ -42,14 +43,18 @@ bool EventLogLooksSane(const EventLog& log) {
 TaskMetricSummary Summarize(const std::vector<double>& samples) {
   TaskMetricSummary s;
   if (samples.empty()) return s;
-  s.mean = Mean(samples);
-  s.stddev = Stddev(samples);
+  // One sum, one mean, one standard deviation and one sorted copy serve
+  // every field; each is the very value its own helper computes.
+  s.total = Sum(samples);
+  s.mean = s.total / static_cast<double>(samples.size());
+  s.stddev = std::sqrt(Variance(samples, s.mean));
   s.min = Min(samples);
   s.max = Max(samples);
-  s.p50 = Quantile(samples, 0.5);
-  s.p90 = Quantile(samples, 0.9);
-  s.skewness = Skewness(samples);
-  s.total = Sum(samples);
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  s.p50 = SortedQuantile(sorted, 0.5);
+  s.p90 = SortedQuantile(sorted, 0.9);
+  s.skewness = Skewness(samples, s.mean, s.stddev);
   return s;
 }
 

@@ -1,15 +1,22 @@
-// The advisor's acquisition wiring before the candidate scorer: an
-// EicAcquisition plus the safe and unsafety hooks, per point and batched,
-// that it handed to the hook form of AcquisitionOptimizer::Maximize. The
-// equivalence tests and the acq_score row of bench_kernels hold
-// EicScorer to it bit for bit.
+// Two earlier forms of the advisor's acquisition scoring, which the
+// equivalence tests and bench_kernels hold EicScorer to bit for bit:
 //
-// It ranks runtime violation as u(x) / threshold - 1 at every threshold,
-// so its fallback agrees with EicScorer::Unsafety only for a positive
-// threshold (EicScorer ranks by u(x) - threshold otherwise).
+//   * MaximizeWithHooks: the wiring before the candidate scorer, an
+//     EicAcquisition plus the safe and unsafety hooks, per point and
+//     batched, handed to the hook form of AcquisitionOptimizer::Maximize.
+//     It ranks runtime violation as u(x) / threshold - 1 at every
+//     threshold, so its fallback agrees with EicScorer::Unsafety only for
+//     a positive threshold (EicScorer ranks by u(x) - threshold
+//     otherwise).
+//   * FullFeatureScorer: EicScorer before it scored from rows conditioned
+//     on the sub-space. It encodes each candidate's full features and
+//     predicts through each surrogate's Predict and PredictBatch, which
+//     walk every feature of every training row.
 #pragma once
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "bo/acq_optimizer.h"
@@ -17,6 +24,117 @@
 
 namespace sparktune {
 namespace reference {
+
+class FullFeatureScorer final : public CandidateScorer {
+ public:
+  using EncodeFn = std::function<std::vector<double>(const Configuration&)>;
+
+  FullFeatureScorer(EncodeFn encode, EicScorerOptions options)
+      : encode_(std::move(encode)), options_(std::move(options)) {}
+
+  CandidateScore Score(const Configuration& c) const override {
+    if (!ResourceOk(c)) return {false, 0.0};
+    const std::vector<double> x = encode_(c);
+    std::optional<Prediction> rt;
+    if (options_.runtime.surrogate != nullptr) {
+      rt = options_.runtime.surrogate->Predict(x);
+      if (options_.safety && !InSafeRegion(*rt)) return {false, 0.0};
+    }
+    return {true, Eic(options_.objective->Predict(x), rt ? &*rt : nullptr)};
+  }
+
+  std::vector<CandidateScore> ScoreBatch(
+      const std::vector<Configuration>& cs) const override {
+    std::vector<CandidateScore> out(cs.size(), CandidateScore{false, 0.0});
+    std::vector<size_t> idx;
+    std::vector<std::vector<double>> xs;
+    for (size_t i = 0; i < cs.size(); ++i) {
+      if (!ResourceOk(cs[i])) continue;
+      idx.push_back(i);
+      xs.push_back(encode_(cs[i]));
+    }
+    const Surrogate* runtime = options_.runtime.surrogate;
+    std::vector<Prediction> rt;
+    if (runtime != nullptr) {
+      rt = runtime->PredictBatch(xs);
+      if (options_.safety) {
+        size_t kept = 0;
+        for (size_t t = 0; t < idx.size(); ++t) {
+          out[idx[t]].unsafety = std::max(0.0, RuntimeViolation(rt[t]));
+          if (!InSafeRegion(rt[t])) continue;
+          if (kept != t) {
+            idx[kept] = idx[t];
+            xs[kept] = std::move(xs[t]);
+            rt[kept] = rt[t];
+          }
+          ++kept;
+        }
+        idx.resize(kept);
+        xs.resize(kept);
+        rt.resize(kept);
+      }
+    }
+    if (idx.empty()) return out;
+    const std::vector<Prediction> obj = options_.objective->PredictBatch(xs);
+    for (size_t t = 0; t < idx.size(); ++t) {
+      out[idx[t]].safe = true;
+      out[idx[t]].acq = Eic(obj[t], runtime != nullptr ? &rt[t] : nullptr);
+    }
+    return out;
+  }
+
+  std::vector<double> Unsafety(
+      const std::vector<Configuration>& cs) const override {
+    std::vector<double> out(cs.size(), 0.0);
+    if (!options_.safety) return out;
+    if (options_.resource_fn) {
+      for (size_t i = 0; i < cs.size(); ++i) {
+        out[i] = std::max(
+            out[i], options_.resource_fn(cs[i]) / options_.resource_max - 1.0);
+      }
+    }
+    const Surrogate* runtime = options_.runtime.surrogate;
+    if (runtime == nullptr) return out;
+    std::vector<std::vector<double>> xs;
+    for (const Configuration& c : cs) xs.push_back(encode_(c));
+    const std::vector<Prediction> p = runtime->PredictBatch(xs);
+    for (size_t i = 0; i < cs.size(); ++i) {
+      out[i] = std::max(out[i], RuntimeViolation(p[i]));
+    }
+    return out;
+  }
+
+  double RawEi(const Configuration& c) const override {
+    const Prediction p = options_.objective->Predict(encode_(c));
+    return ExpectedImprovement(p.mean, p.variance, options_.incumbent);
+  }
+
+ private:
+  bool ResourceOk(const Configuration& c) const {
+    return !options_.resource_fn ||
+           options_.resource_fn(c) <= options_.resource_max;
+  }
+  bool InSafeRegion(const Prediction& runtime) const {
+    return UpperConfidenceBound(runtime, options_.gamma) <=
+           options_.runtime.threshold;
+  }
+  double RuntimeViolation(const Prediction& runtime) const {
+    const double u = UpperConfidenceBound(runtime, options_.gamma);
+    const double threshold = options_.runtime.threshold;
+    return threshold > 0.0 ? u / threshold - 1.0 : u - threshold;
+  }
+  double Eic(const Prediction& objective, const Prediction* runtime) const {
+    const double ei = ExpectedImprovement(objective.mean, objective.variance,
+                                          options_.incumbent);
+    if (ei <= 0.0) return 0.0;
+    if (runtime == nullptr) return ei;
+    return ei * ProbabilityBelow(runtime->mean, runtime->variance,
+                                 options_.runtime.threshold);
+  }
+
+  EncodeFn encode_;
+  EicScorerOptions options_;
+};
 
 // Maximizes through the hook form, wired from `o` as the advisor wired
 // it: a runtime surrogate means the runtime constraint is on, a resource

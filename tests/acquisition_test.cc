@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "acquisition_reference.h"
 #include "bo/acq_optimizer.h"
 #include "bo/acquisition.h"
+#include "meta/meta_surrogate.h"
 #include "model/features.h"
 #include "model/gp.h"
 #include "sparksim/cluster.h"
@@ -438,7 +440,6 @@ TEST(EicScorerTest, UnsafetyRisesWithTheUpperBoundAtThresholdsAtOrBelowZero) {
   FakeSurrogate runtime([](const std::vector<double>& x) {
     return Prediction{0.5 + 2.0 * x[0], 0.01};
   });
-  auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
   const Subspace full = Subspace::Full(&space);
   for (double runtime_max : {0.5, 1.0}) {
     SCOPED_TRACE("runtime_max " + std::to_string(runtime_max));
@@ -447,7 +448,7 @@ TEST(EicScorerTest, UnsafetyRisesWithTheUpperBoundAtThresholdsAtOrBelowZero) {
     o.incumbent = 1.0;
     o.runtime = {&runtime, std::log(runtime_max)};
     o.safety = true;
-    const EicScorer scorer(encode, o);
+    const EicScorer scorer(SubspaceEncoder(full, {}), o);
     std::vector<Configuration> cs;
     for (double a : {0.0, 0.1, 0.3, 0.6, 1.0}) {
       cs.push_back(Configuration(std::vector<double>{a, 0.5}));
@@ -581,7 +582,7 @@ TEST(EicScorerTest, MaximizeMatchesTheAdvisorsHookWiring) {
   auto encode = [&](const Configuration& c) { return f.Encode(c); };
   for (const ScorerFixture::Mode& mode : ScorerFixture::Modes()) {
     const EicScorerOptions o = f.Options(mode);
-    const EicScorer scorer(encode, o);
+    const EicScorer scorer(SubspaceEncoder(full, {}), o);
     for (uint64_t seed : {3u, 17u, 29u}) {
       SCOPED_TRACE(std::string(mode.name) + ", seed " +
                    std::to_string(seed));
@@ -607,7 +608,6 @@ TEST(EicScorerTest, MaximizeMatchesTheAdvisorsHookWiring) {
 TEST(EicScorerTest, BatchedScoresMatchPerCandidateScoresHoweverSplit) {
   ScorerFixture f;
   const Subspace full = Subspace::Full(&f.space());
-  auto encode = [&](const Configuration& c) { return f.Encode(c); };
   Rng rng(77);
   std::vector<Configuration> pool;
   for (int i = 0; i < 61; ++i) pool.push_back(full.Sample(&rng));
@@ -621,7 +621,7 @@ TEST(EicScorerTest, BatchedScoresMatchPerCandidateScoresHoweverSplit) {
   for (const ScorerFixture::Mode& mode : ScorerFixture::Modes()) {
     SCOPED_TRACE(mode.name);
     const EicScorerOptions o = f.Options(mode);
-    const EicScorer scorer(encode, o);
+    const EicScorer scorer(SubspaceEncoder(full, {}), o);
     const std::vector<CandidateScore> whole = scorer.ScoreBatch(pool);
     ASSERT_EQ(whole.size(), pool.size());
     const std::vector<double> unsafety = scorer.Unsafety(pool);
@@ -735,12 +735,187 @@ TEST(SubspaceEncoderTest, MatchesEncodeFeaturesBitForBit) {
             trial == 0 ? space.Default() : space.Sample(&rng);
         const Subspace sub = RandomSubspace(&space, k, base, &rng);
         const SubspaceEncoder encode(sub, context);
+        const FeatureSubspace& features = encode.subspace();
+        ASSERT_EQ(features.free.size(), k);
+        EXPECT_TRUE(
+            std::is_sorted(features.free.begin(), features.free.end()));
         for (const Configuration& c : DrawCandidates(sub, &rng)) {
-          EXPECT_TRUE(BitEqual(encode(c), EncodeFeatures(space, c, context)));
+          // The free features, alone and strided as a pool packs them.
+          std::vector<double> free(k), strided(3 * k, -1.0);
+          encode(c, free.data());
+          encode(c, strided.data() + 1, 3);
+          std::vector<double> x = features.base;
+          for (size_t s = 0; s < k; ++s) {
+            x[features.free[s]] = free[s];
+            EXPECT_TRUE(BitEqual(strided[3 * s + 1], free[s]));
+          }
+          EXPECT_TRUE(BitEqual(x, EncodeFeatures(space, c, context)));
         }
       }
     }
   }
+}
+
+// Spark-space observations encoded as the advisor encodes them, half
+// inside `sub` (so many of their pinned terms are zero) and half anywhere,
+// each with its own context; the history holds the same configurations.
+struct SparkRows {
+  std::vector<std::vector<double>> x;
+  std::vector<double> log_objective;
+  std::vector<double> log_runtime;
+  RunHistory history;
+};
+
+SparkRows MakeSparkRows(const Subspace& sub, size_t n, bool time_of_day,
+                        Rng* rng) {
+  const ConfigSpace& space = sub.space();
+  SparkRows r;
+  for (size_t i = 0; i < n; ++i) {
+    Observation o;
+    o.config = i % 2 == 0 ? sub.Sample(rng) : space.Sample(rng);
+    const std::vector<double> context =
+        time_of_day
+            ? TimeOfDayContext(rng->Uniform(0.0, 500.0))
+            : std::vector<double>{
+                  NormalizeDataSize(rng->Uniform(1.0, 800.0), 1024.0)};
+    const std::vector<double> x = EncodeFeatures(space, o.config, context);
+    double y = 0.5 * x.back();
+    for (size_t f = 0; f < 6; ++f) y += std::sin(3.0 * x[f]);
+    o.objective = std::exp(y);
+    o.feasible = true;
+    r.log_objective.push_back(y);
+    r.log_runtime.push_back(1.0 + x[0] + 0.5 * x[1] * x[2] + x.back());
+    r.x.push_back(x);
+    r.history.Add(o);
+  }
+  return r;
+}
+
+// EicScorer and the pre-change scorer maximize to the same bits over `sub`
+// with the objective and runtime surrogates of `rows`: with safety, R(x)
+// and the runtime constraint; with nothing safe; and with no constraint.
+void ExpectMaximizeMatchesPreChange(const Subspace& sub,
+                                    const std::vector<double>& context,
+                                    const Surrogate* objective,
+                                    const Surrogate* runtime,
+                                    const SparkRows& rows) {
+  const ConfigSpace& space = sub.space();
+  std::vector<double> sorted = rows.log_runtime;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> rates;
+  Rng rate_rng(13);
+  auto resource = [&space](const Configuration& c) {
+    return ResourceFunction(DecodeSparkConf(space, c));
+  };
+  for (int i = 0; i < 31; ++i) rates.push_back(resource(sub.Sample(&rate_rng)));
+  std::sort(rates.begin(), rates.end());
+  struct Mode {
+    const char* name;
+    bool runtime;
+    bool resource;
+    double threshold;
+    bool nothing_safe;
+  };
+  const Mode modes[] = {
+      {"safety with runtime and resource", true, true,
+       sorted[sorted.size() / 2], false},
+      {"nothing safe", true, true, sorted.front() - 4.0, true},
+      {"no constraints", false, false, 0.0, false},
+  };
+  auto full_features = [&](const Configuration& c) {
+    return EncodeFeatures(space, c, context);
+  };
+  for (const Mode& mode : modes) {
+    EicScorerOptions o;
+    o.objective = objective;
+    o.incumbent =
+        *std::min_element(rows.log_objective.begin(), rows.log_objective.end());
+    if (mode.runtime) o.runtime = {runtime, mode.threshold};
+    if (mode.resource) {
+      o.resource_fn = resource;
+      o.resource_max = rates[rates.size() / 2];
+    }
+    o.safety = mode.runtime;
+    const EicScorer scorer(SubspaceEncoder(sub, context), o);
+    const reference::FullFeatureScorer before(full_features, o);
+    for (uint64_t seed : {3u, 17u}) {
+      SCOPED_TRACE(std::string(mode.name) + ", seed " + std::to_string(seed));
+      AcqOptOptions opts;
+      opts.num_candidates = 80;
+      opts.num_local_starts = 3;
+      opts.local_steps = 8;
+      AcquisitionOptimizer opt(opts);
+      Rng scorer_rng(seed), before_rng(seed);
+      const AcqOptResult got =
+          opt.Maximize(sub, scorer, &rows.history, &scorer_rng);
+      const AcqOptResult want =
+          opt.Maximize(sub, before, &rows.history, &before_rng);
+      EXPECT_TRUE(SameBits(got, want));
+      EXPECT_EQ(got.safe_fallback_used, mode.nothing_safe);
+      EXPECT_EQ(scorer_rng.Next(), before_rng.Next());
+    }
+  }
+}
+
+TEST(EicScorerTest, MaximizeMatchesThePreChangeScorerWithAGpObjective) {
+  const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
+  Rng rng(909);
+  for (bool time_of_day : {false, true}) {
+    SCOPED_TRACE(time_of_day ? "time of day" : "data size");
+    const std::vector<FeatureKind> schema =
+        BuildFeatureSchema(space, time_of_day ? 2 : 1);
+    const Subspace sub = RandomSubspace(&space, 9, space.Sample(&rng), &rng);
+    const SparkRows rows = MakeSparkRows(sub, 40, time_of_day, &rng);
+    GaussianProcess objective(schema), runtime(schema);
+    ASSERT_TRUE(objective.Fit(rows.x, rows.log_objective).ok());
+    ASSERT_TRUE(runtime.Fit(rows.x, rows.log_runtime).ok());
+    const std::vector<double> context =
+        time_of_day ? TimeOfDayContext(77.5)
+                    : std::vector<double>{NormalizeDataSize(200.0, 1024.0)};
+    ExpectMaximizeMatchesPreChange(sub, context, &objective, &runtime, rows);
+    ExpectMaximizeMatchesPreChange(Subspace::Full(&space), context,
+                                   &objective, &runtime, rows);
+  }
+}
+
+TEST(EicScorerTest, MaximizeMatchesThePreChangeScorerWithAMetaEnsemble) {
+  // The transfer objective: the current-task GP on the advisor's rows and
+  // two config-only base GPs from other tasks, still weighted after 12
+  // observations.
+  const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
+  Rng rng(919);
+  const std::vector<FeatureKind> schema = BuildFeatureSchema(space, 1);
+  const Subspace sub = RandomSubspace(&space, 9, space.Sample(&rng), &rng);
+  const SparkRows rows = MakeSparkRows(sub, 12, false, &rng);
+  std::vector<BaseSurrogate> bases;
+  for (double similarity : {0.8, 0.3}) {
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    for (int i = 0; i < 20; ++i) {
+      x.push_back(space.ToUnit(i % 3 == 0 ? sub.Sample(&rng)
+                                          : space.Sample(&rng)));
+      y.push_back(std::cos(2.0 * x.back()[1]) + x.back()[4] * x.back()[7]);
+    }
+    auto gp = std::make_shared<GaussianProcess>(BuildFeatureSchema(space, 0));
+    ASSERT_TRUE(gp->Fit(x, y).ok());
+    BaseSurrogate b;
+    b.model = gp;
+    b.similarity = similarity;
+    b.input_dims = space.size();
+    b.y_mean = 0.2;
+    b.y_scale = 1.3;
+    bases.push_back(std::move(b));
+  }
+  MetaEnsembleSurrogate objective(schema, std::move(bases));
+  ASSERT_TRUE(objective.Fit(rows.x, rows.log_objective).ok());
+  ASSERT_GT(objective.base_weights()[0], 0.0);
+  ASSERT_GT(objective.base_weights()[1], 0.0);
+  GaussianProcess runtime(schema);
+  ASSERT_TRUE(runtime.Fit(rows.x, rows.log_runtime).ok());
+  const std::vector<double> context = {NormalizeDataSize(200.0, 1024.0)};
+  ExpectMaximizeMatchesPreChange(sub, context, &objective, &runtime, rows);
+  ExpectMaximizeMatchesPreChange(Subspace::Full(&space), context, &objective,
+                                 &runtime, rows);
 }
 
 TEST(SubspaceHistoryTest, MatchesRunHistoryContainsOnEveryCandidate) {
@@ -957,7 +1132,7 @@ TEST(EicScorerTest, FallbackPredictsOnlyTheCandidatesRxRejected) {
   o.resource_fn = [](const Configuration& c) { return 1.0 + c[1] - c[0]; };
   o.resource_max = 1.1;
   o.safety = true;
-  const EicScorer scorer(encode, o);
+  const EicScorer scorer(SubspaceEncoder(Subspace::Full(&space), {}), o);
   const RecordingScorer recorder(scorer);
   AcqOptOptions opts;
   opts.num_candidates = 64;
@@ -1001,7 +1176,6 @@ TEST(EicScorerTest, FallbackPicksTheLeastUnsafeAtEveryThresholdSign) {
   FakeSurrogate runtime([](const std::vector<double>& x) {
     return Prediction{0.6 + 0.25 * std::floor(4.0 * x[0]), 0.01};
   });
-  auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
   const Subspace full = Subspace::Full(&space);
   for (double threshold : {0.5, 0.0, -0.5}) {
     for (uint64_t seed : {5u, 6u, 7u}) {
@@ -1016,7 +1190,7 @@ TEST(EicScorerTest, FallbackPicksTheLeastUnsafeAtEveryThresholdSign) {
       };
       o.resource_max = 1.2;
       o.safety = true;
-      const EicScorer scorer(encode, o);
+      const EicScorer scorer(SubspaceEncoder(full, {}), o);
       const RecordingScorer recorder(scorer);
       AcqOptOptions opts;
       opts.num_candidates = 96;

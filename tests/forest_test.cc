@@ -11,6 +11,16 @@
 namespace sparktune {
 namespace {
 
+// Fits `tree` on rows `x` through the columns SortedColumns::Build sorts.
+Status FitRows(RegressionTree* tree, const std::vector<std::vector<double>>& x,
+               const std::vector<double>& y,
+               const std::vector<int>& sample_indices = {},
+               Rng* rng = nullptr) {
+  Result<SortedColumns> columns = SortedColumns::Build(x);
+  if (!columns.ok()) return columns.status();
+  return tree->Fit(*columns, y, sample_indices, rng);
+}
+
 // y = step function of x0: 1 if x0 > 0.5 else 0; x1 is noise.
 void StepData(int n, std::vector<std::vector<double>>* x,
               std::vector<double>* y, uint64_t seed) {
@@ -27,25 +37,25 @@ TEST(TreeTest, FitsStepFunctionExactly) {
   std::vector<double> y;
   StepData(200, &x, &y, 1);
   RegressionTree tree;
-  ASSERT_TRUE(tree.Fit(x, y).ok());
+  ASSERT_TRUE(FitRows(&tree, x, y).ok());
   EXPECT_NEAR(tree.Predict({0.2, 0.5}), 0.0, 1e-9);
   EXPECT_NEAR(tree.Predict({0.9, 0.5}), 1.0, 1e-9);
 }
 
 TEST(TreeTest, RejectsBadInputs) {
   RegressionTree tree;
-  EXPECT_FALSE(tree.Fit({}, {}).ok());
-  EXPECT_FALSE(tree.Fit({{1.0}}, {1.0, 2.0}).ok());
+  EXPECT_FALSE(FitRows(&tree, {}, {}).ok());
+  EXPECT_FALSE(FitRows(&tree, {{1.0}}, {1.0, 2.0}).ok());
   // A row narrower than the first, and sample indices outside [0, n).
   const std::vector<std::vector<double>> x = {{0.1, 0.2}, {0.3}, {0.5, 0.6}};
   const std::vector<double> y = {1.0, 2.0, 3.0};
-  EXPECT_EQ(tree.Fit(x, y).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(FitRows(&tree, x, y).code(), Status::Code::kInvalidArgument);
   const std::vector<std::vector<double>> square = {{0.1}, {0.3}, {0.5}};
-  EXPECT_EQ(tree.Fit(square, y, {0, 3}).code(),
+  EXPECT_EQ(FitRows(&tree, square, y, {0, 3}).code(),
             Status::Code::kInvalidArgument);
-  EXPECT_EQ(tree.Fit(square, y, {-1, 1}).code(),
+  EXPECT_EQ(FitRows(&tree, square, y, {-1, 1}).code(),
             Status::Code::kInvalidArgument);
-  EXPECT_TRUE(tree.Fit(square, y, {0, 2, 2}).ok());
+  EXPECT_TRUE(FitRows(&tree, square, y, {0, 2, 2}).ok());
 }
 
 TEST(TreeTest, DepthLimitProducesStumpAtZeroDepth) {
@@ -55,7 +65,7 @@ TEST(TreeTest, DepthLimitProducesStumpAtZeroDepth) {
   TreeOptions opts;
   opts.max_depth = 0;
   RegressionTree tree(opts);
-  ASSERT_TRUE(tree.Fit(x, y).ok());
+  ASSERT_TRUE(FitRows(&tree, x, y).ok());
   EXPECT_EQ(tree.nodes().size(), 1u);
   EXPECT_TRUE(tree.nodes()[0].is_leaf);
   EXPECT_NEAR(tree.nodes()[0].value, 0.5, 0.1);
@@ -68,7 +78,7 @@ TEST(TreeTest, MinSamplesLeafRespected) {
   TreeOptions opts;
   opts.min_samples_leaf = 10;
   RegressionTree tree(opts);
-  ASSERT_TRUE(tree.Fit(x, y).ok());
+  ASSERT_TRUE(FitRows(&tree, x, y).ok());
   for (const auto& node : tree.nodes()) {
     if (node.is_leaf) {
       EXPECT_GE(node.num_samples, 10);
@@ -81,7 +91,7 @@ TEST(TreeTest, ImportanceIdentifiesActiveFeature) {
   std::vector<double> y;
   StepData(300, &x, &y, 4);
   RegressionTree tree;
-  ASSERT_TRUE(tree.Fit(x, y).ok());
+  ASSERT_TRUE(FitRows(&tree, x, y).ok());
   auto imp = tree.FeatureImportance();
   ASSERT_EQ(imp.size(), 2u);
   EXPECT_GT(imp[0], 0.9);
@@ -95,9 +105,9 @@ TEST(TreeTest, FeatureSubsamplingNeedsRng) {
   TreeOptions opts;
   opts.max_features = 1;
   RegressionTree tree(opts);
-  EXPECT_FALSE(tree.Fit(x, y).ok());  // no rng provided
+  EXPECT_FALSE(FitRows(&tree, x, y).ok());  // no rng provided
   Rng rng(6);
-  EXPECT_TRUE(tree.Fit(x, y, {}, &rng).ok());
+  EXPECT_TRUE(FitRows(&tree, x, y, {}, &rng).ok());
 }
 
 TEST(ForestTest, PredictsSmoothFunction) {
@@ -176,7 +186,7 @@ TEST(GbdtTest, OutperformsSingleShallowTree) {
   TreeOptions sopts;
   sopts.max_depth = 4;
   RegressionTree shallow(sopts);
-  ASSERT_TRUE(shallow.Fit(x, y).ok());
+  ASSERT_TRUE(FitRows(&shallow, x, y).ok());
   double sse_gbdt = 0.0, sse_tree = 0.0;
   for (int i = 0; i < 100; ++i) {
     double a = rng.Uniform(), b = rng.Uniform();

@@ -388,5 +388,227 @@ TEST(KernelTest, ColumnarScratchIsReusableAcrossRows) {
   }
 }
 
+// ---- Training rows conditioned on a searched sub-space ----
+
+// Candidates of the sub-space: `base` with the free features drawn at
+// random, plus the base itself.
+std::vector<std::vector<double>> SubspaceCandidates(
+    const std::vector<FeatureKind>& schema, const std::vector<double>& base,
+    const std::vector<size_t>& free, size_t m, Rng* rng) {
+  std::vector<std::vector<double>> cs =
+      PinnedProbes(schema, base, free, m, rng);
+  cs.push_back(base);
+  return cs;
+}
+
+// The view of `rows` against every candidate holds Stats and Eval to the
+// bit, per point and column by column, and counts the pinned terms it
+// skipped as zero.
+void ExpectConditionedMatchesStats(
+    const MixedKernel& k, const std::vector<std::vector<double>>& rows,
+    const std::vector<double>& base, const std::vector<size_t>& free,
+    const std::vector<std::vector<double>>& cs) {
+  const ConditionedRows view(k, rows, base, free);
+  ASSERT_EQ(view.size(), rows.size());
+  EXPECT_TRUE(view.Conditions(k.schema(), rows));
+  const size_t m = cs.size();
+  std::vector<double> cols(free.size() * m);
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t s = 0; s < free.size(); ++s) cols[s * m + j] = cs[j][free[s]];
+  }
+  std::vector<KernelPairStats> stats(rows.size());
+  for (size_t j = 0; j < m; ++j) {
+    std::vector<double> f(free.size());
+    for (size_t s = 0; s < free.size(); ++s) f[s] = cs[j][free[s]];
+    view.Stats(f.data(), stats.data());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const KernelPairStats want = k.Stats(rows[i], cs[j]);
+      EXPECT_EQ(Bits(stats[i].numeric_dist), Bits(want.numeric_dist))
+          << "row " << i << ", candidate " << j;
+      EXPECT_EQ(Bits(stats[i].mismatches), Bits(want.mismatches))
+          << "row " << i << ", candidate " << j;
+      EXPECT_EQ(Bits(stats[i].datasize_d2), Bits(want.datasize_d2))
+          << "row " << i << ", candidate " << j;
+      const double factor = k.DataSizeFactorOf(view.datasize_d2(i));
+      EXPECT_EQ(Bits(k.EvalConditioned(stats[i], factor)),
+                Bits(k.Eval(rows[i], cs[j])))
+          << "row " << i << ", candidate " << j;
+    }
+  }
+  std::vector<double> num_d2(m), mismatches(m), values(m);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    view.RowStats(i, cols.data(), m, num_d2.data(), mismatches.data());
+    k.EvalConditionedRow(num_d2.data(), mismatches.data(), m,
+                         k.DataSizeFactorOf(view.datasize_d2(i)),
+                         values.data());
+    for (size_t j = 0; j < m; ++j) {
+      const KernelPairStats want = k.Stats(rows[i], cs[j]);
+      EXPECT_EQ(Bits(std::sqrt(num_d2[j])), Bits(want.numeric_dist))
+          << "row " << i << ", candidate " << j;
+      EXPECT_EQ(Bits(mismatches[j]), Bits(want.mismatches))
+          << "row " << i << ", candidate " << j;
+      EXPECT_EQ(Bits(values[j]), Bits(k.Eval(rows[i], cs[j])))
+          << "row " << i << ", candidate " << j;
+    }
+  }
+}
+
+// Training rows: random ones, and ones holding the base's value in most
+// pinned features, so their terms there are exactly zero.
+std::vector<std::vector<double>> ConditionedTrainingRows(
+    const std::vector<FeatureKind>& schema, const std::vector<double>& base,
+    size_t n, Rng* rng) {
+  std::vector<std::vector<double>> rows;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> x = RandomPoint(schema, rng);
+    if (i % 2 == 1) {
+      for (size_t f = 0; f < schema.size(); ++f) {
+        if (rng->Bernoulli(0.7)) x[f] = base[f];
+      }
+    }
+    rows.push_back(std::move(x));
+  }
+  return rows;
+}
+
+TEST(ConditionedRowsTest, MatchesStatsOnAnAcquisitionPool) {
+  // Free numerics early, late and adjacent, one free categorical: every
+  // row has a leading pinned sum, pinned terms between free ones and
+  // trailing ones.
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(211);
+  const auto base = RandomPoint(schema, &rng);
+  const std::vector<size_t> free = {4, 5, 7, 9, 13};
+  const auto rows = ConditionedTrainingRows(schema, base, 23, &rng);
+  ExpectConditionedMatchesStats(
+      k, rows, base, free, SubspaceCandidates(schema, base, free, 31, &rng));
+}
+
+TEST(ConditionedRowsTest, MatchesStatsOnTheFullSpace) {
+  // Subspace::Full: every configuration feature is free and only the
+  // context is pinned.
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(223);
+  const auto base = RandomPoint(schema, &rng);
+  std::vector<size_t> free;
+  for (size_t f = 0; f + 1 < schema.size(); ++f) free.push_back(f);
+  const auto rows = ConditionedTrainingRows(schema, base, 17, &rng);
+  ExpectConditionedMatchesStats(
+      k, rows, base, free, SubspaceCandidates(schema, base, free, 13, &rng));
+}
+
+TEST(ConditionedRowsTest, MatchesStatsWithNoFreeNumeric) {
+  // Only categoricals free (and then nothing free): the numeric distance
+  // is the pinned sum alone, the same for every candidate.
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(227);
+  const auto base = RandomPoint(schema, &rng);
+  const auto rows = ConditionedTrainingRows(schema, base, 11, &rng);
+  for (const std::vector<size_t>& free :
+       {std::vector<size_t>{3, 11}, std::vector<size_t>{}}) {
+    ExpectConditionedMatchesStats(
+        k, rows, base, free, SubspaceCandidates(schema, base, free, 9, &rng));
+  }
+}
+
+TEST(ConditionedRowsTest, SkipsPinnedTermsEqualToTheBase) {
+  // A row equal to the base in every pinned feature has only zero pinned
+  // terms; one off it in a single feature after the first free numeric
+  // keeps exactly that term.
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(229);
+  const auto base = RandomPoint(schema, &rng);
+  const std::vector<size_t> free = {1, 6};
+  std::vector<std::vector<double>> rows(3, base);
+  rows[0][1] = 0.125;
+  rows[1][10] += 0.5;
+  rows[2] = RandomPoint(schema, &rng);
+  ExpectConditionedMatchesStats(
+      k, rows, base, free, SubspaceCandidates(schema, base, free, 15, &rng));
+}
+
+TEST(ConditionedRowsTest, MatchesStatsOnSignedZerosInPinnedFeatures) {
+  // 0.0 and -0.0 differ in their bits but make the same +0.0 term, which
+  // the view skips after the first free numeric and sums before it.
+  const std::vector<FeatureKind> schema = {
+      FeatureKind::kNumeric, FeatureKind::kNumeric, FeatureKind::kNumeric,
+      FeatureKind::kCategorical, FeatureKind::kDataSize};
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(233);
+  for (double zero : {0.0, -0.0}) {
+    std::vector<double> base = RandomPoint(schema, &rng);
+    base[0] = zero;
+    base[2] = zero;
+    base[3] = -zero;
+    base[4] = zero;
+    std::vector<std::vector<double>> rows;
+    for (double row_zero : {0.0, -0.0}) {
+      std::vector<double> x = RandomPoint(schema, &rng);
+      x[0] = row_zero;
+      x[2] = row_zero;
+      x[3] = -row_zero;
+      x[4] = row_zero;
+      rows.push_back(std::move(x));
+    }
+    const std::vector<size_t> free = {1};
+    ExpectConditionedMatchesStats(
+        k, rows, base, free, SubspaceCandidates(schema, base, free, 7, &rng));
+  }
+}
+
+TEST(ConditionedRowsTest, MatchesStatsWithTheTimeOfDayContext) {
+  // Without a data size the context is hour of day and day of week: two
+  // data-size-kind features, both pinned.
+  const std::vector<FeatureKind> schema = {
+      FeatureKind::kNumeric, FeatureKind::kCategorical, FeatureKind::kNumeric,
+      FeatureKind::kNumeric, FeatureKind::kDataSize, FeatureKind::kDataSize};
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(239);
+  const auto base = RandomPoint(schema, &rng);
+  const std::vector<size_t> free = {0, 1, 3};
+  const auto rows = ConditionedTrainingRows(schema, base, 13, &rng);
+  ExpectConditionedMatchesStats(
+      k, rows, base, free, SubspaceCandidates(schema, base, free, 17, &rng));
+}
+
+TEST(ConditionedRowsTest, MatchesStatsOnAConfigOnlySchema) {
+  // The meta-ensemble's base models read configuration features only: no
+  // data-size feature, so no data-size factor.
+  std::vector<FeatureKind> schema = PoolSchema();
+  schema.pop_back();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(241);
+  const auto base = RandomPoint(schema, &rng);
+  const std::vector<size_t> free = {0, 2, 3, 8, 14};
+  const auto rows = ConditionedTrainingRows(schema, base, 19, &rng);
+  ExpectConditionedMatchesStats(
+      k, rows, base, free, SubspaceCandidates(schema, base, free, 21, &rng));
+  const ConditionedRows view(k, rows, base, free);
+  EXPECT_EQ(k.DataSizeFactorOf(view.datasize_d2(0)), 1.0);
+}
+
+TEST(ConditionedRowsTest, ConditionsOnlyEqualRowsUnderTheSameSchema) {
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema);
+  Rng rng(251);
+  const auto base = RandomPoint(schema, &rng);
+  const auto rows = ConditionedTrainingRows(schema, base, 5, &rng);
+  const std::vector<size_t> free = {2};
+  const ConditionedRows view(k, rows, base, free);
+  const std::vector<std::vector<double>> copy = rows;
+  EXPECT_TRUE(view.Conditions(schema, copy));
+  std::vector<std::vector<double>> other = rows;
+  other[3][0] += 0.25;
+  EXPECT_FALSE(view.Conditions(schema, other));
+  EXPECT_FALSE(view.Conditions(schema, {rows.begin(), rows.end() - 1}));
+  std::vector<FeatureKind> flipped = schema;
+  flipped[0] = FeatureKind::kCategorical;
+  EXPECT_FALSE(view.Conditions(flipped, rows));
+}
+
 }  // namespace
 }  // namespace sparktune

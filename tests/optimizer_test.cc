@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "bo/optimizer.h"
 
@@ -24,13 +25,48 @@ double Branin(const Configuration& c) {
   return a * term * term + s * (1.0 - t) * std::cos(x) + s;
 }
 
+struct Report {
+  Configuration best_config;
+  double best_value = std::numeric_limits<double>::infinity();
+  int evaluations = 0;
+  int violations = 0;  // values above the safety bound
+};
+
+// `budget` rounds of Suggest, evaluate, Observe. The best is the best
+// feasible observation, or the smallest finite value when none is
+// feasible.
+template <typename Fn>
+Report RunBudget(Optimizer* optimizer, int budget, double safety_bound, Fn fn) {
+  Report report;
+  for (int i = 0; i < budget; ++i) {
+    Configuration c = optimizer->Suggest();
+    double value = fn(c);
+    optimizer->Observe(c, value);
+    ++report.evaluations;
+    if (std::isfinite(value) && value > safety_bound) ++report.violations;
+  }
+  const RunHistory& h = optimizer->history();
+  int best = h.BestFeasibleIndex();
+  if (best >= 0) {
+    report.best_config = h.config(static_cast<size_t>(best));
+    report.best_value = h.runtime_sec(static_cast<size_t>(best));
+    return report;
+  }
+  for (size_t i = 0; i < h.size(); ++i) {
+    if (!h.failed(i) && h.runtime_sec(i) < report.best_value) {
+      report.best_value = h.runtime_sec(i);
+      report.best_config = h.config(i);
+    }
+  }
+  return report;
+}
+
 TEST(OptimizerTest, MinimizesBranin) {
   ConfigSpace space = Box2D();
   OptimizerOptions opts;
-  opts.budget = 40;
   opts.seed = 3;
   Optimizer optimizer(&space, opts);
-  OptimizerReport report = optimizer.Minimize(Branin);
+  Report report = RunBudget(&optimizer, 40, opts.safety_bound, Branin);
   EXPECT_EQ(report.evaluations, 40);
   // Global optimum is ~0.398; demand solid progress within 40 evals.
   EXPECT_LT(report.best_value, 3.0);
@@ -39,32 +75,32 @@ TEST(OptimizerTest, MinimizesBranin) {
 TEST(OptimizerTest, HonorsSafetyBoundMostly) {
   ConfigSpace space = Box2D();
   OptimizerOptions opts;
-  opts.budget = 30;
   opts.safety_bound = 60.0;  // Branin ranges ~0.4..300 on this box
   opts.seed = 5;
   Optimizer optimizer(&space, opts);
-  OptimizerReport report = optimizer.Minimize(Branin);
+  Report report = RunBudget(&optimizer, 30, opts.safety_bound, Branin);
   EXPECT_LT(report.best_value, 60.0);
   // The safe generator keeps most evaluations under the bound.
   EXPECT_LT(report.violations, 12);
   // An unconstrained run for comparison must not violate-count anything.
   OptimizerOptions free_opts;
-  free_opts.budget = 10;
   Optimizer free(&space, free_opts);
-  EXPECT_EQ(free.Minimize(Branin).violations, 0);
+  EXPECT_EQ(RunBudget(&free, 10, free_opts.safety_bound, Branin).violations, 0);
 }
 
 TEST(OptimizerTest, InfiniteValuesTreatedAsFailures) {
   ConfigSpace space = Box2D();
   OptimizerOptions opts;
-  opts.budget = 15;
   opts.seed = 7;
   Optimizer optimizer(&space, opts);
   // A crash region: x > 5 "fails".
-  OptimizerReport report = optimizer.Minimize([](const Configuration& c) {
-    if (c[0] > 5.0) return std::numeric_limits<double>::infinity();
-    return Branin(c);
-  });
+  Report report = RunBudget(&optimizer, 15, opts.safety_bound,
+                      [](const Configuration& c) {
+                        if (c[0] > 5.0) {
+                          return std::numeric_limits<double>::infinity();
+                        }
+                        return Branin(c);
+                      });
   EXPECT_TRUE(std::isfinite(report.best_value));
   EXPECT_LE(report.best_config[0], 5.0);
 }
@@ -74,7 +110,6 @@ TEST(OptimizerTest, FailedObservationsRecordPenalizedRuntime) {
   // not like a zero-latency success (which would attract the safe region).
   ConfigSpace space = Box2D();
   OptimizerOptions opts;
-  opts.budget = 4;
   Optimizer optimizer(&space, opts);
   Configuration a = space.Default();
   optimizer.Observe(a, 10.0);
@@ -91,13 +126,12 @@ TEST(OptimizerTest, WhiteBoxResourceTermShiftsOptimum) {
   // point should sit at lower y than the pure minimum would.
   ConfigSpace space = Box2D();
   OptimizerOptions pure_opts;
-  pure_opts.budget = 35;
   pure_opts.seed = 11;
   Optimizer pure(&space, pure_opts);
   auto value = [](const Configuration& c) {
     return 1.0 + std::pow(c[0] - 2.0, 2) + 0.05 * std::pow(c[1] - 12.0, 2);
   };
-  OptimizerReport pure_report = pure.Minimize(value);
+  Report pure_report = RunBudget(&pure, 35, pure_opts.safety_bound, value);
 
   OptimizerOptions cost_opts = pure_opts;
   cost_opts.beta = 0.5;
@@ -105,14 +139,13 @@ TEST(OptimizerTest, WhiteBoxResourceTermShiftsOptimum) {
     return 1.0 + c[1];  // y is expensive
   };
   Optimizer costed(&space, cost_opts);
-  OptimizerReport cost_report = costed.Minimize(value);
+  Report cost_report = RunBudget(&costed, 35, cost_opts.safety_bound, value);
   EXPECT_LT(cost_report.best_config[1], pure_report.best_config[1]);
 }
 
 TEST(OptimizerTest, StepwiseApiMatchesHistory) {
   ConfigSpace space = Box2D();
   OptimizerOptions opts;
-  opts.budget = 5;
   Optimizer optimizer(&space, opts);
   for (int i = 0; i < 5; ++i) {
     Configuration c = optimizer.Suggest();

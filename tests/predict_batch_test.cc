@@ -2,12 +2,15 @@
 // implementation — fitted and unfitted (prior path) alike.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "forest/random_forest.h"
 #include "meta/meta_surrogate.h"
 #include "model/gp.h"
+#include "model/kernel.h"
 
 namespace sparktune {
 namespace {
@@ -185,6 +188,206 @@ TEST(PredictBatchTest, EmptyForestMatchesPerPoint) {
     EXPECT_EQ(batch[j].mean, p.mean);
     EXPECT_EQ(batch[j].variance, p.variance);
   }
+}
+
+// ---- Predictions conditioned on a searched sub-space ----
+
+// The sub-space of MakeSharedProbes: features 1 and 2 free, the rest
+// pinned at the shared values.
+FeatureSubspace SharedSubspace() {
+  FeatureSubspace sub;
+  sub.base = {0.625, 0.5, 0.5, 1.0, 0.4};
+  sub.free = {1, 2};
+  return sub;
+}
+
+// Candidates of `sub`: its base with the free features of random probes.
+std::vector<std::vector<double>> Candidates(const FeatureSubspace& sub,
+                                            size_t m, uint64_t seed) {
+  std::vector<std::vector<double>> cs;
+  for (const auto& probe : MakeProbes(m, seed)) {
+    std::vector<double> c = sub.base;
+    for (size_t f : sub.free) c[f] = probe[f];
+    cs.push_back(std::move(c));
+  }
+  return cs;
+}
+
+bool SameBits(const Prediction& a, const Prediction& b) {
+  return std::bit_cast<uint64_t>(a.mean) == std::bit_cast<uint64_t>(b.mean) &&
+         std::bit_cast<uint64_t>(a.variance) ==
+             std::bit_cast<uint64_t>(b.variance);
+}
+
+// `s` conditioned on `sub` predicts every candidate as s.Predict does, per
+// point and as a pool. Returns the conditioned model's rows().
+const ConditionedRows* ExpectConditionedMatchesPredict(
+    const Surrogate& s, const FeatureSubspace& sub,
+    const ConditionedRows* shared,
+    const std::vector<std::vector<double>>& cs) {
+  const std::unique_ptr<ConditionedSurrogate> c = s.Condition(sub, shared);
+  const ConditionedRows* rows = c->rows();
+  const size_t k = sub.free.size();
+  const size_t m = cs.size();
+  std::vector<double> cols(k * m);
+  std::vector<KernelPairStats> stats(rows != nullptr ? rows->size() : 0);
+  for (size_t j = 0; j < m; ++j) {
+    std::vector<double> f(k);
+    for (size_t t = 0; t < k; ++t) {
+      f[t] = cs[j][sub.free[t]];
+      cols[t * m + j] = f[t];
+    }
+    if (rows != nullptr) rows->Stats(f.data(), stats.data());
+    EXPECT_TRUE(SameBits(c->Predict(f.data(), stats.data()), s.Predict(cs[j])))
+        << "candidate " << j;
+  }
+  const std::vector<Prediction> batch = c->PredictBatch(cols.data(), m);
+  const std::vector<Prediction> want = s.PredictBatch(cs);
+  EXPECT_EQ(batch.size(), m);
+  for (size_t j = 0; j < m && j < batch.size(); ++j) {
+    EXPECT_TRUE(SameBits(batch[j], want[j])) << "candidate " << j;
+  }
+  return rows;
+}
+
+TEST(ConditionedPredictTest, GpMatchesPredict) {
+  MixedData d = MakeMixedData(48, 7);
+  GaussianProcess gp(d.schema);
+  ASSERT_TRUE(gp.Fit(d.x, d.y).ok());
+  const FeatureSubspace sub = SharedSubspace();
+  EXPECT_NE(ExpectConditionedMatchesPredict(gp, sub, nullptr,
+                                            Candidates(sub, 97, 11)),
+            nullptr);
+  // Subspace::Full: only the data size is pinned.
+  FeatureSubspace full = sub;
+  full.free = {0, 1, 2, 3};
+  ExpectConditionedMatchesPredict(gp, full, nullptr, Candidates(full, 53, 13));
+  // No free numeric.
+  FeatureSubspace categorical = sub;
+  categorical.free = {3};
+  ExpectConditionedMatchesPredict(gp, categorical, nullptr,
+                                  Candidates(categorical, 9, 15));
+  // The base itself, and an empty pool.
+  ExpectConditionedMatchesPredict(gp, sub, nullptr, {sub.base});
+  ExpectConditionedMatchesPredict(gp, sub, nullptr, {});
+}
+
+TEST(ConditionedPredictTest, GpsFitOnTheSameRowsShareOneView) {
+  MixedData d = MakeMixedData(40, 41);
+  GaussianProcess runtime(d.schema);
+  ASSERT_TRUE(runtime.Fit(d.x, d.y).ok());
+  std::vector<double> other_y;
+  for (const auto& row : d.x) other_y.push_back(row[1] - row[2] * row[0]);
+  GaussianProcess objective(d.schema);
+  ASSERT_TRUE(objective.Fit(d.x, other_y).ok());
+  const FeatureSubspace sub = SharedSubspace();
+  const auto cs = Candidates(sub, 61, 43);
+  const std::unique_ptr<ConditionedSurrogate> rt =
+      runtime.Condition(sub, nullptr);
+  ASSERT_NE(rt->rows(), nullptr);
+  EXPECT_EQ(ExpectConditionedMatchesPredict(objective, sub, rt->rows(), cs),
+            rt->rows());
+  // A GP fit on other rows conditions its own.
+  MixedData e = MakeMixedData(40, 47);
+  GaussianProcess elsewhere(e.schema);
+  ASSERT_TRUE(elsewhere.Fit(e.x, e.y).ok());
+  const ConditionedRows* own =
+      ExpectConditionedMatchesPredict(elsewhere, sub, rt->rows(), cs);
+  EXPECT_NE(own, nullptr);
+  EXPECT_NE(own, rt->rows());
+}
+
+TEST(ConditionedPredictTest, UnfittedGpPredictsThePrior) {
+  MixedData d = MakeMixedData(4, 3);
+  GaussianProcess gp(d.schema);  // never fitted -> prior
+  const FeatureSubspace sub = SharedSubspace();
+  EXPECT_EQ(ExpectConditionedMatchesPredict(gp, sub, nullptr,
+                                            Candidates(sub, 9, 5)),
+            nullptr);
+}
+
+TEST(ConditionedPredictTest, MetaEnsembleMatchesPredict) {
+  // One full-width base (truncated to 5 features: all of them) and one
+  // config-only base over the first three, which has no data size. Few
+  // observations, so the base weights have not decayed to zero.
+  MixedData d = MakeMixedData(12, 13);
+  MetaEnsembleSurrogate meta(d.schema, MakeBases());
+  ASSERT_TRUE(meta.Fit(d.x, d.y).ok());
+  ASSERT_GT(meta.base_weights()[0], 0.0);
+  ASSERT_GT(meta.base_weights()[1], 0.0);
+  GaussianProcess runtime(d.schema);
+  ASSERT_TRUE(runtime.Fit(d.x, d.y).ok());
+  for (const std::vector<size_t>& free :
+       {std::vector<size_t>{1, 2}, std::vector<size_t>{0, 1, 2, 3},
+        std::vector<size_t>{2, 3}}) {
+    FeatureSubspace sub = SharedSubspace();
+    sub.free = free;
+    const auto cs = Candidates(sub, 71, 17);
+    const std::unique_ptr<ConditionedSurrogate> rt =
+        runtime.Condition(sub, nullptr);
+    // The current-task GP reads the runtime GP's view.
+    EXPECT_EQ(ExpectConditionedMatchesPredict(meta, sub, rt->rows(), cs),
+              rt->rows());
+    EXPECT_NE(ExpectConditionedMatchesPredict(meta, sub, nullptr, cs),
+              nullptr);
+  }
+}
+
+TEST(ConditionedPredictTest, UnfittedMetaEnsemblePredictsThePriorMix) {
+  MixedData d = MakeMixedData(4, 19);
+  MetaEnsembleSurrogate meta(d.schema, MakeBases());  // never fitted
+  const FeatureSubspace sub = SharedSubspace();
+  EXPECT_EQ(ExpectConditionedMatchesPredict(meta, sub, nullptr,
+                                            Candidates(sub, 13, 23)),
+            nullptr);
+}
+
+TEST(ConditionedPredictTest, OtherModelsPredictFromFullFeatures) {
+  MixedData d = MakeMixedData(60, 29);
+  ForestOptions opts;
+  opts.num_trees = 12;
+  opts.seed = 9;
+  RandomForest rf(opts);
+  ASSERT_TRUE(rf.Fit(d.x, d.y).ok());
+  const FeatureSubspace sub = SharedSubspace();
+  EXPECT_EQ(ExpectConditionedMatchesPredict(rf, sub, nullptr,
+                                            Candidates(sub, 30, 31)),
+            nullptr);
+}
+
+void ExpectSamePredictions(const MetaEnsembleSurrogate& got,
+                           const MetaEnsembleSurrogate& want,
+                           const std::vector<std::vector<double>>& probes) {
+  const std::vector<Prediction> batch = got.PredictBatch(probes);
+  const std::vector<Prediction> want_batch = want.PredictBatch(probes);
+  ASSERT_EQ(batch.size(), probes.size());
+  for (size_t j = 0; j < probes.size(); ++j) {
+    EXPECT_TRUE(SameBits(got.Predict(probes[j]), want.Predict(probes[j])))
+        << "probe " << j;
+    EXPECT_TRUE(SameBits(batch[j], want_batch[j])) << "probe " << j;
+  }
+}
+
+TEST(MetaEnsembleTest, FailedFitPredictsThePriorMix) {
+  // A NaN feature row makes the current-task GP's Cholesky fail. A failed
+  // first fit used to leave the base weights empty (Predict read past
+  // them); a failed re-fit used to mix in the previous fit's weights.
+  MixedData d = MakeMixedData(24, 61);
+  std::vector<std::vector<double>> bad_x = d.x;
+  bad_x[5][1] = std::nan("");
+  const std::vector<std::vector<double>> probes = MakeProbes(19, 67);
+  const MetaEnsembleSurrogate never(d.schema, MakeBases());
+
+  MetaEnsembleSurrogate first(d.schema, MakeBases());
+  EXPECT_FALSE(first.Fit(bad_x, d.y).ok());
+  ExpectSamePredictions(first, never, probes);
+
+  MetaEnsembleSurrogate refit(d.schema, MakeBases());
+  ASSERT_TRUE(refit.Fit(d.x, d.y).ok());
+  EXPECT_FALSE(refit.Fit(bad_x, d.y).ok());
+  ExpectSamePredictions(refit, never, probes);
+  EXPECT_EQ(refit.num_observations(), 0u);
+  EXPECT_TRUE(refit.base_weights().empty());
 }
 
 }  // namespace

@@ -2,9 +2,16 @@
 // 30-parameter space, workload validity, drift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "sparksim/cluster.h"
 #include "sparksim/drift.h"
+#include "sparksim/event_log.h"
 #include "sparksim/hibench.h"
 #include "sparksim/spark_conf.h"
 #include "sparksim/workload.h"
@@ -181,6 +188,64 @@ TEST(DriftTest, TrendGrows) {
   DriftModel d;
   d.trend_per_day = 0.01;
   EXPECT_GT(d.Multiplier(24.0 * 30, 1, 0), d.Multiplier(0.0, 1, 0));
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Summarize's quantile and skewness as it used to compute them: each
+// quantile sorted its own copy, and the skewness took its own mean and
+// standard deviation.
+double QuantileOfCopy(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  std::sort(v.begin(), v.end());
+  double pos = q * static_cast<double>(v.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, v.size() - 1);
+  double frac = pos - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+double SkewnessOf(const std::vector<double>& v) {
+  if (v.size() < 3) return 0.0;
+  double m = Mean(v);
+  double s = Stddev(v);
+  if (s <= 0.0) return 0.0;
+  double acc = 0.0;
+  for (double x : v) {
+    double z = (x - m) / s;
+    acc += z * z * z;
+  }
+  return acc / static_cast<double>(v.size());
+}
+
+TEST(EventLogTest, SummarizeMatchesItsOldCompositionBitForBit) {
+  // Summarize sorts one copy for both quantiles and reuses one mean and
+  // one standard deviation; every field keeps the bits of the old
+  // composition. Samples hold ties (repeated values and zeros), at the
+  // sizes where the helpers' small-sample cases switch.
+  Rng rng(4096);
+  for (size_t n : {1u, 2u, 3u, 96u}) {
+    for (int trial = 0; trial < 25; ++trial) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", trial " +
+                   std::to_string(trial));
+      std::vector<double> v(n);
+      for (double& x : v) {
+        x = rng.Bernoulli(0.4)
+                ? 0.5 * static_cast<double>(rng.UniformInt(0, 3))
+                : rng.Uniform(0.0, 10.0);
+      }
+      const TaskMetricSummary s = Summarize(v);
+      EXPECT_EQ(Bits(s.mean), Bits(Mean(v)));
+      EXPECT_EQ(Bits(s.stddev), Bits(Stddev(v)));
+      EXPECT_EQ(Bits(s.min), Bits(Min(v)));
+      EXPECT_EQ(Bits(s.max), Bits(Max(v)));
+      EXPECT_EQ(Bits(s.p50), Bits(QuantileOfCopy(v, 0.5)));
+      EXPECT_EQ(Bits(s.p90), Bits(QuantileOfCopy(v, 0.9)));
+      EXPECT_EQ(Bits(s.skewness), Bits(SkewnessOf(v)));
+      EXPECT_EQ(Bits(s.total), Bits(Sum(v)));
+    }
+  }
 }
 
 }  // namespace

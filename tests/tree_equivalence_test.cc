@@ -108,7 +108,11 @@ std::vector<int> Bootstrap(size_t n, size_t draws, Rng* rng) {
   const Nodes want =
       reference::NaiveTree(opts, d.x, d.y, &ref_rng).Fit(sample);
   RegressionTree tree(opts);
-  Status st = tree.Fit(d.x, d.y, sample, &rng);
+  Result<SortedColumns> columns = SortedColumns::Build(d.x);
+  if (!columns.ok()) {
+    return ::testing::AssertionFailure() << columns.status().ToString();
+  }
+  Status st = tree.Fit(*columns, d.y, sample, &rng);
   if (!st.ok()) return ::testing::AssertionFailure() << st.ToString();
   return SameNodes(want, tree.nodes());
 }

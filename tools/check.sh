@@ -89,6 +89,16 @@ rpc_smoke_chaos build
 echo "==> [build/perfbench] perfbench/run.py --selftest"
 CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py --selftest
 
+# The benchmark's seed-101 trajectories, by digest (about 10 s): a change
+# that moves a tuning trajectory fails this gate, not only the benchmark.
+echo "==> [build/perfbench] seed-101 trajectory digests (bo_tuning, transfer)"
+CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
+  --workload bo_tuning --seed 101 --seconds 1 --trace 0 \
+  --expect-digest ff406444d1c43617
+CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
+  --workload transfer --seed 101 --seconds 1 --trace 0 \
+  --expect-digest 645be31132394610
+
 if [[ "$ALL" -eq 1 ]]; then
   run_config build-tsan thread "$@"
   run_config build-asan-ubsan address,undefined "$@"
@@ -118,10 +128,12 @@ fi
 
 # Bit-equality self-check of the micro-benchmark harness on ragged sizes:
 # every optimized path re-verified against its reference — the linalg
-# kernels (upper_solve, syrk_factor), batched inference (kernel_batch,
-# kernel_pool, gp_predict, meta_predict, forest_predict), and the
-# acquisition scorer against the hook wiring it replaced, with a safe
-# candidate (acq_score) and with none (acq_fallback).
+# kernels (upper_solve, syrk_factor), batched inference (kernel_batch;
+# kernel_pool, the pool's kernel values from rows conditioned on the
+# sub-space against the columnar path over full features; gp_predict,
+# meta_predict, forest_predict), and the acquisition scorer against the
+# scorer before conditioned rows with a safe candidate (acq_score) and
+# against the hook wiring with none (acq_fallback).
 echo "==> [build] bench_kernels --self_check=1 (bit-equality, 9 rows)"
 ./build/bench/bench_kernels --self_check=1 \
   --out=build/BENCH_kernels_selfcheck.json
