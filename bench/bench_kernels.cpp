@@ -5,17 +5,17 @@
 //
 //   * linalg: the panelled upper solve and the register-tiled SYRK
 //     factorization against their naive loops (upper_solve, syrk_factor);
-//   * batched inference at --n training rows and --m probes: the columnar
-//     MixedKernel row against per-row EvalRow on random probes
-//     (kernel_batch, no column shared); on the pool of one sub-space
-//     search in the Spark space, the kernel values from the training rows
-//     conditioned on the sub-space (ConditionedRows: the free columns and
-//     the nonzero pinned terms only, one data-size factor per row) against
-//     the columnar path over the pool's full features, which that search
-//     used before (kernel_pool); and one PredictBatch call against a
-//     per-point Predict loop for the GP, the meta ensemble and the random
-//     forest, with fixed GP hyperparameters (gp_predict, meta_predict,
-//     forest_predict);
+//   * batched inference at --n training rows and --m probes, each
+//     against per-pair MixedKernel::Eval: the kernel values from the
+//     training rows conditioned on the span of random probes, where every
+//     feature and the data size is free (kernel_batch); on the pool of one
+//     sub-space search in the Spark space, the kernel values from the
+//     training rows conditioned on the sub-space (ConditionedRows: the
+//     free columns and the nonzero pinned terms only, one data-size factor
+//     per row) against Eval over the pool's full features (kernel_pool);
+//     and one PredictBatch call against a per-point Predict loop for the
+//     GP, the meta ensemble and the random forest, with fixed GP
+//     hyperparameters (gp_predict, meta_predict, forest_predict);
 //   * acquisition scoring in the Spark space, over a sub-space with nine
 //     free parameters: a runtime-constrained, safety-on maximization with
 //     EicScorer against the scorer before it predicted from conditioned
@@ -282,38 +282,79 @@ Subspace ExpertSubspace(const ConfigSpace* space, Configuration base) {
   return Subspace(space, std::move(free), std::move(base));
 }
 
-KernelRow BenchKernelBatch(const char* name,
-                           const std::vector<FeatureKind>& schema,
+// The n x m kernel values of `train` against the training rows
+// conditioned on `base` and `free`, the candidates' free features at
+// cols[s * m + j]: the pool loop of the GP's conditioned PredictBatch,
+// with per-candidate data-size factors when a data-size feature is free.
+void ConditionedValues(const MixedKernel& kernel,
+                       const std::vector<std::vector<double>>& train,
+                       const FeatureSubspace& sub, const double* cols,
+                       size_t m, double* out) {
+  const ConditionedRows view(kernel, train, sub.base, sub.free);
+  std::vector<double> num_d2(m), mismatches(m);
+  std::vector<double> ds_d2(view.datasize_free() ? m : 0);
+  double* ds = ds_d2.empty() ? nullptr : ds_d2.data();
+  for (size_t i = 0; i < train.size(); ++i) {
+    view.RowStats(i, cols, m, num_d2.data(), mismatches.data(), ds);
+    kernel.EvalConditionedRow(
+        num_d2.data(), mismatches.data(), ds, m,
+        ds != nullptr ? 1.0 : kernel.DataSizeFactorOf(view.datasize_d2(i)),
+        out + i * m);
+  }
+}
+
+// The reference: out[i * m + j] = Eval(train[i], probes[j]).
+void PairwiseValues(const MixedKernel& kernel,
+                    const std::vector<std::vector<double>>& train,
+                    const std::vector<std::vector<double>>& probes,
+                    double* out) {
+  const size_t m = probes.size();
+  for (size_t i = 0; i < train.size(); ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      out[i * m + j] = kernel.Eval(train[i], probes[j]);
+    }
+  }
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t t = 0; t < a.size(); ++t) {
+    if (std::bit_cast<uint64_t>(a[t]) != std::bit_cast<uint64_t>(b[t])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// kernel_batch: random probes, every feature and the data size free. The
+// training rows conditioned on the probes' span (fast) against per-pair
+// Eval (reference).
+KernelRow BenchKernelBatch(const std::vector<FeatureKind>& schema,
                            const std::vector<std::vector<double>>& train,
                            const std::vector<std::vector<double>>& probes,
                            int reps) {
-  KernelRow row{name};
+  KernelRow row{"kernel_batch"};
   MixedKernel kernel(schema);
   const size_t n = train.size();
   const size_t m = probes.size();
-  std::vector<double> by_row(n * m), columnar(n * m);
+  std::vector<double> pairwise(n * m), conditioned(n * m);
   row.naive_ms = TimeMs(reps, [&] {
-    for (size_t i = 0; i < n; ++i) {
-      kernel.EvalRow(train[i], probes, by_row.data() + i * m);
-    }
-    g_sink += by_row[0];
+    PairwiseValues(kernel, train, probes, pairwise.data());
+    g_sink += pairwise[0];
   });
   row.fast_ms = TimeMs(reps, [&] {
-    const MixedKernel::ProbeColumns cols = kernel.PackProbes(probes);
-    MixedKernel::ColumnarScratch scratch;
-    for (size_t i = 0; i < n; ++i) {
-      kernel.EvalRowColumnar(train[i], cols, &scratch,
-                             columnar.data() + i * m);
-    }
-    g_sink += columnar[0];
+    const ProbeSpan span = SpanOfProbes(probes);
+    ConditionedValues(kernel, train, span.sub, span.cols.data(), m,
+                      conditioned.data());
+    g_sink += conditioned[0];
   });
-  row.bit_identical = by_row == columnar;
+  row.bit_identical = SameBits(pairwise, conditioned);
   return row;
 }
 
-// kernel_pool: the cross-kernel matrix of a sub-space pool through the
-// columnar path over its full features (reference) and from the training
-// rows conditioned on the sub-space (fast), both built from scratch per
+// kernel_pool: the cross-kernel matrix of a sub-space pool by per-pair
+// Eval over its full features (reference) and from the training rows
+// conditioned on the sub-space (fast), both built from scratch per
 // timing, as one search builds them.
 KernelRow BenchKernelPool(const std::vector<FeatureKind>& schema,
                           const std::vector<std::vector<double>>& train,
@@ -333,32 +374,17 @@ KernelRow BenchKernelPool(const std::vector<FeatureKind>& schema,
     for (const Configuration& c : pool) {
       probes.push_back(EncodeFeatures(sub.space(), c, context));
     }
-    const MixedKernel::ProbeColumns cols = kernel.PackProbes(probes);
-    MixedKernel::ColumnarScratch scratch;
-    for (size_t i = 0; i < n; ++i) {
-      kernel.EvalRowColumnar(train[i], cols, &scratch, full.data() + i * m);
-    }
+    PairwiseValues(kernel, train, probes, full.data());
     g_sink += full[0];
   });
   row.fast_ms = TimeMs(reps, [&] {
     std::vector<double> cols(k * m);
     for (size_t j = 0; j < m; ++j) encode(pool[j], cols.data() + j, m);
-    const ConditionedRows view(kernel, train, encode.subspace().base,
-                               encode.subspace().free);
-    std::vector<double> num_d2(m), mismatches(m);
-    for (size_t i = 0; i < n; ++i) {
-      view.RowStats(i, cols.data(), m, num_d2.data(), mismatches.data());
-      kernel.EvalConditionedRow(num_d2.data(), mismatches.data(), m,
-                                kernel.DataSizeFactorOf(view.datasize_d2(i)),
-                                conditioned.data() + i * m);
-    }
+    ConditionedValues(kernel, train, encode.subspace(), cols.data(), m,
+                      conditioned.data());
     g_sink += conditioned[0];
   });
-  row.bit_identical = full.size() == conditioned.size();
-  for (size_t t = 0; row.bit_identical && t < full.size(); ++t) {
-    row.bit_identical = std::bit_cast<uint64_t>(full[t]) ==
-                        std::bit_cast<uint64_t>(conditioned[t]);
-  }
+  row.bit_identical = SameBits(full, conditioned);
   return row;
 }
 
@@ -390,16 +416,15 @@ void AddInferenceRows(size_t n, size_t m, int reps,
   Rng rng(4242);
   const Dataset train = MakeDataset(schema, n, &rng);
   const auto probes = MakeMixedRows(schema, m, &rng);
-  rows->push_back(
-      BenchKernelBatch("kernel_batch", schema, train.x, probes, reps));
+  rows->push_back(BenchKernelBatch(schema, train.x, probes, reps));
 
   // kernel_pool: the probes of one sub-space search in the Spark space
   // (23 numeric and 7 categorical features in slot order, then the data
   // size). They share every pinned coordinate and the data size and vary
-  // in the nine free ones. The reference is the columnar path over their
-  // full features; the fast path conditions the training rows on the
-  // sub-space once and streams each row's statistics over the free
-  // columns, as the scorer's pool does.
+  // in the nine free ones. The reference is per-pair Eval over their full
+  // features; the fast path conditions the training rows on the sub-space
+  // once and streams each row's statistics over the free columns, as the
+  // scorer's pool does.
   // Half the training rows come from the sub-space, as the history rows
   // that share the incumbent's pinned values do, so their pinned terms
   // are zero.

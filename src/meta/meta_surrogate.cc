@@ -159,26 +159,10 @@ Prediction MetaEnsembleSurrogate::Predict(const std::vector<double>& x) const {
 
 std::vector<Prediction> MetaEnsembleSurrogate::PredictBatch(
     const std::vector<std::vector<double>>& xs) const {
-  std::vector<Prediction> out(xs.size());
-  if (xs.empty()) return out;
-  if (current_ != nullptr) {
-    std::vector<Prediction> selfs = current_->PredictBatch(xs);
-    for (size_t j = 0; j < xs.size(); ++j) out[j] = MixSelf(selfs[j]);
-  }
-  // Each base model scores the whole batch once; per-candidate the mix
-  // accumulates self-then-bases in index order, exactly like Predict.
-  for (size_t i = 0; i < bases_.size(); ++i) {
-    if (!Mixes(i)) continue;
-    std::vector<std::vector<double>> xb;
-    xb.reserve(xs.size());
-    for (const auto& x : xs) xb.push_back(Truncated(x, bases_[i].input_dims));
-    std::vector<Prediction> preds = bases_[i].model->PredictBatch(xb);
-    for (size_t j = 0; j < xs.size(); ++j) MixBase(i, preds[j], &out[j]);
-  }
-  if (current_ != nullptr) {
-    for (Prediction& p : out) p.variance = std::max(p.variance, 1e-12);
-  }
-  return out;
+  if (xs.empty()) return {};
+  const ProbeSpan span = SpanOfProbes(xs);
+  return Condition(span.sub, nullptr)
+      ->PredictBatch(span.cols.data(), xs.size());
 }
 
 class MetaEnsembleSurrogate::Conditioned final : public ConditionedSurrogate {

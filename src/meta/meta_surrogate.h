@@ -50,16 +50,16 @@ class MetaEnsembleSurrogate final : public Surrogate {
 
   Prediction Predict(const std::vector<double>& x) const override;
 
-  // Batched mix: one PredictBatch per base model (and one for the
-  // current-task GP) instead of a per-point fan-out over the whole
-  // ensemble. Bit-identical to per-point Predict.
+  // Batched mix: the conditioned PredictBatch over the sub-space the
+  // probes span (SpanOfProbes). Bit-identical to per-point Predict.
   std::vector<Prediction> PredictBatch(
       const std::vector<std::vector<double>>& xs) const override;
 
-  // The mix over one sub-space search's candidates: the current-task GP
+  // The mix over one sub-space's candidates: the current-task GP
   // conditioned with `shared` (its rows()), each mixed base conditioned
   // on the sub-space's leading input_dims features once, mixed in
-  // Predict's order.
+  // Predict's order. A pool's PredictBatch runs one PredictBatch per
+  // model instead of a per-point fan-out over the whole ensemble.
   std::unique_ptr<ConditionedSurrogate> Condition(
       const FeatureSubspace& sub,
       const ConditionedRows* shared) const override;

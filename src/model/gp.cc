@@ -218,19 +218,9 @@ Prediction GaussianProcess::Predict(const std::vector<double>& x) const {
 std::vector<Prediction> GaussianProcess::PredictBatch(
     const std::vector<std::vector<double>>& xs) const {
   if (xs.empty()) return {};
-  if (!fitted()) return std::vector<Prediction>(xs.size(), Prior());
-  const size_t n = x_.size();
-  const size_t m = xs.size();
-  // Cross-kernel matrix K*: row i holds k(x_i, xs[j]) for every candidate
-  // j. Candidates are repacked feature-major once, then each training row
-  // streams per-kind columns (EvalRowColumnar == EvalRow bit-for-bit).
-  const MixedKernel::ProbeColumns cols = kernel_.PackProbes(xs);
-  Matrix kstar(n, m);
-  MixedKernel::ColumnarScratch scratch;
-  for (size_t i = 0; i < n; ++i) {
-    kernel_.EvalRowColumnar(x_[i], cols, &scratch, kstar.row(i));
-  }
-  return Posteriors(kstar);
+  const ProbeSpan span = SpanOfProbes(xs);
+  return Condition(span.sub, nullptr)
+      ->PredictBatch(span.cols.data(), xs.size());
 }
 
 class GaussianProcess::Conditioned final : public ConditionedSurrogate {
@@ -246,10 +236,14 @@ class GaussianProcess::Conditioned final : public ConditionedSurrogate {
       rows_ = &own_.emplace(gp->kernel_, gp->x_, sub.base, sub.free);
     }
     const size_t n = gp->x_.size();
+    // A pinned data size has one factor per row. A free one (only a probe
+    // span frees it) has one per candidate, filled in per prediction.
     datasize_factors_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      datasize_factors_[i] =
-          gp->kernel_.DataSizeFactorOf(rows_->datasize_d2(i));
+    if (!rows_->datasize_free()) {
+      for (size_t i = 0; i < n; ++i) {
+        datasize_factors_[i] =
+            gp->kernel_.DataSizeFactorOf(rows_->datasize_d2(i));
+      }
     }
     kstar_.resize(n);
     v_.resize(n);
@@ -260,8 +254,14 @@ class GaussianProcess::Conditioned final : public ConditionedSurrogate {
   Prediction Predict(const double*,
                      const KernelPairStats* stats) const override {
     if (rows_ == nullptr) return gp_->Prior();
+    const MixedKernel& kernel = gp_->kernel_;
+    if (rows_->datasize_free()) {
+      for (size_t i = 0; i < kstar_.size(); ++i) {
+        datasize_factors_[i] = kernel.DataSizeFactorOf(stats[i].datasize_d2);
+      }
+    }
     for (size_t i = 0; i < kstar_.size(); ++i) {
-      kstar_[i] = gp_->kernel_.EvalConditioned(stats[i], datasize_factors_[i]);
+      kstar_[i] = kernel.EvalConditioned(stats[i], datasize_factors_[i]);
     }
     return gp_->Posterior(kstar_.data(), v_.data());
   }
@@ -275,10 +275,12 @@ class GaussianProcess::Conditioned final : public ConditionedSurrogate {
     const size_t n = kstar_.size();
     Matrix kstar(n, m);
     std::vector<double> num_d2(m), mismatches(m);
+    std::vector<double> ds_d2(rows_->datasize_free() ? m : 0);
+    double* ds = ds_d2.empty() ? nullptr : ds_d2.data();
     for (size_t i = 0; i < n; ++i) {
-      rows_->RowStats(i, cols, m, num_d2.data(), mismatches.data());
-      gp_->kernel_.EvalConditionedRow(num_d2.data(), mismatches.data(), m,
-                                      datasize_factors_[i], kstar.row(i));
+      rows_->RowStats(i, cols, m, num_d2.data(), mismatches.data(), ds);
+      gp_->kernel_.EvalConditionedRow(num_d2.data(), mismatches.data(), ds,
+                                      m, datasize_factors_[i], kstar.row(i));
     }
     return gp_->Posteriors(kstar);
   }
@@ -287,7 +289,8 @@ class GaussianProcess::Conditioned final : public ConditionedSurrogate {
   const GaussianProcess* gp_;
   std::optional<ConditionedRows> own_;
   const ConditionedRows* rows_ = nullptr;
-  std::vector<double> datasize_factors_;
+  // Per row; Predict's scratch when the data size is free.
+  mutable std::vector<double> datasize_factors_;
   // Per-candidate scratch of Predict.
   mutable std::vector<double> kstar_;
   mutable std::vector<double> v_;

@@ -46,16 +46,18 @@ class GaussianProcess final : public Surrogate {
   // the prior.
   Prediction Predict(const std::vector<double>& x) const override;
 
-  // Batched posterior: builds the n x m cross-kernel matrix in one pass,
-  // runs a single blocked triangular solve for all variances and one gemv
-  // against alpha for all means. Bit-identical to per-point Predict.
+  // Batched posterior: the conditioned PredictBatch over the sub-space
+  // the probes span (SpanOfProbes). Bit-identical to per-point Predict.
   std::vector<Prediction> PredictBatch(
       const std::vector<std::vector<double>>& xs) const override;
 
-  // The GP over one sub-space search's candidates: kernel values from the
+  // The GP over one sub-space's candidates: kernel values from the
   // statistics of a ConditionedRows view of the training rows (`shared`
-  // when it conditions them, else its own) and a data-size factor per row
-  // computed once. A climb step's Predict allocates nothing.
+  // when it conditions them, else its own) and, when the sub-space pins
+  // the data size, a data-size factor per row computed once. A pool's
+  // PredictBatch builds the n x m cross-kernel matrix row by row, then
+  // runs one blocked triangular solve for all variances and one gemv
+  // against alpha for all means. A climb step's Predict allocates nothing.
   std::unique_ptr<ConditionedSurrogate> Condition(
       const FeatureSubspace& sub,
       const ConditionedRows* shared) const override;
@@ -90,8 +92,8 @@ class GaussianProcess final : public Surrogate {
   // kstar[0, n); `v` is n doubles of scratch. Predict and the conditioned
   // Predict share it.
   Prediction Posterior(const double* kstar, double* v) const;
-  // The posteriors of the n x m cross-kernel matrix's columns. PredictBatch
-  // and the conditioned PredictBatch share it.
+  // The posteriors of the n x m cross-kernel matrix's columns, for the
+  // conditioned PredictBatch.
   std::vector<Prediction> Posteriors(const Matrix& kstar) const;
 
   MixedKernel kernel_;

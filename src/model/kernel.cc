@@ -7,94 +7,19 @@ namespace sparktune {
 
 namespace {
 
-// Marks each column of a feature-major kind whose probes all hold one
-// value. The scan of a column stops at its first differing probe, so a
-// column that varies costs O(1) in the common case.
-void MarkShared(size_t m, MixedKernel::KindColumns* kind) {
-  for (size_t f = 0; f < kind->shared.size(); ++f) {
-    const double* col = kind->values.data() + f * m;
-    size_t j = 1;
-    while (j < m && col[j] == col[0]) ++j;
-    kind->shared[f] = j >= m;
+// One row's sum over a squared-distance kind of ConditionedRows, from its
+// pinned lead `sum`: each free term (x[s] - free[pos[s]])^2, then the
+// row's pinned terms up to ends[s], in feature order. *t is the term
+// cursor, which runs on across rows.
+inline double AddSquaredTerms(double sum, const double* x, const double* free,
+                              const size_t* pos, const uint32_t* ends,
+                              const double* terms, size_t k, size_t* t) {
+  for (size_t s = 0; s < k; ++s) {
+    const double diff = x[s] - free[pos[s]];
+    sum += diff * diff;
+    for (const size_t end = ends[s]; *t < end; ++*t) sum += terms[*t];
   }
-}
-
-// Per probe, the sum over the kind's features of (a_f - b_f)^2, added in
-// ascending feature order exactly as Stats adds it. A shared column's term
-// is computed once and added to every probe at its place in that order,
-// and the leading run of shared columns is one scalar sum. Returns true
-// with that sum in *uniform when every column is shared; otherwise fills
-// acc[0, m).
-bool SquaredDistances(const std::vector<double>& a,
-                      const std::vector<size_t>& idx,
-                      const MixedKernel::KindColumns& cols, size_t m,
-                      double* __restrict acc, double* uniform) {
-  double lead = 0.0;
-  size_t f = 0;
-  for (; f < idx.size() && cols.shared[f]; ++f) {
-    const double diff = a[idx[f]] - cols.values[f * m];
-    lead += diff * diff;
-  }
-  if (f == idx.size()) {
-    *uniform = lead;
-    return true;
-  }
-  {
-    const double av = a[idx[f]];
-    const double* __restrict col = cols.values.data() + f * m;
-    for (size_t j = 0; j < m; ++j) {
-      const double diff = av - col[j];
-      acc[j] = lead + diff * diff;
-    }
-  }
-  for (++f; f < idx.size(); ++f) {
-    const double av = a[idx[f]];
-    const double* __restrict col = cols.values.data() + f * m;
-    if (cols.shared[f]) {
-      const double diff = av - col[0];
-      const double term = diff * diff;
-      for (size_t j = 0; j < m; ++j) acc[j] += term;
-    } else {
-      for (size_t j = 0; j < m; ++j) {
-        const double diff = av - col[j];
-        acc[j] += diff * diff;
-      }
-    }
-  }
-  return false;
-}
-
-// Per probe, the number of categorical features where a and the probe
-// differ. Counts are exact small integers, so their order does not matter:
-// the shared columns' count is one scalar that seeds every probe.
-// Returns true with the count in *uniform when every column is shared;
-// otherwise fills acc[0, m).
-bool Mismatches(const std::vector<double>& a, const std::vector<size_t>& idx,
-                const MixedKernel::KindColumns& cols, size_t m,
-                double* __restrict acc, double* uniform) {
-  double shared = 0.0;
-  bool all_shared = true;
-  for (size_t f = 0; f < idx.size(); ++f) {
-    if (!cols.shared[f]) {
-      all_shared = false;
-      continue;
-    }
-    shared += std::fabs(a[idx[f]] - cols.values[f * m]) > 1e-12 ? 1.0 : 0.0;
-  }
-  if (all_shared) {
-    *uniform = shared;
-    return true;
-  }
-  for (size_t j = 0; j < m; ++j) acc[j] = shared;
-  for (size_t f = 0; f < idx.size(); ++f) {
-    if (cols.shared[f]) continue;
-    const double av = a[idx[f]];
-    const double* __restrict col = cols.values.data() + f * m;
-    for (size_t j = 0; j < m; ++j) {
-      acc[j] += std::fabs(av - col[j]) > 1e-12 ? 1.0 : 0.0;
-    }
-  }
-  return false;
+  return sum;
 }
 
 }  // namespace
@@ -194,10 +119,6 @@ double MixedKernel::EvalStats(const KernelPairStats& s,
   return k;
 }
 
-double MixedKernel::EvalStatsCached(const KernelPairStats& s) const {
-  return EvalConditioned(s, DataSizeFactorOf(s.datasize_d2));
-}
-
 double MixedKernel::DataSizeFactorOf(double datasize_d2) const {
   return num_datasize_ > 0
              ? DataSizeFactor(datasize_d2, params_.length_datasize)
@@ -220,7 +141,8 @@ double MixedKernel::EvalConditioned(const KernelPairStats& s,
 }
 
 void MixedKernel::EvalConditionedRow(const double* num_d2,
-                                     const double* mismatches, size_t m,
+                                     const double* mismatches,
+                                     const double* ds_d2, size_t m,
                                      double datasize_factor,
                                      double* out) const {
   // EvalConditioned's products for every candidate, one factor kind per
@@ -241,108 +163,19 @@ void MixedKernel::EvalConditionedRow(const double* num_d2,
     }
   }
   if (num_datasize_ > 0) {
-    for (size_t j = 0; j < m; ++j) out[j] *= datasize_factor;
+    if (ds_d2 != nullptr) {
+      const double lds = params_.length_datasize;
+      for (size_t j = 0; j < m; ++j) out[j] *= DataSizeFactor(ds_d2[j], lds);
+    } else {
+      for (size_t j = 0; j < m; ++j) out[j] *= datasize_factor;
+    }
   }
 }
 
 double MixedKernel::Eval(const std::vector<double>& a,
                          const std::vector<double>& b) const {
-  return EvalStatsCached(Stats(a, b));
-}
-
-void MixedKernel::EvalRow(const std::vector<double>& a,
-                          const std::vector<std::vector<double>>& bs,
-                          double* out) const {
-  for (size_t j = 0; j < bs.size(); ++j) {
-    out[j] = EvalStatsCached(Stats(a, bs[j]));
-  }
-}
-
-MixedKernel::ProbeColumns MixedKernel::PackProbes(
-    const std::vector<std::vector<double>>& bs) const {
-  ProbeColumns cols;
-  cols.count = bs.size();
-  const size_t m = cols.count;
-  cols.numeric.values.resize(numeric_idx_.size() * m);
-  cols.categorical.values.resize(categorical_idx_.size() * m);
-  cols.datasize.values.resize(datasize_idx_.size() * m);
-  for (size_t j = 0; j < m; ++j) {
-    assert(bs[j].size() == schema_.size());
-    const double* b = bs[j].data();
-    for (size_t f = 0; f < numeric_idx_.size(); ++f) {
-      cols.numeric.values[f * m + j] = b[numeric_idx_[f]];
-    }
-    for (size_t f = 0; f < categorical_idx_.size(); ++f) {
-      cols.categorical.values[f * m + j] = b[categorical_idx_[f]];
-    }
-    for (size_t f = 0; f < datasize_idx_.size(); ++f) {
-      cols.datasize.values[f * m + j] = b[datasize_idx_[f]];
-    }
-  }
-  cols.numeric.shared.resize(numeric_idx_.size());
-  cols.categorical.shared.resize(categorical_idx_.size());
-  cols.datasize.shared.resize(datasize_idx_.size());
-  MarkShared(m, &cols.numeric);
-  MarkShared(m, &cols.categorical);
-  MarkShared(m, &cols.datasize);
-  return cols;
-}
-
-void MixedKernel::EvalRowColumnar(const std::vector<double>& a,
-                                  const ProbeColumns& cols,
-                                  ColumnarScratch* scratch,
-                                  double* out) const {
-  assert(a.size() == schema_.size());
-  const size_t m = cols.count;
-  if (m == 0) return;
-  scratch->num_d2.resize(m);
-  scratch->mismatches.resize(m);
-  scratch->ds_d2.resize(m);
-  double* num_d2 = scratch->num_d2.data();
-  double* mism = scratch->mismatches.data();
-  double* ds_d2 = scratch->ds_d2.data();
-  double num_u = 0.0, mism_u = 0.0, ds_u = 0.0;
-  const bool num_shared =
-      SquaredDistances(a, numeric_idx_, cols.numeric, m, num_d2, &num_u);
-  const bool mism_shared =
-      Mismatches(a, categorical_idx_, cols.categorical, m, mism, &mism_u);
-  const bool ds_shared =
-      SquaredDistances(a, datasize_idx_, cols.datasize, m, ds_d2, &ds_u);
-  // Multiply EvalStatsCached's factors into each probe in its order, one
-  // kind per pass. A kind whose statistic is the same for every probe has
-  // one factor for the row; the others get one per probe (numeric_dist =
-  // sqrt(num_d2) exactly as Stats builds it).
-  for (size_t j = 0; j < m; ++j) out[j] = params_.signal_variance;
-  if (num_numeric_ > 0) {
-    const double ln = params_.length_numeric;
-    if (num_shared) {
-      const double factor = NumericFactor(std::sqrt(num_u), ln);
-      for (size_t j = 0; j < m; ++j) out[j] *= factor;
-    } else {
-      for (size_t j = 0; j < m; ++j) {
-        out[j] *= NumericFactor(std::sqrt(num_d2[j]), ln);
-      }
-    }
-  }
-  if (num_categorical_ > 0) {
-    if (mism_shared) {
-      const double factor = hamming_table_[static_cast<size_t>(mism_u)];
-      for (size_t j = 0; j < m; ++j) out[j] *= factor;
-    } else {
-      for (size_t j = 0; j < m; ++j) {
-        out[j] *= hamming_table_[static_cast<size_t>(mism[j])];
-      }
-    }
-  }
-  if (num_datasize_ > 0) {
-    const double lds = params_.length_datasize;
-    if (ds_shared) {
-      const double factor = DataSizeFactor(ds_u, lds);
-      for (size_t j = 0; j < m; ++j) out[j] *= factor;
-    } else {
-      for (size_t j = 0; j < m; ++j) out[j] *= DataSizeFactor(ds_d2[j], lds);
-    }
-  }
+  const KernelPairStats s = Stats(a, b);
+  return EvalConditioned(s, DataSizeFactorOf(s.datasize_d2));
 }
 
 MixedKernel::FactorTables::FactorTables(const MixedKernel* kernel,
@@ -404,6 +237,70 @@ void MixedKernel::FactorTables::Values(const KernelParams& p, double* out) {
   }
 }
 
+void ConditionedRows::SquaredTerms::Resize(size_t n) {
+  lead.resize(n);
+  values.resize(n * free.size());
+  segment_end.resize(n * free.size());
+}
+
+void ConditionedRows::SquaredTerms::Add(size_t i, double x, double b,
+                                        bool is_free, size_t* met) {
+  const size_t k = free.size();
+  if (is_free) {
+    if (*met > 0) {
+      segment_end[i * k + *met - 1] = static_cast<uint32_t>(terms.size());
+    }
+    values[i * k + (*met)++] = x;
+    return;
+  }
+  const double diff = x - b;
+  const double term = diff * diff;
+  if (*met == 0) {
+    lead[i] += term;
+  } else if (term != 0.0) {
+    terms.push_back(term);
+  }
+}
+
+void ConditionedRows::SquaredTerms::EndRow(size_t i) {
+  const size_t k = free.size();
+  if (k > 0) segment_end[i * k + k - 1] = static_cast<uint32_t>(terms.size());
+}
+
+void ConditionedRows::SquaredTerms::Row(size_t i, const double* cols,
+                                        size_t m,
+                                        double* __restrict out) const {
+  const size_t k = free.size();
+  const double row_lead = lead[i];
+  if (k == 0) {
+    for (size_t j = 0; j < m; ++j) out[j] = row_lead;
+    return;
+  }
+  const double* x = values.data() + i * k;
+  const uint32_t* ends = segment_end.data() + i * k;
+  const double* row_terms = terms.data();
+  size_t t = i == 0 ? 0 : ends[-1];
+  for (size_t s = 0; s < k; ++s) {
+    const double xv = x[s];
+    const double* __restrict col = cols + free[s] * m;
+    if (s == 0) {
+      for (size_t j = 0; j < m; ++j) {
+        const double diff = xv - col[j];
+        out[j] = row_lead + diff * diff;
+      }
+    } else {
+      for (size_t j = 0; j < m; ++j) {
+        const double diff = xv - col[j];
+        out[j] += diff * diff;
+      }
+    }
+    for (const size_t end = ends[s]; t < end; ++t) {
+      const double term = row_terms[t];
+      for (size_t j = 0; j < m; ++j) out[j] += term;
+    }
+  }
+}
+
 ConditionedRows::ConditionedRows(const MixedKernel& kernel,
                                  const std::vector<std::vector<double>>& rows,
                                  std::span<const double> base,
@@ -415,73 +312,51 @@ ConditionedRows::ConditionedRows(const MixedKernel& kernel,
   for (size_t s = 0; s < free.size(); ++s) {
     const size_t f = free[s];
     assert(f < d && (s == 0 || free[s - 1] < f));
-    assert(schema_[f] != FeatureKind::kDataSize);
     is_free[f] = 1;
-    if (schema_[f] == FeatureKind::kNumeric) {
-      free_numeric_.push_back(s);
-    } else {
-      free_categorical_.push_back(s);
+    switch (schema_[f]) {
+      case FeatureKind::kNumeric:
+        numeric_.free.push_back(s);
+        break;
+      case FeatureKind::kCategorical:
+        free_categorical_.push_back(s);
+        break;
+      case FeatureKind::kDataSize:
+        datasize_.free.push_back(s);
+        break;
     }
   }
   const size_t n = rows.size();
-  const size_t kn = free_numeric_.size();
   const size_t kc = free_categorical_.size();
-  lead_.resize(n);
+  numeric_.Resize(n);
+  datasize_.Resize(n);
   mismatches_.resize(n);
-  datasize_d2_.resize(n);
-  numeric_values_.resize(n * kn);
   categorical_values_.resize(n * kc);
-  segment_end_.resize(n * kn);
   for (size_t i = 0; i < n; ++i) {
     const std::vector<double>& x = rows[i];
     assert(x.size() == d);
-    double lead = 0.0;
-    double mismatches = 0.0;
-    double ds_d2 = 0.0;
-    size_t sn = 0;  // free numeric features met so far
-    size_t sc = 0;
+    // Free features met so far, per kind.
+    size_t sn = 0, sc = 0, sd = 0;
     // One walk of the schema adds each kind's terms in ascending feature
     // order, as Stats does.
     for (size_t f = 0; f < d; ++f) {
       switch (schema_[f]) {
-        case FeatureKind::kNumeric: {
-          if (is_free[f]) {
-            if (sn > 0) {
-              segment_end_[i * kn + sn - 1] =
-                  static_cast<uint32_t>(terms_.size());
-            }
-            numeric_values_[i * kn + sn++] = x[f];
-            break;
-          }
-          const double diff = x[f] - base[f];
-          const double term = diff * diff;
-          if (sn == 0) {
-            lead += term;
-          } else if (term != 0.0) {
-            terms_.push_back(term);
-          }
+        case FeatureKind::kNumeric:
+          numeric_.Add(i, x[f], base[f], is_free[f], &sn);
           break;
-        }
         case FeatureKind::kCategorical:
           if (is_free[f]) {
             categorical_values_[i * kc + sc++] = x[f];
           } else if (std::fabs(x[f] - base[f]) > 1e-12) {
-            mismatches += 1.0;
+            mismatches_[i] += 1.0;
           }
           break;
-        case FeatureKind::kDataSize: {
-          const double diff = x[f] - base[f];
-          ds_d2 += diff * diff;
+        case FeatureKind::kDataSize:
+          datasize_.Add(i, x[f], base[f], is_free[f], &sd);
           break;
-        }
       }
     }
-    if (kn > 0) {
-      segment_end_[i * kn + kn - 1] = static_cast<uint32_t>(terms_.size());
-    }
-    lead_[i] = lead;
-    mismatches_[i] = mismatches;
-    datasize_d2_[i] = ds_d2;
+    numeric_.EndRow(i);
+    datasize_.EndRow(i);
   }
 }
 
@@ -492,63 +367,49 @@ bool ConditionedRows::Conditions(
 }
 
 void ConditionedRows::Stats(const double* free, KernelPairStats* out) const {
-  const size_t n = lead_.size();
-  const size_t kn = free_numeric_.size();
+  const size_t n = size();
+  const size_t kn = numeric_.free.size();
   const size_t kc = free_categorical_.size();
-  const double* terms = terms_.data();
+  const size_t* num_pos = numeric_.free.data();
+  const double* lead = numeric_.lead.data();
+  const double* xn = numeric_.values.data();
+  const uint32_t* ends = numeric_.segment_end.data();
+  const double* terms = numeric_.terms.data();
+  const size_t* cat_pos = free_categorical_.data();
+  const double* pinned_mismatches = mismatches_.data();
+  const double* xc = categorical_values_.data();
+  const double* ds_lead = datasize_.lead.data();
   size_t t = 0;  // segments are contiguous, row after row
-  for (size_t i = 0; i < n; ++i) {
-    double num_d2 = lead_[i];
-    const double* xn = numeric_values_.data() + i * kn;
-    const uint32_t* ends = segment_end_.data() + i * kn;
-    for (size_t s = 0; s < kn; ++s) {
-      const double diff = xn[s] - free[free_numeric_[s]];
-      num_d2 += diff * diff;
-      for (const size_t end = ends[s]; t < end; ++t) num_d2 += terms[t];
-    }
-    double mismatches = mismatches_[i];
-    const double* xc = categorical_values_.data() + i * kc;
+  for (size_t i = 0; i < n; ++i, xn += kn, ends += kn, xc += kc) {
+    const double num_d2 =
+        AddSquaredTerms(lead[i], xn, free, num_pos, ends, terms, kn, &t);
+    double mismatches = pinned_mismatches[i];
     for (size_t s = 0; s < kc; ++s) {
-      if (std::fabs(xc[s] - free[free_categorical_[s]]) > 1e-12) {
-        mismatches += 1.0;
-      }
+      if (std::fabs(xc[s] - free[cat_pos[s]]) > 1e-12) mismatches += 1.0;
     }
     out[i].numeric_dist = std::sqrt(num_d2);
     out[i].mismatches = mismatches;
-    out[i].datasize_d2 = datasize_d2_[i];
+    out[i].datasize_d2 = ds_lead[i];
+  }
+  if (!datasize_free()) return;
+  // A free data size: each row's sum, as the numeric one.
+  const size_t kd = datasize_.free.size();
+  const double* xd = datasize_.values.data();
+  const uint32_t* ds_ends = datasize_.segment_end.data();
+  t = 0;
+  for (size_t i = 0; i < n; ++i, xd += kd, ds_ends += kd) {
+    out[i].datasize_d2 =
+        AddSquaredTerms(ds_lead[i], xd, free, datasize_.free.data(), ds_ends,
+                        datasize_.terms.data(), kd, &t);
   }
 }
 
 void ConditionedRows::RowStats(size_t i, const double* cols, size_t m,
                                double* __restrict num_d2,
-                               double* __restrict mismatches) const {
-  const size_t kn = free_numeric_.size();
+                               double* __restrict mismatches,
+                               double* __restrict ds_d2) const {
+  numeric_.Row(i, cols, m, num_d2);
   const size_t kc = free_categorical_.size();
-  const double lead = lead_[i];
-  if (kn == 0) {
-    for (size_t j = 0; j < m; ++j) num_d2[j] = lead;
-  } else {
-    size_t t = i == 0 ? 0 : segment_end_[i * kn - 1];
-    for (size_t s = 0; s < kn; ++s) {
-      const double xv = numeric_values_[i * kn + s];
-      const double* __restrict col = cols + free_numeric_[s] * m;
-      if (s == 0) {
-        for (size_t j = 0; j < m; ++j) {
-          const double diff = xv - col[j];
-          num_d2[j] = lead + diff * diff;
-        }
-      } else {
-        for (size_t j = 0; j < m; ++j) {
-          const double diff = xv - col[j];
-          num_d2[j] += diff * diff;
-        }
-      }
-      for (const size_t end = segment_end_[i * kn + s]; t < end; ++t) {
-        const double term = terms_[t];
-        for (size_t j = 0; j < m; ++j) num_d2[j] += term;
-      }
-    }
-  }
   const double pinned = mismatches_[i];
   for (size_t j = 0; j < m; ++j) mismatches[j] = pinned;
   for (size_t s = 0; s < kc; ++s) {
@@ -558,6 +419,7 @@ void ConditionedRows::RowStats(size_t i, const double* cols, size_t m,
       mismatches[j] += std::fabs(xv - col[j]) > 1e-12 ? 1.0 : 0.0;
     }
   }
+  if (datasize_free()) datasize_.Row(i, cols, m, ds_d2);
 }
 
 }  // namespace sparktune

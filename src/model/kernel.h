@@ -4,6 +4,7 @@
 // normalized [0,1] coordinates.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -37,41 +38,15 @@ struct KernelPairStats {
 // k(a, b) = signal_variance * numeric * categorical * datasize, where the
 // three factors are NumericFactor, CategoricalFactor and DataSizeFactor of
 // the pair's statistics and a kind the schema lacks contributes no factor.
-// Every evaluation path — Eval, EvalRow, EvalRowColumnar, EvalStats,
-// EvalConditioned(Row) and FactorTables — multiplies them in that order,
-// so all agree bit for bit.
+// Every evaluation path multiplies them in that order, so all agree bit
+// for bit: Eval (a GP's per-point Predict), EvalConditioned(Row) from
+// ConditionedRows (every batch and every sub-space search), FactorTables
+// (the hyperparameter sweep) and EvalStats (their reference).
 //
 // For finite inputs and finite positive hyperparameters, k(x, x) is exactly
 // signal_variance: each factor is exactly 1 at distance 0.
 class MixedKernel {
  public:
-  // One kind's probe values, feature-major: the f-th feature of the kind
-  // for probe j is at values[f * count + j], so a batch evaluation streams
-  // unit-stride columns instead of gathering one strided value per probe
-  // row. shared[f] is 1 when every probe holds the same value (==) in
-  // column f; the squared and absolute differences a column feeds do not
-  // see the sign of a zero, so -0.0 and 0.0 count as one value.
-  struct KindColumns {
-    std::vector<double> values;
-    std::vector<char> shared;
-  };
-
-  // Probe set repacked by kind for EvalRowColumnar.
-  struct ProbeColumns {
-    size_t count = 0;  // number of probes packed
-    KindColumns numeric;
-    KindColumns categorical;
-    KindColumns datasize;
-  };
-
-  // Per-probe accumulators for EvalRowColumnar, hoisted out so callers
-  // reuse the buffers across rows.
-  struct ColumnarScratch {
-    std::vector<double> num_d2;
-    std::vector<double> mismatches;
-    std::vector<double> ds_d2;
-  };
-
   // Kernel values over one fixed set of pair statistics under many
   // KernelParams, as the GP hyperparameter sweep needs them. Each factor
   // is computed once per distinct hyperparameter value met: per pair for
@@ -117,26 +92,6 @@ class MixedKernel {
   // k(a, b) without the noise term.
   double Eval(const std::vector<double>& a, const std::vector<double>& b) const;
 
-  // One cross-kernel row in a single pass: out[j] = Eval(a, bs[j]) for all
-  // j, bit-for-bit.
-  void EvalRow(const std::vector<double>& a,
-               const std::vector<std::vector<double>>& bs, double* out) const;
-
-  // Repack probes by kind for EvalRowColumnar and mark their shared
-  // columns. The scan of a column stops at its first differing probe.
-  ProbeColumns PackProbes(const std::vector<std::vector<double>>& bs) const;
-  // Columnar EvalRow: with cols == PackProbes(bs), writes exactly
-  // EvalRow(a, bs, out) bit-for-bit. The feature loop runs outermost and
-  // probes innermost, and each probe still receives its per-kind terms in
-  // ascending feature order, the same summation order as the
-  // row-at-a-time Stats walk. A shared column's term is computed once and
-  // added to every probe at its place in that order; when every column of
-  // a kind is shared, that kind's factor is computed once for the row.
-  // Reads no mutable kernel state; `scratch` must be exclusive to the
-  // caller.
-  void EvalRowColumnar(const std::vector<double>& a, const ProbeColumns& cols,
-                       ColumnarScratch* scratch, double* out) const;
-
   // Pairwise statistics of (a, b); Eval(a, b) == EvalStats(Stats(a, b),
   // params()) bit-for-bit.
   KernelPairStats Stats(const std::vector<double>& a,
@@ -148,8 +103,8 @@ class MixedKernel {
 
   // The data-size factor Eval multiplies in for a pair at squared
   // data-size distance `datasize_d2`, under params(); 1 when the schema
-  // has no data-size feature. A sub-space search computes it once per
-  // training row (ConditionedRows::datasize_d2).
+  // has no data-size feature. A sub-space search, which pins the data
+  // size, computes it once per training row (ConditionedRows::datasize_d2).
   double DataSizeFactorOf(double datasize_d2) const;
   // k(a, b) from the pair's statistics and its data-size factor
   // DataSizeFactorOf(s.datasize_d2), multiplied in Eval's order: equal to
@@ -158,10 +113,13 @@ class MixedKernel {
                          double datasize_factor) const;
   // EvalConditioned for one training row against m candidates, from
   // ConditionedRows::RowStats' output: out[j] is the value for
-  // numeric_dist = sqrt(num_d2[j]) and mismatches[j].
+  // numeric_dist = sqrt(num_d2[j]) and mismatches[j]. With a free
+  // data-size feature, ds_d2[j] is candidate j's squared data-size
+  // distance and its factor is computed per candidate; otherwise ds_d2 is
+  // null and every candidate takes the row's `datasize_factor`.
   void EvalConditionedRow(const double* num_d2, const double* mismatches,
-                          size_t m, double datasize_factor,
-                          double* out) const;
+                          const double* ds_d2, size_t m,
+                          double datasize_factor, double* out) const;
 
   // Matérn-5/2 correlation for scaled distance r >= 0.
   static double Matern52(double r);
@@ -175,11 +133,6 @@ class MixedKernel {
   // exp(-0.5 * datasize_d2 / length^2).
   static double DataSizeFactor(double datasize_d2, double length);
 
-  // k(a, b) under params_, taking the categorical factor from the cached
-  // hamming table instead of calling exp. Bit-identical to
-  // EvalStats(s, params_): every table entry is CategoricalFactor at a
-  // discrete mismatch count.
-  double EvalStatsCached(const KernelPairStats& s) const;
   void RebuildHammingTable();
 
   std::vector<FeatureKind> schema_;
@@ -194,29 +147,29 @@ class MixedKernel {
   std::vector<size_t> categorical_idx_;
   std::vector<size_t> datasize_idx_;
   // hamming_table_[c] = CategoricalFactor(c, hamming_weight): the mismatch
-  // count is discrete, so the categorical exp of Eval/EvalRow is a table
-  // lookup.
+  // count is discrete, so the categorical exp of Eval is a table lookup.
   std::vector<double> hamming_table_;
 };
 
-// A GP's training rows conditioned on one searched sub-space. Every
-// candidate of the search is the base's features (context included) with
-// its free features overwritten, so a row's terms in the pinned features
-// are the same for every candidate. Built once per search from the rows,
+// A GP's training rows conditioned on one sub-space: a searched one, or
+// the one a probe set spans (SpanOfProbes). Every candidate is the base's
+// features with its free features overwritten, so a row's terms in the
+// pinned features are the same for every candidate. Built from the rows,
 // the base's features and the ascending indices of the free features, the
-// view yields each row's KernelPairStats from a candidate's k free
-// features alone, equal to MixedKernel::Stats(row, candidate) bit for bit.
-// Per row it keeps:
-//   * numeric: the sum of the pinned terms before the first free numeric
-//     feature (Stats' own partial sum), then the row's free numeric values
-//     and its nonzero pinned terms (x - base)^2, in ascending feature
-//     order. A skipped term is exactly +0.0 added to a sum >= +0.0: every
-//     term is a square and the sum starts at +0.0, so the sum keeps its
-//     bits, whatever the sign of the zeros that made the term;
+// view yields each row's KernelPairStats from a candidate's free features
+// alone, equal to MixedKernel::Stats(row, candidate) bit for bit. Per row
+// it keeps:
+//   * numeric and data size, the squared-distance kinds: the sum of the
+//     kind's pinned terms before its first free feature (Stats' own
+//     partial sum), then the row's free values and its nonzero pinned
+//     terms (x - base)^2, in ascending feature order. A skipped term is
+//     exactly +0.0 added to a sum >= +0.0: every term is a square and the
+//     sum starts at +0.0, so the sum keeps its bits, whatever the sign of
+//     the zeros that made the term;
 //   * categorical: the pinned mismatch count. Counts are exact integers,
-//     so adding the free mismatches to it gives Stats' count;
-//   * data size: the squared distance itself. Data-size features are the
-//     context, which a sub-space never frees.
+//     so adding the free mismatches to it gives Stats' count.
+// A sub-space search pins the context, so its data-size distance is one
+// number per row (datasize_d2); only a probe span frees it.
 // The view keeps a pointer to `rows`, which must outlive it.
 class ConditionedRows {
  public:
@@ -224,46 +177,76 @@ class ConditionedRows {
                   const std::vector<std::vector<double>>& rows,
                   std::span<const double> base, std::span<const size_t> free);
 
-  size_t size() const { return lead_.size(); }
+  size_t size() const { return numeric_.lead.size(); }
 
   // True when the view was built from rows equal to `rows` under `schema`,
   // so a model fit on them may read its statistics.
   bool Conditions(const std::vector<FeatureKind>& schema,
                   const std::vector<std::vector<double>>& rows) const;
 
+  // True when a data-size feature is free, so the data-size distance
+  // varies with the candidate.
+  bool datasize_free() const { return !datasize_.free.empty(); }
+
   // out[i] = Stats(rows[i], candidate) for every row; `free` holds the
   // candidate's free features in the order of the view's `free`.
   void Stats(const double* free, KernelPairStats* out) const;
   // Row i against m candidates whose free feature s is cols[s * m + j]:
   // num_d2[j] is the squared numeric distance (numeric_dist is its sqrt)
-  // and mismatches[j] the mismatch count of Stats(rows[i], candidate j).
-  // The loops run over the free columns and the row's nonzero pinned
-  // terms, candidates innermost.
+  // and mismatches[j] the mismatch count of Stats(rows[i], candidate j);
+  // ds_d2[j] is its datasize_d2 when datasize_free(), and ds_d2 is not
+  // written (and may be null) otherwise. The loops run over the free
+  // columns and the row's nonzero pinned terms, candidates innermost.
   void RowStats(size_t i, const double* cols, size_t m, double* num_d2,
-                double* mismatches) const;
-  double datasize_d2(size_t i) const { return datasize_d2_[i]; }
+                double* mismatches, double* ds_d2) const;
+  // Row i's squared data-size distance to every candidate, when no
+  // data-size feature is free.
+  double datasize_d2(size_t i) const {
+    assert(!datasize_free());
+    return datasize_.lead[i];
+  }
 
  private:
+  // One squared-distance kind of every row.
+  struct SquaredTerms {
+    // Positions in a candidate's free features of the kind's free
+    // features, ascending.
+    std::vector<size_t> free;
+    // Per row: the sum of the pinned terms before the first free feature
+    // (all of them when none is free).
+    std::vector<double> lead;
+    // Row i's value of free feature s at [i * k + s].
+    std::vector<double> values;
+    // The nonzero pinned terms after each free feature: row i's terms
+    // between free features s and s + 1 (or the last feature) end at
+    // terms[segment_end[i * k + s]] and start where the previous segment
+    // ends (0 for the first).
+    std::vector<double> terms;
+    std::vector<uint32_t> segment_end;
+
+    // Sizes the per-row arrays for n rows.
+    void Resize(size_t n);
+    // Adds row i's feature value x to the row's terms in feature order:
+    // free, or pinned at b. *met counts the kind's free features the row
+    // has met so far.
+    void Add(size_t i, double x, double b, bool is_free, size_t* met);
+    // Closes row i's last segment.
+    void EndRow(size_t i);
+    // Row i's squared distance to each of m candidates, as RowStats.
+    void Row(size_t i, const double* cols, size_t m,
+             double* __restrict out) const;
+  };
+
   std::vector<FeatureKind> schema_;
   const std::vector<std::vector<double>>* rows_;
-  // Positions in a candidate's free features of the numeric and the
-  // categorical ones, ascending.
-  std::vector<size_t> free_numeric_;
+  SquaredTerms numeric_;
+  SquaredTerms datasize_;
+  // Positions in a candidate's free features of the categorical ones,
+  // ascending; per row the pinned mismatch count, and row i's value of
+  // free categorical feature s at [i * kc + s].
   std::vector<size_t> free_categorical_;
-  // Per row.
-  std::vector<double> lead_;
   std::vector<double> mismatches_;
-  std::vector<double> datasize_d2_;
-  // Row i's value of free numeric feature s at [i * kn + s], of free
-  // categorical feature s at [i * kc + s].
-  std::vector<double> numeric_values_;
   std::vector<double> categorical_values_;
-  // The nonzero pinned terms after each free numeric feature: row i's
-  // terms between free numeric features s and s + 1 (or the last feature)
-  // end at terms_[segment_end_[i * kn + s]] and start where the previous
-  // segment ends (0 for the first).
-  std::vector<double> terms_;
-  std::vector<uint32_t> segment_end_;
 };
 
 }  // namespace sparktune

@@ -1,5 +1,8 @@
 #include "model/surrogate.h"
 
+#include <algorithm>
+#include <cassert>
+
 namespace sparktune {
 
 namespace {
@@ -35,6 +38,28 @@ class FullFeatures final : public ConditionedSurrogate {
 };
 
 }  // namespace
+
+ProbeSpan SpanOfProbes(const std::vector<std::vector<double>>& xs) {
+  assert(!xs.empty());
+  const std::vector<double>& first = xs[0];
+  const size_t m = xs.size();
+  assert(std::all_of(xs.begin(), xs.end(), [&](const std::vector<double>& x) {
+    return x.size() == first.size();
+  }));
+  ProbeSpan span;
+  span.sub.base = first;
+  for (size_t f = 0; f < first.size(); ++f) {
+    size_t j = 1;
+    while (j < m && xs[j][f] == first[f]) ++j;
+    if (j < m) span.sub.free.push_back(f);
+  }
+  span.cols.resize(span.sub.free.size() * m);
+  for (size_t s = 0; s < span.sub.free.size(); ++s) {
+    const size_t f = span.sub.free[s];
+    for (size_t j = 0; j < m; ++j) span.cols[s * m + j] = xs[j][f];
+  }
+  return span;
+}
 
 std::unique_ptr<ConditionedSurrogate> Surrogate::Condition(
     const FeatureSubspace& sub, const ConditionedRows*) const {

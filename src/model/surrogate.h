@@ -28,6 +28,21 @@ struct FeatureSubspace {
   std::vector<size_t> free;
 };
 
+// The sub-space a probe set spans, and the probes in it.
+struct ProbeSpan {
+  FeatureSubspace sub;
+  // Free feature s of probe j at cols[s * m + j], for m probes.
+  std::vector<double> cols;
+};
+
+// The span of m >= 1 probes of one width: the base is the first probe,
+// and a feature is free when some probe differs (!=) from the first in
+// it, so 0.0 and -0.0 count as one value (a GP kernel's terms do not see
+// the sign). The GP and the meta ensemble answer PredictBatch(xs) by
+// conditioning on the span. A model whose Condition is the default must
+// not: the default calls PredictBatch back.
+ProbeSpan SpanOfProbes(const std::vector<std::vector<double>>& xs);
+
 // A surrogate's predictions for the candidates of one sub-space search,
 // from each candidate's free features (in FeatureSubspace::free order).
 // Every prediction equals the model's Predict of the candidate's full
@@ -61,10 +76,11 @@ class Surrogate {
 
   // Batched prediction: out[i] == Predict(xs[i]) bit-for-bit for every
   // implementation. The default loops over Predict; models whose inference
-  // amortizes (the GP's triangular solves, tree-ensemble traversals, the
-  // meta ensemble's per-base fan-out) override it. Hot paths that score
-  // whole candidate pools (acquisition maximization, AGD probes, safety
-  // screens) should call this instead of looping Predict.
+  // amortizes override it: the GP and the meta ensemble condition on the
+  // probes' span (SpanOfProbes), the forest batches its traversals. Its
+  // callers are AGD's finite-difference probes and backtracking screen,
+  // the meta ensemble's cross-validation and the knowledge base's probes;
+  // acquisition scores its pools through Condition.
   virtual std::vector<Prediction> PredictBatch(
       const std::vector<std::vector<double>>& xs) const {
     std::vector<Prediction> out;

@@ -2,9 +2,11 @@
 
 #include <cassert>
 #include <optional>
+#include <string>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
+#include "meta/meta_features.h"
 #include "service/checkpoint.h"
 #include "sparksim/event_log.h"
 
@@ -411,6 +413,17 @@ Status TuningService::RestoreTask(const std::string& id) {
   }
   SPARKTUNE_ASSIGN_OR_RETURN(doc, repository_->LoadCheckpoint(id));
   SPARKTUNE_ASSIGN_OR_RETURN(ckpt, TaskCheckpointFromJson(doc, *space_));
+  // The window averages its rows into the vector the knowledge base
+  // compares with its kNumMetaFeatures-wide records, and reads each row
+  // at the width of the first.
+  for (const std::vector<double>& row : ckpt.meta_samples) {
+    if (row.size() != static_cast<size_t>(kNumMetaFeatures)) {
+      return Status::DataLoss("checkpoint of " + id + " holds a " +
+                              std::to_string(row.size()) +
+                              "-wide meta sample, not " +
+                              std::to_string(kNumMetaFeatures));
+    }
+  }
 
   TaskState& state = it->second;
   state.tuner->RestoreState(ckpt.tuner);

@@ -141,7 +141,8 @@ class TuningService {
   // suggestion trajectory continues exactly where the checkpoint left off.
   // A torn newest generation falls back to the previous one; only a fully
   // absent or corrupt history yields kDataLoss/kNotFound and leaves the
-  // task in its freshly registered state.
+  // task in its freshly registered state. A checkpoint whose meta samples
+  // are not all kNumMetaFeatures wide is corrupt too (kDataLoss).
   Status CheckpointTask(const std::string& id);
   // Checkpoints every registered task (tasks unchanged since their last
   // checkpoint are skipped) and aggregates per-task outcomes. Internally

@@ -10,8 +10,10 @@
 //     otherwise).
 //   * FullFeatureScorer: EicScorer before it scored from rows conditioned
 //     on the sub-space. It encodes each candidate's full features and
-//     predicts through each surrogate's Predict and PredictBatch, which
-//     walk every feature of every training row.
+//     predicts each through the surrogate's per-point Predict, which walks
+//     every feature of every training row (MixedKernel::Eval for a GP).
+//     PredictBatch equals Predict bit for bit, but conditions rows as
+//     EicScorer does, so the reference does not use it.
 #pragma once
 
 #include <algorithm>
@@ -56,7 +58,7 @@ class FullFeatureScorer final : public CandidateScorer {
     const Surrogate* runtime = options_.runtime.surrogate;
     std::vector<Prediction> rt;
     if (runtime != nullptr) {
-      rt = runtime->PredictBatch(xs);
+      rt = PredictEach(*runtime, xs);
       if (options_.safety) {
         size_t kept = 0;
         for (size_t t = 0; t < idx.size(); ++t) {
@@ -75,7 +77,7 @@ class FullFeatureScorer final : public CandidateScorer {
       }
     }
     if (idx.empty()) return out;
-    const std::vector<Prediction> obj = options_.objective->PredictBatch(xs);
+    const std::vector<Prediction> obj = PredictEach(*options_.objective, xs);
     for (size_t t = 0; t < idx.size(); ++t) {
       out[idx[t]].safe = true;
       out[idx[t]].acq = Eic(obj[t], runtime != nullptr ? &rt[t] : nullptr);
@@ -97,7 +99,7 @@ class FullFeatureScorer final : public CandidateScorer {
     if (runtime == nullptr) return out;
     std::vector<std::vector<double>> xs;
     for (const Configuration& c : cs) xs.push_back(encode_(c));
-    const std::vector<Prediction> p = runtime->PredictBatch(xs);
+    const std::vector<Prediction> p = PredictEach(*runtime, xs);
     for (size_t i = 0; i < cs.size(); ++i) {
       out[i] = std::max(out[i], RuntimeViolation(p[i]));
     }
@@ -110,6 +112,13 @@ class FullFeatureScorer final : public CandidateScorer {
   }
 
  private:
+  static std::vector<Prediction> PredictEach(
+      const Surrogate& model, const std::vector<std::vector<double>>& xs) {
+    std::vector<Prediction> out;
+    out.reserve(xs.size());
+    for (const std::vector<double>& x : xs) out.push_back(model.Predict(x));
+    return out;
+  }
   bool ResourceOk(const Configuration& c) const {
     return !options_.resource_fn ||
            options_.resource_fn(c) <= options_.resource_max;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "meta/meta_features.h"
 #include "service/checkpoint.h"
 #include "service/tuning_service.h"
 #include "sparksim/hibench.h"
@@ -395,6 +396,51 @@ TEST(CheckpointRecoveryTest, TornCheckpointFallsBackToFreshStart) {
   auto obs = revived.ExecutePeriodic("wc");
   ASSERT_TRUE(obs.ok());
   EXPECT_EQ(revived.tuner("wc")->executions(), 1);
+}
+
+// A checkpoint whose meta samples are not all kNumMetaFeatures wide is
+// corrupt: restoring it used to fill the meta window with rows its
+// Average read past, and to hand the knowledge base a vector of the wrong
+// width. It fails with kDataLoss and leaves the task freshly registered.
+TEST(CheckpointRecoveryTest, WrongWidthMetaSamplesAreDataLoss) {
+  Fixture f;
+  const std::string dir = TempDir("meta-width");
+  {
+    TuningService service(&f.space, f.ServiceOpts(dir));
+    auto inner = f.MakeInner(3);
+    ASSERT_TRUE(service.RegisterTask("wc", inner.get()).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(service.ExecutePeriodic("wc").ok());
+    }
+    ASSERT_TRUE(service.CheckpointTask("wc").ok());
+  }
+  DataRepository repo(dir);
+  auto doc = repo.LoadCheckpoint("wc");
+  ASSERT_TRUE(doc.ok());
+  auto intact = TaskCheckpointFromJson(*doc, f.space);
+  ASSERT_TRUE(intact.ok());
+  ASSERT_GE(intact->meta_samples.size(), 2u);
+  ASSERT_EQ(intact->meta_samples[0].size(),
+            static_cast<size_t>(kNumMetaFeatures));
+
+  TaskCheckpoint ragged = *intact;
+  ragged.meta_samples[1].resize(3);
+  TaskCheckpoint narrow = *intact;
+  for (auto& row : narrow.meta_samples) row.pop_back();
+  for (const TaskCheckpoint* bad : {&ragged, &narrow}) {
+    // Framed and checksummed like any checkpoint: only the widths are bad.
+    ASSERT_TRUE(repo.SaveCheckpoint("wc", TaskCheckpointToJson(*bad)).ok());
+    ASSERT_TRUE(TaskCheckpointFromJson(*repo.LoadCheckpoint("wc"), f.space)
+                    .ok());
+    TuningService revived(&f.space, f.ServiceOpts(dir));
+    auto inner = f.MakeInner(3);
+    ASSERT_TRUE(revived.RegisterTask("wc", inner.get()).ok());
+    EXPECT_EQ(revived.RestoreTask("wc").code(), Status::Code::kDataLoss);
+    EXPECT_EQ(revived.tuner("wc")->executions(), 0);
+    EXPECT_EQ(revived.periods("wc"), 0);
+    ASSERT_TRUE(revived.ExecutePeriodic("wc").ok());
+    EXPECT_EQ(revived.tuner("wc")->executions(), 1);
+  }
 }
 
 // Generation-suffixed checkpoint files of a directory, oldest first (the

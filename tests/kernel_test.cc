@@ -1,6 +1,8 @@
-// Tests for the mixed GP kernel: symmetry, PSD, group behaviors.
+// Tests for the mixed GP kernel: symmetry, PSD, group behaviors, and its
+// training rows conditioned on a sub-space or on the span of a probe set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -8,6 +10,7 @@
 #include "common/rng.h"
 #include "linalg/cholesky.h"
 #include "model/kernel.h"
+#include "model/surrogate.h"
 
 namespace sparktune {
 namespace {
@@ -152,61 +155,7 @@ TEST(KernelTest, LengthscaleControlsSmoothing) {
   EXPECT_LT(ks.Eval({0.0}, {0.5}), kl.Eval({0.0}, {0.5}));
 }
 
-// Columnar batch evaluation must reproduce the row-at-a-time walk
-// bit-for-bit on any schema and probe set, including ones where whole
-// feature kinds are absent and the corresponding accumulation loops never
-// run, and ones where columns are shared by every probe.
-void ExpectColumnarMatchesRow(const MixedKernel& k,
-                              const std::vector<double>& a,
-                              const std::vector<std::vector<double>>& bs) {
-  const size_t m = bs.size();
-  std::vector<double> by_row(m, -1.0);
-  if (m > 0) k.EvalRow(a, bs, by_row.data());
-  MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-  EXPECT_EQ(cols.count, m);
-  std::vector<double> columnar(m, -2.0);
-  MixedKernel::ColumnarScratch scratch;
-  k.EvalRowColumnar(a, cols, &scratch, columnar.data());
-  for (size_t j = 0; j < m; ++j) {
-    EXPECT_EQ(Bits(columnar[j]), Bits(by_row[j])) << "probe " << j;
-    EXPECT_EQ(Bits(columnar[j]), Bits(k.Eval(a, bs[j]))) << "probe " << j;
-  }
-}
-
-void ExpectColumnarMatchesRow(const std::vector<FeatureKind>& schema,
-                              size_t num_probes, uint64_t seed) {
-  MixedKernel k(schema);
-  Rng rng(seed);
-  auto a = RandomPoint(schema, &rng);
-  std::vector<std::vector<double>> bs;
-  for (size_t j = 0; j < num_probes; ++j) {
-    bs.push_back(RandomPoint(schema, &rng));
-  }
-  ExpectColumnarMatchesRow(k, a, bs);
-}
-
-TEST(KernelTest, ColumnarMatchesRowOnMixedSchema) {
-  ExpectColumnarMatchesRow(MixedSchema(), 37, 101);
-}
-
-TEST(KernelTest, ColumnarMatchesRowWithoutCategoricals) {
-  ExpectColumnarMatchesRow({FeatureKind::kNumeric, FeatureKind::kNumeric,
-                            FeatureKind::kDataSize},
-                           19, 103);
-}
-
-TEST(KernelTest, ColumnarMatchesRowWithoutNumerics) {
-  ExpectColumnarMatchesRow(
-      {FeatureKind::kCategorical, FeatureKind::kCategorical}, 23, 107);
-}
-
-TEST(KernelTest, ColumnarMatchesRowDataSizeOnly) {
-  ExpectColumnarMatchesRow({FeatureKind::kDataSize}, 11, 109);
-}
-
-TEST(KernelTest, ColumnarHandlesEmptyProbeSet) {
-  ExpectColumnarMatchesRow(MixedSchema(), 0, 113);
-}
+// ---- Training rows conditioned on a sub-space ----
 
 // An acquisition-pool schema: numerics with categoricals interleaved, as
 // the configuration space orders them, and the data size last.
@@ -235,161 +184,6 @@ std::vector<std::vector<double>> PinnedProbes(
   return bs;
 }
 
-size_t CountShared(const MixedKernel::KindColumns& kind) {
-  size_t shared = 0;
-  for (char s : kind.shared) shared += s != 0 ? 1 : 0;
-  return shared;
-}
-
-TEST(KernelTest, ColumnarMatchesRowOnAnAcquisitionPool) {
-  // The sub-space shape: a few free numerics (the first varying column
-  // follows a shared run, and shared columns follow it) plus one free
-  // categorical; every other column and the data size pinned.
-  const std::vector<FeatureKind> schema = PoolSchema();
-  MixedKernel k(schema, SkewedParams());
-  Rng rng(131);
-  const auto base = RandomPoint(schema, &rng);
-  const auto bs = PinnedProbes(schema, base, {4, 5, 7, 9, 13}, 41, &rng);
-  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-  EXPECT_EQ(CountShared(cols.numeric), 8u);
-  EXPECT_EQ(CountShared(cols.categorical), 3u);
-  EXPECT_EQ(CountShared(cols.datasize), 1u);
-  for (int row = 0; row < 4; ++row) {
-    // Training rows both far from the pool and on its pinned values.
-    auto a = row % 2 == 0 ? RandomPoint(schema, &rng) : bs[row];
-    ExpectColumnarMatchesRow(k, a, bs);
-  }
-}
-
-TEST(KernelTest, ColumnarMatchesRowWhenEveryCategoricalIsPinned) {
-  const std::vector<FeatureKind> schema = PoolSchema();
-  MixedKernel k(schema, SkewedParams());
-  Rng rng(137);
-  const auto base = RandomPoint(schema, &rng);
-  const auto bs = PinnedProbes(schema, base, {0, 1, 10}, 23, &rng);
-  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-  EXPECT_EQ(CountShared(cols.numeric), 9u);
-  EXPECT_EQ(CountShared(cols.categorical), 4u);
-  ExpectColumnarMatchesRow(k, RandomPoint(schema, &rng), bs);
-  ExpectColumnarMatchesRow(k, base, bs);
-}
-
-TEST(KernelTest, ColumnarMatchesRowWhenEveryColumnIsShared) {
-  MixedKernel k(MixedSchema(), SkewedParams());
-  Rng rng(139);
-  const auto b = RandomPoint(k.schema(), &rng);
-  const std::vector<std::vector<double>> bs(9, b);
-  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-  EXPECT_EQ(CountShared(cols.numeric), 2u);
-  EXPECT_EQ(CountShared(cols.categorical), 2u);
-  EXPECT_EQ(CountShared(cols.datasize), 1u);
-  ExpectColumnarMatchesRow(k, RandomPoint(k.schema(), &rng), bs);
-  ExpectColumnarMatchesRow(k, b, bs);
-}
-
-TEST(KernelTest, ColumnarMatchesRowOnASingleProbe) {
-  MixedKernel k(MixedSchema(), SkewedParams());
-  Rng rng(149);
-  const std::vector<std::vector<double>> bs = {RandomPoint(k.schema(), &rng)};
-  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-  EXPECT_EQ(CountShared(cols.numeric) + CountShared(cols.categorical) +
-                CountShared(cols.datasize),
-            k.schema().size());
-  ExpectColumnarMatchesRow(k, RandomPoint(k.schema(), &rng), bs);
-}
-
-TEST(KernelTest, ColumnarMatchesRowWhenOnlyTheLastProbeDiffers) {
-  // One column of each kind differs in the last probe only: the scan must
-  // reach the end of the column to see it.
-  const std::vector<FeatureKind> schema = MixedSchema();
-  for (size_t f = 0; f < schema.size(); ++f) {
-    MixedKernel k(schema, SkewedParams());
-    Rng rng(151 + f);
-    const auto b = RandomPoint(schema, &rng);
-    std::vector<std::vector<double>> bs(17, b);
-    bs.back()[f] = schema[f] == FeatureKind::kCategorical
-                       ? (b[f] < 0.5 ? b[f] + 1.0 / 3.0 : b[f] - 1.0 / 3.0)
-                       : b[f] + 0.125;
-    const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-    EXPECT_EQ(CountShared(cols.numeric) + CountShared(cols.categorical) +
-                  CountShared(cols.datasize),
-              schema.size() - 1)
-        << "feature " << f;
-    ExpectColumnarMatchesRow(k, RandomPoint(schema, &rng), bs);
-    ExpectColumnarMatchesRow(k, b, bs);
-  }
-}
-
-TEST(KernelTest, ColumnarMatchesRowOnASharedColumnOfSignedZeros) {
-  // 0.0 == -0.0, so a column holding both is shared; its squared and
-  // absolute differences do not see the sign, whichever zero `a` holds.
-  const std::vector<FeatureKind> schema = {
-      FeatureKind::kNumeric, FeatureKind::kNumeric, FeatureKind::kCategorical,
-      FeatureKind::kCategorical, FeatureKind::kDataSize};
-  MixedKernel k(schema, SkewedParams());
-  Rng rng(157);
-  std::vector<std::vector<double>> bs;
-  for (size_t j = 0; j < 12; ++j) {
-    auto b = RandomPoint(schema, &rng);
-    const double zero = j % 2 == 0 ? 0.0 : -0.0;
-    b[0] = zero;
-    b[2] = -zero;
-    b[4] = zero;
-    bs.push_back(std::move(b));
-  }
-  const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-  EXPECT_EQ(cols.numeric.shared[0], 1);
-  EXPECT_EQ(cols.categorical.shared[0], 1);
-  EXPECT_EQ(cols.datasize.shared[0], 1);
-  for (double a0 : {0.0, -0.0, 0.25}) {
-    auto a = RandomPoint(schema, &rng);
-    a[0] = a0;
-    a[2] = -a0;
-    a[4] = a0;
-    ExpectColumnarMatchesRow(k, a, bs);
-  }
-}
-
-TEST(KernelTest, ColumnarMatchesRowWithOneOfTwoTimeOfDayColumnsShared) {
-  // Without a data size the context is hour of day and day of week: two
-  // data-size-kind features, here one pinned and one free, in both orders.
-  const std::vector<FeatureKind> schema = {
-      FeatureKind::kNumeric, FeatureKind::kCategorical, FeatureKind::kNumeric,
-      FeatureKind::kDataSize, FeatureKind::kDataSize};
-  for (size_t free : {3u, 4u}) {
-    MixedKernel k(schema, SkewedParams());
-    Rng rng(163 + free);
-    const auto base = RandomPoint(schema, &rng);
-    const auto bs = PinnedProbes(schema, base, {0, free}, 19, &rng);
-    const MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-    EXPECT_EQ(cols.datasize.shared[0], free == 3u ? 0 : 1);
-    EXPECT_EQ(cols.datasize.shared[1], free == 3u ? 1 : 0);
-    ExpectColumnarMatchesRow(k, RandomPoint(schema, &rng), bs);
-    ExpectColumnarMatchesRow(k, base, bs);
-  }
-}
-
-TEST(KernelTest, ColumnarScratchIsReusableAcrossRows) {
-  // A single scratch must be safe to reuse for successive rows (the
-  // PredictBatch row-chunk loop does exactly this).
-  MixedKernel k(MixedSchema());
-  Rng rng(127);
-  std::vector<std::vector<double>> bs;
-  for (size_t j = 0; j < 29; ++j) bs.push_back(RandomPoint(k.schema(), &rng));
-  MixedKernel::ProbeColumns cols = k.PackProbes(bs);
-  MixedKernel::ColumnarScratch scratch;
-  for (int row = 0; row < 3; ++row) {
-    auto a = RandomPoint(k.schema(), &rng);
-    std::vector<double> by_row(bs.size());
-    k.EvalRow(a, bs, by_row.data());
-    std::vector<double> columnar(bs.size());
-    k.EvalRowColumnar(a, cols, &scratch, columnar.data());
-    EXPECT_EQ(columnar, by_row) << "row " << row;
-  }
-}
-
-// ---- Training rows conditioned on a searched sub-space ----
-
 // Candidates of the sub-space: `base` with the free features drawn at
 // random, plus the base itself.
 std::vector<std::vector<double>> SubspaceCandidates(
@@ -403,7 +197,8 @@ std::vector<std::vector<double>> SubspaceCandidates(
 
 // The view of `rows` against every candidate holds Stats and Eval to the
 // bit, per point and column by column, and counts the pinned terms it
-// skipped as zero.
+// skipped as zero. A free data-size feature gives each candidate its own
+// data-size distance and factor.
 void ExpectConditionedMatchesStats(
     const MixedKernel& k, const std::vector<std::vector<double>>& rows,
     const std::vector<double>& base, const std::vector<size_t>& free,
@@ -411,6 +206,11 @@ void ExpectConditionedMatchesStats(
   const ConditionedRows view(k, rows, base, free);
   ASSERT_EQ(view.size(), rows.size());
   EXPECT_TRUE(view.Conditions(k.schema(), rows));
+  bool datasize_free = false;
+  for (size_t f : free) {
+    datasize_free |= k.schema()[f] == FeatureKind::kDataSize;
+  }
+  EXPECT_EQ(view.datasize_free(), datasize_free);
   const size_t m = cs.size();
   std::vector<double> cols(free.size() * m);
   for (size_t j = 0; j < m; ++j) {
@@ -429,17 +229,23 @@ void ExpectConditionedMatchesStats(
           << "row " << i << ", candidate " << j;
       EXPECT_EQ(Bits(stats[i].datasize_d2), Bits(want.datasize_d2))
           << "row " << i << ", candidate " << j;
-      const double factor = k.DataSizeFactorOf(view.datasize_d2(i));
+      const double factor = k.DataSizeFactorOf(
+          datasize_free ? stats[i].datasize_d2 : view.datasize_d2(i));
       EXPECT_EQ(Bits(k.EvalConditioned(stats[i], factor)),
                 Bits(k.Eval(rows[i], cs[j])))
           << "row " << i << ", candidate " << j;
     }
   }
-  std::vector<double> num_d2(m), mismatches(m), values(m);
+  std::vector<double> num_d2(m), mismatches(m), ds_d2(m), values(m);
+  double* ds = datasize_free ? ds_d2.data() : nullptr;
   for (size_t i = 0; i < rows.size(); ++i) {
-    view.RowStats(i, cols.data(), m, num_d2.data(), mismatches.data());
-    k.EvalConditionedRow(num_d2.data(), mismatches.data(), m,
-                         k.DataSizeFactorOf(view.datasize_d2(i)),
+    view.RowStats(i, cols.data(), m, num_d2.data(), mismatches.data(), ds);
+    // With per-candidate distances the row's factor goes unread: a NaN
+    // there would show in every value.
+    const double row_factor = datasize_free
+                                  ? std::nan("")
+                                  : k.DataSizeFactorOf(view.datasize_d2(i));
+    k.EvalConditionedRow(num_d2.data(), mismatches.data(), ds, m, row_factor,
                          values.data());
     for (size_t j = 0; j < m; ++j) {
       const KernelPairStats want = k.Stats(rows[i], cs[j]);
@@ -447,6 +253,10 @@ void ExpectConditionedMatchesStats(
           << "row " << i << ", candidate " << j;
       EXPECT_EQ(Bits(mismatches[j]), Bits(want.mismatches))
           << "row " << i << ", candidate " << j;
+      if (datasize_free) {
+        EXPECT_EQ(Bits(ds_d2[j]), Bits(want.datasize_d2))
+            << "row " << i << ", candidate " << j;
+      }
       EXPECT_EQ(Bits(values[j]), Bits(k.Eval(rows[i], cs[j])))
           << "row " << i << ", candidate " << j;
     }
@@ -575,6 +385,43 @@ TEST(ConditionedRowsTest, MatchesStatsWithTheTimeOfDayContext) {
       k, rows, base, free, SubspaceCandidates(schema, base, free, 17, &rng));
 }
 
+TEST(ConditionedRowsTest, MatchesStatsWithAFreeDataSize) {
+  // A probe span frees the data size when its probes differ there, as a
+  // cross-validation fold's held-out rows do: alone, with free numerics
+  // before it, and with every feature free.
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(243);
+  const auto base = RandomPoint(schema, &rng);
+  const auto rows = ConditionedTrainingRows(schema, base, 15, &rng);
+  std::vector<size_t> all;
+  for (size_t f = 0; f < schema.size(); ++f) all.push_back(f);
+  for (const std::vector<size_t>& free :
+       {std::vector<size_t>{16}, std::vector<size_t>{4, 5, 7, 16}, all}) {
+    ExpectConditionedMatchesStats(
+        k, rows, base, free, SubspaceCandidates(schema, base, free, 11, &rng));
+  }
+}
+
+TEST(ConditionedRowsTest, MatchesStatsWithAFreeTimeOfDayFeature) {
+  // Two data-size-kind features: the first free with the second's pinned
+  // term after it, the second free after the first's pinned lead, and
+  // both free.
+  const std::vector<FeatureKind> schema = {
+      FeatureKind::kNumeric, FeatureKind::kCategorical, FeatureKind::kNumeric,
+      FeatureKind::kNumeric, FeatureKind::kDataSize, FeatureKind::kDataSize};
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(245);
+  const auto base = RandomPoint(schema, &rng);
+  const auto rows = ConditionedTrainingRows(schema, base, 13, &rng);
+  for (const std::vector<size_t>& free :
+       {std::vector<size_t>{0, 4}, std::vector<size_t>{1, 5},
+        std::vector<size_t>{2, 4, 5}}) {
+    ExpectConditionedMatchesStats(
+        k, rows, base, free, SubspaceCandidates(schema, base, free, 17, &rng));
+  }
+}
+
 TEST(ConditionedRowsTest, MatchesStatsOnAConfigOnlySchema) {
   // The meta-ensemble's base models read configuration features only: no
   // data-size feature, so no data-size factor.
@@ -608,6 +455,216 @@ TEST(ConditionedRowsTest, ConditionsOnlyEqualRowsUnderTheSameSchema) {
   std::vector<FeatureKind> flipped = schema;
   flipped[0] = FeatureKind::kCategorical;
   EXPECT_FALSE(view.Conditions(flipped, rows));
+}
+
+// ---- Probe spans ----
+
+// The sub-space the probes `bs` span conditions the training rows: its
+// base is the first probe, its free features are those where some probe
+// differs from the first, and every probe's statistics and kernel values
+// through the view equal Stats and Eval to the bit, per point and column
+// by column. Returns the span.
+ProbeSpan ExpectSpanMatchesEval(const MixedKernel& k,
+                                const std::vector<std::vector<double>>& rows,
+                                const std::vector<std::vector<double>>& bs) {
+  const ProbeSpan span = SpanOfProbes(bs);
+  const size_t m = bs.size();
+  const std::vector<size_t>& free = span.sub.free;
+  EXPECT_EQ(span.sub.base, bs[0]);
+  size_t s = 0;
+  for (size_t f = 0; f < k.schema().size(); ++f) {
+    const bool varies = std::any_of(
+        bs.begin(), bs.end(),
+        [&](const std::vector<double>& b) { return b[f] != bs[0][f]; });
+    const bool is_free = s < free.size() && free[s] == f;
+    EXPECT_EQ(is_free, varies) << "feature " << f;
+    if (is_free) ++s;
+  }
+  EXPECT_EQ(s, free.size());
+  EXPECT_EQ(span.cols.size(), free.size() * m);
+  for (s = 0; s < free.size() && span.cols.size() == free.size() * m; ++s) {
+    for (size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(Bits(span.cols[s * m + j]), Bits(bs[j][free[s]]))
+          << "free feature " << s << ", probe " << j;
+    }
+  }
+  ExpectConditionedMatchesStats(k, rows, span.sub.base, free, bs);
+  return span;
+}
+
+// The number of the span's free features of `kind`.
+size_t CountFree(const MixedKernel& k, const ProbeSpan& span,
+                 FeatureKind kind) {
+  return static_cast<size_t>(
+      std::count_if(span.sub.free.begin(), span.sub.free.end(),
+                    [&](size_t f) { return k.schema()[f] == kind; }));
+}
+
+// Random training rows and random probes: every feature, the data size
+// included, is free.
+void ExpectRandomSpanMatchesEval(const std::vector<FeatureKind>& schema,
+                                 size_t num_probes, uint64_t seed) {
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(seed);
+  std::vector<std::vector<double>> rows, bs;
+  for (int i = 0; i < 3; ++i) rows.push_back(RandomPoint(schema, &rng));
+  for (size_t j = 0; j < num_probes; ++j) {
+    bs.push_back(RandomPoint(schema, &rng));
+  }
+  const ProbeSpan span = ExpectSpanMatchesEval(k, rows, bs);
+  EXPECT_EQ(span.sub.free.size(), schema.size());
+}
+
+TEST(KernelTest, SpanMatchesEvalOnMixedSchema) {
+  ExpectRandomSpanMatchesEval(MixedSchema(), 37, 101);
+}
+
+TEST(KernelTest, SpanMatchesEvalWithoutCategoricals) {
+  ExpectRandomSpanMatchesEval({FeatureKind::kNumeric, FeatureKind::kNumeric,
+                               FeatureKind::kDataSize},
+                              19, 103);
+}
+
+TEST(KernelTest, SpanMatchesEvalWithoutNumerics) {
+  ExpectRandomSpanMatchesEval(
+      {FeatureKind::kCategorical, FeatureKind::kCategorical}, 23, 107);
+}
+
+TEST(KernelTest, SpanMatchesEvalDataSizeOnly) {
+  ExpectRandomSpanMatchesEval({FeatureKind::kDataSize}, 11, 109);
+}
+
+TEST(KernelTest, ConditionedRowsWriteNothingForAnEmptyPool) {
+  // An empty probe set has no span (PredictBatch returns before taking
+  // one); the view's pool loops over zero candidates touch nothing.
+  MixedKernel k(MixedSchema(), SkewedParams());
+  Rng rng(113);
+  const std::vector<std::vector<double>> rows = {RandomPoint(k.schema(), &rng)};
+  const ProbeSpan span = SpanOfProbes(
+      {RandomPoint(k.schema(), &rng), RandomPoint(k.schema(), &rng)});
+  const ConditionedRows view(k, rows, span.sub.base, span.sub.free);
+  ASSERT_TRUE(view.datasize_free());
+  double num_d2 = -1.0, mismatches = -2.0, ds_d2 = -3.0, value = -4.0;
+  view.RowStats(0, nullptr, 0, &num_d2, &mismatches, &ds_d2);
+  k.EvalConditionedRow(&num_d2, &mismatches, &ds_d2, 0, 1.0, &value);
+  EXPECT_EQ(num_d2, -1.0);
+  EXPECT_EQ(mismatches, -2.0);
+  EXPECT_EQ(ds_d2, -3.0);
+  EXPECT_EQ(value, -4.0);
+}
+
+TEST(KernelTest, SpanMatchesEvalOnAnAcquisitionPool) {
+  // The sub-space shape: a few free numerics (the first follows a pinned
+  // run, and pinned features follow it) plus one free categorical; every
+  // other feature and the data size pinned.
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(131);
+  const auto base = RandomPoint(schema, &rng);
+  const auto bs = PinnedProbes(schema, base, {4, 5, 7, 9, 13}, 41, &rng);
+  // Training rows both far from the pool and on its pinned values.
+  const std::vector<std::vector<double>> rows = {
+      RandomPoint(schema, &rng), bs[1], RandomPoint(schema, &rng), bs[3]};
+  const ProbeSpan span = ExpectSpanMatchesEval(k, rows, bs);
+  EXPECT_EQ(CountFree(k, span, FeatureKind::kNumeric), 4u);
+  EXPECT_EQ(CountFree(k, span, FeatureKind::kCategorical), 1u);
+  EXPECT_EQ(CountFree(k, span, FeatureKind::kDataSize), 0u);
+}
+
+TEST(KernelTest, SpanMatchesEvalWhenEveryCategoricalIsPinned) {
+  const std::vector<FeatureKind> schema = PoolSchema();
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(137);
+  const auto base = RandomPoint(schema, &rng);
+  const auto bs = PinnedProbes(schema, base, {0, 1, 10}, 23, &rng);
+  const ProbeSpan span =
+      ExpectSpanMatchesEval(k, {RandomPoint(schema, &rng), base}, bs);
+  EXPECT_EQ(CountFree(k, span, FeatureKind::kNumeric), 3u);
+  EXPECT_EQ(CountFree(k, span, FeatureKind::kCategorical), 0u);
+}
+
+TEST(KernelTest, SpanMatchesEvalWhenEveryFeatureIsPinned) {
+  MixedKernel k(MixedSchema(), SkewedParams());
+  Rng rng(139);
+  const auto b = RandomPoint(k.schema(), &rng);
+  const std::vector<std::vector<double>> bs(9, b);
+  const ProbeSpan span =
+      ExpectSpanMatchesEval(k, {RandomPoint(k.schema(), &rng), b}, bs);
+  EXPECT_TRUE(span.sub.free.empty());
+}
+
+TEST(KernelTest, SpanMatchesEvalOnASingleProbe) {
+  MixedKernel k(MixedSchema(), SkewedParams());
+  Rng rng(149);
+  const std::vector<std::vector<double>> bs = {RandomPoint(k.schema(), &rng)};
+  const ProbeSpan span =
+      ExpectSpanMatchesEval(k, {RandomPoint(k.schema(), &rng)}, bs);
+  EXPECT_TRUE(span.sub.free.empty());
+}
+
+TEST(KernelTest, SpanMatchesEvalWhenOnlyTheLastProbeDiffers) {
+  // One feature of each kind differs in the last probe only: the scan
+  // must reach the last probe to see it.
+  const std::vector<FeatureKind> schema = MixedSchema();
+  for (size_t f = 0; f < schema.size(); ++f) {
+    MixedKernel k(schema, SkewedParams());
+    Rng rng(151 + f);
+    const auto b = RandomPoint(schema, &rng);
+    std::vector<std::vector<double>> bs(17, b);
+    bs.back()[f] = schema[f] == FeatureKind::kCategorical
+                       ? (b[f] < 0.5 ? b[f] + 1.0 / 3.0 : b[f] - 1.0 / 3.0)
+                       : b[f] + 0.125;
+    const ProbeSpan span =
+        ExpectSpanMatchesEval(k, {RandomPoint(schema, &rng), b}, bs);
+    EXPECT_EQ(span.sub.free, std::vector<size_t>{f}) << "feature " << f;
+  }
+}
+
+TEST(KernelTest, SpanMatchesEvalOnAPinnedFeatureOfSignedZeros) {
+  // 0.0 == -0.0, so a feature holding both is pinned; its squared and
+  // absolute differences do not see the sign, whichever zero the row
+  // holds.
+  const std::vector<FeatureKind> schema = {
+      FeatureKind::kNumeric, FeatureKind::kNumeric, FeatureKind::kCategorical,
+      FeatureKind::kCategorical, FeatureKind::kDataSize};
+  MixedKernel k(schema, SkewedParams());
+  Rng rng(157);
+  std::vector<std::vector<double>> bs;
+  for (size_t j = 0; j < 12; ++j) {
+    auto b = RandomPoint(schema, &rng);
+    const double zero = j % 2 == 0 ? 0.0 : -0.0;
+    b[0] = zero;
+    b[2] = -zero;
+    b[4] = zero;
+    bs.push_back(std::move(b));
+  }
+  std::vector<std::vector<double>> rows;
+  for (double a0 : {0.0, -0.0, 0.25}) {
+    auto a = RandomPoint(schema, &rng);
+    a[0] = a0;
+    a[2] = -a0;
+    a[4] = a0;
+    rows.push_back(std::move(a));
+  }
+  const ProbeSpan span = ExpectSpanMatchesEval(k, rows, bs);
+  EXPECT_EQ(span.sub.free, (std::vector<size_t>{1, 3}));
+}
+
+TEST(KernelTest, SpanMatchesEvalWithOneOfTwoTimeOfDayFeaturesFree) {
+  // Without a data size the context is hour of day and day of week: two
+  // data-size-kind features, here one pinned and one free, in both orders.
+  const std::vector<FeatureKind> schema = {
+      FeatureKind::kNumeric, FeatureKind::kCategorical, FeatureKind::kNumeric,
+      FeatureKind::kDataSize, FeatureKind::kDataSize};
+  for (size_t free : {3u, 4u}) {
+    MixedKernel k(schema, SkewedParams());
+    Rng rng(163 + free);
+    const auto base = RandomPoint(schema, &rng);
+    const auto bs = PinnedProbes(schema, base, {0, free}, 19, &rng);
+    const ProbeSpan span =
+        ExpectSpanMatchesEval(k, {RandomPoint(schema, &rng), base}, bs);
+    EXPECT_EQ(span.sub.free, (std::vector<size_t>{0, free}));
+  }
 }
 
 }  // namespace

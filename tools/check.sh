@@ -128,15 +128,19 @@ fi
 
 # Bit-equality self-check of the micro-benchmark harness on ragged sizes:
 # every optimized path re-verified against its reference — the linalg
-# kernels (upper_solve, syrk_factor), batched inference (kernel_batch;
-# kernel_pool, the pool's kernel values from rows conditioned on the
-# sub-space against the columnar path over full features; gp_predict,
+# kernels (upper_solve, syrk_factor), batched inference (kernel_batch and
+# kernel_pool, the kernel values from training rows conditioned on a probe
+# span and on a sub-space against per-pair Eval; gp_predict,
 # meta_predict, forest_predict), and the acquisition scorer against the
 # scorer before conditioned rows with a safe candidate (acq_score) and
-# against the hook wiring with none (acq_fallback).
-echo "==> [build] bench_kernels --self_check=1 (bit-equality, 9 rows)"
-./build/bench/bench_kernels --self_check=1 \
-  --out=build/BENCH_kernels_selfcheck.json
+# against the hook wiring with none (acq_fallback). It runs under UBSan
+# too, for the conditioned rows' pointer and cursor arithmetic at ragged
+# sizes.
+for dir in build build-ubsan; do
+  echo "==> [$dir] bench_kernels --self_check=1 (bit-equality, 9 rows)"
+  "./$dir/bench/bench_kernels" --self_check=1 \
+    --out="$dir/BENCH_kernels_selfcheck.json"
+done
 
 echo "==> [build] ctest -L lint (isolated lint label)"
 ctest --test-dir build --output-on-failure -L lint
